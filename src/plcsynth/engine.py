@@ -1003,11 +1003,9 @@ class _RunStats:
 
 
 class _GrowingSolver:
-    """Builds one CNF from asserted expressions and solves it.
-
-    Fresh per CEGIS iteration: carrying solver state across iterations was
-    measurably slower than re-solving (stale activities and learned
-    clauses poison later searches)."""
+    """One incremental SAT instance: each asserted expression is Tseitin-
+    encoded once and its clauses are added to the live solver, which keeps
+    its learned clauses and activities between solve() calls."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -1093,6 +1091,11 @@ def _check_point(pspec: _PointSpec, point: tuple[bool, ...]) -> None:
 
 def _run_cegis(rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
                cfg: SynthConfig, stats: _RunStats) -> Optional[tuple[dict[str, BoolExpr], _SlotTemplate]]:
+    """First template (in round order) with a candidate meeting the spec.
+
+    Each template gets one solver holding its well-formedness clauses and
+    the points seen so far; every counterexample adds only its own point
+    constraint before the solver is asked again."""
     static = pspec.static_contradiction()
     if static is not None:
         output, witness = static
@@ -1103,15 +1106,12 @@ def _run_cegis(rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
     for point in points:
         _check_point(pspec, point)
     for template in rounds:
-        wellformed = _conj(template.wellformed())
-        constraints = [template.point_constraint(i, point, pspec)
-                       for i, point in enumerate(points)]
+        solver = _GrowingSolver(cfg.seed)
+        solver.add(_conj(template.wellformed()))
+        for i, point in enumerate(points):
+            solver.add(template.point_constraint(i, point, pspec))
         while True:
             stats.iterations += 1
-            solver = _GrowingSolver(cfg.seed)
-            solver.add(wellformed)
-            for constraint in constraints:
-                solver.add(constraint)
             value_of = solver.solve()
             if value_of is None:
                 break
@@ -1119,9 +1119,10 @@ def _run_cegis(rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
             violation = _find_violation(candidate, pspec, cfg.seed)
             if violation is None:
                 return candidate, template
-            assert violation not in points, "counterexample repeated"
+            if violation in points:
+                raise AssertionError("counterexample repeated")
             _check_point(pspec, violation)
-            constraints.append(template.point_constraint(len(points), violation, pspec))
+            solver.add(template.point_constraint(len(points), violation, pspec))
             points.append(violation)
             stats.counterexamples += 1
     return None
@@ -1216,8 +1217,8 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
     block = Block(name, interface, _build_body(interface, exprs), Lang.ST)
     full_pspec = _PointSpec(inputs, outputs, spec.obligations, spec.assertions)
     final_outs = {o: exprs[o] for o in outputs}
-    assert _find_violation(final_outs, full_pspec, cfg.seed) is None, \
-        "synthesized block fails its spec"
+    if _find_violation(final_outs, full_pspec, cfg.seed) is not None:
+        raise AssertionError("synthesized block fails its spec")
     slots = sum(r.slots_used for r in runs)
     return SynthesisResult(block, total.iterations, total.counterexamples,
                            slots, time.perf_counter() - start, tuple(runs))
@@ -1228,6 +1229,26 @@ def _original_exprs(block: Block) -> dict[str, BoolExpr]:
     inputs = {name: Var(name) for name in block.interface.inputs}
     env = _symbolic_cycle(block, {}, inputs)
     return {o: env[o] for o in block.interface.outputs}
+
+
+def _slot_count(expr: BoolExpr) -> int:
+    """Slots the expression takes as straight-line code: one per distinct
+    operator or constant subterm, as a slot's result can be read again; a
+    bare variable still takes the one slot that feeds the output."""
+    if isinstance(expr, Var):
+        return 1
+    seen: set[BoolExpr] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var) or node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, Not):
+            stack.append(node.operand)
+        elif isinstance(node, (And, Or, Xor)):
+            stack += (node.left, node.right)
+    return len(seen)
 
 
 def _repair_rounds(originals: list[_SlotShape], inputs: Sequence[str],
@@ -1273,9 +1294,11 @@ def _minimal_edit_synthesis(block: Block, make_pspec, cfg: SynthConfig,
                                pspec, cfg, run_stats)
         if found is None:
             raise SizeBoundExceeded(cfg.max_slots)
-        candidate, template = found
+        candidate, _ = found
         exprs[output] = candidate[output]
-        runs.append(OutputSynthesis(output, template.k, run_stats.iterations,
+        # repair templates keep dead slots, so count what is written
+        runs.append(OutputSynthesis(output, _slot_count(candidate[output]),
+                                    run_stats.iterations,
                                     run_stats.counterexamples,
                                     time.perf_counter() - run_start))
         total.iterations += run_stats.iterations

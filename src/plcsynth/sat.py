@@ -1,9 +1,10 @@
 """Propositional decision procedure.
 
 Tseitin transformation of Boolean expression circuits into CNF plus a
-complete CDCL solver (watched literals, first-UIP clause learning, no
-restarts).  Everything is deterministic for a fixed formula, assumption
-list and seed.
+complete incremental CDCL solver (watched literals, first-UIP clause
+learning, Luby restarts inside conflict-budgeted attempts that rephase
+between attempts).  Everything is deterministic for a fixed formula,
+clause-addition order, assumption list and seed.
 """
 
 from __future__ import annotations
@@ -218,7 +219,8 @@ def _luby(i: int) -> int:
 
 
 class CdclSolver:
-    """Conflict-driven clause learning over one immutable input formula.
+    """Conflict-driven clause learning over a formula that may grow
+    between solve() calls through extend().
 
     Decisions follow conflict-driven variable activities (ties and the
     conflict-free start fall back to the lowest unassigned index); the
@@ -273,11 +275,17 @@ class CdclSolver:
         """Grow the variable range and conjoin clauses permanently.
 
         Learned clauses stay valid because additions only strengthen the
-        formula.  Must be called between solve() calls.
+        formula.  Must be called between solve() calls.  Once level-0
+        assignments have been propagated, new clauses are simplified against
+        them (as MiniSat's addClause does): satisfied clauses are skipped
+        and false literals dropped, since the watch scheme never revisits a
+        literal that was already false when its clause arrived.
         """
         if num_vars < self.num_vars:
             raise ValueError("cannot shrink the variable range")
         self._cancel_until(0)
+        # a one-shot load has propagated nothing yet; skip the filter there
+        simplify = self.qhead > 0
         grow = num_vars - self.num_vars
         if grow:
             self.values += [None] * grow
@@ -298,6 +306,14 @@ class CdclSolver:
             lits = list(dict.fromkeys(clause))
             if any(-lit in lits for lit in lits):
                 continue  # tautology
+            if simplify:
+                vals = [self._lit_value(lit) for lit in lits]
+                if True in vals:
+                    continue
+                lits = [lit for lit, val in zip(lits, vals) if val is None]
+                if not lits:
+                    self.ok = False
+                    continue
             if len(lits) == 1:
                 if not self._assert_unit(lits[0]):
                     self.ok = False

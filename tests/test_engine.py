@@ -5,17 +5,18 @@ import pytest
 
 from helpers import all_assignments, blocks_equivalent, output_table, random_block
 from plcsynth.blocks import (
-    And, Block, BlockInterface, Const, Direction, Not, Or, Statement,
+    And, Block, BlockInterface, Const, Direction, Lang, Not, Or, Statement,
     TypeCheckError, Var, VarDecl, Xor, eval_expr, simulate,
 )
 from plcsynth.constraints import (
     Assertion, ConstraintList, Mode, TruthTableRow, compile_spec,
 )
+from plcsynth import engine
 from plcsynth.engine import (
     SizeBoundExceeded, SynthConfig, Unsatisfiable, Verified, Violated,
     equivalent, extend, repair, simplify, synthesize, verify,
 )
-from plcsynth.lang import parse_expression
+from plcsynth.lang import emit, parse_expression
 
 
 def iface(*names):
@@ -381,6 +382,84 @@ class TestCegisProgress:
         assert output_table(result.block, "y") == {
             bits: (bits[0] and bits[1]) or (bits[2] and not bits[3])
             for bits in itertools.product((False, True), repeat=4)}
+
+    def magnet_case(self):
+        names = ["s1", "s2", "s3", "s4"]
+        interface = BlockInterface(tuple(
+            [VarDecl(n, Direction.INPUT) for n in names]
+            + [VarDecl("m2", Direction.OUTPUT)]))
+        rule = lambda e: {"m2": (e["s2"] and e["s3"]) or not e["s4"]}
+        return interface, spec_for(interface, table_rows(names, ["m2"], rule))
+
+    def test_one_solver_per_template(self, monkeypatch):
+        built = []
+
+        class CountingSolver(engine.CdclSolver):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "CdclSolver", CountingSolver)
+        interface, spec = self.magnet_case()
+        result = synthesize(interface, spec, SynthConfig(seed=1))
+        assert result.counterexamples_used > 0
+        # templates run from the slot lower bound up to the answer's size
+        assert 1 <= len(built) <= result.slots_used < result.iterations
+
+    def test_same_seed_same_bytes(self):
+        interface, spec = self.magnet_case()
+        for seed in (0, 5):
+            runs = [synthesize(interface, spec, SynthConfig(seed=seed))
+                    for _ in range(2)]
+            assert emit(runs[0].block, Lang.ST) == emit(runs[1].block, Lang.ST)
+            assert runs[0].iterations == runs[1].iterations
+            assert runs[0].counterexamples_used == runs[1].counterexamples_used
+
+    def test_repeated_counterexample_raises(self, monkeypatch):
+        # the all-false point is a seed point, so reporting it again is a bug
+        monkeypatch.setattr(engine, "_find_violation",
+                            lambda outs, pspec, seed: (False, False))
+        with pytest.raises(AssertionError, match="counterexample repeated"):
+            synthesize(IFACE_AB_Y, and_table_spec())
+
+    def test_final_spec_check_raises(self, monkeypatch):
+        real = engine._find_violation
+        calls = []
+
+        def accept_first(outs, pspec, seed):
+            calls.append(outs)
+            return None if len(calls) == 1 else real(outs, pspec, seed)
+
+        monkeypatch.setattr(engine, "_find_violation", accept_first)
+        monkeypatch.setattr(engine._SlotTemplate, "decode",
+                            lambda self, value_of: {"y": Or(Var("a"), Var("b"))})
+        with pytest.raises(AssertionError, match="synthesized block fails its spec"):
+            synthesize(IFACE_AB_Y, and_table_spec())
+
+
+class TestSlotCount:
+    def test_shared_subterms_counted_once(self):
+        shared = And(Var("a"), Var("b"))
+        assert engine._slot_count(Or(shared, Not(And(Var("a"), Var("b"))))) == 3
+        assert engine._slot_count(Var("a")) == 1
+        assert engine._slot_count(Const(True)) == 1
+        assert engine._slot_count(Xor(Var("a"), Const(False))) == 2
+
+    def test_repair_reports_written_slots_not_template_size(self, monkeypatch):
+        template = engine._SlotTemplate(["a", "b"], 2, ["y"], prune=False)
+        not_id, and_id = template._idx[("not",)], template._idx[("and",)]
+        # slot 0 computes NOT a and is never read; slot 1 is a AND b
+        chosen = {f"op0_{not_id}", "a0_0_0", "a0_1_0",
+                  f"op1_{and_id}", "a1_0_0", "a1_1_1"}
+        candidate = template.decode(lambda name: name in chosen)
+        assert candidate == {"y": And(Var("a"), Var("b"))}
+        monkeypatch.setattr(engine, "_run_cegis",
+                            lambda rounds, pspec, cfg, stats: (candidate, template))
+        block = Block("orb", IFACE_AB_Y, (Statement("y", Or(Var("a"), Var("b"))),))
+        result = repair(block, and_table_spec())
+        assert result.block.body == (Statement("y", And(Var("a"), Var("b"))),)
+        assert result.slots_used == 1
+        assert [r.slots_used for r in result.per_output] == [1]
 
 
 class TestRepair:

@@ -206,3 +206,52 @@ class TestTseitin:
             n = expr_size(expr)
             assert formula.num_vars - 3 <= n
             assert len(formula.clauses) <= 3 * n + 2
+
+
+@st.composite
+def chunked_cnf(draw):
+    """A random small CNF cut into 2-4 consecutive chunks, plus a seed."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    lit = st.integers(min_value=1, max_value=n).flatmap(
+        lambda v: st.sampled_from((v, -v)))
+    clause = st.lists(lit, min_size=1, max_size=3).map(tuple)
+    clauses = draw(st.lists(clause, min_size=1, max_size=4 * n))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=len(clauses)),
+                                min_size=1, max_size=3)))
+    bounds = [0] + cuts + [len(clauses)]
+    chunks = [clauses[a:b] for a, b in zip(bounds, bounds[1:])]
+    return chunks, draw(st.integers(min_value=0, max_value=3))
+
+
+class TestIncremental:
+    def test_extend_after_solve_sees_level0_falsified_clause(self):
+        solver = CdclSolver(cnf(3, [(-1,), (-2,), (1, 2, 3)]))
+        assert solver.solve().satisfiable
+        solver.extend(3, [(1, 2)])
+        assert not solver.solve().satisfiable
+        assert not solve(cnf(3, [(-1,), (-2,), (1, 2, 3), (1, 2)])).satisfiable
+
+    @given(chunked_cnf())
+    @settings(max_examples=300)
+    def test_chunked_extend_matches_fresh_solver(self, case):
+        chunks, seed = case
+        solver = CdclSolver(cnf(0, []), seed=seed)
+        so_far = []
+        for chunk in chunks:
+            so_far += chunk
+            num_vars = max([solver.num_vars] + [abs(l) for c in chunk for l in c])
+            solver.extend(num_vars, chunk)
+            got = solver.solve()
+            fresh = solve(cnf(num_vars, so_far), seed=seed)
+            assert got.satisfiable == fresh.satisfiable
+            assert got.satisfiable == brute_force_satisfiable(num_vars, so_far)
+            if got.satisfiable:
+                assert all(any(got.model[abs(l)] == (l > 0) for l in c)
+                           for c in so_far)
+            if not num_vars:
+                continue
+            # an assumption against the last model must agree with a fresh
+            # solver and must not stick for the next chunk
+            lit = -1 if got.satisfiable and got.model[1] else 1
+            assumed = solver.solve([lit]).satisfiable
+            assert assumed == solve(cnf(num_vars, so_far), [lit]).satisfiable
