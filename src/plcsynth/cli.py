@@ -9,6 +9,7 @@ constraint lists in `.xml` files.  Exit codes: 0 success or Verified,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -110,7 +111,10 @@ def _config(args) -> SynthConfig:
     return cfg
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged, and
+    # building it costs about as much as a short bounded verify
     parser = argparse.ArgumentParser(
         prog="plcsynth",
         description="Synthesize, verify, repair, simplify and translate "

@@ -1,8 +1,10 @@
 """Bounded verification and counterexample-guided synthesis.
 
-Verification unrolls the scan cycle a bounded number of times, conjoins
-the negated spec obligations and hands the circuit to the SAT backend;
-counterexamples always replay on the reference simulator.
+Verification (and equivalence checking) grows one unrolled formula a
+scan cycle at a time in a single incremental SAT solver, asking after each
+cycle whether the spec can fail there, so the first counterexample found
+is a shortest one; counterexamples always replay on the reference
+simulator.
 
 Synthesis searches straight-line candidate programs described by a slot
 template (operator and operand selector variables) with iterative
@@ -16,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .blocks import (
     And, Block, BlockInterface, BoolExpr, Const, Direction, Lang, Not, Or,
@@ -254,7 +256,10 @@ def _require_combinational(interface: BlockInterface, what: str) -> None:
 # Bounded verification
 
 
-def _violation_exprs(spec: SpecFormula, env: Mapping[str, BoolExpr]) -> list[BoolExpr]:
+def _violation_exprs(spec: SpecFormula | _PointSpec,
+                     env: Mapping[str, BoolExpr]) -> list[BoolExpr]:
+    """Expressions that hold where an obligation or assertion of `spec` (a
+    SpecFormula or _PointSpec) fails, over the environment `env`."""
     out: list[BoolExpr] = []
     for output, clauses in spec.obligations.items():
         out_expr = env[output]
@@ -293,105 +298,67 @@ def _replay(block: Block, spec: SpecFormula, init_state: dict[str, bool],
     raise AssertionError("solver counterexample does not replay")
 
 
-def _verify_at_bound(block: Block, spec: SpecFormula, cfg: SynthConfig,
-                     cycles: int) -> Optional[Counterexample]:
-    iface = block.interface
-    var_order: list[str] = []
+def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
+            bad: Callable[[list[dict[str, BoolExpr]]], list[BoolExpr]],
+            seed: int) -> Optional[tuple[dict[str, bool], list[dict[str, bool]]]]:
+    """Shortest run of at most `cycles` scan cycles after whose last cycle
+    one of `bad(envs)` holds, as (initial state, inputs per cycle), or None.
+
+    All blocks read the same inputs from the same initial state (all false
+    unless symbolic_init).  One encoder and one solver serve the whole
+    call: each bound unrolls one more cycle, feeds the solver only the new
+    clauses and solves under the assumption that this cycle's violation
+    holds, so the first model found belongs to the shortest bound.
+    """
+    iface = blocks[0].interface
+    enc = TseitinEncoder({})
+    solver = CdclSolver(CnfFormula(0, ()), seed=seed)
 
     def fresh(name: str) -> BoolExpr:
-        var_order.append(name)
+        enc.var_map[name] = enc.fresh()
         return Var(name)
 
-    if cfg.symbolic_init:
-        state: dict[str, BoolExpr] = {s: fresh(f"{s}@init") for s in iface.state_vars}
+    if symbolic_init:
+        init: dict[str, BoolExpr] = {s: fresh(f"{s}@init") for s in iface.state_vars}
     else:
-        state = {s: FALSE for s in iface.state_vars}
-    violations: list[BoolExpr] = []
+        init = {s: FALSE for s in iface.state_vars}
+    states = [init] * len(blocks)
     for t in range(cycles):
         inputs = {n: fresh(f"{n}@{t}") for n in iface.inputs}
-        env = _symbolic_cycle(block, state, inputs)
-        if t == cycles - 1:
-            violations.extend(_violation_exprs(spec, env))
-        state = {s: env[s] for s in iface.state_vars}
-    violation = _disj(violations)
-    if violation == FALSE:
-        return None
-    var_map = {name: i + 1 for i, name in enumerate(var_order)}
-    enc = TseitinEncoder(var_map)
-    root = enc.encode(violation)
-    result = solve(enc.formula(), assumptions=[root], seed=cfg.seed)
-    if not result.satisfiable:
-        return None
-    model = result.model
-    if cfg.symbolic_init:
-        init_state = {s: model[var_map[f"{s}@init"]] for s in iface.state_vars}
-    else:
-        init_state = {s: False for s in iface.state_vars}
-    input_cycles = [{n: model[var_map[f"{n}@{t}"]] for n in iface.inputs}
-                    for t in range(cycles)]
-    return _replay(block, spec, init_state, input_cycles)
+        envs = [_symbolic_cycle(b, state, inputs) for b, state in zip(blocks, states)]
+        states = [{s: env[s] for s in iface.state_vars} for env in envs]
+        violation = _disj(bad(envs))
+        if violation == FALSE:
+            continue
+        loaded = len(enc.clauses)
+        root = enc.encode(violation)
+        solver.extend(enc.num_vars, enc.clauses[loaded:])
+        result = solver.solve([root])
+        if result.satisfiable:
+            value = {name: result.model[v] for name, v in enc.var_map.items()}
+            init_state = {s: value[f"{s}@init"] if symbolic_init else False
+                          for s in iface.state_vars}
+            return init_state, [{n: value[f"{n}@{i}"] for n in iface.inputs}
+                                for i in range(t + 1)]
+    return None
 
 
 def verify(block: Block, spec: SpecFormula,
            cfg: SynthConfig = SynthConfig()) -> VerifyResult:
     """Bounded model check of the block against the compiled spec.
 
-    Unrolls the scan cycle (initial state all false unless symbolic_init),
-    conjoins the negated obligations and solves, checking depth 1 first so
-    a Violated result carries a shortest counterexample, which provably
-    replays on the simulator.
+    Unrolls the scan cycle one cycle at a time into a single growing
+    formula (initial state all false unless symbolic_init) and asks after
+    each cycle whether an obligation or assertion can fail there, so a
+    Violated result carries a shortest counterexample within
+    `unwind_cycles`, which provably replays on the simulator.
     """
     _check_same_interface(block, spec)
-    for bound in range(1, cfg.unwind_cycles + 1):
-        cex = _verify_at_bound(block, spec, cfg, bound)
-        if cex is not None:
-            return Violated(cex)
-    return Verified(cfg.unwind_cycles)
-
-
-def _equivalent_at_bound(a: Block, b: Block, cfg: SynthConfig,
-                         cycles: int) -> Optional[Counterexample]:
-    iface = a.interface
-    var_order: list[str] = []
-
-    def fresh(name: str) -> BoolExpr:
-        var_order.append(name)
-        return Var(name)
-
-    state_a: dict[str, BoolExpr] = {s: fresh(f"{s}@init") for s in iface.state_vars}
-    state_b = dict(state_a)
-    differences: list[BoolExpr] = []
-    for t in range(cycles):
-        inputs = {n: fresh(f"{n}@{t}") for n in iface.inputs}
-        env_a = _symbolic_cycle(a, state_a, inputs)
-        env_b = _symbolic_cycle(b, state_b, inputs)
-        if t == cycles - 1:
-            for output in iface.outputs:
-                differences.append(_xor(env_a[output], env_b[output]))
-        state_a = {s: env_a[s] for s in iface.state_vars}
-        state_b = {s: env_b[s] for s in iface.state_vars}
-    diff = _disj(differences)
-    if diff == FALSE:
-        return None
-    var_map = {name: i + 1 for i, name in enumerate(var_order)}
-    enc = TseitinEncoder(var_map)
-    root = enc.encode(diff)
-    result = solve(enc.formula(), assumptions=[root], seed=cfg.seed)
-    if not result.satisfiable:
-        return None
-    model = result.model
-    init_state = {s: model[var_map[f"{s}@init"]] for s in iface.state_vars}
-    input_cycles = [{n: model[var_map[f"{n}@{t}"]] for n in iface.inputs}
-                    for t in range(cycles)]
-    trace_a = simulate(a, input_cycles, init_state)
-    trace_b = simulate(b, input_cycles, init_state)
-    for index, (ca, cb) in enumerate(zip(trace_a.cycles, trace_b.cycles)):
-        for output in iface.outputs:
-            if ca.outputs[output] != cb.outputs[output]:
-                return Counterexample(
-                    init_state, tuple(dict(c) for c in input_cycles),
-                    f"outputs differ: {output}", index)
-    raise AssertionError("solver difference witness does not replay")
+    found = _unroll([block], cfg.symbolic_init, cfg.unwind_cycles,
+                    lambda envs: _violation_exprs(spec, envs[0]), cfg.seed)
+    if found is None:
+        return Verified(cfg.unwind_cycles)
+    return Violated(_replay(block, spec, *found))
 
 
 def equivalent(a: Block, b: Block,
@@ -401,11 +368,22 @@ def equivalent(a: Block, b: Block,
     counterexample is returned."""
     if _non_temp_decls(a.interface) != _non_temp_decls(b.interface):
         raise TypeCheckError("blocks have different interfaces")
-    for bound in range(1, cfg.unwind_cycles + 1):
-        cex = _equivalent_at_bound(a, b, cfg, bound)
-        if cex is not None:
-            return Violated(cex)
-    return Verified(cfg.unwind_cycles)
+    outputs = a.interface.outputs
+    found = _unroll([a, b], True, cfg.unwind_cycles,
+                    lambda envs: [_xor(envs[0][o], envs[1][o]) for o in outputs],
+                    cfg.seed)
+    if found is None:
+        return Verified(cfg.unwind_cycles)
+    init_state, input_cycles = found
+    trace_a = simulate(a, input_cycles, init_state)
+    trace_b = simulate(b, input_cycles, init_state)
+    for index, (ca, cb) in enumerate(zip(trace_a.cycles, trace_b.cycles)):
+        for output in outputs:
+            if ca.outputs[output] != cb.outputs[output]:
+                return Violated(Counterexample(
+                    init_state, tuple(dict(c) for c in input_cycles),
+                    f"outputs differ: {output}", index))
+    raise AssertionError("solver difference witness does not replay")
 
 
 # --------------------------------------------------------------------------
@@ -590,17 +568,7 @@ class _PointSpec:
     def violation_expr(self, input_vars: Mapping[str, BoolExpr],
                        outs: Mapping[str, BoolExpr]) -> BoolExpr:
         """Fully symbolic violation predicate (for SAT-based verification)."""
-        parts: list[BoolExpr] = []
-        for output, clauses in self.obligations.items():
-            for clause in clauses:
-                guard = _subst(clause.guard, input_vars)
-                wrong = _not(outs[output]) if clause.value else outs[output]
-                parts.append(_and(guard, wrong))
-        if self.assertions:
-            full = dict(input_vars)
-            full.update(outs)
-            for clause in self.assertions:
-                parts.append(_not(_subst(clause.expr, full)))
+        parts = _violation_exprs(self, {**input_vars, **outs})
         if self.pin_outputs:
             orig_env = _symbolic_cycle(self.pin_block,
                                        {}, dict(input_vars))
@@ -996,12 +964,6 @@ def _encode_original(expr: BoolExpr, template_inputs: Sequence[str]) -> list[_Sl
 # The CEGIS loop
 
 
-@dataclass
-class _RunStats:
-    iterations: int = 0
-    counterexamples: int = 0
-
-
 class _GrowingSolver:
     """One incremental SAT instance: each asserted expression is Tseitin-
     encoded once and its clauses are added to the live solver, which keeps
@@ -1089,13 +1051,17 @@ def _check_point(pspec: _PointSpec, point: tuple[bool, ...]) -> None:
                             witness=env)
 
 
-def _run_cegis(rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
-               cfg: SynthConfig, stats: _RunStats) -> Optional[tuple[dict[str, BoolExpr], _SlotTemplate]]:
-    """First template (in round order) with a candidate meeting the spec.
+def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
+               cfg: SynthConfig) -> tuple[Optional[dict[str, BoolExpr]], OutputSynthesis]:
+    """First candidate (in round order) meeting the spec, or None when no
+    template yields one, with the run's record under `label` (slots_used
+    is the winning template's size, 0 without a candidate).
 
     Each template gets one solver holding its well-formedness clauses and
     the points seen so far; every counterexample adds only its own point
     constraint before the solver is asked again."""
+    start = time.perf_counter()
+    iterations = counterexamples = 0
     static = pspec.static_contradiction()
     if static is not None:
         output, witness = static
@@ -1111,21 +1077,41 @@ def _run_cegis(rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
         for i, point in enumerate(points):
             solver.add(template.point_constraint(i, point, pspec))
         while True:
-            stats.iterations += 1
+            iterations += 1
             value_of = solver.solve()
             if value_of is None:
                 break
             candidate = template.decode(value_of)
             violation = _find_violation(candidate, pspec, cfg.seed)
             if violation is None:
-                return candidate, template
+                return candidate, OutputSynthesis(label, template.k, iterations,
+                                                  counterexamples,
+                                                  time.perf_counter() - start)
             if violation in points:
                 raise AssertionError("counterexample repeated")
             _check_point(pspec, violation)
             solver.add(template.point_constraint(len(points), violation, pspec))
             points.append(violation)
-            stats.counterexamples += 1
-    return None
+            counterexamples += 1
+    return None, OutputSynthesis(label, 0, iterations, counterexamples,
+                                 time.perf_counter() - start)
+
+
+def _deepening(pspec: _PointSpec, top: int) -> Iterator[_SlotTemplate]:
+    """Templates from the spec's slot lower bound up to `top` slots; the
+    bound is computed on first use, inside the run that consumes them."""
+    for k in range(pspec.min_slot_bound(), top + 1):
+        yield _SlotTemplate(pspec.input_names, k, pspec.outputs)
+
+
+def _result(block: Block, runs: Sequence[OutputSynthesis],
+            start: float) -> SynthesisResult:
+    """The op's result: iterations, counterexamples and slots summed over
+    its runs."""
+    return SynthesisResult(block, sum(r.iterations for r in runs),
+                           sum(r.counterexamples_used for r in runs),
+                           sum(r.slots_used for r in runs),
+                           time.perf_counter() - start, tuple(runs))
 
 
 # --------------------------------------------------------------------------
@@ -1174,54 +1160,26 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
     if not outputs:
         raise TypeCheckError("synthesizable blocks need at least one output")
     per_assertions, coupling = _split_assertions(spec, outputs)
-    use_per_output = cfg.per_output and not coupling and len(outputs) > 1
+    full_pspec = _PointSpec(inputs, outputs, spec.obligations, spec.assertions)
+    if cfg.per_output and not coupling and len(outputs) > 1:
+        jobs = [(o, _PointSpec(inputs, [o], spec.obligations, per_assertions[o]))
+                for o in outputs]
+    else:
+        jobs = [(outputs[0] if len(outputs) == 1 else "*", full_pspec)]
 
     runs: list[OutputSynthesis] = []
     exprs: dict[str, BoolExpr] = {}
-    total = _RunStats()
-    if use_per_output or len(outputs) == 1:
-        for output in outputs:
-            pspec = _PointSpec(inputs, [output], spec.obligations,
-                               per_assertions[output])
-            run_stats = _RunStats()
-            run_start = time.perf_counter()
-            lowest = pspec.min_slot_bound()
-            found = _run_cegis(
-                (_SlotTemplate(inputs, k, [output])
-                 for k in range(lowest, cfg.max_slots + 1)),
-                pspec, cfg, run_stats)
-            if found is None:
-                raise SizeBoundExceeded(cfg.max_slots)
-            candidate, template = found
-            exprs[output] = candidate[output]
-            runs.append(OutputSynthesis(output, template.k, run_stats.iterations,
-                                        run_stats.counterexamples,
-                                        time.perf_counter() - run_start))
-            total.iterations += run_stats.iterations
-            total.counterexamples += run_stats.counterexamples
-    else:
-        pspec = _PointSpec(inputs, outputs, spec.obligations, spec.assertions)
-        run_start = time.perf_counter()
-        lowest = pspec.min_slot_bound()
-        found = _run_cegis(
-            (_SlotTemplate(inputs, k, outputs)
-             for k in range(lowest, cfg.max_slots + 1)),
-            pspec, cfg, total)
-        if found is None:
+    for label, pspec in jobs:
+        candidate, run = _run_cegis(label, _deepening(pspec, cfg.max_slots),
+                                    pspec, cfg)
+        if candidate is None:
             raise SizeBoundExceeded(cfg.max_slots)
-        candidate, template = found
         exprs.update(candidate)
-        runs = [OutputSynthesis("*", template.k, total.iterations,
-                                total.counterexamples,
-                                time.perf_counter() - run_start)]
+        runs.append(run)
     block = Block(name, interface, _build_body(interface, exprs), Lang.ST)
-    full_pspec = _PointSpec(inputs, outputs, spec.obligations, spec.assertions)
-    final_outs = {o: exprs[o] for o in outputs}
-    if _find_violation(final_outs, full_pspec, cfg.seed) is not None:
+    if _find_violation(exprs, full_pspec, cfg.seed) is not None:
         raise AssertionError("synthesized block fails its spec")
-    slots = sum(r.slots_used for r in runs)
-    return SynthesisResult(block, total.iterations, total.counterexamples,
-                           slots, time.perf_counter() - start, tuple(runs))
+    return _result(block, runs, start)
 
 
 def _original_exprs(block: Block) -> dict[str, BoolExpr]:
@@ -1269,49 +1227,33 @@ def _minimal_edit_synthesis(block: Block, make_pspec, cfg: SynthConfig,
     _require_combinational(block.interface, what)
     inputs = block.interface.inputs
     originals = _original_exprs(block)
-    exprs: dict[str, BoolExpr] = {}
+    exprs = dict(originals)
     runs: list[OutputSynthesis] = []
-    total = _RunStats()
-    changed_any = False
     for output in block.interface.outputs:
         pspec = make_pspec(output)
-        run_start = time.perf_counter()
+        check_start = time.perf_counter()
         if _find_violation({output: originals[output]}, pspec, cfg.seed) is None:
-            exprs[output] = originals[output]
             runs.append(OutputSynthesis(output, 0, 0, 0,
-                                        time.perf_counter() - run_start))
+                                        time.perf_counter() - check_start))
             continue
-        changed_any = True
-        if not cfg.edit_penalty:
-            run_stats = _RunStats()
-            found = _run_cegis(
-                (_SlotTemplate(inputs, k, [output]) for k in range(1, cfg.max_slots + 1)),
-                pspec, cfg, run_stats)
-        else:
+        if cfg.edit_penalty:
             shapes = _encode_original(originals[output], inputs)
-            run_stats = _RunStats()
-            found = _run_cegis(_repair_rounds(shapes, inputs, output, cfg),
-                               pspec, cfg, run_stats)
-        if found is None:
+            rounds = _repair_rounds(shapes, inputs, output, cfg)
+        else:
+            rounds = (_SlotTemplate(inputs, k, [output])
+                      for k in range(1, cfg.max_slots + 1))
+        candidate, run = _run_cegis(output, rounds, pspec, cfg)
+        if candidate is None:
             raise SizeBoundExceeded(cfg.max_slots)
-        candidate, _ = found
         exprs[output] = candidate[output]
         # repair templates keep dead slots, so count what is written
-        runs.append(OutputSynthesis(output, _slot_count(candidate[output]),
-                                    run_stats.iterations,
-                                    run_stats.counterexamples,
-                                    time.perf_counter() - run_start))
-        total.iterations += run_stats.iterations
-        total.counterexamples += run_stats.counterexamples
-    if not changed_any:
-        return SynthesisResult(block, 0, 0, 0, time.perf_counter() - start, tuple(runs))
-    assigned = {s.target for s in block.body}
-    body = tuple(Statement(o, exprs[o]) for o in block.interface.outputs
-                 if o in assigned or exprs[o] != FALSE)
-    repaired = Block(block.name, block.interface, body, block.lang)
-    slots = sum(r.slots_used for r in runs)
-    return SynthesisResult(repaired, total.iterations, total.counterexamples,
-                           slots, time.perf_counter() - start, tuple(runs))
+        runs.append(replace(run, slots_used=_slot_count(candidate[output])))
+    if exprs != originals:
+        assigned = {s.target for s in block.body}
+        body = tuple(Statement(o, exprs[o]) for o in block.interface.outputs
+                     if o in assigned or exprs[o] != FALSE)
+        block = Block(block.name, block.interface, body, block.lang)
+    return _result(block, runs, start)
 
 
 def repair(block: Block, spec: SpecFormula,
@@ -1343,39 +1285,23 @@ def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
     assigned = {s.target for s in block.body}
     exprs: dict[str, BoolExpr] = {}
     runs: list[OutputSynthesis] = []
-    total = _RunStats()
     for output in block.interface.outputs:
         if output not in assigned:
             continue
         pspec = _PointSpec(inputs, [output], {}, (), pin_block=block,
                            pin_outputs=[output], pin_release={})
         orig_size = len(_encode_original(originals[output], inputs))
-        run_stats = _RunStats()
-        run_start = time.perf_counter()
-        bound = min(cfg.max_slots, orig_size)
-        lowest = pspec.min_slot_bound()
-        found = _run_cegis(
-            (_SlotTemplate(inputs, k, [output]) for k in range(lowest, bound + 1)),
-            pspec, cfg, run_stats)
-        if found is None:
+        top = min(cfg.max_slots, orig_size)
+        candidate, run = _run_cegis(output, _deepening(pspec, top), pspec, cfg)
+        if candidate is None:
             # the original does not fit max_slots and nothing smaller works
-            exprs[output] = originals[output]
-            slots_used = orig_size
-        else:
-            candidate, template = found
-            exprs[output] = candidate[output]
-            slots_used = template.k
-        runs.append(OutputSynthesis(output, slots_used, run_stats.iterations,
-                                    run_stats.counterexamples,
-                                    time.perf_counter() - run_start))
-        total.iterations += run_stats.iterations
-        total.counterexamples += run_stats.counterexamples
+            candidate = {output: originals[output]}
+            run = replace(run, slots_used=orig_size)
+        exprs.update(candidate)
+        runs.append(run)
     body = tuple(Statement(o, exprs[o]) for o in block.interface.outputs
                  if o in exprs)
-    result = Block(block.name, block.interface, body, block.lang)
-    slots = sum(r.slots_used for r in runs)
-    return SynthesisResult(result, total.iterations, total.counterexamples,
-                           slots, time.perf_counter() - start, tuple(runs))
+    return _result(Block(block.name, block.interface, body, block.lang), runs, start)
 
 
 def extend(block: Block, extra: ConstraintList,

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from helpers import all_assignments, blocks_equivalent, output_table, random_block
+from helpers import (
+    all_assignments, blocks_equivalent, output_table, random_block, random_expr,
+)
 from plcsynth.blocks import (
     And, Block, BlockInterface, Const, Direction, Lang, Not, Or, Statement,
-    TypeCheckError, Var, VarDecl, Xor, eval_expr, simulate,
+    TypeCheckError, Var, VarDecl, Xor, eval_expr, expr_size, simulate,
 )
 from plcsynth.constraints import (
     Assertion, ConstraintList, Mode, TruthTableRow, compile_spec,
@@ -171,6 +173,191 @@ class TestEquivalent:
         b2 = Block("c2", iface("i:a", "o:y"), (Statement("y", Var("a")),))
         with pytest.raises(TypeCheckError):
             equivalent(b1, b2)
+
+
+def explicit_shortest(step, starts, inputs, bound):
+    """Depth of the shortest run whose last cycle is bad, by breadth-first
+    search over explicit states; `step(state, env)` returns (bad, next
+    state) for one cycle.  None when no run up to `bound` cycles is bad."""
+    frontier = set(starts)
+    for depth in range(1, bound + 1):
+        reached = set()
+        for state in frontier:
+            for env in all_assignments(inputs):
+                bad, after = step(state, env)
+                if bad:
+                    return depth
+                reached.add(after)
+        frontier = reached
+    return None
+
+
+def mutate_one_node(rng, expr):
+    """The expression with one node changed: a binary operator swapped for
+    another, a negation dropped, or a leaf negated."""
+    index = [rng.randrange(expr_size(expr))]
+
+    def walk(node):
+        index[0] -= 1
+        if index[0] == -1:
+            if isinstance(node, Not):
+                return node.operand
+            if isinstance(node, (And, Or, Xor)):
+                other = rng.choice([c for c in (And, Or, Xor) if c is not type(node)])
+                return other(node.left, node.right)
+            return Not(node)
+        if isinstance(node, Not):
+            return Not(walk(node.operand))
+        if isinstance(node, (And, Or, Xor)):
+            left = walk(node.left)
+            return type(node)(left, walk(node.right))
+        return node
+
+    return walk(expr)
+
+
+class TestBoundedUnroll:
+    """verify/equivalent on random stateful blocks against an explicit-state
+    search: same verdict, same shortest depth, replaying counterexamples."""
+
+    def random_case(self, rng):
+        block = random_block(rng, rng.randint(1, 3), 1, rng.randint(1, 2),
+                             rng.randint(0, 1), rng.randint(2, 5), name="rs")
+        names = list(block.interface.inputs + block.interface.outputs
+                     + block.interface.state_vars)
+        if rng.random() < 0.5:
+            pattern = {n: rng.random() < 0.5 for n in block.interface.inputs
+                       if rng.random() < 0.5}
+            constraint = TruthTableRow(pattern, {"out0": rng.random() < 0.5})
+
+            def violates(env):
+                return (all(env[k] == v for k, v in pattern.items())
+                        and env["out0"] != constraint.outputs["out0"])
+        else:
+            constraint = Assertion(random_expr(rng, names, rng.randint(2, 5)))
+
+            def violates(env):
+                return not eval_expr(constraint.expr, env)
+
+        spec_iface = BlockInterface(tuple(
+            d for d in block.interface.decls if d.direction is not Direction.TEMP))
+        return block, spec_for(spec_iface, [constraint], Mode.VERIFY), violates
+
+    def test_verify_matches_explicit_search(self):
+        rng = random.Random(31)
+        deep = 0
+        for case in range(150):
+            block, spec, violates = self.random_case(rng)
+            states = block.interface.state_vars
+
+            def step(state, env):
+                cycle = simulate(block, [env], dict(zip(states, state))).cycles[0]
+                full = {**env, **cycle.outputs, **cycle.state_after}
+                return violates(full), tuple(cycle.state_after[s] for s in states)
+
+            for symbolic in (False, True):
+                starts = (itertools.product((False, True), repeat=len(states))
+                          if symbolic else [tuple(False for _ in states)])
+                depth = explicit_shortest(step, starts, block.interface.inputs, 4)
+                deep += depth is not None and depth > 1
+                for bound in range(1, 5):
+                    cfg = SynthConfig(unwind_cycles=bound, symbolic_init=symbolic)
+                    result = verify(block, spec, cfg)
+                    if depth is None or depth > bound:
+                        assert result == Verified(bound), (case, symbolic, bound)
+                        continue
+                    assert isinstance(result, Violated), (case, symbolic, bound)
+                    cex = result.counterexample
+                    assert cex.cycle_index + 1 == depth == len(cex.input_cycles)
+                    if not symbolic:
+                        assert not any(cex.init_state.values())
+                    trace = simulate(block, list(cex.input_cycles), cex.init_state)
+                    last = trace.cycles[cex.cycle_index]
+                    assert violates({**last.inputs, **last.outputs, **last.state_after})
+        assert deep >= 3
+
+    def test_equivalent_matches_explicit_search(self):
+        rng = random.Random(47)
+        deep = 0
+        for case in range(200):
+            a = random_block(rng, rng.randint(1, 3), 1, rng.randint(1, 2),
+                             rng.randint(0, 1), rng.randint(2, 5), name="ra")
+            j = rng.randrange(len(a.body))
+            stmt = a.body[j]
+            body = list(a.body)
+            body[j] = Statement(stmt.target, mutate_one_node(rng, stmt.rhs))
+            b = Block("rb", a.interface, tuple(body))
+            states = a.interface.state_vars
+
+            def step(pair, env):
+                ca = simulate(a, [env], dict(zip(states, pair[0]))).cycles[0]
+                cb = simulate(b, [env], dict(zip(states, pair[1]))).cycles[0]
+                after = tuple(tuple(c.state_after[s] for s in states) for c in (ca, cb))
+                return ca.outputs != cb.outputs, after
+
+            starts = [(s, s) for s in itertools.product((False, True), repeat=len(states))]
+            depth = explicit_shortest(step, starts, a.interface.inputs, 4)
+            deep += depth is not None and depth > 1
+            for bound in range(1, 5):
+                result = equivalent(a, b, SynthConfig(unwind_cycles=bound))
+                if depth is None or depth > bound:
+                    assert result == Verified(bound), (case, bound)
+                    continue
+                assert isinstance(result, Violated), (case, bound)
+                cex = result.counterexample
+                assert cex.cycle_index + 1 == depth == len(cex.input_cycles)
+                ta = simulate(a, list(cex.input_cycles), cex.init_state)
+                tb = simulate(b, list(cex.input_cycles), cex.init_state)
+                assert ta.cycles[cex.cycle_index].outputs != tb.cycles[cex.cycle_index].outputs
+        assert deep >= 3
+
+    def counting_solver(self, monkeypatch):
+        built, solves = [], []
+
+        class CountingSolver(engine.CdclSolver):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+            def solve(self, *args, **kwargs):
+                solves.append(1)
+                return super().solve(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "CdclSolver", CountingSolver)
+        return built, solves
+
+    def shift_register(self):
+        # y reads the input of two cycles earlier
+        interface = iface("i:a", "o:y", "s:s1", "s:s2")
+        return Block("sr", interface, (Statement("y", Var("s2")),
+                                       Statement("s2", Var("s1")),
+                                       Statement("s1", Var("a"))))
+
+    def test_verify_builds_one_solver(self, monkeypatch):
+        block = self.shift_register()
+        spec_iface = iface("i:a", "o:y", "s:s1", "s:s2")
+        violated = spec_for(spec_iface, [TruthTableRow({}, {"y": False})])
+        holds = spec_for(spec_iface,
+                         [Assertion(parse_expression("(s1 OR NOT a) AND (a OR NOT s1)"))])
+        built, solves = self.counting_solver(monkeypatch)
+        result = verify(block, violated, SynthConfig(unwind_cycles=4))
+        assert result.counterexample.cycle_index == 2
+        # cycles 0 and 1 fold to constants from the all-false start
+        assert (len(built), len(solves)) == (1, 1)
+        built.clear(), solves.clear()
+        cfg = SynthConfig(unwind_cycles=4, symbolic_init=True)
+        assert verify(block, holds, cfg) == Verified(4)
+        assert (len(built), len(solves)) == (1, 4)
+
+    def test_equivalent_builds_one_solver(self, monkeypatch):
+        block = self.shift_register()
+        silent = Block("z", block.interface, (Statement("y", Const(False)),))
+        built, solves = self.counting_solver(monkeypatch)
+        assert equivalent(block, block, SynthConfig(unwind_cycles=4)) == Verified(4)
+        assert (len(built), len(solves)) == (1, 4)
+        built.clear(), solves.clear()
+        assert isinstance(equivalent(block, silent, SynthConfig(unwind_cycles=4)), Violated)
+        assert len(built) == 1 and 1 <= len(solves) <= 4
 
 
 class TestSynthesize:
@@ -406,6 +593,25 @@ class TestCegisProgress:
         # templates run from the slot lower bound up to the answer's size
         assert 1 <= len(built) <= result.slots_used < result.iterations
 
+    def test_guards_evaluated_once_per_point(self, monkeypatch):
+        # a single-output run covers the whole spec, so the final spec check
+        # reuses the run's per-point guard evaluations
+        interface, spec = self.magnet_case()
+        guards = {id(c.guard) for clauses in spec.obligations.values()
+                  for c in clauses}
+        calls = {}
+        real = engine.eval_expr
+
+        def counting(expr, env):
+            if id(expr) in guards:
+                key = (id(expr), tuple(sorted(env.items())))
+                calls[key] = calls.get(key, 0) + 1
+            return real(expr, env)
+
+        monkeypatch.setattr(engine, "eval_expr", counting)
+        synthesize(interface, spec, SynthConfig(seed=1))
+        assert calls and max(calls.values()) == 1
+
     def test_same_seed_same_bytes(self):
         interface, spec = self.magnet_case()
         for seed in (0, 5):
@@ -453,8 +659,9 @@ class TestSlotCount:
                   f"op1_{and_id}", "a1_0_0", "a1_1_1"}
         candidate = template.decode(lambda name: name in chosen)
         assert candidate == {"y": And(Var("a"), Var("b"))}
+        run = engine.OutputSynthesis("y", template.k, 1, 0, 0.0)
         monkeypatch.setattr(engine, "_run_cegis",
-                            lambda rounds, pspec, cfg, stats: (candidate, template))
+                            lambda label, rounds, pspec, cfg: (candidate, run))
         block = Block("orb", IFACE_AB_Y, (Statement("y", Or(Var("a"), Var("b"))),))
         result = repair(block, and_table_spec())
         assert result.block.body == (Statement("y", And(Var("a"), Var("b"))),)
