@@ -9,6 +9,9 @@ simulator.
 Synthesis searches straight-line candidate programs described by a slot
 template (operator and operand selector variables) with iterative
 deepening on the slot count, so the first verified candidate is minimal.
+Each template keeps one incremental solver; every counterexample point
+reaches it as int clauses, and only the template's well-formedness
+constraints go through expressions and the Tseitin encoder.
 Repair and extension reuse the same template seeded with the original
 program plus an edit budget; simplification synthesizes against the
 block's own behavior.
@@ -23,8 +26,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .blocks import (
     And, Block, BlockInterface, BoolExpr, Const, Direction, Lang, Not, Or,
-    Statement, TypeCheckError, UnboundVariable, Var, Xor, eval_expr,
-    expr_vars, simulate,
+    Statement, TypeCheckError, UnboundVariable, Var, Xor, cycle_environment,
+    eval_expr, expr_vars, simulate,
 )
 from .constraints import (
     AssertionClause, ConstraintList, ObligationClause, SpecFormula,
@@ -285,8 +288,6 @@ def _first_violation(spec: SpecFormula, env: Mapping[str, bool]) -> Optional[str
 
 def _replay(block: Block, spec: SpecFormula, init_state: dict[str, bool],
             input_cycles: Sequence[dict]) -> Counterexample:
-    from .blocks import cycle_environment
-
     state = dict(init_state)
     for index, inputs in enumerate(input_cycles):
         env = cycle_environment(block, state, inputs)
@@ -418,6 +419,23 @@ def _guard_pattern(guard: BoolExpr) -> Optional[dict[str, bool]]:
     return pattern
 
 
+class _GuardValues:
+    """The guards that fire at each point, each distinct guard object
+    evaluated once per point.  Point specs cut from one spec share one,
+    which must hold every guard of each of them."""
+
+    def __init__(self, input_names: Sequence[str], guards: Iterable[BoolExpr]):
+        self.input_names = list(input_names)
+        self.guards = list({id(g): g for g in guards}.values())
+        self._fired: dict[tuple[bool, ...], set[int]] = {}
+
+    def fired(self, point: tuple[bool, ...]) -> set[int]:
+        if point not in self._fired:
+            env = dict(zip(self.input_names, point))
+            self._fired[point] = {id(g) for g in self.guards if eval_expr(g, env)}
+        return self._fired[point]
+
+
 class _PointSpec:
     """Per-point satisfaction predicate over candidate output values.
 
@@ -431,7 +449,8 @@ class _PointSpec:
                  assertions: Sequence[AssertionClause] = (),
                  pin_block: Optional[Block] = None,
                  pin_outputs: Sequence[str] = (),
-                 pin_release: Optional[Mapping[str, Sequence[BoolExpr]]] = None):
+                 pin_release: Optional[Mapping[str, Sequence[BoolExpr]]] = None,
+                 guards: Optional[_GuardValues] = None):
         self.input_names = list(input_names)
         self.outputs = list(outputs)
         self.obligations = {o: tuple(obligations.get(o, ())) for o in outputs}
@@ -440,9 +459,12 @@ class _PointSpec:
         self.pin_outputs = [o for o in pin_outputs if o in self.outputs]
         self.pin_release = {o: tuple((pin_release or {}).get(o, ()))
                             for o in self.pin_outputs}
+        self.guards = guards or _GuardValues(input_names, [
+            *(c.guard for clauses in self.obligations.values() for c in clauses),
+            *(g for release in self.pin_release.values() for g in release)])
         self._pin_cache: dict[tuple[bool, ...], dict[str, bool]] = {}
         self._fired_cache: dict[tuple[bool, ...], list] = {}
-        self._allowed_cache: dict[tuple, set[bool]] = {}
+        self._allowed_cache: dict[tuple[bool, ...], list[tuple[bool, ...]]] = {}
 
     def as_env(self, point: tuple[bool, ...]) -> dict[str, bool]:
         return dict(zip(self.input_names, point))
@@ -459,10 +481,10 @@ class _PointSpec:
         """Cached (output, clause) pairs whose guards fire at the point."""
         hit = self._fired_cache.get(point)
         if hit is None:
-            env = self.as_env(point)
+            fired = self.guards.fired(point)
             hit = [(output, clause)
                    for output, clauses in self.obligations.items()
-                   for clause in clauses if eval_expr(clause.guard, env)]
+                   for clause in clauses if id(clause.guard) in fired]
             self._fired_cache[point] = hit
         return hit
 
@@ -475,45 +497,29 @@ class _PointSpec:
         for output, clause in self._fired(point):
             if outs[output] != clause.value:
                 return False
-        env = self.as_env(point)
         if self.assertions:
-            full = dict(env)
+            full = self.as_env(point)
             full.update(outs)
             for clause in self.assertions:
                 if not eval_expr(clause.expr, full):
                     return False
+        fired = self.guards.fired(point) if self.pin_outputs else set()
         for output in self.pin_outputs:
-            if any(eval_expr(g, env) for g in self.pin_release[output]):
+            if any(id(g) in fired for g in self.pin_release[output]):
                 continue
             if outs[output] != self._pin_values(point)[output]:
                 return False
         return True
 
-    def satisfiable_at(self, point: tuple[bool, ...]) -> Optional[dict[str, bool]]:
-        """Some output valuation satisfying the point, or None."""
-        for bits in itertools.product((False, True), repeat=len(self.outputs)):
-            outs = dict(zip(self.outputs, bits))
-            if self.holds(point, outs):
-                return outs
-        return None
-
-    def allowed_values(self, output: str, point: tuple[bool, ...]) -> set[bool]:
-        """Projection of the allowed output tuples onto one output."""
-        key = (output, point)
-        hit = self._allowed_cache.get(key)
-        if hit is not None:
-            return hit
-        others = [o for o in self.outputs if o != output]
-        allowed: set[bool] = set()
-        for value in (False, True):
-            for bits in itertools.product((False, True), repeat=len(others)):
-                outs = dict(zip(others, bits))
-                outs[output] = value
-                if self.holds(point, outs):
-                    allowed.add(value)
-                    break
-        self._allowed_cache[key] = allowed
-        return allowed
+    def allowed(self, point: tuple[bool, ...]) -> list[tuple[bool, ...]]:
+        """Cached output valuations (in `outputs` order) meeting the point."""
+        hit = self._allowed_cache.get(point)
+        if hit is None:
+            hit = [bits for bits in itertools.product((False, True),
+                                                      repeat=len(self.outputs))
+                   if self.holds(point, dict(zip(self.outputs, bits)))]
+            self._allowed_cache[point] = hit
+        return hit
 
     def min_slot_bound(self) -> int:
         """Sound lower bound on the slot count of any satisfying program.
@@ -526,52 +532,24 @@ class _PointSpec:
         n = len(self.input_names)
         if n == 0 or n > 12 or len(self.outputs) > 4:
             return 1
-        required = 0
-        for i in range(n):
-            dependent = False
-            for point in itertools.product((False, True), repeat=n):
-                if point[i]:
-                    continue
-                flipped = point[:i] + (True,) + point[i + 1:]
-                for output in self.outputs:
-                    a = self.allowed_values(output, point)
-                    b = self.allowed_values(output, flipped)
-                    if a and b and not (a & b):
-                        dependent = True
-                        break
-                if dependent:
-                    break
-            if dependent:
-                required += 1
-        return max(1, required - len(self.outputs))
 
-    def holds_expr(self, point: tuple[bool, ...],
-                   outs: Mapping[str, BoolExpr]) -> BoolExpr:
-        """The satisfaction predicate at a concrete point, symbolic in the
-        candidate output values."""
-        env = self.as_env(point)
-        parts: list[BoolExpr] = []
-        for output, clause in self._fired(point):
-            parts.append(outs[output] if clause.value else _not(outs[output]))
-        if self.assertions:
-            full: dict[str, BoolExpr] = {n: Const(v) for n, v in env.items()}
-            full.update(outs)
-            for clause in self.assertions:
-                parts.append(_subst(clause.expr, full))
-        for output in self.pin_outputs:
-            if any(eval_expr(g, env) for g in self.pin_release[output]):
-                continue
-            want = self._pin_values(point)[output]
-            parts.append(outs[output] if want else _not(outs[output]))
-        return _conj(parts)
+        def separates(o: int, point: tuple[bool, ...], i: int) -> bool:
+            flipped = point[:i] + (True,) + point[i + 1:]
+            a, b = ({bits[o] for bits in self.allowed(p)} for p in (point, flipped))
+            return bool(a and b and not (a & b))
+
+        required = sum(any(separates(o, point, i)
+                           for point in itertools.product((False, True), repeat=n)
+                           if not point[i] for o in range(len(self.outputs)))
+                       for i in range(n))
+        return max(1, required - len(self.outputs))
 
     def violation_expr(self, input_vars: Mapping[str, BoolExpr],
                        outs: Mapping[str, BoolExpr]) -> BoolExpr:
         """Fully symbolic violation predicate (for SAT-based verification)."""
         parts = _violation_exprs(self, {**input_vars, **outs})
         if self.pin_outputs:
-            orig_env = _symbolic_cycle(self.pin_block,
-                                       {}, dict(input_vars))
+            orig_env = _symbolic_cycle(self.pin_block, {}, dict(input_vars))
             for output in self.pin_outputs:
                 released = _disj([_subst(g, input_vars)
                                   for g in self.pin_release[output]])
@@ -590,12 +568,8 @@ class _PointSpec:
                     patterns.append((pattern, clause.value))
             for i, (pa, va) in enumerate(patterns):
                 for pb, vb in patterns[i + 1:]:
-                    if va == vb:
-                        continue
-                    if all(pa[n] == pb[n] for n in pa.keys() & pb.keys()):
-                        witness = dict(pb)
-                        witness.update(pa)
-                        return output, witness
+                    if va != vb and all(pa[n] == pb[n] for n in pa.keys() & pb.keys()):
+                        return output, {**pb, **pa}
         return None
 
 
@@ -611,13 +585,28 @@ class _SlotShape:
     const: bool = False
 
 
+# Clauses tying a slot's value at a point to its operator, each also
+# guarded by the operator's selector.  Role codes: 1 is the slot value, 2
+# and 3 its operand values, 4 its constant bit; a minus sign negates.
+_OP_CLAUSES = {
+    "const": ((-1, 4), (1, -4)),
+    "not": ((-1, -2), (1, 2)),
+    "and": ((-1, 2), (-1, 3), (1, -2, -3)),
+    "or": ((1, -2), (1, -3), (-1, 2, 3)),
+    "xor": ((-1, 2, 3), (-1, -2, -3), (1, -2, 3), (1, 2, -3)),
+}
+
+
 class _SlotTemplate:
     """Selector-variable encoding of straight-line candidate programs.
 
     Slot j computes one of: an input, a constant, NOT, AND, OR, XOR of
     operands drawn from the inputs and earlier slots.  Selectors are
     one-hot variables, so per-point semantics turn into short implication
-    clauses that propagate well.
+    clauses that propagate well; `point_clauses` emits them as int clauses.
+    `wellformed` stays an expression list for the Tseitin encoder, built
+    once per template: its pruning and edit-distance parts need gate
+    variables, and search depends on how those are numbered.
     """
 
     def __init__(self, input_names: Sequence[str], n_slots: int,
@@ -638,6 +627,8 @@ class _SlotTemplate:
         self._binary_ids = [self._idx[op] for op in (("and",), ("or",), ("xor",))]
         self._leaf_ids = [i for i, op in enumerate(self.ops)
                           if op[0] in ("input", "const")]
+        self._selectors_for: Optional[Callable[[str], int]] = None
+        self._selectors: list = []
 
     # -- selector variables
 
@@ -793,75 +784,87 @@ class _SlotTemplate:
 
     # -- per-point evaluation
 
-    def point_constraint(self, index: int, point: tuple[bool, ...],
-                         pspec: _PointSpec) -> BoolExpr:
-        """Implication clauses defining the candidate's value vars at one
-        concrete input point, conjoined with the spec predicate there."""
-        vals = [self._var(f"v{index}_{j}") for j in range(self.k)]
-        parts: list[BoolExpr] = []
-        for j in range(self.k):
-            val = vals[j]
-            argvals = []
-            for which in (0, 1):
-                av = self._var(f"av{index}_{j}_{which}")
-                argvals.append(av)
-                for d in range(self.domain(j)):
-                    sel = self.arg_is(j, which, d)
-                    if d < self.n:
-                        # operand is an input: its value at this point is fixed
-                        parts.append(_or(_not(sel), av if point[d] else _not(av)))
-                    else:
-                        ref = vals[d - self.n]
-                        parts.append(_or(_not(sel), _or(_not(av), ref)))
-                        parts.append(_or(_not(sel), _or(av, _not(ref))))
-            for idx, op in enumerate(self.ops):
-                opv = self.op_is(j, idx)
-                kind = op[0]
-                if kind == "input":
-                    parts.append(_or(_not(opv), val if point[op[1]] else _not(val)))
-                elif kind == "const":
-                    cv = self.const_var(j)
-                    parts.append(_or(_not(opv), _or(_not(val), cv)))
-                    parts.append(_or(_not(opv), _or(val, _not(cv))))
-                elif kind == "not":
-                    a = argvals[0]
-                    parts.append(_or(_not(opv), _or(_not(val), _not(a))))
-                    parts.append(_or(_not(opv), _or(val, a)))
-                elif kind == "and":
-                    a, b = argvals
-                    parts.append(_or(_not(opv), _or(_not(val), a)))
-                    parts.append(_or(_not(opv), _or(_not(val), b)))
-                    parts.append(_or(_not(opv), _or(val, _or(_not(a), _not(b)))))
-                elif kind == "or":
-                    a, b = argvals
-                    parts.append(_or(_not(opv), _or(val, _not(a))))
-                    parts.append(_or(_not(opv), _or(val, _not(b))))
-                    parts.append(_or(_not(opv), _or(_not(val), _or(a, b))))
-                else:  # xor
-                    a, b = argvals
-                    parts.append(_or(_not(opv), _or(_not(val), _or(a, b))))
-                    parts.append(_or(_not(opv),
-                                     _or(_not(val), _or(_not(a), _not(b)))))
-                    parts.append(_or(_not(opv), _or(val, _or(_not(a), b))))
-                    parts.append(_or(_not(opv), _or(val, _or(a, _not(b)))))
-        outs = {name: self.output_value(o, vals, index)
-                for o, name in enumerate(self.outputs)}
-        return _conj(parts + [pspec.holds_expr(point, outs)])
+    def point_clauses(self, point: tuple[bool, ...], pspec: _PointSpec,
+                      var: Callable[[str], int],
+                      fresh: Callable[[], int]) -> list[tuple[int, ...]]:
+        """Int clauses defining the candidate's slot values at one concrete
+        input point and requiring the spec to hold there.
 
-    def output_value(self, o: int, vals: Sequence[BoolExpr],
-                     index: int) -> BoolExpr:
+        Selectors are numbered by `var`; slot and operand values, which
+        nothing decodes, by `fresh`.  Disallowed output valuations are
+        blocked by clauses over the output values (defined from the os*
+        selectors when there are several outputs).  New variables are
+        numbered in first appearance and the clauses come last to first
+        with reversed literals: the CNF the Tseitin flattening of their
+        conjunction gave, as search is very sensitive to that order.
+        """
+        if self._selectors_for != var:  # selector numbers of this solver
+            self._selectors_for = var
+            self._selectors = [
+                ([var(self.op_is(j, idx).name) for idx in range(len(self.ops))],
+                 [[var(self.arg_is(j, which, d).name) for d in range(self.domain(j))]
+                  for which in (0, 1)])
+                for j in range(self.k)]
+        n = self.n
+        sign = [1 if bit else -1 for bit in point]
+        clauses: list[tuple[int, ...]] = []
+        add = clauses.append
+        vals: list[int] = []
+        for j, (op_sels, arg_sels) in enumerate(self._selectors):
+            operands: list[int] = []
+            for sels in arg_sels:
+                if not sels:
+                    break
+                av = fresh()
+                operands.append(av)
+                for d, sel in enumerate(sels):
+                    if d < n:
+                        # operand is an input: its value at this point is fixed
+                        add((-sel, sign[d] * av))
+                    else:
+                        add((-sel, -av, vals[d - n]))
+                        add((-sel, av, -vals[d - n]))
+            val = fresh()
+            vals.append(val)
+            cv = var(self.const_var(j).name)
+            while len(operands) < 2:  # no operand selectors: first seen below
+                operands.append(fresh())
+            roles = (0, val, *operands, cv)
+            for opv, op in zip(op_sels, self.ops):
+                if op[0] == "input":
+                    add((-opv, sign[op[1]] * val))
+                    continue
+                for pattern in _OP_CLAUSES[op[0]]:
+                    add((-opv, *[roles[r] if r > 0 else -roles[-r] for r in pattern]))
         if len(self.outputs) == 1:
-            return vals[self.k - 1]
-        return _disj([_and(self.out_is(o, d), vals[d]) for d in range(self.k)])
+            outs = [vals[-1]]
+        else:
+            outs = []
+            for o in range(len(self.outputs)):
+                out = fresh()
+                outs.append(out)
+                for d, v in enumerate(vals):
+                    sel = var(self.out_is(o, d).name)
+                    add((-sel, -v, out))
+                    add((-sel, v, -out))
+        allowed = pspec.allowed(point)
+        blocked: dict[tuple[int, ...], None] = {}
+        for bits in itertools.product((False, True), repeat=len(outs)):
+            if bits in allowed:
+                continue
+            keep = list(range(len(outs)))  # widen while it blocks no allowed one
+            for i in range(len(outs)):
+                if not any(all(a[x] == bits[x] for x in keep if x != i) for a in allowed):
+                    keep.remove(i)
+            blocked[tuple(-outs[x] if bits[x] else outs[x] for x in keep)] = None
+        clauses += blocked
+        return [clause[::-1] for clause in reversed(clauses)]
 
     # -- decoding
 
     def decode(self, value_of: Callable[[str], bool]) -> dict[str, BoolExpr]:
         def one_hot(prefix: str, count: int) -> int:
-            for idx in range(count):
-                if value_of(f"{prefix}{idx}"):
-                    return idx
-            return 0
+            return next((i for i in range(count) if value_of(f"{prefix}{i}")), 0)
 
         memo: dict[int, BoolExpr] = {}
 
@@ -965,46 +968,46 @@ def _encode_original(expr: BoolExpr, template_inputs: Sequence[str]) -> list[_Sl
 
 
 class _GrowingSolver:
-    """One incremental SAT instance: each asserted expression is Tseitin-
-    encoded once and its clauses are added to the live solver, which keeps
-    its learned clauses and activities between solve() calls."""
+    """One incremental SAT instance for one slot template.  Well-formedness
+    arrives as expressions and is Tseitin-encoded (`add`); point
+    constraints arrive as int clauses (`add_point`).  Both feed the live
+    solver, which keeps its learned clauses and activities between solve()
+    calls.  Named variables are numbered in first appearance."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self.var_map: dict[str, int] = {}
         self.next_free = 1
-        self.solver: Optional[CdclSolver] = None
-        self.unsat = False
+        self.solver = CdclSolver(CnfFormula(0, ()), seed=seed)
+
+    def fresh(self) -> int:
+        self.next_free += 1
+        return self.next_free - 1
+
+    def var(self, name: str) -> int:
+        index = self.var_map.get(name)
+        if index is None:
+            index = self.var_map[name] = self.fresh()
+        return index
 
     def add(self, constraint: BoolExpr) -> None:
-        if constraint == FALSE:
-            self.unsat = True
-            return
         for name in _collect_var_names(constraint):
-            if name not in self.var_map:
-                self.var_map[name] = self.next_free
-                self.next_free += 1
+            self.var(name)
         enc = TseitinEncoder(self.var_map, first_fresh=self.next_free)
         enc.assert_true(constraint)
         self.next_free = max(self.next_free, enc.num_vars + 1)
-        if self.solver is None:
-            self.solver = CdclSolver(CnfFormula(0, ()), seed=self.seed)
         self.solver.extend(self.next_free - 1, enc.clauses)
 
+    def add_point(self, template: _SlotTemplate, point: tuple[bool, ...],
+                  pspec: _PointSpec) -> None:
+        clauses = template.point_clauses(point, pspec, self.var, self.fresh)
+        self.solver.extend(self.next_free - 1, clauses)
+
     def solve(self) -> Optional[Callable[[str], bool]]:
-        if self.unsat or self.solver is None:
-            return None
         result = self.solver.solve()
         if not result.satisfiable:
             return None
-        model = result.model
-        var_map = self.var_map
-
-        def value_of(name: str) -> bool:
-            index = var_map.get(name)
-            return False if index is None else model[index]
-
-        return value_of
+        var_map, model = self.var_map, result.model
+        return lambda name: name in var_map and model[var_map[name]]
 
 
 def _find_violation(out_exprs: Mapping[str, BoolExpr], pspec: _PointSpec,
@@ -1032,23 +1035,21 @@ def _find_violation(out_exprs: Mapping[str, BoolExpr], pspec: _PointSpec,
 
 def _seed_points(pspec: _PointSpec) -> list[tuple[bool, ...]]:
     n = len(pspec.input_names)
-    candidates = [tuple(False for _ in range(n))]
-    for i in range(n):
-        candidates.append(tuple(j == i for j in range(n)))
-    candidates.append(tuple(True for _ in range(n)))
-    points: list[tuple[bool, ...]] = []
-    for point in candidates:
-        if point not in points and pspec.constrained(point):
-            points.append(point)
-    return points
+    candidates = [(False,) * n, *(tuple(j == i for j in range(n)) for i in range(n)),
+                  (True,) * n]
+    return [point for i, point in enumerate(candidates)
+            if point not in candidates[:i] and pspec.constrained(point)]
+
+
+def _contradiction(what: str, witness: dict[str, bool]) -> Unsatisfiable:
+    pattern = " ".join(f"{n}={int(v)}" for n, v in witness.items())
+    return Unsatisfiable(f"{what} {pattern}", witness=witness)
 
 
 def _check_point(pspec: _PointSpec, point: tuple[bool, ...]) -> None:
-    if pspec.satisfiable_at(point) is None:
-        env = pspec.as_env(point)
-        pattern = " ".join(f"{n}={int(v)}" for n, v in env.items())
-        raise Unsatisfiable(f"spec is contradictory at input pattern: {pattern}",
-                            witness=env)
+    if not pspec.allowed(point):
+        raise _contradiction("spec is contradictory at input pattern:",
+                             pspec.as_env(point))
 
 
 def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
@@ -1065,17 +1066,15 @@ def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
     static = pspec.static_contradiction()
     if static is not None:
         output, witness = static
-        pattern = " ".join(f"{n}={int(v)}" for n, v in witness.items())
-        raise Unsatisfiable(
-            f"conflicting requirements for {output} at {pattern}", witness=witness)
+        raise _contradiction(f"conflicting requirements for {output} at", witness)
     points = _seed_points(pspec)
     for point in points:
         _check_point(pspec, point)
     for template in rounds:
         solver = _GrowingSolver(cfg.seed)
         solver.add(_conj(template.wellformed()))
-        for i, point in enumerate(points):
-            solver.add(template.point_constraint(i, point, pspec))
+        for point in points:
+            solver.add_point(template, point, pspec)
         while True:
             iterations += 1
             value_of = solver.solve()
@@ -1090,7 +1089,7 @@ def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
             if violation in points:
                 raise AssertionError("counterexample repeated")
             _check_point(pspec, violation)
-            solver.add(template.point_constraint(len(points), violation, pspec))
+            solver.add_point(template, violation, pspec)
             points.append(violation)
             counterexamples += 1
     return None, OutputSynthesis(label, 0, iterations, counterexamples,
@@ -1162,7 +1161,8 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
     per_assertions, coupling = _split_assertions(spec, outputs)
     full_pspec = _PointSpec(inputs, outputs, spec.obligations, spec.assertions)
     if cfg.per_output and not coupling and len(outputs) > 1:
-        jobs = [(o, _PointSpec(inputs, [o], spec.obligations, per_assertions[o]))
+        jobs = [(o, _PointSpec(inputs, [o], spec.obligations, per_assertions[o],
+                               guards=full_pspec.guards))
                 for o in outputs]
     else:
         jobs = [(outputs[0] if len(outputs) == 1 else "*", full_pspec)]
@@ -1299,8 +1299,7 @@ def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
             run = replace(run, slots_used=orig_size)
         exprs.update(candidate)
         runs.append(run)
-    body = tuple(Statement(o, exprs[o]) for o in block.interface.outputs
-                 if o in exprs)
+    body = _build_body(block.interface, exprs)
     return _result(Block(block.name, block.interface, body, block.lang), runs, start)
 
 

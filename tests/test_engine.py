@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_assignments, blocks_equivalent, output_table, random_block, random_expr,
@@ -19,6 +22,7 @@ from plcsynth.engine import (
     equivalent, extend, repair, simplify, synthesize, verify,
 )
 from plcsynth.lang import emit, parse_expression
+from plcsynth.sat import CnfFormula, to_dimacs
 
 
 def iface(*names):
@@ -505,6 +509,27 @@ class TestPerOutput:
             for k in (1, 2, 3):
                 assert outs[f"m{k}"] == self.magnet_value(bits, k)
 
+    def test_guards_evaluated_once_per_point(self, monkeypatch):
+        # per-output runs and the final spec check share one guard cache
+        interface = self.row_interface()
+        spec = self.row_spec(interface)
+        guards = {id(c.guard) for clauses in spec.obligations.values()
+                  for c in clauses}
+        calls = {}
+        real = engine.eval_expr
+
+        def counting(expr, env):
+            if id(expr) in guards:
+                key = (id(expr), tuple(sorted(env.items())))
+                calls[key] = calls.get(key, 0) + 1
+            return real(expr, env)
+
+        monkeypatch.setattr(engine, "eval_expr", counting)
+        result = synthesize(interface, spec, SynthConfig(seed=1))
+        assert len(result.per_output) == 3
+        assert len(calls) == len(guards) * 16
+        assert set(calls.values()) == {1}
+
     def test_coupling_assertion_forces_joint(self):
         interface = iface("i:a", "o:y", "o:z")
         spec = spec_for(interface, [
@@ -518,6 +543,66 @@ class TestPerOutput:
             assert outs["y"] != outs["z"]
             if env["a"]:
                 assert outs["y"] is True
+
+
+@st.composite
+def coupled_specs(draw):
+    """Random partial tables over at most 3 inputs and 2-3 outputs plus one
+    assertion that couples two outputs, so synthesis runs jointly."""
+    inputs = [f"i{k}" for k in range(draw(st.integers(1, 3)))]
+    outputs = [f"o{k}" for k in range(draw(st.integers(2, 3)))]
+    interface = BlockInterface(tuple(
+        [VarDecl(x, Direction.INPUT) for x in inputs]
+        + [VarDecl(o, Direction.OUTPUT) for o in outputs]))
+
+    def literal(name):
+        return Var(name) if draw(st.booleans()) else Not(Var(name))
+
+    rows = []
+    points = list(itertools.product((False, True), repeat=len(inputs)))
+    for bits in draw(st.lists(st.sampled_from(points), min_size=len(points) // 2,
+                              unique=True)):
+        told = [o for o in outputs if draw(st.booleans())] or [outputs[0]]
+        rows.append(TruthTableRow(dict(zip(inputs, bits)),
+                                  {o: draw(st.booleans()) for o in told}))
+    first, second = draw(st.permutations(outputs))[:2]
+    coupling = draw(st.sampled_from([And, Or, Xor]))(literal(first), literal(second))
+    if draw(st.booleans()):
+        coupling = Or(coupling, literal(draw(st.sampled_from(inputs))))
+    return interface, spec_for(interface, rows + [Assertion(coupling)])
+
+
+def spec_holds(spec, env):
+    for output, clauses in spec.obligations.items():
+        for clause in clauses:
+            if eval_expr(clause.guard, env) and env[output] != clause.value:
+                return False
+    return all(eval_expr(c.expr, env) for c in spec.assertions)
+
+
+class TestJointEncoding:
+    @given(coupled_specs(), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_coupled_specs_synthesize_exhaustively_correct(self, case, seed):
+        interface, spec = case
+        inputs, outputs = interface.inputs, interface.outputs
+        points = [dict(zip(inputs, bits)) for bits in
+                  itertools.product((False, True), repeat=len(inputs))]
+        feasible = all(
+            any(spec_holds(spec, {**env, **dict(zip(outputs, outs))})
+                for outs in itertools.product((False, True), repeat=len(outputs)))
+            for env in points)
+        if not feasible:
+            with pytest.raises(Unsatisfiable):
+                synthesize(interface, spec, SynthConfig(seed=seed))
+            return
+        first = synthesize(interface, spec, SynthConfig(seed=seed))
+        assert [r.output for r in first.per_output] == ["*"]
+        for env in points:
+            outs = simulate(first.block, [env]).cycles[0].outputs
+            assert spec_holds(spec, {**env, **outs})
+        again = synthesize(interface, spec, SynthConfig(seed=seed))
+        assert emit(again.block, Lang.ST) == emit(first.block, Lang.ST)
 
 
 class TestWideInputs:
@@ -611,6 +696,27 @@ class TestCegisProgress:
         monkeypatch.setattr(engine, "eval_expr", counting)
         synthesize(interface, spec, SynthConfig(seed=1))
         assert calls and max(calls.values()) == 1
+
+    def test_point_cnf_matches_golden(self):
+        # digest of the CNF the Tseitin-encoded point constraints gave this
+        # template; the direct clauses must match it, as search is very
+        # sensitive to variable and clause order
+        interface, spec = self.magnet_case()
+        pspec = engine._PointSpec(interface.inputs, ["m2"], spec.obligations)
+        template = engine._SlotTemplate(interface.inputs, 3, ["m2"])
+        solver = engine._GrowingSolver(1)
+        solver.add(engine._conj(template.wellformed()))
+        points = engine._seed_points(pspec)
+        for point in points:
+            solver.add_point(template, point, pspec)
+        candidate = template.decode(solver.solve())
+        violation = engine._find_violation(candidate, pspec, 1)
+        assert violation not in (None, *points)
+        solver.add_point(template, violation, pspec)
+        cnf = CnfFormula(solver.solver.num_vars, tuple(solver.solver.original))
+        assert (len(cnf.clauses), cnf.num_vars) == (1431, 256)
+        assert hashlib.sha256(to_dimacs(cnf).encode()).hexdigest() == (
+            "dc927ddf66dab33d3aebb80e332beba9e0e20ce66b8ad609a6dec29922fa0211")
 
     def test_same_seed_same_bytes(self):
         interface, spec = self.magnet_case()

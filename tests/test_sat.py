@@ -83,6 +83,14 @@ class TestSolveBasics:
         res = solve(cnf(2, [(1, -1), (2,)]))
         assert res.satisfiable and res.model[2] is True
 
+    def test_model_check_raises(self):
+        # an explicit raise, so it also holds under python -O
+        solver = CdclSolver(cnf(2, [(1, 2)]))
+        with pytest.raises(AssertionError, match="does not satisfy clause"):
+            solver._check_model({1: False, 2: False}, [])
+        with pytest.raises(AssertionError, match="does not satisfy assumption"):
+            solver._check_model({1: True, 2: False}, [2])
+
 
 class TestSolveAgainstBruteForce:
     def test_random_3cnf_matches_enumeration(self):
