@@ -1268,9 +1268,14 @@ def repair(block: Block, spec: SpecFormula,
         raise TypeCheckError("assertions couple several outputs; "
                              "repair handles per-output specs only")
 
+    # one guard cache for the op: a table row guards every output it sets
+    guards = _GuardValues(block.interface.inputs,
+                          [c.guard for clauses in spec.obligations.values()
+                           for c in clauses])
+
     def make_pspec(output: str) -> _PointSpec:
         return _PointSpec(block.interface.inputs, [output], spec.obligations,
-                          per_assertions[output])
+                          per_assertions[output], guards=guards)
 
     return _minimal_edit_synthesis(block, make_pspec, cfg)
 
@@ -1318,6 +1323,11 @@ def extend(block: Block, extra: ConstraintList,
     mentioned_in_assertions = {o for o in outputs
                                if any(o in expr_vars(c.expr)
                                       for c in extra_spec.assertions)}
+    # one guard cache for the op; an output's obligation guards are also
+    # its pin release guards
+    guards = _GuardValues(block.interface.inputs,
+                          [c.guard for clauses in extra_spec.obligations.values()
+                           for c in clauses])
 
     def make_pspec(output: str) -> _PointSpec:
         release = {output: tuple(c.guard for c in
@@ -1326,6 +1336,6 @@ def extend(block: Block, extra: ConstraintList,
         return _PointSpec(block.interface.inputs, [output],
                           extra_spec.obligations, per_assertions[output],
                           pin_block=block, pin_outputs=pin_outputs,
-                          pin_release=release)
+                          pin_release=release, guards=guards)
 
     return _minimal_edit_synthesis(block, make_pspec, cfg, what="extend")

@@ -5,6 +5,13 @@ complete incremental CDCL solver (watched literals, first-UIP clause
 learning, Luby restarts inside conflict-budgeted attempts that rephase
 between attempts).  Everything is deterministic for a fixed formula,
 clause-addition order, assumption list and seed.
+
+The solver's tables are indexed by the signed literal itself: the value
+table and the watch lists have 2N+1 entries, literal v at index v and -v
+at the tail through Python's negative indexing.  Watch lists and reasons
+hold the clause lists, not clause numbers.  Callers rely on the exact
+search (which model comes back, and so which program is synthesized), so
+kernel changes must keep it identical; see `CdclSolver`.
 """
 
 from __future__ import annotations
@@ -203,10 +210,6 @@ def tseitin(root: BoolExpr, var_map: Mapping[str, SatVar]) -> tuple[CnfFormula, 
 # CDCL solver
 
 
-def _lit_code(lit: int) -> int:
-    return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
-
-
 def _luby(i: int) -> int:
     """Luby restart sequence 1,1,2,1,1,2,4,..."""
     while True:
@@ -216,6 +219,13 @@ def _luby(i: int) -> int:
         if (1 << k) - 1 == i:
             return 1 << (k - 1)
         i -= (1 << (k - 1)) - 1
+
+
+def _splice(table: list, num_vars: int, grow: int, fill) -> list:
+    """A literal-indexed table for `num_vars + grow` variables: new
+    positive literals go after `num_vars`, new negative ones before the
+    old tail, so `table[-v]` keeps pointing at literal -v."""
+    return table[:num_vars + 1] + [fill() for _ in range(2 * grow)] + table[num_vars + 1:]
 
 
 class CdclSolver:
@@ -228,6 +238,22 @@ class CdclSolver:
     seed.  Everything is deterministic for fixed inputs and seed.  A
     solver instance holds mutable search state and is not shareable
     across concurrent callers.
+
+    Layout: literals are signed ints and index their tables directly.
+    `lv` has 2N+1 entries and `lv[lit]` is the truth of `lit` (True, False
+    or None); Python's negative indexing puts `-v` in the tail, so `lv[v]`
+    is also variable v's value.  `watches[lit]` lists the clauses watching
+    `lit`, and watch lists and `reasons` hold the clause lists themselves
+    (`reasons[v]` means something only while v is assigned); `clauses`
+    keeps every long clause in arrival order (None once deleted) for the
+    learned-clause reduction.  The decision heap holds at most one live
+    entry per variable, one carrying its current activity (`_in_heap`);
+    stale entries are dropped when popped.
+
+    Kernel rule: a change to this class must keep the search identical,
+    i.e. the same watch visit order, watched-literal swaps, trail, learned
+    clauses, decisions and models for the same calls; the golden digests
+    in tests/test_sat.py check it.
     """
 
     VAR_DECAY = 0.95
@@ -235,13 +261,13 @@ class CdclSolver:
     def __init__(self, formula: CnfFormula, seed: int = 0):
         self.num_vars = 0
         self.seed = seed
-        self.values: list[Optional[bool]] = [None]
+        self.lv: list[Optional[bool]] = [None]
         self.levels = [0]
-        self.reasons: list[Optional[int]] = [None]
+        self.reasons: list[Optional[list[int]]] = [None]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: list[list[int]] = [[], []]
+        self.watches: list[list[list[int]]] = [[]]
         self.clauses: list[Optional[list[int]]] = []
         self.original: list[tuple[int, ...]] = []
         self.ok = True
@@ -249,9 +275,10 @@ class CdclSolver:
         self.activity = [0.0]
         self._var_inc = 1.0
         self._heap: list[tuple[float, int]] = []
+        self._in_heap = [False]
         self.polarity = [False]
         self._is_learned: list[bool] = []
-        self._stamps: list[int] = []
+        self._stamps: dict[int, int] = {}  # id(clause) -> last conflict it was in
         self._learned_alive = 0
         self._max_learned = 4000
         self._conflict_count = 0
@@ -279,7 +306,8 @@ class CdclSolver:
         assignments have been propagated, new clauses are simplified against
         them (as MiniSat's addClause does): satisfied clauses are skipped
         and false literals dropped, since the watch scheme never revisits a
-        literal that was already false when its clause arrived.
+        literal that was already false when its clause arrived.  An empty
+        clause makes the formula unsatisfiable.
         """
         if num_vars < self.num_vars:
             raise ValueError("cannot shrink the variable range")
@@ -288,62 +316,52 @@ class CdclSolver:
         simplify = self.qhead > 0
         grow = num_vars - self.num_vars
         if grow:
-            self.values += [None] * grow
+            self.lv = _splice(self.lv, self.num_vars, grow, lambda: None)
+            self.watches = _splice(self.watches, self.num_vars, grow, list)
             self.levels += [0] * grow
             self.reasons += [None] * grow
             self.activity += [0.0] * grow
+            self._in_heap += [False] * grow
             self.polarity += [self._polarity_for(v)
                               for v in range(self.num_vars + 1, num_vars + 1)]
-            self.watches += [[] for _ in range(2 * grow)]
             self.num_vars = num_vars
+        lv, watches, original = self.lv, self.watches, self.original
         for clause in clauses:
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range")
-            self.original.append(tuple(clause))
+            if clause and (0 in clause or max(clause) > num_vars
+                           or min(clause) < -num_vars):
+                bad = next(lit for lit in clause if lit == 0 or abs(lit) > num_vars)
+                raise ValueError(f"literal {bad} out of range")
+            original.append(tuple(clause))
             if not self.ok:
                 continue
-            lits = list(dict.fromkeys(clause))
-            if any(-lit in lits for lit in lits):
-                continue  # tautology
+            if len(set(map(abs, clause))) == len(clause):
+                lits = list(clause)
+            else:
+                lits = list(dict.fromkeys(clause))
+                if any(-lit in lits for lit in lits):
+                    continue  # tautology
             if simplify:
-                vals = [self._lit_value(lit) for lit in lits]
+                vals = [lv[lit] for lit in lits]
                 if True in vals:
                     continue
-                lits = [lit for lit, val in zip(lits, vals) if val is None]
-                if not lits:
-                    self.ok = False
-                    continue
-            if len(lits) == 1:
-                if not self._assert_unit(lits[0]):
-                    self.ok = False
-            else:
-                ci = len(self.clauses)
+                if False in vals:
+                    lits = [lit for lit, val in zip(lits, vals) if val is None]
+            if len(lits) > 1:
                 self.clauses.append(lits)
                 self._is_learned.append(False)
-                self._stamps.append(0)
-                self.watches[_lit_code(lits[0])].append(ci)
-                self.watches[_lit_code(lits[1])].append(ci)
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+            elif not lits or lv[lits[0]] is False:
+                self.ok = False
+            elif lv[lits[0]] is None:
+                self._enqueue(lits[0], None)
 
     # -- assignment primitives
 
-    def _lit_value(self, lit: int) -> Optional[bool]:
-        v = self.values[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def _assert_unit(self, lit: int) -> bool:
-        val = self._lit_value(lit)
-        if val is False:
-            return False
-        if val is None:
-            self._enqueue(lit, None)
-        return True
-
-    def _enqueue(self, lit: int, reason: Optional[int]) -> None:
+    def _enqueue(self, lit: int, reason: Optional[list[int]]) -> None:
+        self.lv[lit] = True
+        self.lv[-lit] = False
         var = abs(lit)
-        self.values[var] = lit > 0
         self.levels[var] = len(self.trail_lim)
         self.reasons[var] = reason
         self.trail.append(lit)
@@ -353,127 +371,141 @@ class CdclSolver:
             return
         lim = self.trail_lim[level]
         push = heapq.heappush
-        heap = self._heap
-        activity = self.activity
-        for lit in reversed(self.trail[lim:]):
+        heap, lv = self._heap, self.lv
+        activity, in_heap = self.activity, self._in_heap
+        order_head = self._order_head
+        for lit in self.trail[lim:]:
+            lv[lit] = lv[-lit] = None
             var = abs(lit)
-            self.values[var] = None
-            self.reasons[var] = None
-            if activity[var] > 0.0:
+            if not in_heap[var] and activity[var] > 0.0:
                 push(heap, (-activity[var], var))
-            if var < self._order_head:
-                self._order_head = var
+                in_heap[var] = True
+            if var < order_head:
+                order_head = var
+        self._order_head = order_head
         del self.trail[lim:]
         del self.trail_lim[level:]
         self.qhead = lim
 
-    def _bump(self, var: int) -> None:
-        act = self.activity[var] + self._var_inc
-        self.activity[var] = act
-        if act > 1e100:
-            scale = 1e-100
-            for v in range(1, self.num_vars + 1):
-                self.activity[v] *= scale
-            self._var_inc *= scale
-            fresh = [(-self.activity[v], v) for v in range(1, self.num_vars + 1)
-                     if self.values[v] is None and self.activity[v] > 0.0]
-            heapq.heapify(fresh)
-            self._heap = fresh
-            return
-        if self.values[var] is None:
-            heapq.heappush(self._heap, (-act, var))
+    def _rescale(self) -> None:
+        """Scale all activities down and rebuild the heap from the
+        unassigned variables."""
+        scale = 1e-100
+        activity, lv, in_heap = self.activity, self.lv, self._in_heap
+        for v in range(1, self.num_vars + 1):
+            activity[v] *= scale
+        self._var_inc *= scale
+        fresh = []
+        for v in range(1, self.num_vars + 1):
+            live = lv[v] is None and activity[v] > 0.0
+            in_heap[v] = live
+            if live:
+                fresh.append((-activity[v], v))
+        heapq.heapify(fresh)
+        self._heap = fresh
 
     # -- search
 
-    def _propagate(self) -> Optional[int]:
-        values = self.values
-        clauses = self.clauses
+    def _propagate(self) -> Optional[list[int]]:
+        lv = self.lv
         watches = self.watches
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            wl = watches[_lit_code(-p)]
-            i = j = 0
-            n = len(wl)
-            while i < n:
-                ci = wl[i]
-                i += 1
-                c = clauses[ci]
-                if c[0] == -p:
-                    c[0], c[1] = c[1], c[0]
+        trail = self.trail
+        levels = self.levels
+        reasons = self.reasons
+        level = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            kept: list[list[int]] = []
+            keep = kept.append
+            visits = iter(watches[false_lit])
+            for c in visits:
                 first = c[0]
-                fvar = values[abs(first)]
-                fval = None if fvar is None else (fvar if first > 0 else not fvar)
-                if fval is True:
-                    wl[j] = ci
-                    j += 1
+                if first == false_lit:
+                    first = c[0] = c[1]
+                    c[1] = false_lit
+                fval = lv[first]
+                if fval:
+                    keep(c)
                     continue
-                moved = False
                 for k in range(2, len(c)):
                     lk = c[k]
-                    vk = values[abs(lk)]
-                    if vk is None or (vk if lk > 0 else not vk):
-                        c[1], c[k] = c[k], c[1]
-                        watches[_lit_code(c[1])].append(ci)
-                        moved = True
+                    if lv[lk] is not False:
+                        c[1] = lk
+                        c[k] = false_lit
+                        watches[lk].append(c)
                         break
-                if moved:
-                    continue
-                wl[j] = ci
-                j += 1
-                if fval is False:
-                    while i < n:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    del wl[j:]
-                    return ci
-                self._enqueue(first, ci)
-            del wl[j:]
+                else:
+                    keep(c)
+                    if fval is False:
+                        kept.extend(visits)
+                        watches[false_lit] = kept
+                        self.qhead = qhead
+                        return c
+                    lv[first] = True
+                    lv[-first] = False
+                    var = abs(first)
+                    levels[var] = level
+                    reasons[var] = c
+                    trail.append(first)
+            watches[false_lit] = kept
+        self.qhead = qhead
         return None
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP conflict analysis; returns (learned clause, backjump level)."""
+        levels, reasons, trail = self.levels, self.reasons, self.trail
+        activity, in_heap = self.activity, self._in_heap
         current = len(self.trail_lim)
         self._conflict_count += 1
         seen = bytearray(self.num_vars + 1)
         learned: list[int] = []
         counter = 0
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         stamp = self._conflict_count
         stamps = self._stamps
-        stamps[confl] = stamp
-        clause = self.clauses[confl]
+        var_inc = self._var_inc
+        clause = confl
         while True:
+            stamps[id(clause)] = stamp
             for q in clause:
                 var = abs(q)
-                if not seen[var] and self.levels[var] > 0:
+                if not seen[var] and levels[var] > 0:
                     seen[var] = 1
-                    self._bump(var)
-                    if self.levels[var] == current:
+                    # bump: any heap entry of the (assigned) variable goes
+                    # stale; _cancel_until pushes a live one on unassigning
+                    act = activity[var] + var_inc
+                    activity[var] = act
+                    in_heap[var] = False
+                    if act > 1e100:
+                        self._rescale()
+                        var_inc = self._var_inc
+                    if levels[var] == current:
                         counter += 1
                     else:
                         learned.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            p = -self.trail[idx]
+            p = -trail[idx]
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
-            reason = self.reasons[abs(p)]
-            stamps[reason] = stamp
-            clause = self.clauses[reason]
+            clause = reasons[abs(p)]
         # drop literals implied by the rest of the clause (local minimization)
         kept = []
         for q in learned:
-            reason = self.reasons[abs(q)]
+            reason = reasons[abs(q)]
             if reason is None:
                 kept.append(q)
                 continue
-            if any(abs(r) != abs(q) and not seen[abs(r)] and self.levels[abs(r)] > 0
-                   for r in self.clauses[reason]):
-                kept.append(q)
+            qvar = abs(q)
+            for r in reason:
+                rvar = abs(r)
+                if rvar != qvar and not seen[rvar] and levels[rvar] > 0:
+                    kept.append(q)
+                    break
         learned = [p] + kept
         self._var_inc /= self.VAR_DECAY
         if len(learned) == 1:
@@ -481,53 +513,56 @@ class CdclSolver:
         # place a literal from the backjump level at position 1
         max_i = 1
         for i in range(2, len(learned)):
-            if self.levels[abs(learned[i])] > self.levels[abs(learned[max_i])]:
+            if levels[abs(learned[i])] > levels[abs(learned[max_i])]:
                 max_i = i
         learned[1], learned[max_i] = learned[max_i], learned[1]
-        return learned, self.levels[abs(learned[1])]
+        return learned, levels[abs(learned[1])]
 
     def _record(self, learned: list[int]) -> None:
         if len(learned) == 1:
             self._enqueue(learned[0], None)
             return
-        ci = len(self.clauses)
         self.clauses.append(learned)
         self._is_learned.append(True)
-        self._stamps.append(self._conflict_count)
+        self._stamps[id(learned)] = self._conflict_count
         self._learned_alive += 1
-        self.watches[_lit_code(learned[0])].append(ci)
-        self.watches[_lit_code(learned[1])].append(ci)
-        self._enqueue(learned[0], ci)
+        self.watches[learned[0]].append(learned)
+        self.watches[learned[1]].append(learned)
+        self._enqueue(learned[0], learned)
 
     def _reduce_db(self) -> None:
         """Drop the least recently used half of the long learned clauses."""
-        locked = {self.reasons[abs(lit)] for lit in self.trail
-                  if self.reasons[abs(lit)] is not None}
-        candidates = [ci for ci, c in enumerate(self.clauses)
+        clauses, stamps = self.clauses, self._stamps
+        locked = {id(self.reasons[abs(lit)]) for lit in self.trail}
+        candidates = [ci for ci, c in enumerate(clauses)
                       if self._is_learned[ci] and c is not None
-                      and len(c) > 2 and ci not in locked]
-        candidates.sort(key=lambda ci: (self._stamps[ci], ci))
+                      and len(c) > 2 and id(c) not in locked]
+        candidates.sort(key=lambda ci: (stamps[id(clauses[ci])], ci))
         for ci in candidates[:len(candidates) // 2]:
-            self.clauses[ci] = None
+            del stamps[id(clauses[ci])]
+            clauses[ci] = None
             self._learned_alive -= 1
-        nv = self.num_vars
-        self.watches = [[] for _ in range(2 * nv + 2)]
-        for ci, c in enumerate(self.clauses):
+        watches: list[list[list[int]]] = [[] for _ in range(2 * self.num_vars + 1)]
+        for c in clauses:
             if c is not None:
-                self.watches[_lit_code(c[0])].append(ci)
-                self.watches[_lit_code(c[1])].append(ci)
+                watches[c[0]].append(c)
+                watches[c[1]].append(c)
+        self.watches = watches
         self._max_learned = int(self._max_learned * 1.2)
 
     def _next_decision_var(self) -> Optional[int]:
-        values = self.values
+        lv = self.lv
         heap = self._heap
-        activity = self.activity
+        activity, in_heap = self.activity, self._in_heap
+        pop = heapq.heappop
         while heap:
-            neg_act, var = heapq.heappop(heap)
-            if values[var] is None and activity[var] == -neg_act:
-                return var
+            neg_act, var = pop(heap)
+            if activity[var] == -neg_act:  # the variable's live entry
+                in_heap[var] = False
+                if lv[var] is None:
+                    return var
         var = self._order_head
-        while var <= self.num_vars and values[var] is not None:
+        while var <= self.num_vars and lv[var] is not None:
             var += 1
         self._order_head = var
         return var if var <= self.num_vars else None
@@ -584,7 +619,7 @@ class CdclSolver:
             level = len(self.trail_lim)
             if level < len(assumed):
                 lit = assumed[level]
-                val = self._lit_value(lit)
+                val = self.lv[lit]
                 if val is False:
                     return SatResult.unsat()
                 self.trail_lim.append(len(self.trail))
@@ -593,18 +628,22 @@ class CdclSolver:
                 continue
             var = self._next_decision_var()
             if var is None:
-                model = {v: bool(self.values[v]) for v in range(1, self.num_vars + 1)}
+                model = dict(enumerate(self.lv[1:self.num_vars + 1], 1))
                 self._check_model(model, assumed)
                 return SatResult.sat(model)
             self.trail_lim.append(len(self.trail))
             self._enqueue(var if self.polarity[var] else -var, None)
 
     def _check_model(self, model: dict[int, bool], assumed: list[int]) -> None:
+        # literal-indexed truth table of the model, independent of `lv`
+        values = [model.get(v, False) for v in range(1, self.num_vars + 1)]
+        table = [False, *values, *(not x for x in reversed(values))]
+        truth = table.__getitem__
         for clause in self.original:
-            if not any(model[abs(l)] == (l > 0) for l in clause):
+            if not any(map(truth, clause)):
                 raise AssertionError(f"model does not satisfy clause {clause}")
         for lit in assumed:
-            if model[abs(lit)] != (lit > 0):
+            if not table[lit]:
                 raise AssertionError(f"model does not satisfy assumption {lit}")
 
 

@@ -509,10 +509,8 @@ class TestPerOutput:
             for k in (1, 2, 3):
                 assert outs[f"m{k}"] == self.magnet_value(bits, k)
 
-    def test_guards_evaluated_once_per_point(self, monkeypatch):
-        # per-output runs and the final spec check share one guard cache
-        interface = self.row_interface()
-        spec = self.row_spec(interface)
+    def guard_evaluations(self, monkeypatch, spec):
+        """The spec's guards and a live count of evaluations per (guard, point)."""
         guards = {id(c.guard) for clauses in spec.obligations.values()
                   for c in clauses}
         calls = {}
@@ -525,8 +523,31 @@ class TestPerOutput:
             return real(expr, env)
 
         monkeypatch.setattr(engine, "eval_expr", counting)
+        return guards, calls
+
+    def test_guards_evaluated_once_per_point(self, monkeypatch):
+        # per-output runs and the final spec check share one guard cache
+        interface = self.row_interface()
+        spec = self.row_spec(interface)
+        guards, calls = self.guard_evaluations(monkeypatch, spec)
         result = synthesize(interface, spec, SynthConfig(seed=1))
         assert len(result.per_output) == 3
+        assert len(calls) == len(guards) * 16
+        assert set(calls.values()) == {1}
+
+    def test_repair_evaluates_guards_once_per_point(self, monkeypatch):
+        # repair's per-output point specs share one guard cache, so a row
+        # guard that sets all three outputs is evaluated once per point
+        interface = self.row_interface()
+        spec = self.row_spec(interface)
+        s1, s2, s3, s4 = (Var(n) for n in interface.inputs)
+        block = Block("row", interface, (
+            Statement("m1", Or(And(s1, s2), Not(s3))),
+            Statement("m2", And(s2, s3)),  # drops "OR NOT s4"
+            Statement("m3", And(s3, s4))), Lang.ST)
+        guards, calls = self.guard_evaluations(monkeypatch, spec)
+        result = repair(block, spec, SynthConfig(seed=1))
+        assert [r.iterations > 0 for r in result.per_output] == [False, True, False]
         assert len(calls) == len(guards) * 16
         assert set(calls.values()) == {1}
 

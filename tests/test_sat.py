@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -5,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_satisfiable, random_3cnf
-from plcsynth.blocks import And, Const, Not, Or, UnboundVariable, Var, Xor
+from plcsynth import engine
+from plcsynth.blocks import (
+    And, BlockInterface, Const, Direction, Not, Or, UnboundVariable, Var,
+    VarDecl, Xor,
+)
+from plcsynth.constraints import ConstraintList, Mode, TruthTableRow, compile_spec
 from plcsynth.sat import (
     CdclSolver, CnfFormula, Literal, solve, to_dimacs, tseitin,
 )
@@ -239,6 +246,16 @@ class TestIncremental:
         assert not solver.solve().satisfiable
         assert not solve(cnf(3, [(-1,), (-2,), (1, 2, 3), (1, 2)])).satisfiable
 
+    def test_empty_clause_in_extend_is_unsat(self):
+        # before any propagation (a fresh solver) and after a solve()
+        fresh = CdclSolver(cnf(2, []))
+        fresh.extend(2, [()])
+        assert not fresh.ok and not fresh.solve().satisfiable
+        solved = CdclSolver(cnf(2, []))
+        assert solved.solve().satisfiable
+        solved.extend(2, [()])
+        assert not solved.ok and not solved.solve().satisfiable
+
     @given(chunked_cnf())
     @settings(max_examples=300)
     def test_chunked_extend_matches_fresh_solver(self, case):
@@ -263,3 +280,87 @@ class TestIncremental:
             lit = -1 if got.satisfiable and got.model[1] else 1
             assumed = solver.solve([lit]).satisfiable
             assert assumed == solve(cnf(num_vars, so_far), [lit]).satisfiable
+
+
+def _answers_digest(answers) -> str:
+    h = hashlib.sha256()
+    for res in answers:
+        model = sorted(res.model.items()) if res.satisfiable else None
+        h.update(repr((res.satisfiable, model)).encode())
+    return h.hexdigest()
+
+
+class TestSearchIdentity:
+    """Golden digests of every answer and model on fixed call sequences.
+
+    A kernel change must keep the search identical: the same watch visit
+    order, trail, learned clauses and decisions, hence the same models.
+    The digests were recorded on the solver before its literal-indexed
+    rewrite; a model that differs means the search changed."""
+
+    def magnet_answers(self, seed):
+        names = ["s1", "s2", "s3", "s4"]
+        interface = BlockInterface(tuple(
+            [VarDecl(n, Direction.INPUT) for n in names]
+            + [VarDecl("m2", Direction.OUTPUT)]))
+        rows = []
+        for bits in itertools.product((False, True), repeat=4):
+            env = dict(zip(names, bits))
+            rows.append(TruthTableRow(env, {"m2": (bits[1] and bits[2]) or not bits[3]}))
+        spec = compile_spec(ConstraintList("blk", Mode.GENERATE, interface, tuple(rows)))
+        pspec = engine._PointSpec(names, ["m2"], spec.obligations)
+        template = engine._SlotTemplate(names, 3, ["m2"])
+        grower = engine._GrowingSolver(seed)
+        grower.add(engine._conj(template.wellformed()))
+        for point in engine._seed_points(pspec):
+            grower.add_point(template, point, pspec)
+        answers = []
+        while True:
+            res = grower.solver.solve()
+            answers.append(res)
+            if not res.satisfiable:
+                return answers
+            model = res.model
+            var_map = grower.var_map
+            candidate = template.decode(
+                lambda name: name in var_map and model[var_map[name]])
+            violation = engine._find_violation(candidate, pspec, seed)
+            if violation is None:
+                return answers
+            grower.add_point(template, violation, pspec)
+
+    @pytest.mark.parametrize("seed, solves, digest", [
+        (0, 3, "93e913e7eed58e3350815decfa9aabbbb6d08b4afbe75d522fc3066428afe549"),
+        (1, 5, "11c179cb6f04d769e98c66b8d18b69c1ecbfa40a93265013465d085048d14592"),
+    ])
+    def test_magnet_template_answers(self, seed, solves, digest):
+        answers = self.magnet_answers(seed)
+        assert (len(answers), _answers_digest(answers)) == (solves, digest)
+
+    def random_answers(self):
+        rng = random.Random(20260417)
+        answers = []
+        for trial in range(8):
+            n = rng.randint(50, 90)
+            clauses = random_3cnf(rng, n, round(4.26 * n))
+            solver = CdclSolver(cnf(0, []), seed=trial % 3)
+            if trial == 6:
+                solver._max_learned = 40  # reach the learned-clause reduction
+            if trial == 7:
+                solver._var_inc = 1e99  # reach the activity rescale
+            cuts = sorted(rng.sample(range(1, len(clauses)), rng.randint(1, 2)))
+            for a, b in zip([0] + cuts, cuts + [len(clauses)]):
+                chunk = clauses[a:b]
+                num_vars = max([solver.num_vars] + [abs(l) for c in chunk for l in c])
+                solver.extend(num_vars, chunk)
+                res = solver.solve()
+                answers.append(res)
+                v = rng.randint(1, num_vars)
+                lit = -v if res.satisfiable and res.model[v] else v
+                answers.append(solver.solve([lit]))
+        return answers
+
+    def test_random_3cnf_answers(self):
+        answers = self.random_answers()
+        assert (len(answers), _answers_digest(answers)) == (
+            40, "ce4529877a521cf593b5fb07ec8f6762171a15d05d8fcfd8ce09efc64fec7d44")
