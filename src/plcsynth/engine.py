@@ -11,7 +11,11 @@ template (operator and operand selector variables) with iterative
 deepening on the slot count, so the first verified candidate is minimal.
 Each template keeps one incremental solver; every counterexample point
 reaches it as int clauses, and only the template's well-formedness
-constraints go through expressions and the Tseitin encoder.
+constraints go through expressions and the Tseitin encoder.  Up to
+_CUBE_INPUTS inputs, the spec and each candidate are truth tables held
+as Python ints (one bit per input point), so the first point where a
+candidate fails is the lowest set bit of one mask; wider specs are
+checked by the SAT solver.
 Repair and extension reuse the same template seeded with the original
 program plus an edit budget; simplification synthesizes against the
 block's own behavior.
@@ -22,6 +26,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .blocks import (
@@ -37,6 +43,9 @@ from .sat import CdclSolver, CnfFormula, TseitinEncoder, solve
 
 FALSE = Const(False)
 TRUE = Const(True)
+
+# Specs with at most this many inputs are held as 2^n-bit truth tables.
+_CUBE_INPUTS = 12
 
 
 class Unsatisfiable(Exception):
@@ -198,6 +207,33 @@ def _subst(expr: BoolExpr, env: Mapping[str, BoolExpr]) -> BoolExpr:
         return result
 
     return walk(expr)
+
+
+def _mask(expr: BoolExpr, env: Mapping[str, int], full: int,
+          memo: dict[int, int]) -> int:
+    """Truth table of `expr` from its variables' tables in `env`: bit p is
+    its value at point p, and `full` has every point's bit set.  `memo`
+    is keyed by node identity and belongs to one `env`."""
+    hit = memo.get(id(expr))
+    if hit is not None:
+        return hit
+    if isinstance(expr, Const):
+        result = full if expr.value else 0
+    elif isinstance(expr, Var):
+        try:
+            result = env[expr.name]
+        except KeyError:
+            raise UnboundVariable(expr.name) from None
+    elif isinstance(expr, Not):
+        result = full ^ _mask(expr.operand, env, full, memo)
+    elif isinstance(expr, And):
+        result = _mask(expr.left, env, full, memo) & _mask(expr.right, env, full, memo)
+    elif isinstance(expr, Or):
+        result = _mask(expr.left, env, full, memo) | _mask(expr.right, env, full, memo)
+    else:
+        result = _mask(expr.left, env, full, memo) ^ _mask(expr.right, env, full, memo)
+    memo[id(expr)] = result
+    return result
 
 
 def _symbolic_cycle(block: Block, state: Mapping[str, BoolExpr],
@@ -419,107 +455,89 @@ def _guard_pattern(guard: BoolExpr) -> Optional[dict[str, bool]]:
     return pattern
 
 
-class _GuardValues:
-    """The guards that fire at each point, each distinct guard object
-    evaluated once per point.  Point specs cut from one spec share one,
-    which must hold every guard of each of them."""
-
-    def __init__(self, input_names: Sequence[str], guards: Iterable[BoolExpr]):
-        self.input_names = list(input_names)
-        self.guards = list({id(g): g for g in guards}.values())
-        self._fired: dict[tuple[bool, ...], set[int]] = {}
-
-    def fired(self, point: tuple[bool, ...]) -> set[int]:
-        if point not in self._fired:
-            env = dict(zip(self.input_names, point))
-            self._fired[point] = {id(g) for g in self.guards if eval_expr(g, env)}
-        return self._fired[point]
-
-
 class _PointSpec:
-    """Per-point satisfaction predicate over candidate output values.
+    """What a candidate's outputs must do at each input point.
 
     Combines obligation clauses, assertions and optional pins to the
-    original block's behavior (used by simplify/extend).  A pin for output
+    original block's behavior (used by simplify/extend); a pin for output
     o applies at point x unless one of its release guards fires at x.
+    Everything is read off truth tables: ints with one bit per point of
+    the input cube, numbered in `itertools.product` order with the first
+    input as the most significant bit, so the lowest set bit is the first
+    point in that order.  `memo` keeps the tables of the guards and pins,
+    `ok` one table per output valuation.  Past _CUBE_INPUTS inputs there is
+    no cube: the same walk runs on one point at a time with width-1 masks,
+    and `_find_violation` asks the SAT solver.
     """
 
     def __init__(self, input_names: Sequence[str], outputs: Sequence[str],
                  obligations: Mapping[str, Sequence[ObligationClause]],
                  assertions: Sequence[AssertionClause] = (),
-                 pin_block: Optional[Block] = None,
-                 pin_outputs: Sequence[str] = (),
-                 pin_release: Optional[Mapping[str, Sequence[BoolExpr]]] = None,
-                 guards: Optional[_GuardValues] = None):
+                 pins: Optional[Mapping[str, BoolExpr]] = None,
+                 pin_release: Optional[Mapping[str, Sequence[BoolExpr]]] = None):
         self.input_names = list(input_names)
         self.outputs = list(outputs)
         self.obligations = {o: tuple(obligations.get(o, ())) for o in outputs}
         self.assertions = tuple(assertions)
-        self.pin_block = pin_block
-        self.pin_outputs = [o for o in pin_outputs if o in self.outputs]
-        self.pin_release = {o: tuple((pin_release or {}).get(o, ()))
-                            for o in self.pin_outputs}
-        self.guards = guards or _GuardValues(input_names, [
-            *(c.guard for clauses in self.obligations.values() for c in clauses),
-            *(g for release in self.pin_release.values() for g in release)])
-        self._pin_cache: dict[tuple[bool, ...], dict[str, bool]] = {}
-        self._fired_cache: dict[tuple[bool, ...], list] = {}
-        self._allowed_cache: dict[tuple[bool, ...], list[tuple[bool, ...]]] = {}
+        self.pins = {o: expr for o, expr in (pins or {}).items() if o in self.outputs}
+        self.pin_release = {o: tuple((pin_release or {}).get(o, ())) for o in self.pins}
+        n = len(self.input_names)
+        self.cube = n <= _CUBE_INPUTS
+        if self.cube:
+            # input i is true in the upper half of every run of 2^(s+1)
+            # points, s = n - 1 - i
+            self.full = (1 << (1 << n)) - 1
+            self.env = {name: self.full // ((1 << (2 << s)) - 1)
+                        * (((1 << (1 << s)) - 1) << (1 << s))
+                        for s, name in zip(range(n - 1, -1, -1), self.input_names)}
+            self.memo: dict[int, int] = {}
 
-    def as_env(self, point: tuple[bool, ...]) -> dict[str, bool]:
-        return dict(zip(self.input_names, point))
+    def lowest(self, mask: int) -> Optional[tuple[bool, ...]]:
+        """The first point of a cube mask, None for an empty one."""
+        if not mask:
+            return None
+        index, n = (mask & -mask).bit_length() - 1, len(self.input_names)
+        return tuple(bool(index >> (n - 1 - i) & 1) for i in range(n))
 
-    def _pin_values(self, point: tuple[bool, ...]) -> dict[str, bool]:
-        cached = self._pin_cache.get(point)
-        if cached is None:
-            trace = simulate(self.pin_block, [self.as_env(point)])
-            cached = trace.cycles[0].outputs
-            self._pin_cache[point] = cached
-        return cached
+    def failing(self, outs: Mapping[str, int], env: Mapping[str, int], full: int,
+                memo: dict[int, int]) -> int:
+        """Points where outputs with truth tables `outs` break the spec;
+        `memo` holds guard and pin tables over the input tables `env`."""
+        bad = 0
+        for output in self.outputs:
+            out = outs[output]
+            for clause in self.obligations[output]:
+                wrong = full ^ out if clause.value else out
+                bad |= _mask(clause.guard, env, full, memo) & wrong
+            if output in self.pins:
+                pin = _mask(self.pins[output], env, full, memo)
+                released = [_mask(g, env, full, memo) for g in self.pin_release[output]]
+                bad |= (pin ^ out) & ~reduce(or_, released, 0)
+        env, memo = {**env, **outs}, {}
+        for clause in self.assertions:
+            bad |= full ^ _mask(clause.expr, env, full, memo)
+        return bad
 
-    def _fired(self, point: tuple[bool, ...]) -> list:
-        """Cached (output, clause) pairs whose guards fire at the point."""
-        hit = self._fired_cache.get(point)
-        if hit is None:
-            fired = self.guards.fired(point)
-            hit = [(output, clause)
-                   for output, clauses in self.obligations.items()
-                   for clause in clauses if id(clause.guard) in fired]
-            self._fired_cache[point] = hit
-        return hit
+    def _ok(self, env: Mapping[str, int], full: int, memo: dict[int, int]) -> list[int]:
+        tables = ({o: full if bit else 0 for o, bit in zip(self.outputs, bits)}
+                  for bits in itertools.product((False, True), repeat=len(self.outputs)))
+        return [full ^ self.failing(outs, env, full, memo) for outs in tables]
 
-    def constrained(self, point: tuple[bool, ...]) -> bool:
-        if self.assertions or self.pin_outputs:
-            return True
-        return bool(self._fired(point))
-
-    def holds(self, point: tuple[bool, ...], outs: Mapping[str, bool]) -> bool:
-        for output, clause in self._fired(point):
-            if outs[output] != clause.value:
-                return False
-        if self.assertions:
-            full = self.as_env(point)
-            full.update(outs)
-            for clause in self.assertions:
-                if not eval_expr(clause.expr, full):
-                    return False
-        fired = self.guards.fired(point) if self.pin_outputs else set()
-        for output in self.pin_outputs:
-            if any(id(g) in fired for g in self.pin_release[output]):
-                continue
-            if outs[output] != self._pin_values(point)[output]:
-                return False
-        return True
+    @cached_property
+    def ok(self) -> list[int]:
+        """Per output valuation (product order), the points it meets the spec at."""
+        return self._ok(self.env, self.full, self.memo)
 
     def allowed(self, point: tuple[bool, ...]) -> list[tuple[bool, ...]]:
-        """Cached output valuations (in `outputs` order) meeting the point."""
-        hit = self._allowed_cache.get(point)
-        if hit is None:
-            hit = [bits for bits in itertools.product((False, True),
-                                                      repeat=len(self.outputs))
-                   if self.holds(point, dict(zip(self.outputs, bits)))]
-            self._allowed_cache[point] = hit
-        return hit
+        """Output valuations (in `outputs` order) meeting the point."""
+        if self.cube:
+            oks = self.ok
+            bit = sum(1 << (len(point) - 1 - i) for i, v in enumerate(point) if v)
+        else:
+            env = {name: int(v) for name, v in zip(self.input_names, point)}
+            oks, bit = self._ok(env, 1, {}), 0
+        valuations = itertools.product((False, True), repeat=len(self.outputs))
+        return [bits for bits, ok in zip(valuations, oks) if ok >> bit & 1]
 
     def min_slot_bound(self) -> int:
         """Sound lower bound on the slot count of any satisfying program.
@@ -528,33 +546,32 @@ class _PointSpec:
         slot, which caps the number of distinct input references at
         (#binary slots) + (#outputs); a spec that forces the outputs to
         react to r distinct inputs therefore needs >= r - (#outputs) slots.
+        Input i counts when flipping it turns a point where some output is
+        forced to one value into a point where it is forced to the other.
         """
-        n = len(self.input_names)
-        if n == 0 or n > 12 or len(self.outputs) > 4:
+        n, m = len(self.input_names), len(self.outputs)
+        if n == 0 or not self.cube or m > 4:
             return 1
-
-        def separates(o: int, point: tuple[bool, ...], i: int) -> bool:
-            flipped = point[:i] + (True,) + point[i + 1:]
-            a, b = ({bits[o] for bits in self.allowed(p)} for p in (point, flipped))
-            return bool(a and b and not (a & b))
-
-        required = sum(any(separates(o, point, i)
-                           for point in itertools.product((False, True), repeat=n)
-                           if not point[i] for o in range(len(self.outputs)))
-                       for i in range(n))
-        return max(1, required - len(self.outputs))
+        forced = []  # per output: points where every allowed valuation sets it 0 / 1
+        for o in range(m):
+            can = [0, 0]
+            for bits, ok in zip(itertools.product((False, True), repeat=m), self.ok):
+                can[bits[o]] |= ok
+            forced.append((can[0] & ~can[1], can[1] & ~can[0]))
+        required = sum(any(((f0 & (f1 >> shift)) | (f1 & (f0 >> shift))) & ~self.env[name]
+                           for f0, f1 in forced)
+                       for name, shift in zip(self.input_names,
+                                              (1 << s for s in range(n - 1, -1, -1))))
+        return max(1, required - m)
 
     def violation_expr(self, input_vars: Mapping[str, BoolExpr],
                        outs: Mapping[str, BoolExpr]) -> BoolExpr:
         """Fully symbolic violation predicate (for SAT-based verification)."""
         parts = _violation_exprs(self, {**input_vars, **outs})
-        if self.pin_outputs:
-            orig_env = _symbolic_cycle(self.pin_block, {}, dict(input_vars))
-            for output in self.pin_outputs:
-                released = _disj([_subst(g, input_vars)
-                                  for g in self.pin_release[output]])
-                parts.append(_and(_not(released),
-                                  _xor(outs[output], orig_env[output])))
+        for output in self.pins:
+            released = _disj([_subst(g, input_vars) for g in self.pin_release[output]])
+            parts.append(_and(_not(released),
+                              _xor(outs[output], _subst(self.pins[output], input_vars))))
         return _disj(parts)
 
     def static_contradiction(self) -> Optional[tuple[str, dict[str, bool]]]:
@@ -1012,14 +1029,13 @@ class _GrowingSolver:
 
 def _find_violation(out_exprs: Mapping[str, BoolExpr], pspec: _PointSpec,
                     seed: int) -> Optional[tuple[bool, ...]]:
-    n = len(pspec.input_names)
-    if n <= 12:
-        for point in itertools.product((False, True), repeat=n):
-            env = pspec.as_env(point)
-            outs = {o: eval_expr(expr, env) for o, expr in out_exprs.items()}
-            if not pspec.holds(point, outs):
-                return point
-        return None
+    """The first point (in product order) where the candidate's outputs
+    break the spec; past _CUBE_INPUTS inputs, whichever one SAT finds."""
+    if pspec.cube:
+        memo: dict[int, int] = {}
+        outs = {o: _mask(expr, pspec.env, pspec.full, memo)
+                for o, expr in out_exprs.items()}
+        return pspec.lowest(pspec.failing(outs, pspec.env, pspec.full, pspec.memo))
     input_vars = {name: Var(name) for name in pspec.input_names}
     violation = pspec.violation_expr(input_vars, out_exprs)
     if violation == FALSE:
@@ -1037,8 +1053,11 @@ def _seed_points(pspec: _PointSpec) -> list[tuple[bool, ...]]:
     n = len(pspec.input_names)
     candidates = [(False,) * n, *(tuple(j == i for j in range(n)) for i in range(n)),
                   (True,) * n]
-    return [point for i, point in enumerate(candidates)
-            if point not in candidates[:i] and pspec.constrained(point)]
+    # without assertions and pins, only a firing guard rules out a valuation
+    fixed = bool(pspec.assertions or pspec.pins)
+    every = list(itertools.product((False, True), repeat=len(pspec.outputs)))
+    return [point for i, point in enumerate(candidates) if point not in candidates[:i]
+            and (fixed or pspec.allowed(point) != every)]
 
 
 def _contradiction(what: str, witness: dict[str, bool]) -> Unsatisfiable:
@@ -1049,7 +1068,7 @@ def _contradiction(what: str, witness: dict[str, bool]) -> Unsatisfiable:
 def _check_point(pspec: _PointSpec, point: tuple[bool, ...]) -> None:
     if not pspec.allowed(point):
         raise _contradiction("spec is contradictory at input pattern:",
-                             pspec.as_env(point))
+                             dict(zip(pspec.input_names, point)))
 
 
 def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
@@ -1070,6 +1089,12 @@ def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
     points = _seed_points(pspec)
     for point in points:
         _check_point(pspec, point)
+    # a point no output valuation meets: the templates may run out before
+    # CEGIS reaches it, so look for the first one up front
+    if pspec.cube:
+        dead = pspec.lowest(pspec.full & ~reduce(or_, pspec.ok))
+        if dead is not None:
+            _check_point(pspec, dead)
     for template in rounds:
         solver = _GrowingSolver(cfg.seed)
         solver.add(_conj(template.wellformed()))
@@ -1161,8 +1186,7 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
     per_assertions, coupling = _split_assertions(spec, outputs)
     full_pspec = _PointSpec(inputs, outputs, spec.obligations, spec.assertions)
     if cfg.per_output and not coupling and len(outputs) > 1:
-        jobs = [(o, _PointSpec(inputs, [o], spec.obligations, per_assertions[o],
-                               guards=full_pspec.guards))
+        jobs = [(o, _PointSpec(inputs, [o], spec.obligations, per_assertions[o]))
                 for o in outputs]
     else:
         jobs = [(outputs[0] if len(outputs) == 1 else "*", full_pspec)]
@@ -1219,18 +1243,30 @@ def _repair_rounds(originals: list[_SlotShape], inputs: Sequence[str],
                                 originals=originals, edit_budget=edits)
 
 
-def _minimal_edit_synthesis(block: Block, make_pspec, cfg: SynthConfig,
-                            what: str = "repair") -> SynthesisResult:
+def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
+                            what: str) -> SynthesisResult:
     """Shared core of repair and extend: per output, find the candidate
-    with the fewest changed slots (then fewest slots) meeting its spec."""
+    with the fewest changed slots (then fewest slots) meeting its spec.
+    Extend also pins each output that no assertion mentions to the block's
+    behavior wherever none of that output's guards fire."""
     start = time.perf_counter()
+    _check_same_interface(block, spec)
+    per_assertions, coupling = _split_assertions(spec, block.interface.outputs)
+    if coupling:
+        raise TypeCheckError("assertions couple several outputs; "
+                             f"{what} handles per-output specs only")
     _require_combinational(block.interface, what)
     inputs = block.interface.inputs
     originals = _original_exprs(block)
     exprs = dict(originals)
     runs: list[OutputSynthesis] = []
     for output in block.interface.outputs:
-        pspec = make_pspec(output)
+        pinned = what == "extend" and not any(output in expr_vars(c.expr)
+                                              for c in spec.assertions)
+        pspec = _PointSpec(inputs, [output], spec.obligations, per_assertions[output],
+                           pins={output: originals[output]} if pinned else {},
+                           pin_release={output: [c.guard for c in
+                                                 spec.obligations.get(output, ())]})
         check_start = time.perf_counter()
         if _find_violation({output: originals[output]}, pspec, cfg.seed) is None:
             runs.append(OutputSynthesis(output, 0, 0, 0,
@@ -1261,23 +1297,7 @@ def repair(block: Block, spec: SpecFormula,
     """Make the block satisfy the spec by changing as few of its expression
     nodes as possible (then as few slots as possible).  A block that
     already verifies is returned unchanged with zero iterations."""
-    _check_same_interface(block, spec)
-    outputs = block.interface.outputs
-    per_assertions, coupling = _split_assertions(spec, outputs)
-    if coupling:
-        raise TypeCheckError("assertions couple several outputs; "
-                             "repair handles per-output specs only")
-
-    # one guard cache for the op: a table row guards every output it sets
-    guards = _GuardValues(block.interface.inputs,
-                          [c.guard for clauses in spec.obligations.values()
-                           for c in clauses])
-
-    def make_pspec(output: str) -> _PointSpec:
-        return _PointSpec(block.interface.inputs, [output], spec.obligations,
-                          per_assertions[output], guards=guards)
-
-    return _minimal_edit_synthesis(block, make_pspec, cfg)
+    return _minimal_edit_synthesis(block, spec, cfg, "repair")
 
 
 def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
@@ -1293,8 +1313,7 @@ def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
     for output in block.interface.outputs:
         if output not in assigned:
             continue
-        pspec = _PointSpec(inputs, [output], {}, (), pin_block=block,
-                           pin_outputs=[output], pin_release={})
+        pspec = _PointSpec(inputs, [output], {}, (), pins={output: originals[output]})
         orig_size = len(_encode_original(originals[output], inputs))
         top = min(cfg.max_slots, orig_size)
         candidate, run = _run_cegis(output, _deepening(pspec, top), pspec, cfg)
@@ -1313,29 +1332,4 @@ def extend(block: Block, extra: ConstraintList,
     """Add the extra constraints' behavior with minimal edits; where the
     extra constraints say nothing, the original behavior is preserved
     (new constraints win on overlap)."""
-    extra_spec = compile_spec(extra)
-    _check_same_interface(block, extra_spec)
-    outputs = block.interface.outputs
-    per_assertions, coupling = _split_assertions(extra_spec, outputs)
-    if coupling:
-        raise TypeCheckError("assertions couple several outputs; "
-                             "extend handles per-output specs only")
-    mentioned_in_assertions = {o for o in outputs
-                               if any(o in expr_vars(c.expr)
-                                      for c in extra_spec.assertions)}
-    # one guard cache for the op; an output's obligation guards are also
-    # its pin release guards
-    guards = _GuardValues(block.interface.inputs,
-                          [c.guard for clauses in extra_spec.obligations.values()
-                           for c in clauses])
-
-    def make_pspec(output: str) -> _PointSpec:
-        release = {output: tuple(c.guard for c in
-                                 extra_spec.obligations.get(output, ()))}
-        pin_outputs = [] if output in mentioned_in_assertions else [output]
-        return _PointSpec(block.interface.inputs, [output],
-                          extra_spec.obligations, per_assertions[output],
-                          pin_block=block, pin_outputs=pin_outputs,
-                          pin_release=release, guards=guards)
-
-    return _minimal_edit_synthesis(block, make_pspec, cfg, what="extend")
+    return _minimal_edit_synthesis(block, compile_spec(extra), cfg, "extend")

@@ -396,6 +396,19 @@ class TestSynthesize:
         with pytest.raises(Unsatisfiable):
             synthesize(interface, spec)
 
+    @pytest.mark.parametrize("max_slots", [1, 2, 3, 31])
+    def test_contradiction_found_whatever_the_slot_limit(self, max_slots):
+        # at a=1 b=1 c=0 the table wants y=0 and the assertion y=1; no two
+        # row guards clash, and one slot cannot reach that point by CEGIS
+        interface = iface("i:a", "i:b", "i:c", "o:y")
+        rows = table_rows(["a", "b", "c"], ["y"],
+                          lambda e: {"y": e["a"] ^ e["b"] ^ e["c"]})
+        spec = spec_for(interface, [*rows, Assertion(
+            parse_expression("y OR NOT a OR NOT b OR c"))])
+        with pytest.raises(Unsatisfiable, match="a=1 b=1 c=0") as info:
+            synthesize(interface, spec, SynthConfig(max_slots=max_slots))
+        assert info.value.witness == {"a": True, "b": True, "c": False}
+
     def test_magnet_rule_full_table(self):
         names = ["s1", "s2", "s3", "s4"]
         interface = BlockInterface(tuple(
@@ -445,6 +458,23 @@ class TestSynthesize:
         assert result.iterations >= 1
         assert result.counterexamples_used >= 0
         assert result.wall_time >= 0.0
+
+
+def guard_evaluations(monkeypatch, spec):
+    """A live list of the spec's obligation guards passed to the engine's
+    point evaluator `eval_expr`."""
+    guards = {id(c.guard) for clauses in spec.obligations.values() for c in clauses}
+    assert guards
+    calls = []
+    real = engine.eval_expr
+
+    def counting(expr, env):
+        if id(expr) in guards:
+            calls.append(expr)
+        return real(expr, env)
+
+    monkeypatch.setattr(engine, "eval_expr", counting)
+    return calls
 
 
 class TestPerOutput:
@@ -509,35 +539,17 @@ class TestPerOutput:
             for k in (1, 2, 3):
                 assert outs[f"m{k}"] == self.magnet_value(bits, k)
 
-    def guard_evaluations(self, monkeypatch, spec):
-        """The spec's guards and a live count of evaluations per (guard, point)."""
-        guards = {id(c.guard) for clauses in spec.obligations.values()
-                  for c in clauses}
-        calls = {}
-        real = engine.eval_expr
-
-        def counting(expr, env):
-            if id(expr) in guards:
-                key = (id(expr), tuple(sorted(env.items())))
-                calls[key] = calls.get(key, 0) + 1
-            return real(expr, env)
-
-        monkeypatch.setattr(engine, "eval_expr", counting)
-        return guards, calls
-
-    def test_guards_evaluated_once_per_point(self, monkeypatch):
-        # per-output runs and the final spec check share one guard cache
+    def test_guards_never_evaluated_per_point(self, monkeypatch):
+        # per-output runs and the final spec check read the guards' truth
+        # tables; no guard goes through the point evaluator
         interface = self.row_interface()
         spec = self.row_spec(interface)
-        guards, calls = self.guard_evaluations(monkeypatch, spec)
+        calls = guard_evaluations(monkeypatch, spec)
         result = synthesize(interface, spec, SynthConfig(seed=1))
         assert len(result.per_output) == 3
-        assert len(calls) == len(guards) * 16
-        assert set(calls.values()) == {1}
+        assert calls == []
 
-    def test_repair_evaluates_guards_once_per_point(self, monkeypatch):
-        # repair's per-output point specs share one guard cache, so a row
-        # guard that sets all three outputs is evaluated once per point
+    def test_repair_never_evaluates_guards_per_point(self, monkeypatch):
         interface = self.row_interface()
         spec = self.row_spec(interface)
         s1, s2, s3, s4 = (Var(n) for n in interface.inputs)
@@ -545,11 +557,10 @@ class TestPerOutput:
             Statement("m1", Or(And(s1, s2), Not(s3))),
             Statement("m2", And(s2, s3)),  # drops "OR NOT s4"
             Statement("m3", And(s3, s4))), Lang.ST)
-        guards, calls = self.guard_evaluations(monkeypatch, spec)
+        calls = guard_evaluations(monkeypatch, spec)
         result = repair(block, spec, SynthConfig(seed=1))
         assert [r.iterations > 0 for r in result.per_output] == [False, True, False]
-        assert len(calls) == len(guards) * 16
-        assert set(calls.values()) == {1}
+        assert calls == []
 
     def test_coupling_assertion_forces_joint(self):
         interface = iface("i:a", "o:y", "o:z")
@@ -627,7 +638,8 @@ class TestJointEncoding:
 
 
 class TestWideInputs:
-    """Past 12 inputs the CEGIS verifier switches from enumeration to the
+    """Past 12 inputs there is no truth-table cube: the spec is read one
+    point at a time and the CEGIS verifier switches from bitsets to the
     SAT route; these exercise that path end to end."""
 
     def wide_interface(self, n=13):
@@ -659,6 +671,168 @@ class TestWideInputs:
         block = Block("wide", interface, (Statement("y", expr),))
         result = simplify(block)
         assert result.block.body == (Statement("y", Var("i0")),)
+
+
+def exprs_over(names):
+    leaves = st.sampled_from([Var(n) for n in names] + [Const(False), Const(True)])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub),
+        st.builds(Xor, sub, sub)), max_leaves=16)
+
+
+def without_temps(interface):
+    return BlockInterface(tuple(d for d in interface.decls
+                                if d.direction is not Direction.TEMP))
+
+
+def op_outcomes(block, constraints):
+    """ST, iterations and counterexample count (or the error) of synthesize
+    (per output and joint), repair, simplify and extend on one case; extend
+    gets the last two constraints only, as a long extra list makes it slow."""
+    interface = without_temps(block.interface)
+    spec = spec_for(interface, constraints)
+    extra = ConstraintList("e", Mode.EXTEND, interface, tuple(constraints[-2:]))
+    ops = [lambda: synthesize(interface, spec, SynthConfig(seed=1)),
+           lambda: synthesize(interface, spec, SynthConfig(seed=1, per_output=False)),
+           lambda: repair(block, spec, SynthConfig(seed=1)),
+           lambda: simplify(block, SynthConfig(seed=1)),
+           lambda: extend(block, extra, SynthConfig(seed=1))]
+    outcomes = []
+    for op in ops:
+        try:
+            result = op()
+            outcomes.append((emit(result.block, Lang.ST), result.iterations,
+                             result.counterexamples_used))
+        except (Unsatisfiable, SizeBoundExceeded) as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes
+
+
+def cube_and_point_outcomes(block, constraints):
+    """op_outcomes through the truth-table cube, then with the cube switched
+    off (width-1 masks per point and the SAT counterexample search).  The
+    second pass checks every SAT answer (a violation exactly when the cube
+    finds one, and one by the width-1 masks) and then goes on with the
+    cube's first violating point, and it takes its slot lower bounds from
+    the cube too, so both passes must make the same search."""
+    real_bound = engine._PointSpec.min_slot_bound
+    real_find = engine._find_violation
+
+    def cube_twin(pspec):
+        mp.setattr(engine, "_CUBE_INPUTS", 12)
+        twin = engine._PointSpec(pspec.input_names, pspec.outputs, pspec.obligations,
+                                 pspec.assertions, pspec.pins, pspec.pin_release)
+        mp.setattr(engine, "_CUBE_INPUTS", 0)
+        return twin
+
+    def checked(out_exprs, pspec, seed):
+        assert not pspec.cube
+        found = real_find(out_exprs, pspec, seed)
+        first = real_find(out_exprs, cube_twin(pspec), seed)
+        assert (found is None) == (first is None)
+        if found is not None:
+            env = dict(zip(pspec.input_names, found))
+            assert tuple(eval_expr(out_exprs[o], env) for o in pspec.outputs) \
+                not in pspec.allowed(found)
+        return first
+
+    cube = op_outcomes(block, constraints)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._PointSpec, "min_slot_bound",
+                   lambda pspec: real_bound(cube_twin(pspec)))
+        mp.setattr(engine, "_find_violation", checked)
+        mp.setattr(engine, "_CUBE_INPUTS", 0)
+        points = op_outcomes(block, constraints)
+    return cube, points
+
+
+@st.composite
+def spec_cases(draw):
+    """A random block over 3 inputs and 1-2 outputs (minimal-edit runs
+    over four inputs can take many seconds), with rows on about half the
+    points (at most one row partial) and at most one single-output
+    assertion over its interface."""
+    n, m = 3, draw(st.integers(1, 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    block = random_block(rng, n, m, n_temps=rng.randint(0, 1),
+                         n_statements=rng.randint(m, m + 2), max_expr_size=5)
+    inputs, outputs = block.interface.inputs, block.interface.outputs
+    patterns = [dict(zip(inputs, bits))
+                for bits in itertools.product((False, True), repeat=n)
+                if rng.random() < 0.5]
+    if rng.random() < 0.3:
+        patterns.append({x: rng.random() < 0.5 for x in rng.sample(inputs, n - 1)})
+    constraints = [TruthTableRow(pattern, {o: rng.random() < 0.5 for o in outputs
+                                           if o == told or rng.random() < 0.5})
+                   for pattern in patterns for told in [rng.choice(outputs)]]
+    for _ in range(rng.randint(0, 1)):
+        output = Var(rng.choice(outputs))
+        output = output if rng.random() < 0.5 else Not(output)
+        constraints.append(Assertion(Or(output, random_expr(rng, inputs, 3))))
+    return block, constraints
+
+
+class TestTruthTables:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mask_matches_eval_expr(self, data):
+        names = ["a", "b", "c", "d", "e"][:data.draw(st.integers(0, 5))]
+        expr = data.draw(exprs_over(names))
+        shared = Xor(expr, And(Not(expr), expr))  # memo hits on shared nodes
+        pspec = engine._PointSpec(names, ["y"], {})
+        for e in (expr, shared):
+            table = engine._mask(e, pspec.env, pspec.full, {})
+            assert 0 <= table <= pspec.full
+            for index, point in enumerate(itertools.product((False, True),
+                                                            repeat=len(names))):
+                env = dict(zip(names, point))
+                want = eval_expr(e, env)
+                assert bool(table >> index & 1) == want
+                width1 = engine._mask(e, {x: int(v) for x, v in env.items()}, 1, {})
+                assert width1 == want
+        assert pspec.lowest(pspec.full) == (False,) * len(names)
+
+    @given(spec_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_point_masks_match_cube(self, case):
+        block, constraints = case
+        inputs, outputs = block.interface.inputs, block.interface.outputs
+        spec = spec_for(without_temps(block.interface), constraints)
+        args = (inputs, outputs, spec.obligations, spec.assertions)
+        pins = {"pins": engine._original_exprs(block),
+                "pin_release": {o: [c.guard for c in spec.obligations.get(o, ())]
+                                for o in outputs}}
+        for kw in ({}, pins):
+            cube = engine._PointSpec(*args, **kw)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_CUBE_INPUTS", 0)
+                single = engine._PointSpec(*args, **kw)
+            assert cube.cube and not single.cube
+            for point in itertools.product((False, True), repeat=len(inputs)):
+                assert cube.allowed(point) == single.allowed(point)
+
+    @given(spec_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_ops_match_without_cube(self, case):
+        cube, points = cube_and_point_outcomes(*case)
+        assert cube == points
+
+    def test_ops_match_without_cube_at_twelve_inputs(self):
+        names = [f"i{k}" for k in range(12)]
+        interface = BlockInterface(tuple(
+            [VarDecl(x, Direction.INPUT) for x in names]
+            + [VarDecl("y", Direction.OUTPUT)]))
+        i = [Var(x) for x in names]
+        block = Block("wide", interface, (Statement("y", Or(
+            And(i[0], i[11]), And(i[4], Not(i[4])))),))
+        constraints = [TruthTableRow({"i0": True, "i11": True}, {"y": True}),
+                       TruthTableRow({"i0": False, "i5": True, "i11": True}, {"y": False}),
+                       TruthTableRow({"i11": False, "i2": True}, {"y": True}),
+                       Assertion(parse_expression("NOT y OR i0 OR i2 OR i4"))]
+        cube, points = cube_and_point_outcomes(block, constraints)
+        assert cube == points
+        assert all(isinstance(outcome[1], int) for outcome in cube)
+        assert any(outcome[2] > 0 for outcome in cube)  # counterexamples were used
 
 
 class TestCegisProgress:
@@ -699,24 +873,14 @@ class TestCegisProgress:
         # templates run from the slot lower bound up to the answer's size
         assert 1 <= len(built) <= result.slots_used < result.iterations
 
-    def test_guards_evaluated_once_per_point(self, monkeypatch):
-        # a single-output run covers the whole spec, so the final spec check
-        # reuses the run's per-point guard evaluations
+    def test_guards_never_evaluated_per_point(self, monkeypatch):
+        # a single-output run and the final spec check read the guards'
+        # truth tables; no guard goes through the point evaluator
         interface, spec = self.magnet_case()
-        guards = {id(c.guard) for clauses in spec.obligations.values()
-                  for c in clauses}
-        calls = {}
-        real = engine.eval_expr
-
-        def counting(expr, env):
-            if id(expr) in guards:
-                key = (id(expr), tuple(sorted(env.items())))
-                calls[key] = calls.get(key, 0) + 1
-            return real(expr, env)
-
-        monkeypatch.setattr(engine, "eval_expr", counting)
-        synthesize(interface, spec, SynthConfig(seed=1))
-        assert calls and max(calls.values()) == 1
+        calls = guard_evaluations(monkeypatch, spec)
+        result = synthesize(interface, spec, SynthConfig(seed=1))
+        assert result.counterexamples_used > 0
+        assert calls == []
 
     def test_point_cnf_matches_golden(self):
         # digest of the CNF the Tseitin-encoded point constraints gave this
