@@ -9,9 +9,9 @@ simulator.
 Synthesis searches straight-line candidate programs described by a slot
 template (operator and operand selector variables) with iterative
 deepening on the slot count, so the first verified candidate is minimal.
-Each template keeps one incremental solver; every counterexample point
-reaches it as int clauses, and only the template's well-formedness
-constraints go through expressions and the Tseitin encoder.  Up to
+Each template keeps one incremental solver, which receives the
+template's well-formedness constraints and then every counterexample
+point as int clauses, with no expressions or Tseitin pass between.  Up to
 _CUBE_INPUTS inputs, the spec and each candidate are truth tables held
 as Python ints (one bit per input point), so the first point where a
 candidate fails is the lowest set bit of one mask; wider specs are
@@ -155,11 +155,8 @@ def _xor(a: BoolExpr, b: BoolExpr) -> BoolExpr:
     return Xor(a, b)
 
 
-def _iff(a: BoolExpr, b: BoolExpr) -> BoolExpr:
-    return _not(_xor(a, b))
-
-
-def _fold(items: Sequence[BoolExpr], op, unit: BoolExpr) -> BoolExpr:
+def _fold(items: Sequence, op: Callable, unit):
+    """Balanced fold of `items` by `op` (expressions or gate nodes)."""
     work = list(items)
     if not work:
         return unit
@@ -246,29 +243,6 @@ def _symbolic_cycle(block: Block, state: Mapping[str, BoolExpr],
     for stmt in block.body:
         env[stmt.target] = _subst(stmt.rhs, env)
     return env
-
-
-def _collect_var_names(expr: BoolExpr) -> list[str]:
-    """Variable names in first-visit DFS order (deterministic)."""
-    names: list[str] = []
-    seen_ids: set[int] = set()
-    seen_names: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen_ids:
-            continue
-        seen_ids.add(id(node))
-        if isinstance(node, Var):
-            if node.name not in seen_names:
-                seen_names.add(node.name)
-                names.append(node.name)
-        elif isinstance(node, Not):
-            stack.append(node.operand)
-        elif isinstance(node, (And, Or, Xor)):
-            stack.append(node.right)
-            stack.append(node.left)
-    return names
 
 
 # --------------------------------------------------------------------------
@@ -574,6 +548,17 @@ class _PointSpec:
                               _xor(outs[output], _subst(self.pins[output], input_vars))))
         return _disj(parts)
 
+    def dead_point(self, seed: int) -> Optional[tuple[bool, ...]]:
+        """A point that no output valuation meets, or None: the first one
+        in the cube, past it whichever one SAT finds."""
+        if self.cube:
+            return self.lowest(self.full & ~reduce(or_, self.ok))
+        input_vars = {name: Var(name) for name in self.input_names}
+        valuations = itertools.product((FALSE, TRUE), repeat=len(self.outputs))
+        every = _conj([self.violation_expr(input_vars, dict(zip(self.outputs, v)))
+                       for v in valuations])
+        return _sat_point(every, self.input_names, seed)
+
     def static_contradiction(self) -> Optional[tuple[str, dict[str, bool]]]:
         """Pairwise row-style contradiction: two literal-pattern guards that
         unify yet demand different values for the same output."""
@@ -614,16 +599,54 @@ _OP_CLAUSES = {
 }
 
 
+def _gate_and(a, b) -> tuple:
+    return ("&", a, b)
+
+
+def _gate_or(a, b) -> tuple:
+    return ("|", a, b)
+
+
+def _gate(node, out: list[tuple[int, ...]], fresh: Callable[[], int],
+          memo: dict[int, int]) -> int:
+    """Literal of a gate node: an int literal, ("-", node) for a negation
+    or (kind, left, right) for an AND ("&"), OR ("|") or XOR ("^") gate.
+    On a gate's first use its operands are encoded, it is numbered by
+    `fresh` and its Tseitin definition is appended to `out`."""
+    if type(node) is int:
+        return node
+    if node[0] == "-":
+        return -_gate(node[1], out, fresh, memo)
+    v = memo.get(id(node))
+    if v is None:
+        kind, a, b = node
+        a, b = _gate(a, out, fresh, memo), _gate(b, out, fresh, memo)
+        v = memo[id(node)] = fresh()
+        if kind == "&":
+            out += ((-v, a), (-v, b), (v, -a, -b))
+        elif kind == "|":
+            out += ((-v, a, b), (v, -a), (v, -b))
+        else:
+            out += ((-v, a, b), (-v, -a, -b), (v, a, -b), (v, -a, b))
+    return v
+
+
+def _one_hot(lits: list[int]) -> list[tuple[int, ...]]:
+    """Exactly one of the literals: at least one, then at most one of each
+    pair, every clause with its literals last to first."""
+    return [tuple(lits[::-1]), *((-b, -a) for a, b in itertools.combinations(lits, 2))]
+
+
 class _SlotTemplate:
     """Selector-variable encoding of straight-line candidate programs.
 
     Slot j computes one of: an input, a constant, NOT, AND, OR, XOR of
     operands drawn from the inputs and earlier slots.  Selectors are
     one-hot variables, so per-point semantics turn into short implication
-    clauses that propagate well; `point_clauses` emits them as int clauses.
-    `wellformed` stays an expression list for the Tseitin encoder, built
-    once per template: its pruning and edit-distance parts need gate
-    variables, and search depends on how those are numbered.
+    clauses that propagate well.  `wellformed_clauses` and `point_clauses`
+    emit int clauses straight to the solver, numbered and ordered as the
+    Tseitin encoding of the same constraints as expressions was, since
+    search is very sensitive to that order.
     """
 
     def __init__(self, input_names: Sequence[str], n_slots: int,
@@ -639,7 +662,8 @@ class _SlotTemplate:
         self.prune = prune
         self.originals = originals
         self.edit_budget = edit_budget
-        self._vars: dict[str, Var] = {}
+        if originals is not None and edit_budget < n_slots - len(originals):
+            raise ValueError("edit budget below the number of added slots")
         self._idx = {op: i for i, op in enumerate(self.ops)}
         self._binary_ids = [self._idx[op] for op in (("and",), ("or",), ("xor",))]
         self._leaf_ids = [i for i, op in enumerate(self.ops)
@@ -647,157 +671,146 @@ class _SlotTemplate:
         self._selectors_for: Optional[Callable[[str], int]] = None
         self._selectors: list = []
 
-    # -- selector variables
-
-    def _var(self, name: str) -> Var:
-        v = self._vars.get(name)
-        if v is None:
-            v = Var(name)
-            self._vars[name] = v
-        return v
-
     def domain(self, j: int) -> int:
         return self.n + j
-
-    def op_is(self, j: int, idx: int) -> Var:
-        return self._var(f"op{j}_{idx}")
-
-    def arg_is(self, j: int, which: int, d: int) -> Var:
-        return self._var(f"a{j}_{which}_{d}")
-
-    def out_is(self, o: int, d: int) -> Var:
-        return self._var(f"os{o}_{d}")
-
-    def const_var(self, j: int) -> Var:
-        return self._var(f"cv{j}")
 
     def _op_uses(self, op: tuple) -> int:
         return {"input": 0, "const": 0, "not": 1}.get(op[0], 2)
 
-    def _exactly_one(self, vars_: list[Var]) -> list[BoolExpr]:
-        parts: list[BoolExpr] = [_disj(list(vars_))]
-        for i in range(len(vars_)):
-            for j in range(i + 1, len(vars_)):
-                parts.append(_or(_not(vars_[i]), _not(vars_[j])))
-        return parts
-
     # -- well-formedness and pruning constraints
 
-    def wellformed(self) -> list[BoolExpr]:
-        parts: list[BoolExpr] = []
-        for j in range(self.k):
+    def wellformed_clauses(self, var: Callable[[str], int],
+                           fresh: Callable[[], int]) -> list[tuple[int, ...]]:
+        """Int clauses making the selectors describe one program: one-hot
+        operator, operand and output selectors with unused ones pinned,
+        then a repair template's edit budget, then the pruning rules.
+
+        Selectors are numbered by `var` in first appearance, reading the
+        constraints in order; the gates of the slot-use, duplicate-slot and
+        edit-counter constraints by `fresh`, after all selectors.  Clauses
+        are gathered in reading order, each with its literals last to
+        first; the last pass reverses the list and numbers every gate where
+        it is first met (a slot's match test, shared by its counter row,
+        once).  That is the CNF the Tseitin encoding of these constraints
+        as one conjunction gives, and search depends on it: golden digests
+        in the tests pin it.
+        """
+        n, k = self.n, self.k
+        fwd: list = []  # clause tuples, or lists holding gate nodes
+        sels = []  # per slot: operator selectors, both operand selector lists
+        cvs: list[Optional[int]] = []  # constant bits; None if not mentioned
+        for j in range(k):
             dom = self.domain(j)
-            op_vars = [self.op_is(j, idx) for idx in range(len(self.ops))]
-            parts += self._exactly_one(op_vars)
+            op_sels = [var(f"op{j}_{i}") for i in range(len(self.ops))]
+            fwd += _one_hot(op_sels)
+            arg_sels = []
             for which in (0, 1):
+                arg_sels.append([var(f"a{j}_{which}_{d}") for d in range(dom)])
                 if dom:
-                    parts += self._exactly_one(
-                        [self.arg_is(j, which, d) for d in range(dom)])
-            for idx, op in enumerate(self.ops):
+                    fwd += _one_hot(arg_sels[which])
+            cv = var(f"cv{j}") if dom else None
+            for opv, op in zip(op_sels, self.ops):
                 uses = self._op_uses(op)
                 if dom == 0 and uses > 0:
-                    parts.append(_not(self.op_is(j, idx)))
+                    fwd.append((-opv,))
                     continue
                 # pin unused operand selectors and the constant bit
-                for which in range(uses, 2):
-                    if dom:
-                        parts.append(_or(_not(self.op_is(j, idx)),
-                                         self.arg_is(j, which, 0)))
+                if dom:
+                    fwd += [(arg_sels[which][0], -opv) for which in range(uses, 2)]
                 if op[0] != "const":
-                    parts.append(_or(_not(self.op_is(j, idx)),
-                                     _not(self.const_var(j))))
+                    fwd.append((-cv, -opv))
+            sels.append((op_sels, arg_sels))
+            cvs.append(cv)
+        outs = []
         if len(self.outputs) > 1:
             for o in range(len(self.outputs)):
-                parts += self._exactly_one(
-                    [self.out_is(o, d) for d in range(self.k)])
+                outs.append([var(f"os{o}_{d}") for d in range(k)])
+                fwd += _one_hot(outs[-1])
         if self.originals is not None:
-            parts += self._edit_constraints()
+            budget = self.edit_budget - (k - len(self.originals))
+            if budget < len(self.originals):
+                fwd += self._edit_clauses(budget, sels, var)
         if self.prune:
-            parts += self._pruning_constraints()
-        return parts
+            fwd += self._pruning_clauses(sels, cvs, outs, var)
+        clauses: list[tuple[int, ...]] = []
+        memo: dict[int, int] = {}
+        for clause in reversed(fwd):
+            if type(clause) is list:
+                clause = tuple([_gate(lit, clauses, fresh, memo) for lit in clause])
+            clauses.append(clause)
+        self._selectors_for, self._selectors = var, sels
+        return clauses
 
-    def _output_selects(self, j: int) -> BoolExpr:
-        if len(self.outputs) == 1:
-            return TRUE if j == self.k - 1 else FALSE
-        return _disj([self.out_is(o, j) for o in range(len(self.outputs))])
-
-    def _is_binary(self, j: int) -> BoolExpr:
-        return _disj([self.op_is(j, idx) for idx in self._binary_ids])
-
-    def _is_leafish(self, j: int) -> BoolExpr:
-        return _disj([self.op_is(j, idx) for idx in self._leaf_ids])
-
-    def _pruning_constraints(self) -> list[BoolExpr]:
-        parts: list[BoolExpr] = []
+    def _pruning_clauses(self, sels: list, cvs: list[Optional[int]],
+                         outs: list[list[int]], var: Callable[[str], int]) -> list:
+        """Rules that only cut redundant programs: symmetric or reducible
+        slots, dead slots and duplicate slots."""
+        n, k = self.n, self.k
         not_id = self._idx[("not",)]
-        for j in range(self.k):
-            taps = self._output_selects(j)
+        clauses: list = []
+        for j, (op_sels, (arg0, arg1)) in enumerate(sels):
+            taps = [row[j] for row in reversed(outs)]  # output selectors of slot j
+            tapped = j == k - 1 and not outs  # the single output reads it
             # inputs/constants are only useful where an output taps the slot
-            for idx in self._leaf_ids:
-                parts.append(_or(_not(self.op_is(j, idx)), taps))
+            if not tapped:
+                clauses += [(*taps, -op_sels[i]) for i in self._leaf_ids]
             # commutative operators take strictly ordered operands
-            for idx in self._binary_ids:
-                opv = self.op_is(j, idx)
-                for d0 in range(self.domain(j)):
-                    for d1 in range(d0 + 1):
-                        parts.append(_or(_not(opv),
-                                         _or(_not(self.arg_is(j, 0, d0)),
-                                             _not(self.arg_is(j, 1, d1)))))
+            for i in self._binary_ids:
+                clauses += [(-a1, -a0, -op_sels[i])
+                            for d0, a0 in enumerate(arg0) for a1 in arg1[:d0 + 1]]
             # double negation is always reducible
-            for d in range(self.n, self.domain(j)):
-                parts.append(_or(_not(self.op_is(j, not_id)),
-                                 _or(_not(self.arg_is(j, 0, d)),
-                                     _not(self.op_is(d - self.n, not_id)))))
+            clauses += [(-sels[d - n][0][not_id], -arg0[d], -op_sels[not_id])
+                        for d in range(n, n + j)]
             # every slot must feed a later slot or an output
-            used = [taps]
-            for later in range(j + 1, self.k):
-                ref0 = _and(self.arg_is(later, 0, self.n + j),
-                            _not(self._is_leafish(later)))
-                ref1 = _and(self.arg_is(later, 1, self.n + j),
-                            self._is_binary(later))
-                used.append(_or(ref0, ref1))
-            parts.append(_disj(used))
+            if not tapped:
+                used: list = []
+                for later_ops, (later0, later1) in reversed(sels[j + 1:]):
+                    binary = [later_ops[i] for i in self._binary_ids]
+                    leafish = [later_ops[i] for i in self._leaf_ids]
+                    used.append(("&", later1[n + j], _fold(binary, _gate_or, None)))
+                    used.append(("&", later0[n + j], ("-", _fold(leafish, _gate_or, None))))
+                clauses.append(used + taps)
         # no two slots compute the same thing
-        for i in range(self.k):
-            for j in range(i + 1, self.k):
-                parts.append(_not(self._same_slot(i, j)))
-        return parts
-
-    def _same_slot(self, i: int, j: int) -> BoolExpr:
-        """Slots agree on operator, operands and constant value."""
-        same_op = _disj([_and(self.op_is(i, idx), self.op_is(j, idx))
-                         for idx in range(len(self.ops))])
-        same_args = []
-        for which in (0, 1):
-            if self.domain(i) and self.domain(j):
-                same_args.append(_disj(
-                    [_and(self.arg_is(i, which, d), self.arg_is(j, which, d))
-                     for d in range(min(self.domain(i), self.domain(j)))]))
-        same_cv = _iff(self.const_var(i), self.const_var(j))
-        return _conj([same_op] + same_args + [same_cv])
+        for i, (ops_i, args_i) in enumerate(sels):
+            for j in range(i + 1, k):
+                ops_j, args_j = sels[j]
+                same = [_fold([("&", a, b) for a, b in zip(ops_i, ops_j)], _gate_or, None)]
+                if n + i:
+                    same += [_fold([("&", a, b) for a, b in zip(args_i[w], args_j[w])],
+                                   _gate_or, None) for w in (0, 1)]
+                same.append(("-", ("^", cvs[i] or var(f"cv{i}"), cvs[j])))
+                clauses.append([("-", _fold(same, _gate_and, None))])
+        return clauses
 
     # -- repair: distance to the original encoding
 
-    def _matches_original(self, j: int) -> BoolExpr:
-        shape = self.originals[j]
-        parts: list[BoolExpr] = [self.op_is(j, self._idx[shape.op])]
-        uses = self._op_uses(shape.op)
-        for which in range(2):
-            if self.domain(j):
-                want = shape.args[which] if which < uses else 0
-                parts.append(self.arg_is(j, which, want))
-        cv = self.const_var(j)
-        parts.append(cv if (shape.op[0] == "const" and shape.const) else _not(cv))
-        return _conj(parts)
-
-    def _edit_constraints(self) -> list[BoolExpr]:
-        n_orig = len(self.originals)
-        extra = self.k - n_orig
-        budget = self.edit_budget - extra
-        if budget < 0:
-            return [FALSE]
-        changed = [_not(self._matches_original(j)) for j in range(n_orig)]
-        return _at_most(changed, budget, self._var)
+    def _edit_clauses(self, bound: int, sels: list, var: Callable[[str], int]) -> list:
+        """At most `bound` slots differ from the original program: a
+        sequential counter over the slots, where slot j counts as changed
+        unless an AND gate tree matches it to its original shape."""
+        matches = []
+        for j, shape in enumerate(self.originals):
+            op_sels, arg_sels = sels[j]
+            lits = [op_sels[self._idx[shape.op]]]
+            if arg_sels[0]:
+                uses = self._op_uses(shape.op)
+                lits += [arg_sels[w][shape.args[w] if w < uses else 0] for w in (0, 1)]
+            cv = var(f"cv{j}")
+            lits.append(cv if shape.op[0] == "const" and shape.const else -cv)
+            matches.append(lits)
+        if bound == 0:  # every slot matches
+            return [(lit,) for lits in matches for lit in lits]
+        same = [_fold(lits, _gate_and, None) for lits in matches]
+        regs = [[var(f"amc{i}_{c}") for c in range(bound)] for i in range(len(same) - 1)]
+        clauses: list = [[regs[0][0], same[0]], *((-r,) for r in regs[0][1:])]
+        for i in range(1, len(same) - 1):
+            prev, row = regs[i - 1], regs[i]
+            clauses += ([row[0], same[i]], (row[0], -prev[0]))
+            for c in range(1, bound):
+                clauses += ([row[c], -prev[c - 1], same[i]], (row[c], -prev[c]))
+            clauses.append([-prev[-1], same[i]])
+        clauses.append([-regs[-1][-1], same[-1]])
+        return clauses
 
     # -- per-point evaluation
 
@@ -807,21 +820,18 @@ class _SlotTemplate:
         """Int clauses defining the candidate's slot values at one concrete
         input point and requiring the spec to hold there.
 
-        Selectors are numbered by `var`; slot and operand values, which
-        nothing decodes, by `fresh`.  Disallowed output valuations are
+        Selectors are numbered by `var`, which must have numbered the
+        template's `wellformed_clauses` first; slot and operand values,
+        which nothing decodes, by `fresh`.  Disallowed output valuations are
         blocked by clauses over the output values (defined from the os*
         selectors when there are several outputs).  New variables are
         numbered in first appearance and the clauses come last to first
         with reversed literals: the CNF the Tseitin flattening of their
         conjunction gave, as search is very sensitive to that order.
         """
-        if self._selectors_for != var:  # selector numbers of this solver
-            self._selectors_for = var
-            self._selectors = [
-                ([var(self.op_is(j, idx).name) for idx in range(len(self.ops))],
-                 [[var(self.arg_is(j, which, d).name) for d in range(self.domain(j))]
-                  for which in (0, 1)])
-                for j in range(self.k)]
+        if self._selectors_for != var:
+            raise ValueError("point clauses need the template's well-formedness "
+                             "clauses in the same solver first")
         n = self.n
         sign = [1 if bit else -1 for bit in point]
         clauses: list[tuple[int, ...]] = []
@@ -843,7 +853,7 @@ class _SlotTemplate:
                         add((-sel, av, -vals[d - n]))
             val = fresh()
             vals.append(val)
-            cv = var(self.const_var(j).name)
+            cv = var(f"cv{j}")
             while len(operands) < 2:  # no operand selectors: first seen below
                 operands.append(fresh())
             roles = (0, val, *operands, cv)
@@ -861,7 +871,7 @@ class _SlotTemplate:
                 out = fresh()
                 outs.append(out)
                 for d, v in enumerate(vals):
-                    sel = var(self.out_is(o, d).name)
+                    sel = var(f"os{o}_{d}")
                     add((-sel, -v, out))
                     add((-sel, v, -out))
         allowed = pspec.allowed(point)
@@ -919,30 +929,6 @@ class _SlotTemplate:
         return result
 
 
-def _at_most(exprs: Sequence[BoolExpr], bound: int,
-             make_var: Callable[[str], Var]) -> list[BoolExpr]:
-    """Sequential-counter cardinality constraint over arbitrary expressions."""
-    n = len(exprs)
-    if bound >= n:
-        return []
-    if bound == 0:
-        return [_not(x) for x in exprs]
-    regs = [[make_var(f"amc{i}_{j}") for j in range(bound)] for i in range(n - 1)]
-    parts: list[BoolExpr] = []
-    parts.append(_or(_not(exprs[0]), regs[0][0]))
-    for j in range(1, bound):
-        parts.append(_not(regs[0][j]))
-    for i in range(1, n - 1):
-        parts.append(_or(_not(exprs[i]), regs[i][0]))
-        parts.append(_or(_not(regs[i - 1][0]), regs[i][0]))
-        for j in range(1, bound):
-            parts.append(_or(_not(exprs[i]), _or(_not(regs[i - 1][j - 1]), regs[i][j])))
-            parts.append(_or(_not(regs[i - 1][j]), regs[i][j]))
-        parts.append(_or(_not(exprs[i]), _not(regs[i - 1][bound - 1])))
-    parts.append(_or(_not(exprs[n - 1]), _not(regs[n - 2][bound - 1])))
-    return parts
-
-
 # --------------------------------------------------------------------------
 # Original program encoding (for repair templates)
 
@@ -985,11 +971,11 @@ def _encode_original(expr: BoolExpr, template_inputs: Sequence[str]) -> list[_Sl
 
 
 class _GrowingSolver:
-    """One incremental SAT instance for one slot template.  Well-formedness
-    arrives as expressions and is Tseitin-encoded (`add`); point
-    constraints arrive as int clauses (`add_point`).  Both feed the live
-    solver, which keeps its learned clauses and activities between solve()
-    calls.  Named variables are numbered in first appearance."""
+    """One incremental SAT instance for one slot template.  The template's
+    well-formedness clauses (`add_wellformed`) and then each point's
+    clauses (`add_point`) arrive as int clauses and feed the live solver,
+    which keeps its learned clauses and activities between solve() calls.
+    Named variables are numbered in first appearance, the rest in order."""
 
     def __init__(self, seed: int):
         self.var_map: dict[str, int] = {}
@@ -1006,13 +992,9 @@ class _GrowingSolver:
             index = self.var_map[name] = self.fresh()
         return index
 
-    def add(self, constraint: BoolExpr) -> None:
-        for name in _collect_var_names(constraint):
-            self.var(name)
-        enc = TseitinEncoder(self.var_map, first_fresh=self.next_free)
-        enc.assert_true(constraint)
-        self.next_free = max(self.next_free, enc.num_vars + 1)
-        self.solver.extend(self.next_free - 1, enc.clauses)
+    def add_wellformed(self, template: _SlotTemplate) -> None:
+        clauses = template.wellformed_clauses(self.var, self.fresh)
+        self.solver.extend(self.next_free - 1, clauses)
 
     def add_point(self, template: _SlotTemplate, point: tuple[bool, ...],
                   pspec: _PointSpec) -> None:
@@ -1037,16 +1019,21 @@ def _find_violation(out_exprs: Mapping[str, BoolExpr], pspec: _PointSpec,
                 for o, expr in out_exprs.items()}
         return pspec.lowest(pspec.failing(outs, pspec.env, pspec.full, pspec.memo))
     input_vars = {name: Var(name) for name in pspec.input_names}
-    violation = pspec.violation_expr(input_vars, out_exprs)
-    if violation == FALSE:
+    return _sat_point(pspec.violation_expr(input_vars, out_exprs), pspec.input_names, seed)
+
+
+def _sat_point(expr: BoolExpr, input_names: Sequence[str],
+               seed: int) -> Optional[tuple[bool, ...]]:
+    """An input point where `expr`, over the inputs, holds, or None."""
+    if expr == FALSE:
         return None
-    var_map = {name: i + 1 for i, name in enumerate(pspec.input_names)}
+    var_map = {name: i + 1 for i, name in enumerate(input_names)}
     enc = TseitinEncoder(var_map)
-    root = enc.encode(violation)
+    root = enc.encode(expr)
     result = solve(enc.formula(), assumptions=[root], seed=seed)
     if not result.satisfiable:
         return None
-    return tuple(result.model[var_map[name]] for name in pspec.input_names)
+    return tuple(result.model[var_map[name]] for name in input_names)
 
 
 def _seed_points(pspec: _PointSpec) -> list[tuple[bool, ...]]:
@@ -1089,15 +1076,13 @@ def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
     points = _seed_points(pspec)
     for point in points:
         _check_point(pspec, point)
-    # a point no output valuation meets: the templates may run out before
-    # CEGIS reaches it, so look for the first one up front
-    if pspec.cube:
-        dead = pspec.lowest(pspec.full & ~reduce(or_, pspec.ok))
-        if dead is not None:
-            _check_point(pspec, dead)
+    # the templates may run out before CEGIS reaches a dead point
+    dead = pspec.dead_point(cfg.seed)
+    if dead is not None:
+        _check_point(pspec, dead)
     for template in rounds:
         solver = _GrowingSolver(cfg.seed)
-        solver.add(_conj(template.wellformed()))
+        solver.add_wellformed(template)
         for point in points:
             solver.add_point(template, point, pspec)
         while True:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .blocks import And, BoolExpr, Const, Not, Or, UnboundVariable, Var, Xor
 
@@ -298,7 +298,7 @@ class CdclSolver:
             return False
         return (var * 2654435761 + salt) % density == 0
 
-    def extend(self, num_vars: int, clauses: Iterable[tuple[int, ...]]) -> None:
+    def extend(self, num_vars: int, clauses: Sequence[tuple[int, ...]]) -> None:
         """Grow the variable range and conjoin clauses permanently.
 
         Learned clauses stay valid because additions only strengthen the
@@ -307,10 +307,16 @@ class CdclSolver:
         them (as MiniSat's addClause does): satisfied clauses are skipped
         and false literals dropped, since the watch scheme never revisits a
         literal that was already false when its clause arrived.  An empty
-        clause makes the formula unsatisfiable.
+        clause makes the formula unsatisfiable.  A literal out of range
+        rejects the whole batch before anything changes.
         """
         if num_vars < self.num_vars:
             raise ValueError("cannot shrink the variable range")
+        for clause in clauses:
+            if clause and (0 in clause or max(clause) > num_vars
+                           or min(clause) < -num_vars):
+                bad = next(lit for lit in clause if lit == 0 or abs(lit) > num_vars)
+                raise ValueError(f"literal {bad} out of range")
         self._cancel_until(0)
         # a one-shot load has propagated nothing yet; skip the filter there
         simplify = self.qhead > 0
@@ -327,10 +333,6 @@ class CdclSolver:
             self.num_vars = num_vars
         lv, watches, original = self.lv, self.watches, self.original
         for clause in clauses:
-            if clause and (0 in clause or max(clause) > num_vars
-                           or min(clause) < -num_vars):
-                bad = next(lit for lit in clause if lit == 0 or abs(lit) > num_vars)
-                raise ValueError(f"literal {bad} out of range")
             original.append(tuple(clause))
             if not self.ok:
                 continue

@@ -399,15 +399,20 @@ class TestSynthesize:
     @pytest.mark.parametrize("max_slots", [1, 2, 3, 31])
     def test_contradiction_found_whatever_the_slot_limit(self, max_slots):
         # at a=1 b=1 c=0 the table wants y=0 and the assertion y=1; no two
-        # row guards clash, and one slot cannot reach that point by CEGIS
-        interface = iface("i:a", "i:b", "i:c", "o:y")
-        rows = table_rows(["a", "b", "c"], ["y"],
-                          lambda e: {"y": e["a"] ^ e["b"] ^ e["c"]})
-        spec = spec_for(interface, [*rows, Assertion(
-            parse_expression("y OR NOT a OR NOT b OR c"))])
-        with pytest.raises(Unsatisfiable, match="a=1 b=1 c=0") as info:
-            synthesize(interface, spec, SynthConfig(max_slots=max_slots))
-        assert info.value.witness == {"a": True, "b": True, "c": False}
+        # row guards clash, and one slot cannot reach that point by CEGIS;
+        # with 10 unused inputs more there is no cube and SAT must find it
+        for pad in (0, 10):
+            names = ["a", "b", "c", *(f"p{x}" for x in range(pad))]
+            interface = iface(*(f"i:{x}" for x in names), "o:y")
+            rows = table_rows(["a", "b", "c"], ["y"],
+                              lambda e: {"y": e["a"] ^ e["b"] ^ e["c"]})
+            spec = spec_for(interface, [*rows, Assertion(
+                parse_expression("y OR NOT a OR NOT b OR c"))])
+            with pytest.raises(Unsatisfiable, match="a=1 b=1 c=0") as info:
+                synthesize(interface, spec, SynthConfig(max_slots=max_slots))
+            witness = info.value.witness
+            assert list(witness) == names
+            assert {x: witness[x] for x in "abc"} == {"a": True, "b": True, "c": False}
 
     def test_magnet_rule_full_table(self):
         names = ["s1", "s2", "s3", "s4"]
@@ -711,11 +716,12 @@ def op_outcomes(block, constraints):
 def cube_and_point_outcomes(block, constraints):
     """op_outcomes through the truth-table cube, then with the cube switched
     off (width-1 masks per point and the SAT counterexample search).  The
-    second pass checks every SAT answer (a violation exactly when the cube
-    finds one, and one by the width-1 masks) and then goes on with the
-    cube's first violating point, and it takes its slot lower bounds from
-    the cube too, so both passes must make the same search."""
+    second pass checks every SAT answer (a violation or a dead point
+    exactly when the cube finds one, and one by the width-1 masks) and then
+    goes on with the cube's first such point, and it takes its slot lower
+    bounds from the cube too, so both passes must make the same search."""
     real_bound = engine._PointSpec.min_slot_bound
+    real_dead = engine._PointSpec.dead_point
     real_find = engine._find_violation
 
     def cube_twin(pspec):
@@ -736,10 +742,19 @@ def cube_and_point_outcomes(block, constraints):
                 not in pspec.allowed(found)
         return first
 
+    def checked_dead(pspec, seed):
+        assert not pspec.cube
+        found = real_dead(pspec, seed)
+        first = real_dead(cube_twin(pspec), seed)
+        assert (found is None) == (first is None)
+        assert found is None or pspec.allowed(found) == []
+        return first
+
     cube = op_outcomes(block, constraints)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._PointSpec, "min_slot_bound",
                    lambda pspec: real_bound(cube_twin(pspec)))
+        mp.setattr(engine._PointSpec, "dead_point", checked_dead)
         mp.setattr(engine, "_find_violation", checked)
         mp.setattr(engine, "_CUBE_INPUTS", 0)
         points = op_outcomes(block, constraints)
@@ -890,7 +905,7 @@ class TestCegisProgress:
         pspec = engine._PointSpec(interface.inputs, ["m2"], spec.obligations)
         template = engine._SlotTemplate(interface.inputs, 3, ["m2"])
         solver = engine._GrowingSolver(1)
-        solver.add(engine._conj(template.wellformed()))
+        solver.add_wellformed(template)
         points = engine._seed_points(pspec)
         for point in points:
             solver.add_point(template, point, pspec)
@@ -902,6 +917,44 @@ class TestCegisProgress:
         assert (len(cnf.clauses), cnf.num_vars) == (1431, 256)
         assert hashlib.sha256(to_dimacs(cnf).encode()).hexdigest() == (
             "dc927ddf66dab33d3aebb80e332beba9e0e20ce66b8ad609a6dec29922fa0211")
+
+    @staticmethod
+    def template_sweep():
+        """Plain templates over 0-5 inputs, 1-6 slots and 1-3 outputs, with
+        and without pruning, then the repair rounds of fixed random
+        expressions over 0-4 inputs (0-input blocks are all constants)."""
+        for n in range(6):
+            inputs = [f"i{x}" for x in range(n)]
+            for k, m, prune in itertools.product(range(1, 7), range(1, 4), (True, False)):
+                yield engine._SlotTemplate(inputs, k, [f"o{x}" for x in range(m)], prune)
+        rng = random.Random(20261018)
+        for trial in range(60):
+            inputs = [f"i{x}" for x in range(trial % 5)]
+            shapes = engine._encode_original(random_expr(rng, inputs, rng.randint(1, 6)),
+                                             inputs)
+            yield from engine._repair_rounds(shapes, inputs, "y",
+                                             SynthConfig(max_slots=len(shapes) + 2))
+
+    def test_template_cnf_matches_golden(self):
+        # digest of the CNF, names and next free variable each template's
+        # well-formedness constraints gave through the Tseitin encoder;
+        # search is very sensitive to variable and clause order
+        digest, count = hashlib.sha256(), 0
+        for template in self.template_sweep():
+            solver = engine._GrowingSolver(0)
+            solver.add_wellformed(template)
+            digest.update(repr((solver.solver.original, solver.var_map,
+                                solver.next_free)).encode())
+            count += 1
+        assert (count, digest.hexdigest()) == (
+            900, "18d734f547ba41f3045e2959e5a04df9e0b99106004aba85da618be4e1a53051")
+
+    def test_edit_budget_below_added_slots_rejected(self):
+        # repair rounds never add more slots than edits
+        shapes = engine._encode_original(Not(Var("a")), ["a"])
+        engine._SlotTemplate(["a"], 2, ["y"], originals=shapes, edit_budget=1)
+        with pytest.raises(ValueError, match="edit budget"):
+            engine._SlotTemplate(["a"], 3, ["y"], originals=shapes, edit_budget=1)
 
     def test_same_seed_same_bytes(self):
         interface, spec = self.magnet_case()

@@ -256,6 +256,21 @@ class TestIncremental:
         solved.extend(2, [()])
         assert not solved.ok and not solved.solve().satisfiable
 
+    def test_out_of_range_literal_rejects_whole_batch(self):
+        # the error names the first bad literal, and nothing of the batch
+        # is loaded or propagated, on a fresh solver and after a solve()
+        solver = CdclSolver(cnf(2, []))
+        with pytest.raises(ValueError, match="literal 3 out of range"):
+            solver.extend(2, [(1, 2), (-1,), (3,)])
+        assert (solver.original, solver.trail, solver.num_vars) == ([], [], 2)
+        solver.extend(2, [(1, 2)])
+        assert solver.solve().satisfiable
+        trail = list(solver.trail)
+        with pytest.raises(ValueError, match="literal -4 out of range"):
+            solver.extend(3, [(-1,), (2, -4, 0)])
+        assert (solver.original, solver.trail, solver.num_vars) == ([(1, 2)], trail, 2)
+        assert solver.solve().satisfiable
+
     @given(chunked_cnf())
     @settings(max_examples=300)
     def test_chunked_extend_matches_fresh_solver(self, case):
@@ -311,7 +326,7 @@ class TestSearchIdentity:
         pspec = engine._PointSpec(names, ["m2"], spec.obligations)
         template = engine._SlotTemplate(names, 3, ["m2"])
         grower = engine._GrowingSolver(seed)
-        grower.add(engine._conj(template.wellformed()))
+        grower.add_wellformed(template)
         for point in engine._seed_points(pspec):
             grower.add_point(template, point, pspec)
         answers = []
