@@ -514,14 +514,24 @@ class _PointSpec:
         return [bits for bits, ok in zip(valuations, oks) if ok >> bit & 1]
 
     def min_slot_bound(self) -> int:
-        """Sound lower bound on the slot count of any satisfying program.
+        """Sound lower bound on the slot count of any satisfying program,
+        the larger of two arguments; 1 without a cube or inputs.
 
-        Stripping dead code leaves every non-output slot feeding another
-        slot, which caps the number of distinct input references at
-        (#binary slots) + (#outputs); a spec that forces the outputs to
-        react to r distinct inputs therefore needs >= r - (#outputs) slots.
-        Input i counts when flipping it turns a point where some output is
-        forced to one value into a point where it is forced to the other.
+        Input count (up to 4 outputs): stripping dead code leaves every
+        non-output slot feeding another slot, which caps the number of
+        distinct input references at (#binary slots) + (#outputs); a spec
+        that forces the outputs to react to r distinct inputs therefore
+        needs >= r - (#outputs) slots.  Input i counts when flipping it
+        turns a point where some output is forced to one value into a
+        point where it is forced to the other.
+
+        Enumeration (one output, when the input count gives 2 or less):
+        a one-slot program computes an input, 0, full, NOT of an input or
+        AND/OR/XOR of two inputs; a two-slot one, besides those, NOT of a
+        one-slot table or AND/OR/XOR of one with an input.  The least k
+        whose tables hold one meeting the spec, else 3, is exact up to
+        two slots, so no template of fewer slots than this bound can hold
+        a program.
         """
         n, m = len(self.input_names), len(self.outputs)
         if n == 0 or not self.cube or m > 4:
@@ -536,7 +546,20 @@ class _PointSpec:
                            for f0, f1 in forced)
                        for name, shift in zip(self.input_names,
                                               (1 << s for s in range(n - 1, -1, -1))))
-        return max(1, required - m)
+        bound = max(1, required - m)
+        if m > 1 or bound > 2:
+            return bound
+        full, inputs = self.full, list(self.env.values())
+        # points where the output must be 0, where it must be 1
+        must0, must1 = full & ~self.ok[1], full & ~self.ok[0]
+        one = {0, full, *inputs, *(full ^ x for x in inputs)}
+        for x, y in itertools.combinations(inputs, 2):
+            one |= {x & y, x | y, x ^ y}
+        two = (g for f in one
+               for g in (full ^ f, *(h for x in inputs for h in (f & x, f | x, f ^ x))))
+        exact = next((k for k, tables in enumerate((one, two), 1)
+                      if any(f & must0 == 0 and f & must1 == must1 for f in tables)), 3)
+        return max(bound, exact)
 
     def violation_expr(self, input_vars: Mapping[str, BoolExpr],
                        outs: Mapping[str, BoolExpr]) -> BoolExpr:
@@ -1279,9 +1302,12 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
 
 def repair(block: Block, spec: SpecFormula,
            cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
-    """Make the block satisfy the spec by changing as few of its expression
-    nodes as possible (then as few slots as possible).  A block that
-    already verifies is returned unchanged with zero iterations."""
+    """Make the block satisfy the spec by changing as few slots of its
+    straight-line encoding as possible, then using as few slots as
+    possible.  A slot counts as changed when its operator, operands or
+    constant differ, however many expression nodes that touches, so
+    `a OR b` may become `b AND a`.  A block that already verifies is
+    returned unchanged with zero iterations."""
     return _minimal_edit_synthesis(block, spec, cfg, "repair")
 
 

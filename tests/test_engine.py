@@ -3,11 +3,12 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     all_assignments, blocks_equivalent, output_table, random_block, random_expr,
+    reachable_functions,
 )
 from plcsynth.blocks import (
     And, Block, BlockInterface, Const, Direction, Lang, Not, Or, Statement,
@@ -17,6 +18,7 @@ from plcsynth.constraints import (
     Assertion, ConstraintList, Mode, TruthTableRow, compile_spec,
 )
 from plcsynth import engine
+from plcsynth.bench import magnet_rule
 from plcsynth.engine import (
     SizeBoundExceeded, SynthConfig, Unsatisfiable, Verified, Violated,
     equivalent, extend, repair, simplify, synthesize, verify,
@@ -874,14 +876,7 @@ class TestCegisProgress:
         return interface, spec_for(interface, table_rows(names, ["m2"], rule))
 
     def test_one_solver_per_template(self, monkeypatch):
-        built = []
-
-        class CountingSolver(engine.CdclSolver):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "CdclSolver", CountingSolver)
+        built = count_solvers(monkeypatch)
         interface, spec = self.magnet_case()
         result = synthesize(interface, spec, SynthConfig(seed=1))
         assert result.counterexamples_used > 0
@@ -1037,6 +1032,20 @@ class TestRepair:
                 matching.append(cand)
         assert matching == [And(Var("a"), Var("b"))]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_changed_slot_whatever_the_seed(self, seed):
+        # the edit count is in slots: And(b, a) is as good as And(a, b)
+        original = Or(Var("a"), Var("b"))
+        block = Block("orb", IFACE_AB_Y, (Statement("y", original),))
+        result = repair(block, and_table_spec(), SynthConfig(seed=seed))
+        assert output_table(result.block, "y") == {
+            bits: bits[0] and bits[1]
+            for bits in itertools.product((False, True), repeat=2)}
+        before = engine._encode_original(original, ["a", "b"])
+        after = engine._encode_original(result.block.body[0].rhs, ["a", "b"])
+        changed = sum(x != y for x, y in zip(before, after)) + abs(len(before) - len(after))
+        assert changed == 1
+
     def test_satisfying_block_unchanged(self):
         block = Block("ok", IFACE_AB_Y, (Statement("y", And(Var("a"), Var("b"))),))
         result = repair(block, and_table_spec())
@@ -1152,8 +1161,6 @@ class TestExtend:
 
 class TestMinimality:
     def test_no_smaller_program_exists(self):
-        from helpers import reachable_functions
-
         rng = random.Random(123)
         names = ["a", "b", "c"]
         interface = BlockInterface(tuple(
@@ -1182,3 +1189,118 @@ class TestMinimality:
                 assert not any(satisfies(vec)
                                for vec in reachable_functions(3, smaller)), \
                     f"trial {trial}: {k}-slot result not minimal"
+
+
+@st.composite
+def single_output_specs(draw):
+    """A spec for one output y over 2-4 inputs: rows on some points, maybe
+    one partial row, maybe an assertion on y, and maybe a pin of y to an
+    expression, released wherever a row's guard fires (as extend pins)."""
+    inputs = [f"i{k}" for k in range(draw(st.integers(2, 4)))]
+    interface = BlockInterface(tuple(
+        [VarDecl(x, Direction.INPUT) for x in inputs] + [VarDecl("y", Direction.OUTPUT)]))
+    points = list(itertools.product((False, True), repeat=len(inputs)))
+    constraints = [TruthTableRow(dict(zip(inputs, bits)), {"y": draw(st.booleans())})
+                   for bits in draw(st.lists(st.sampled_from(points), unique=True))]
+    if draw(st.booleans()):
+        told = draw(st.lists(st.sampled_from(inputs), min_size=1,
+                             max_size=len(inputs) - 1, unique=True))
+        constraints.append(TruthTableRow({x: draw(st.booleans()) for x in told},
+                                         {"y": draw(st.booleans())}))
+    if draw(st.booleans()):
+        y = Var("y") if draw(st.booleans()) else Not(Var("y"))
+        constraints.append(Assertion(Or(y, draw(exprs_over(inputs)))))
+    return inputs, spec_for(interface, constraints), draw(st.none() | exprs_over(inputs))
+
+
+def least_slots(n_inputs, meets, top=3):
+    """The fewest slots (up to `top`) of a program whose truth vector, in
+    the point order of `reachable_functions`, `meets` accepts; else None."""
+    return next((k for k in range(1, top + 1)
+                 if any(map(meets, reachable_functions(n_inputs, k)))), None)
+
+
+def count_solvers(monkeypatch):
+    """A live list with one entry per CdclSolver the engine builds."""
+    built = []
+
+    class CountingSolver(engine.CdclSolver):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "CdclSolver", CountingSolver)
+    return built
+
+
+class TestSlotBound:
+    @given(single_output_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_bound_sound_and_exact_to_two_slots(self, case):
+        inputs, spec, pin = case
+        guards = [c.guard for c in spec.obligations.get("y", ())]
+        pspec = engine._PointSpec(inputs, ["y"], spec.obligations, spec.assertions,
+                                  pins={"y": pin} if pin is not None else None,
+                                  pin_release={"y": guards})
+        allowed = {}  # point index as in reachable_functions -> values of y
+        for bits in itertools.product((False, True), repeat=len(inputs)):
+            env = dict(zip(inputs, bits))
+            pinned = pin is not None and not any(eval_expr(g, env) for g in guards)
+            allowed[sum(b << i for i, b in enumerate(bits))] = [
+                v for v in (False, True) if spec_holds(spec, {**env, "y": v})
+                and not (pinned and eval_expr(pin, env) != v)]
+
+        def meets(vec):
+            return all(bool(vec >> index & 1) in values for index, values in allowed.items())
+
+        least = least_slots(len(inputs), meets)
+        bound = pspec.min_slot_bound()
+        if least is not None:
+            assert bound <= least
+        if least is not None and least <= 2:
+            assert bound == least
+        else:
+            assert bound >= 3
+
+    @given(st.dictionaries(st.sampled_from(list(itertools.product((False, True), repeat=3))),
+                           st.booleans(), min_size=1),
+           st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_synthesize_writes_the_minimum(self, table, seed):
+        names = ["a", "b", "c"]
+        least = least_slots(3, lambda vec: all(
+            bool(vec >> sum(b << i for i, b in enumerate(bits)) & 1) == v
+            for bits, v in table.items()))
+        assume(least is not None)
+        interface = iface("i:a", "i:b", "i:c", "o:y")
+        spec = spec_for(interface, [TruthTableRow(dict(zip(names, bits)), {"y": v})
+                                    for bits, v in table.items()])
+        result = synthesize(interface, spec, SynthConfig(seed=seed))
+        got = output_table(result.block, "y")
+        assert all(got[bits] == v for bits, v in table.items())
+        assert result.slots_used == least
+        assert engine._slot_count(result.block.body[0].rhs) == least
+
+    def test_magnet1_opens_one_template(self, monkeypatch):
+        # inputs alone bound m1 = (s1 AND s2) OR NOT s3 by 2 slots; no
+        # two-slot program computes it, so k = 2 is never opened
+        names = ["s1", "s2", "s3", "s4"]
+        interface = iface(*(f"i:{x}" for x in names), "o:m1")
+        spec = spec_for(interface, table_rows(names, ["m1"], lambda e: {
+            "m1": magnet_rule([e[x] for x in names], 1)}))
+        built = count_solvers(monkeypatch)
+        result = synthesize(interface, spec, SynthConfig(seed=1))
+        assert result.slots_used == 3
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("fn, k", [(lambda e: e["a"], 1),
+                                       (lambda e: e["a"] and not e["b"], 2)],
+                             ids=["a", "a-and-not-b"])
+    def test_small_minimum_starts_at_its_k(self, monkeypatch, fn, k):
+        spec = spec_for(IFACE_AB_Y, table_rows(["a", "b"], ["y"], lambda e: {"y": fn(e)}))
+        pspec = engine._PointSpec(["a", "b"], ["y"], spec.obligations)
+        assert pspec.min_slot_bound() == k
+        built = count_solvers(monkeypatch)
+        result = synthesize(IFACE_AB_Y, spec, SynthConfig(seed=1))
+        assert result.slots_used == k
+        assert len(built) == 1
