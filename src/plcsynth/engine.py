@@ -9,12 +9,12 @@ simulator.
 Synthesis searches straight-line candidate programs described by a slot
 template (operator and operand selector variables) with iterative
 deepening on the slot count, so the first verified candidate is minimal.
-Each template keeps one incremental solver, which receives the
-template's well-formedness constraints and then every counterexample
-point as int clauses, with no expressions or Tseitin pass between.  Up to
-_CUBE_INPUTS inputs, the spec and each candidate are truth tables held
-as Python ints (one bit per input point), so the first point where a
-candidate fails is the lowest set bit of one mask; wider specs are
+Each template numbers its own variables and owns one incremental solver,
+which receives the template's well-formedness constraints and then every
+counterexample point as int clauses, with no expressions or Tseitin pass
+between.  Up to _CUBE_INPUTS inputs, the spec and each candidate are truth
+tables held as Python ints (one bit per input point), so the first point
+where a candidate fails is the lowest set bit of one mask; wider specs are
 checked by the SAT solver.
 Repair and extension reuse the same template seeded with the original
 program plus an edit budget; simplification synthesizes against the
@@ -70,7 +70,6 @@ class SynthConfig:
     per_output: bool = True
     unwind_cycles: int = 1
     symbolic_init: bool = False
-    edit_penalty: bool = True
 
     def __post_init__(self):
         if self.max_slots < 1:
@@ -661,19 +660,24 @@ def _one_hot(lits: list[int]) -> list[tuple[int, ...]]:
 
 
 class _SlotTemplate:
-    """Selector-variable encoding of straight-line candidate programs.
+    """Selector-variable encoding of straight-line candidate programs, and
+    the one incremental solver that searches it.
 
     Slot j computes one of: an input, a constant, NOT, AND, OR, XOR of
     operands drawn from the inputs and earlier slots.  Selectors are
     one-hot variables, so per-point semantics turn into short implication
-    clauses that propagate well.  `wellformed_clauses` and `point_clauses`
-    emit int clauses straight to the solver, numbered and ordered as the
-    Tseitin encoding of the same constraints as expressions was, since
-    search is very sensitive to that order.
+    clauses that propagate well.  The template numbers every variable
+    itself (`num_vars` counts them) and keeps its selectors as ints for
+    `decode`.  Construction loads the well-formedness clauses into
+    `solver`; `add_point` adds one point's clauses, and the solver keeps
+    its learned clauses and activities between `solve` calls.  The int
+    clauses are numbered and ordered as the Tseitin encoding of the same
+    constraints as expressions was, since search is very sensitive to
+    that order.
     """
 
     def __init__(self, input_names: Sequence[str], n_slots: int,
-                 outputs: Sequence[str], prune: bool = True,
+                 outputs: Sequence[str], seed: int, prune: bool = True,
                  originals: Optional[list[_SlotShape]] = None,
                  edit_budget: Optional[int] = None):
         self.inputs = list(input_names)
@@ -691,47 +695,58 @@ class _SlotTemplate:
         self._binary_ids = [self._idx[op] for op in (("and",), ("or",), ("xor",))]
         self._leaf_ids = [i for i, op in enumerate(self.ops)
                           if op[0] in ("input", "const")]
-        self._selectors_for: Optional[Callable[[str], int]] = None
-        self._selectors: list = []
-
-    def domain(self, j: int) -> int:
-        return self.n + j
+        self.num_vars = 0
+        clauses = self._wellformed_clauses()
+        self.solver = CdclSolver(CnfFormula(0, ()), seed=seed)
+        self.solver.extend(self.num_vars, clauses)
 
     def _op_uses(self, op: tuple) -> int:
         return {"input": 0, "const": 0, "not": 1}.get(op[0], 2)
 
+    def _fresh(self) -> int:
+        self.num_vars += 1
+        return self.num_vars
+
+    def _cv(self, j: int) -> int:
+        """Slot j's constant bit.  A slot with no operands (slot 0 without
+        inputs) gets it numbered where it is first mentioned: the edit
+        counter, the duplicate-slot rule or the first point."""
+        if self._cvs[j] is None:
+            self._cvs[j] = self._fresh()
+        return self._cvs[j]
+
     # -- well-formedness and pruning constraints
 
-    def wellformed_clauses(self, var: Callable[[str], int],
-                           fresh: Callable[[], int]) -> list[tuple[int, ...]]:
+    def _wellformed_clauses(self) -> list[tuple[int, ...]]:
         """Int clauses making the selectors describe one program: one-hot
         operator, operand and output selectors with unused ones pinned,
         then a repair template's edit budget, then the pruning rules.
 
-        Selectors are numbered by `var` in first appearance, reading the
+        Selectors are numbered in first appearance, reading the
         constraints in order; the gates of the slot-use, duplicate-slot and
-        edit-counter constraints by `fresh`, after all selectors.  Clauses
-        are gathered in reading order, each with its literals last to
-        first; the last pass reverses the list and numbers every gate where
-        it is first met (a slot's match test, shared by its counter row,
-        once).  That is the CNF the Tseitin encoding of these constraints
-        as one conjunction gives, and search depends on it: golden digests
-        in the tests pin it.
+        edit-counter constraints after all selectors.  Clauses are
+        gathered in reading order, each with its literals last to first;
+        the last pass reverses the list and numbers every gate where it is
+        first met (a slot's match test, shared by its counter row, once).
+        That is the CNF the Tseitin encoding of these constraints as one
+        conjunction gives, and search depends on it: golden digests in the
+        tests pin it.
         """
-        n, k = self.n, self.k
+        k, fresh = self.k, self._fresh
         fwd: list = []  # clause tuples, or lists holding gate nodes
-        sels = []  # per slot: operator selectors, both operand selector lists
-        cvs: list[Optional[int]] = []  # constant bits; None if not mentioned
+        # per slot: operator selectors, both operand selector lists
+        self._selectors: list[tuple[list[int], list[list[int]]]] = []
+        self._cvs: list[Optional[int]] = []  # constant bits; None until mentioned
         for j in range(k):
-            dom = self.domain(j)
-            op_sels = [var(f"op{j}_{i}") for i in range(len(self.ops))]
+            dom = self.n + j  # operands: the inputs, then earlier slots
+            op_sels = [fresh() for _ in self.ops]
             fwd += _one_hot(op_sels)
             arg_sels = []
             for which in (0, 1):
-                arg_sels.append([var(f"a{j}_{which}_{d}") for d in range(dom)])
+                arg_sels.append([fresh() for _ in range(dom)])
                 if dom:
                     fwd += _one_hot(arg_sels[which])
-            cv = var(f"cv{j}") if dom else None
+            cv = fresh() if dom else None
             for opv, op in zip(op_sels, self.ops):
                 uses = self._op_uses(op)
                 if dom == 0 and uses > 0:
@@ -742,33 +757,31 @@ class _SlotTemplate:
                     fwd += [(arg_sels[which][0], -opv) for which in range(uses, 2)]
                 if op[0] != "const":
                     fwd.append((-cv, -opv))
-            sels.append((op_sels, arg_sels))
-            cvs.append(cv)
-        outs = []
-        if len(self.outputs) > 1:
-            for o in range(len(self.outputs)):
-                outs.append([var(f"os{o}_{d}") for d in range(k)])
-                fwd += _one_hot(outs[-1])
+            self._selectors.append((op_sels, arg_sels))
+            self._cvs.append(cv)
+        # per output of a joint template: which slot it reads
+        joint = len(self.outputs) > 1
+        self._outs = [[fresh() for _ in range(k)] for _ in self.outputs if joint]
+        for row in self._outs:
+            fwd += _one_hot(row)
         if self.originals is not None:
             budget = self.edit_budget - (k - len(self.originals))
             if budget < len(self.originals):
-                fwd += self._edit_clauses(budget, sels, var)
+                fwd += self._edit_clauses(budget)
         if self.prune:
-            fwd += self._pruning_clauses(sels, cvs, outs, var)
+            fwd += self._pruning_clauses()
         clauses: list[tuple[int, ...]] = []
         memo: dict[int, int] = {}
         for clause in reversed(fwd):
             if type(clause) is list:
                 clause = tuple([_gate(lit, clauses, fresh, memo) for lit in clause])
             clauses.append(clause)
-        self._selectors_for, self._selectors = var, sels
         return clauses
 
-    def _pruning_clauses(self, sels: list, cvs: list[Optional[int]],
-                         outs: list[list[int]], var: Callable[[str], int]) -> list:
+    def _pruning_clauses(self) -> list:
         """Rules that only cut redundant programs: symmetric or reducible
         slots, dead slots and duplicate slots."""
-        n, k = self.n, self.k
+        n, k, sels, outs = self.n, self.k, self._selectors, self._outs
         not_id = self._idx[("not",)]
         clauses: list = []
         for j, (op_sels, (arg0, arg1)) in enumerate(sels):
@@ -801,30 +814,30 @@ class _SlotTemplate:
                 if n + i:
                     same += [_fold([("&", a, b) for a, b in zip(args_i[w], args_j[w])],
                                    _gate_or, None) for w in (0, 1)]
-                same.append(("-", ("^", cvs[i] or var(f"cv{i}"), cvs[j])))
+                same.append(("-", ("^", self._cv(i), self._cv(j))))
                 clauses.append([("-", _fold(same, _gate_and, None))])
         return clauses
 
     # -- repair: distance to the original encoding
 
-    def _edit_clauses(self, bound: int, sels: list, var: Callable[[str], int]) -> list:
+    def _edit_clauses(self, bound: int) -> list:
         """At most `bound` slots differ from the original program: a
         sequential counter over the slots, where slot j counts as changed
         unless an AND gate tree matches it to its original shape."""
         matches = []
         for j, shape in enumerate(self.originals):
-            op_sels, arg_sels = sels[j]
+            op_sels, arg_sels = self._selectors[j]
             lits = [op_sels[self._idx[shape.op]]]
             if arg_sels[0]:
                 uses = self._op_uses(shape.op)
                 lits += [arg_sels[w][shape.args[w] if w < uses else 0] for w in (0, 1)]
-            cv = var(f"cv{j}")
+            cv = self._cv(j)
             lits.append(cv if shape.op[0] == "const" and shape.const else -cv)
             matches.append(lits)
         if bound == 0:  # every slot matches
             return [(lit,) for lits in matches for lit in lits]
         same = [_fold(lits, _gate_and, None) for lits in matches]
-        regs = [[var(f"amc{i}_{c}") for c in range(bound)] for i in range(len(same) - 1)]
+        regs = [[self._fresh() for _ in range(bound)] for _ in range(len(same) - 1)]
         clauses: list = [[regs[0][0], same[0]], *((-r,) for r in regs[0][1:])]
         for i in range(1, len(same) - 1):
             prev, row = regs[i - 1], regs[i]
@@ -837,25 +850,18 @@ class _SlotTemplate:
 
     # -- per-point evaluation
 
-    def point_clauses(self, point: tuple[bool, ...], pspec: _PointSpec,
-                      var: Callable[[str], int],
-                      fresh: Callable[[], int]) -> list[tuple[int, ...]]:
-        """Int clauses defining the candidate's slot values at one concrete
-        input point and requiring the spec to hold there.
+    def add_point(self, point: tuple[bool, ...], pspec: _PointSpec) -> None:
+        """Load the int clauses defining the candidate's slot values at one
+        concrete input point and requiring the spec to hold there.
 
-        Selectors are numbered by `var`, which must have numbered the
-        template's `wellformed_clauses` first; slot and operand values,
-        which nothing decodes, by `fresh`.  Disallowed output valuations are
-        blocked by clauses over the output values (defined from the os*
-        selectors when there are several outputs).  New variables are
-        numbered in first appearance and the clauses come last to first
-        with reversed literals: the CNF the Tseitin flattening of their
-        conjunction gave, as search is very sensitive to that order.
+        Disallowed output valuations are blocked by clauses over the
+        output values (defined from the output selectors when there are
+        several outputs).  New variables are numbered in first appearance
+        and the clauses come last to first with reversed literals: the CNF
+        the Tseitin flattening of their conjunction gave, as search is very
+        sensitive to that order.
         """
-        if self._selectors_for != var:
-            raise ValueError("point clauses need the template's well-formedness "
-                             "clauses in the same solver first")
-        n = self.n
+        n, fresh = self.n, self._fresh
         sign = [1 if bit else -1 for bit in point]
         clauses: list[tuple[int, ...]] = []
         add = clauses.append
@@ -876,7 +882,7 @@ class _SlotTemplate:
                         add((-sel, av, -vals[d - n]))
             val = fresh()
             vals.append(val)
-            cv = var(f"cv{j}")
+            cv = self._cv(j)
             while len(operands) < 2:  # no operand selectors: first seen below
                 operands.append(fresh())
             roles = (0, val, *operands, cv)
@@ -886,17 +892,13 @@ class _SlotTemplate:
                     continue
                 for pattern in _OP_CLAUSES[op[0]]:
                     add((-opv, *[roles[r] if r > 0 else -roles[-r] for r in pattern]))
-        if len(self.outputs) == 1:
-            outs = [vals[-1]]
-        else:
-            outs = []
-            for o in range(len(self.outputs)):
-                out = fresh()
-                outs.append(out)
-                for d, v in enumerate(vals):
-                    sel = var(f"os{o}_{d}")
-                    add((-sel, -v, out))
-                    add((-sel, v, -out))
+        outs = [vals[-1]] if not self._outs else []
+        for row in self._outs:
+            out = fresh()
+            outs.append(out)
+            for sel, v in zip(row, vals):
+                add((-sel, -v, out))
+                add((-sel, v, -out))
         allowed = pspec.allowed(point)
         blocked: dict[tuple[int, ...], None] = {}
         for bits in itertools.product((False, True), repeat=len(outs)):
@@ -908,13 +910,20 @@ class _SlotTemplate:
                     keep.remove(i)
             blocked[tuple(-outs[x] if bits[x] else outs[x] for x in keep)] = None
         clauses += blocked
-        return [clause[::-1] for clause in reversed(clauses)]
+        clauses = [clause[::-1] for clause in reversed(clauses)]
+        self.solver.extend(self.num_vars, clauses)
 
-    # -- decoding
+    # -- search and decoding
 
-    def decode(self, value_of: Callable[[str], bool]) -> dict[str, BoolExpr]:
-        def one_hot(prefix: str, count: int) -> int:
-            return next((i for i in range(count) if value_of(f"{prefix}{i}")), 0)
+    def solve(self) -> Optional[dict[str, BoolExpr]]:
+        """The candidate of the solver's next model, None once UNSAT."""
+        result = self.solver.solve()
+        return self.decode(result.model) if result.satisfiable else None
+
+    def decode(self, model: Mapping[int, bool]) -> dict[str, BoolExpr]:
+        """Per-output expressions of the program the model's selectors pick."""
+        def one_hot(sels: Sequence[int]) -> int:
+            return next((i for i, v in enumerate(sels) if model[v]), 0)
 
         memo: dict[int, BoolExpr] = {}
 
@@ -926,30 +935,27 @@ class _SlotTemplate:
         def slot_expr(j: int) -> BoolExpr:
             if j in memo:
                 return memo[j]
-            op = self.ops[one_hot(f"op{j}_", len(self.ops))]
+            op_sels, (arg0, arg1) = self._selectors[j]
+            op = self.ops[one_hot(op_sels)]
             kind = op[0]
             if kind == "input":
                 expr: BoolExpr = Var(self.inputs[op[1]])
             elif kind == "const":
-                expr = Const(value_of(f"cv{j}"))
+                cv = self._cvs[j]  # unmentioned only before any point
+                expr = Const(cv is not None and model[cv])
             else:
-                a = operand(one_hot(f"a{j}_0_", self.domain(j)))
+                a = operand(one_hot(arg0))
                 if kind == "not":
                     expr = Not(a)
                 else:
-                    b = operand(one_hot(f"a{j}_1_", self.domain(j)))
+                    b = operand(one_hot(arg1))
                     expr = {"and": And, "or": Or, "xor": Xor}[kind](a, b)
             memo[j] = expr
             return expr
 
-        result = {}
-        for o, name in enumerate(self.outputs):
-            if len(self.outputs) == 1:
-                d = self.k - 1
-            else:
-                d = one_hot(f"os{o}_", self.k)
-            result[name] = slot_expr(d)
-        return result
+        if not self._outs:
+            return {self.outputs[0]: slot_expr(self.k - 1)}
+        return {name: slot_expr(one_hot(row)) for name, row in zip(self.outputs, self._outs)}
 
 
 # --------------------------------------------------------------------------
@@ -991,45 +997,6 @@ def _encode_original(expr: BoolExpr, template_inputs: Sequence[str]) -> list[_Sl
 
 # --------------------------------------------------------------------------
 # The CEGIS loop
-
-
-class _GrowingSolver:
-    """One incremental SAT instance for one slot template.  The template's
-    well-formedness clauses (`add_wellformed`) and then each point's
-    clauses (`add_point`) arrive as int clauses and feed the live solver,
-    which keeps its learned clauses and activities between solve() calls.
-    Named variables are numbered in first appearance, the rest in order."""
-
-    def __init__(self, seed: int):
-        self.var_map: dict[str, int] = {}
-        self.next_free = 1
-        self.solver = CdclSolver(CnfFormula(0, ()), seed=seed)
-
-    def fresh(self) -> int:
-        self.next_free += 1
-        return self.next_free - 1
-
-    def var(self, name: str) -> int:
-        index = self.var_map.get(name)
-        if index is None:
-            index = self.var_map[name] = self.fresh()
-        return index
-
-    def add_wellformed(self, template: _SlotTemplate) -> None:
-        clauses = template.wellformed_clauses(self.var, self.fresh)
-        self.solver.extend(self.next_free - 1, clauses)
-
-    def add_point(self, template: _SlotTemplate, point: tuple[bool, ...],
-                  pspec: _PointSpec) -> None:
-        clauses = template.point_clauses(point, pspec, self.var, self.fresh)
-        self.solver.extend(self.next_free - 1, clauses)
-
-    def solve(self) -> Optional[Callable[[str], bool]]:
-        result = self.solver.solve()
-        if not result.satisfiable:
-            return None
-        var_map, model = self.var_map, result.model
-        return lambda name: name in var_map and model[var_map[name]]
 
 
 def _find_violation(out_exprs: Mapping[str, BoolExpr], pspec: _PointSpec,
@@ -1087,8 +1054,8 @@ def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
     template yields one, with the run's record under `label` (slots_used
     is the winning template's size, 0 without a candidate).
 
-    Each template gets one solver holding its well-formedness clauses and
-    the points seen so far; every counterexample adds only its own point
+    Each template's own solver holds its well-formedness clauses and the
+    points seen so far; every counterexample adds only its own point
     constraint before the solver is asked again."""
     start = time.perf_counter()
     iterations = counterexamples = 0
@@ -1104,16 +1071,13 @@ def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
     if dead is not None:
         _check_point(pspec, dead)
     for template in rounds:
-        solver = _GrowingSolver(cfg.seed)
-        solver.add_wellformed(template)
         for point in points:
-            solver.add_point(template, point, pspec)
+            template.add_point(point, pspec)
         while True:
             iterations += 1
-            value_of = solver.solve()
-            if value_of is None:
+            candidate = template.solve()
+            if candidate is None:
                 break
-            candidate = template.decode(value_of)
             violation = _find_violation(candidate, pspec, cfg.seed)
             if violation is None:
                 return candidate, OutputSynthesis(label, template.k, iterations,
@@ -1122,18 +1086,18 @@ def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
             if violation in points:
                 raise AssertionError("counterexample repeated")
             _check_point(pspec, violation)
-            solver.add_point(template, violation, pspec)
+            template.add_point(violation, pspec)
             points.append(violation)
             counterexamples += 1
     return None, OutputSynthesis(label, 0, iterations, counterexamples,
                                  time.perf_counter() - start)
 
 
-def _deepening(pspec: _PointSpec, top: int) -> Iterator[_SlotTemplate]:
+def _deepening(pspec: _PointSpec, top: int, seed: int) -> Iterator[_SlotTemplate]:
     """Templates from the spec's slot lower bound up to `top` slots; the
     bound is computed on first use, inside the run that consumes them."""
     for k in range(pspec.min_slot_bound(), top + 1):
-        yield _SlotTemplate(pspec.input_names, k, pspec.outputs)
+        yield _SlotTemplate(pspec.input_names, k, pspec.outputs, seed)
 
 
 def _result(block: Block, runs: Sequence[OutputSynthesis],
@@ -1202,7 +1166,7 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
     runs: list[OutputSynthesis] = []
     exprs: dict[str, BoolExpr] = {}
     for label, pspec in jobs:
-        candidate, run = _run_cegis(label, _deepening(pspec, cfg.max_slots),
+        candidate, run = _run_cegis(label, _deepening(pspec, cfg.max_slots, cfg.seed),
                                     pspec, cfg)
         if candidate is None:
             raise SizeBoundExceeded(cfg.max_slots)
@@ -1247,7 +1211,7 @@ def _repair_rounds(originals: list[_SlotShape], inputs: Sequence[str],
     max_extra = max(0, cfg.max_slots - n_orig)
     for edits in range(0, n_orig + max_extra + 1):
         for extra in range(0, min(edits, max_extra) + 1):
-            yield _SlotTemplate(inputs, n_orig + extra, [output], prune=False,
+            yield _SlotTemplate(inputs, n_orig + extra, [output], cfg.seed, prune=False,
                                 originals=originals, edit_budget=edits)
 
 
@@ -1280,13 +1244,9 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
             runs.append(OutputSynthesis(output, 0, 0, 0,
                                         time.perf_counter() - check_start))
             continue
-        if cfg.edit_penalty:
-            shapes = _encode_original(originals[output], inputs)
-            rounds = _repair_rounds(shapes, inputs, output, cfg)
-        else:
-            rounds = (_SlotTemplate(inputs, k, [output])
-                      for k in range(1, cfg.max_slots + 1))
-        candidate, run = _run_cegis(output, rounds, pspec, cfg)
+        shapes = _encode_original(originals[output], inputs)
+        candidate, run = _run_cegis(output, _repair_rounds(shapes, inputs, output, cfg),
+                                    pspec, cfg)
         if candidate is None:
             raise SizeBoundExceeded(cfg.max_slots)
         exprs[output] = candidate[output]
@@ -1327,7 +1287,7 @@ def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
         pspec = _PointSpec(inputs, [output], {}, (), pins={output: originals[output]})
         orig_size = len(_encode_original(originals[output], inputs))
         top = min(cfg.max_slots, orig_size)
-        candidate, run = _run_cegis(output, _deepening(pspec, top), pspec, cfg)
+        candidate, run = _run_cegis(output, _deepening(pspec, top, cfg.seed), pspec, cfg)
         if candidate is None:
             # the original does not fit max_slots and nothing smaller works
             candidate = {output: originals[output]}

@@ -20,7 +20,7 @@ from plcsynth.constraints import (
 from plcsynth import engine
 from plcsynth.bench import magnet_rule
 from plcsynth.engine import (
-    SizeBoundExceeded, SynthConfig, Unsatisfiable, Verified, Violated,
+    FALSE, TRUE, SizeBoundExceeded, SynthConfig, Unsatisfiable, Verified, Violated,
     equivalent, extend, repair, simplify, synthesize, verify,
 )
 from plcsynth.lang import emit, parse_expression
@@ -898,17 +898,15 @@ class TestCegisProgress:
         # sensitive to variable and clause order
         interface, spec = self.magnet_case()
         pspec = engine._PointSpec(interface.inputs, ["m2"], spec.obligations)
-        template = engine._SlotTemplate(interface.inputs, 3, ["m2"])
-        solver = engine._GrowingSolver(1)
-        solver.add_wellformed(template)
+        template = engine._SlotTemplate(interface.inputs, 3, ["m2"], 1)
         points = engine._seed_points(pspec)
         for point in points:
-            solver.add_point(template, point, pspec)
-        candidate = template.decode(solver.solve())
+            template.add_point(point, pspec)
+        candidate = template.solve()
         violation = engine._find_violation(candidate, pspec, 1)
         assert violation not in (None, *points)
-        solver.add_point(template, violation, pspec)
-        cnf = CnfFormula(solver.solver.num_vars, tuple(solver.solver.original))
+        template.add_point(violation, pspec)
+        cnf = CnfFormula(template.solver.num_vars, tuple(template.solver.original))
         assert (len(cnf.clauses), cnf.num_vars) == (1431, 256)
         assert hashlib.sha256(to_dimacs(cnf).encode()).hexdigest() == (
             "dc927ddf66dab33d3aebb80e332beba9e0e20ce66b8ad609a6dec29922fa0211")
@@ -921,7 +919,7 @@ class TestCegisProgress:
         for n in range(6):
             inputs = [f"i{x}" for x in range(n)]
             for k, m, prune in itertools.product(range(1, 7), range(1, 4), (True, False)):
-                yield engine._SlotTemplate(inputs, k, [f"o{x}" for x in range(m)], prune)
+                yield engine._SlotTemplate(inputs, k, [f"o{x}" for x in range(m)], 0, prune)
         rng = random.Random(20261018)
         for trial in range(60):
             inputs = [f"i{x}" for x in range(trial % 5)]
@@ -931,25 +929,22 @@ class TestCegisProgress:
                                              SynthConfig(max_slots=len(shapes) + 2))
 
     def test_template_cnf_matches_golden(self):
-        # digest of the CNF, names and next free variable each template's
+        # digest of the CNF and variable count that each template's
         # well-formedness constraints gave through the Tseitin encoder;
         # search is very sensitive to variable and clause order
         digest, count = hashlib.sha256(), 0
         for template in self.template_sweep():
-            solver = engine._GrowingSolver(0)
-            solver.add_wellformed(template)
-            digest.update(repr((solver.solver.original, solver.var_map,
-                                solver.next_free)).encode())
+            digest.update(repr((template.solver.original, template.num_vars)).encode())
             count += 1
         assert (count, digest.hexdigest()) == (
-            900, "18d734f547ba41f3045e2959e5a04df9e0b99106004aba85da618be4e1a53051")
+            900, "d94dc69f140f882aae849ef23f4f21ea8de10894674efca263b95a26608ff44d")
 
     def test_edit_budget_below_added_slots_rejected(self):
         # repair rounds never add more slots than edits
         shapes = engine._encode_original(Not(Var("a")), ["a"])
-        engine._SlotTemplate(["a"], 2, ["y"], originals=shapes, edit_budget=1)
+        engine._SlotTemplate(["a"], 2, ["y"], 0, originals=shapes, edit_budget=1)
         with pytest.raises(ValueError, match="edit budget"):
-            engine._SlotTemplate(["a"], 3, ["y"], originals=shapes, edit_budget=1)
+            engine._SlotTemplate(["a"], 3, ["y"], 0, originals=shapes, edit_budget=1)
 
     def test_same_seed_same_bytes(self):
         interface, spec = self.magnet_case()
@@ -977,7 +972,7 @@ class TestCegisProgress:
 
         monkeypatch.setattr(engine, "_find_violation", accept_first)
         monkeypatch.setattr(engine._SlotTemplate, "decode",
-                            lambda self, value_of: {"y": Or(Var("a"), Var("b"))})
+                            lambda self, model: {"y": Or(Var("a"), Var("b"))})
         with pytest.raises(AssertionError, match="synthesized block fails its spec"):
             synthesize(IFACE_AB_Y, and_table_spec())
 
@@ -991,12 +986,13 @@ class TestSlotCount:
         assert engine._slot_count(Xor(Var("a"), Const(False))) == 2
 
     def test_repair_reports_written_slots_not_template_size(self, monkeypatch):
-        template = engine._SlotTemplate(["a", "b"], 2, ["y"], prune=False)
+        template = engine._SlotTemplate(["a", "b"], 2, ["y"], 0, prune=False)
         not_id, and_id = template._idx[("not",)], template._idx[("and",)]
+        (ops0, (a00, a01)), (ops1, (a10, a11)) = template._selectors
         # slot 0 computes NOT a and is never read; slot 1 is a AND b
-        chosen = {f"op0_{not_id}", "a0_0_0", "a0_1_0",
-                  f"op1_{and_id}", "a1_0_0", "a1_1_1"}
-        candidate = template.decode(lambda name: name in chosen)
+        chosen = {ops0[not_id], a00[0], a01[0], ops1[and_id], a10[0], a11[1]}
+        candidate = template.decode({v: v in chosen
+                                     for v in range(1, template.num_vars + 1)})
         assert candidate == {"y": And(Var("a"), Var("b"))}
         run = engine.OutputSynthesis("y", template.k, 1, 0, 0.0)
         monkeypatch.setattr(engine, "_run_cegis",
@@ -1059,13 +1055,6 @@ class TestRepair:
         block = Block("idb", interface, (Statement("y", Var("a")),))
         result = repair(block, spec)
         assert result.block.body[0].rhs == Not(Var("a"))
-
-    def test_repair_without_edit_penalty(self):
-        block = Block("orb", IFACE_AB_Y, (Statement("y", Or(Var("a"), Var("b"))),))
-        result = repair(block, and_table_spec(), SynthConfig(edit_penalty=False))
-        assert output_table(result.block, "y") == {
-            bits: bits[0] and bits[1]
-            for bits in itertools.product((False, True), repeat=2)}
 
     def test_unsatisfiable_spec(self):
         interface = iface("i:a", "o:y")
@@ -1157,6 +1146,49 @@ class TestExtend:
                 else:
                     orig = simulate(block, [env]).cycles[0].outputs["out0"]
                     assert got == orig
+
+
+class TestZeroInputs:
+    """Blocks with no inputs: slot 0 has no operands, so its constant bit
+    is numbered where it is first mentioned rather than with its
+    selectors."""
+
+    IFACE_YZ = iface("o:y", "o:z")
+
+    def spec(self):
+        return spec_for(self.IFACE_YZ, [TruthTableRow({}, {"y": True, "z": False})])
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_per_output_synthesis(self, seed):
+        result = synthesize(self.IFACE_YZ, self.spec(), SynthConfig(seed=seed))
+        assert result.block.body == (Statement("y", TRUE), Statement("z", FALSE))
+        assert result.slots_used == 2
+        assert [r.slots_used for r in result.per_output] == [1, 1]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_joint_synthesis(self, seed):
+        result = synthesize(self.IFACE_YZ, self.spec(),
+                            SynthConfig(seed=seed, per_output=False))
+        assert result.block.body == (Statement("y", Not(FALSE)), Statement("z", FALSE))
+        assert result.slots_used == 2
+        assert [r.slots_used for r in result.per_output] == [2]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_repair_negated_constants(self, seed):
+        block = Block("cst", self.IFACE_YZ, (Statement("y", FALSE), Statement("z", TRUE)))
+        result = repair(block, self.spec(), SynthConfig(seed=seed))
+        assert result.block.body == (Statement("y", TRUE), Statement("z", FALSE))
+        assert result.slots_used == 2
+        assert [r.slots_used for r in result.per_output] == [1, 1]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_simplify_constant_expressions(self, seed):
+        block = Block("cst", self.IFACE_YZ, (Statement("y", Not(TRUE)),
+                                             Statement("z", Xor(TRUE, FALSE))))
+        result = simplify(block, SynthConfig(seed=seed))
+        assert result.block.body == (Statement("y", FALSE), Statement("z", TRUE))
+        assert result.slots_used == 2
+        assert [r.slots_used for r in result.per_output] == [1, 1]
 
 
 class TestMinimality:

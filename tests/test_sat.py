@@ -324,25 +324,20 @@ class TestSearchIdentity:
             rows.append(TruthTableRow(env, {"m2": (bits[1] and bits[2]) or not bits[3]}))
         spec = compile_spec(ConstraintList("blk", Mode.GENERATE, interface, tuple(rows)))
         pspec = engine._PointSpec(names, ["m2"], spec.obligations)
-        template = engine._SlotTemplate(names, 3, ["m2"])
-        grower = engine._GrowingSolver(seed)
-        grower.add_wellformed(template)
+        template = engine._SlotTemplate(names, 3, ["m2"], seed)
         for point in engine._seed_points(pspec):
-            grower.add_point(template, point, pspec)
+            template.add_point(point, pspec)
         answers = []
         while True:
-            res = grower.solver.solve()
+            res = template.solver.solve()
             answers.append(res)
             if not res.satisfiable:
                 return answers
-            model = res.model
-            var_map = grower.var_map
-            candidate = template.decode(
-                lambda name: name in var_map and model[var_map[name]])
+            candidate = template.decode(res.model)
             violation = engine._find_violation(candidate, pspec, seed)
             if violation is None:
                 return answers
-            grower.add_point(template, violation, pspec)
+            template.add_point(violation, pspec)
 
     @pytest.mark.parametrize("seed, solves, digest", [
         (0, 3, "93e913e7eed58e3350815decfa9aabbbb6d08b4afbe75d522fc3066428afe549"),
