@@ -18,7 +18,10 @@ where a candidate fails is the lowest set bit of one mask; wider specs are
 checked by the SAT solver.
 Repair and extension reuse the same template seeded with the original
 program plus an edit budget; simplification synthesizes against the
-block's own behavior.
+block's own behavior.  Simplification and extension pin outputs to the
+original block through ordinary obligation clauses, so every run reads
+one spec model; a contradictory spec is reported once, before CEGIS, at
+an input point that no output valuation meets.
 """
 
 from __future__ import annotations
@@ -49,8 +52,10 @@ _CUBE_INPUTS = 12
 
 
 class Unsatisfiable(Exception):
-    """No program of any size can satisfy the spec (contradiction on a
-    concrete input pattern)."""
+    """No program of any size can satisfy the spec: no output valuation
+    meets it at the input point `witness` (every input, in interface
+    order).  Up to _CUBE_INPUTS inputs that is the lowest such point in
+    product order, past them whichever one SAT finds."""
 
     def __init__(self, message: str, witness: Optional[dict[str, bool]] = None):
         super().__init__(message)
@@ -400,60 +405,40 @@ def equivalent(a: Block, b: Block,
 # Point specs: what synthesis must achieve at each concrete input point
 
 
-def _guard_pattern(guard: BoolExpr) -> Optional[dict[str, bool]]:
-    """Literal-conjunction guards as {name: value}; None when more general.
-    Contradictory guards also yield None (they never fire, so they cannot
-    clash with anything)."""
-    pattern: dict[str, bool] = {}
-    stack = [guard]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Const):
-            if node.value:
-                continue
-            return None
-        if isinstance(node, Var):
-            if pattern.get(node.name) is False:
-                return None
-            pattern[node.name] = True
-        elif isinstance(node, Not) and isinstance(node.operand, Var):
-            if pattern.get(node.operand.name) is True:
-                return None
-            pattern[node.operand.name] = False
-        elif isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-        else:
-            return None
-    return pattern
+def _pinned(obligations: Mapping[str, Sequence[ObligationClause]], output: str,
+            original: BoolExpr, release: Sequence[BoolExpr] = ()
+            ) -> dict[str, tuple[ObligationClause, ...]]:
+    """`obligations` plus two clauses holding `output` to `original`
+    wherever none of the `release` guards fires: NOT released AND original
+    demands 1, NOT released AND NOT original demands 0.  They come from no
+    source constraint, so their origin is -1."""
+    held = _not(_disj(release))
+    pin = (ObligationClause(_and(held, original), True, -1),
+           ObligationClause(_and(held, _not(original)), False, -1))
+    return {**obligations, output: (*obligations.get(output, ()), *pin)}
 
 
 class _PointSpec:
     """What a candidate's outputs must do at each input point.
 
-    Combines obligation clauses, assertions and optional pins to the
-    original block's behavior (used by simplify/extend); a pin for output
-    o applies at point x unless one of its release guards fires at x.
-    Everything is read off truth tables: ints with one bit per point of
-    the input cube, numbered in `itertools.product` order with the first
-    input as the most significant bit, so the lowest set bit is the first
-    point in that order.  `memo` keeps the tables of the guards and pins,
-    `ok` one table per output valuation.  Past _CUBE_INPUTS inputs there is
-    no cube: the same walk runs on one point at a time with width-1 masks,
-    and `_find_violation` asks the SAT solver.
+    Combines obligation clauses and assertions; simplify and extend pin
+    an output to the original block's behavior with two more obligation
+    clauses (`_pinned`).  Everything is read off truth tables: ints with
+    one bit per point of the input cube, numbered in `itertools.product`
+    order with the first input as the most significant bit, so the lowest
+    set bit is the first point in that order.  `memo` keeps the tables of
+    the guards, `ok` one table per output valuation.  Past _CUBE_INPUTS
+    inputs there is no cube: the same walk runs on one point at a time
+    with width-1 masks, and `_find_violation` asks the SAT solver.
     """
 
     def __init__(self, input_names: Sequence[str], outputs: Sequence[str],
                  obligations: Mapping[str, Sequence[ObligationClause]],
-                 assertions: Sequence[AssertionClause] = (),
-                 pins: Optional[Mapping[str, BoolExpr]] = None,
-                 pin_release: Optional[Mapping[str, Sequence[BoolExpr]]] = None):
+                 assertions: Sequence[AssertionClause] = ()):
         self.input_names = list(input_names)
         self.outputs = list(outputs)
         self.obligations = {o: tuple(obligations.get(o, ())) for o in outputs}
         self.assertions = tuple(assertions)
-        self.pins = {o: expr for o, expr in (pins or {}).items() if o in self.outputs}
-        self.pin_release = {o: tuple((pin_release or {}).get(o, ())) for o in self.pins}
         n = len(self.input_names)
         self.cube = n <= _CUBE_INPUTS
         if self.cube:
@@ -475,17 +460,13 @@ class _PointSpec:
     def failing(self, outs: Mapping[str, int], env: Mapping[str, int], full: int,
                 memo: dict[int, int]) -> int:
         """Points where outputs with truth tables `outs` break the spec;
-        `memo` holds guard and pin tables over the input tables `env`."""
+        `memo` holds guard tables over the input tables `env`."""
         bad = 0
         for output in self.outputs:
             out = outs[output]
             for clause in self.obligations[output]:
                 wrong = full ^ out if clause.value else out
                 bad |= _mask(clause.guard, env, full, memo) & wrong
-            if output in self.pins:
-                pin = _mask(self.pins[output], env, full, memo)
-                released = [_mask(g, env, full, memo) for g in self.pin_release[output]]
-                bad |= (pin ^ out) & ~reduce(or_, released, 0)
         env, memo = {**env, **outs}, {}
         for clause in self.assertions:
             bad |= full ^ _mask(clause.expr, env, full, memo)
@@ -563,12 +544,7 @@ class _PointSpec:
     def violation_expr(self, input_vars: Mapping[str, BoolExpr],
                        outs: Mapping[str, BoolExpr]) -> BoolExpr:
         """Fully symbolic violation predicate (for SAT-based verification)."""
-        parts = _violation_exprs(self, {**input_vars, **outs})
-        for output in self.pins:
-            released = _disj([_subst(g, input_vars) for g in self.pin_release[output]])
-            parts.append(_and(_not(released),
-                              _xor(outs[output], _subst(self.pins[output], input_vars))))
-        return _disj(parts)
+        return _disj(_violation_exprs(self, {**input_vars, **outs}))
 
     def dead_point(self, seed: int) -> Optional[tuple[bool, ...]]:
         """A point that no output valuation meets, or None: the first one
@@ -580,21 +556,6 @@ class _PointSpec:
         every = _conj([self.violation_expr(input_vars, dict(zip(self.outputs, v)))
                        for v in valuations])
         return _sat_point(every, self.input_names, seed)
-
-    def static_contradiction(self) -> Optional[tuple[str, dict[str, bool]]]:
-        """Pairwise row-style contradiction: two literal-pattern guards that
-        unify yet demand different values for the same output."""
-        for output, clauses in self.obligations.items():
-            patterns = []
-            for clause in clauses:
-                pattern = _guard_pattern(clause.guard)
-                if pattern is not None:
-                    patterns.append((pattern, clause.value))
-            for i, (pa, va) in enumerate(patterns):
-                for pb, vb in patterns[i + 1:]:
-                    if va != vb and all(pa[n] == pb[n] for n in pa.keys() & pb.keys()):
-                        return output, {**pb, **pa}
-        return None
 
 
 # --------------------------------------------------------------------------
@@ -1030,22 +991,11 @@ def _seed_points(pspec: _PointSpec) -> list[tuple[bool, ...]]:
     n = len(pspec.input_names)
     candidates = [(False,) * n, *(tuple(j == i for j in range(n)) for i in range(n)),
                   (True,) * n]
-    # without assertions and pins, only a firing guard rules out a valuation
-    fixed = bool(pspec.assertions or pspec.pins)
+    # without assertions, only a firing guard rules out a valuation
+    fixed = bool(pspec.assertions)
     every = list(itertools.product((False, True), repeat=len(pspec.outputs)))
     return [point for i, point in enumerate(candidates) if point not in candidates[:i]
             and (fixed or pspec.allowed(point) != every)]
-
-
-def _contradiction(what: str, witness: dict[str, bool]) -> Unsatisfiable:
-    pattern = " ".join(f"{n}={int(v)}" for n, v in witness.items())
-    return Unsatisfiable(f"{what} {pattern}", witness=witness)
-
-
-def _check_point(pspec: _PointSpec, point: tuple[bool, ...]) -> None:
-    if not pspec.allowed(point):
-        raise _contradiction("spec is contradictory at input pattern:",
-                             dict(zip(pspec.input_names, point)))
 
 
 def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
@@ -1056,20 +1006,17 @@ def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
 
     Each template's own solver holds its well-formedness clauses and the
     points seen so far; every counterexample adds only its own point
-    constraint before the solver is asked again."""
+    constraint before the solver is asked again.  A spec's dead point
+    raises Unsatisfiable before any template is built, as the templates
+    may run out before CEGIS reaches it."""
     start = time.perf_counter()
     iterations = counterexamples = 0
-    static = pspec.static_contradiction()
-    if static is not None:
-        output, witness = static
-        raise _contradiction(f"conflicting requirements for {output} at", witness)
-    points = _seed_points(pspec)
-    for point in points:
-        _check_point(pspec, point)
-    # the templates may run out before CEGIS reaches a dead point
     dead = pspec.dead_point(cfg.seed)
     if dead is not None:
-        _check_point(pspec, dead)
+        witness = dict(zip(pspec.input_names, dead))
+        pattern = " ".join(f"{n}={int(v)}" for n, v in witness.items())
+        raise Unsatisfiable(f"spec is contradictory at input pattern: {pattern}", witness)
+    points = _seed_points(pspec)
     for template in rounds:
         for point in points:
             template.add_point(point, pspec)
@@ -1085,7 +1032,6 @@ def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
                                                   time.perf_counter() - start)
             if violation in points:
                 raise AssertionError("counterexample repeated")
-            _check_point(pspec, violation)
             template.add_point(violation, pspec)
             points.append(violation)
             counterexamples += 1
@@ -1235,10 +1181,11 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
     for output in block.interface.outputs:
         pinned = what == "extend" and not any(output in expr_vars(c.expr)
                                               for c in spec.assertions)
-        pspec = _PointSpec(inputs, [output], spec.obligations, per_assertions[output],
-                           pins={output: originals[output]} if pinned else {},
-                           pin_release={output: [c.guard for c in
-                                                 spec.obligations.get(output, ())]})
+        obligations = spec.obligations
+        if pinned:
+            obligations = _pinned(obligations, output, originals[output],
+                                  [c.guard for c in obligations.get(output, ())])
+        pspec = _PointSpec(inputs, [output], obligations, per_assertions[output])
         check_start = time.perf_counter()
         if _find_violation({output: originals[output]}, pspec, cfg.seed) is None:
             runs.append(OutputSynthesis(output, 0, 0, 0,
@@ -1284,7 +1231,7 @@ def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
     for output in block.interface.outputs:
         if output not in assigned:
             continue
-        pspec = _PointSpec(inputs, [output], {}, (), pins={output: originals[output]})
+        pspec = _PointSpec(inputs, [output], _pinned({}, output, originals[output]))
         orig_size = len(_encode_original(originals[output], inputs))
         top = min(cfg.max_slots, orig_size)
         candidate, run = _run_cegis(output, _deepening(pspec, top, cfg.seed), pspec, cfg)

@@ -94,12 +94,9 @@ class TseitinEncoder:
     Structurally shared subexpressions (same object) are encoded once.
     """
 
-    def __init__(self, var_map: Mapping[str, SatVar],
-                 first_fresh: Optional[int] = None):
+    def __init__(self, var_map: Mapping[str, SatVar]):
         self.var_map = dict(var_map)
-        if first_fresh is None:
-            first_fresh = max(self.var_map.values(), default=0) + 1
-        self._next = first_fresh
+        self._next = max(self.var_map.values(), default=0) + 1
         self.clauses: list[tuple[int, ...]] = []
         self._memo: dict[int, int] = {}
         self._keepalive: list[BoolExpr] = []

@@ -392,11 +392,23 @@ class TestSynthesize:
         assert result.block.body[0].rhs == Const(True)
 
     def test_conflicting_rows_unsatisfiable(self):
-        interface = iface("i:a", "o:y")
-        spec = spec_for(interface, [TruthTableRow({"a": False}, {"y": False}),
-                                    TruthTableRow({"a": False}, {"y": True})])
-        with pytest.raises(Unsatisfiable):
-            synthesize(interface, spec)
+        # the witness is the lowest dead point, every input in interface
+        # order, whichever clashing rows come first
+        def clash(pattern):
+            return [TruthTableRow(pattern, {"y": v}) for v in (False, True)]
+
+        for names, rows, witness in [
+                (["a"], clash({"a": False}), {"a": False}),
+                (["a", "b"], clash({"a": False}), {"a": False, "b": False}),
+                (["a", "b", "c"], clash({"a": True, "b": False, "c": False})
+                 + clash({"a": False, "b": True, "c": True}),
+                 {"a": False, "b": True, "c": True})]:
+            interface = iface(*(f"i:{x}" for x in names), "o:y")
+            pattern = " ".join(f"{x}={int(v)}" for x, v in witness.items())
+            with pytest.raises(Unsatisfiable,
+                               match=f"contradictory at input pattern: {pattern}$") as info:
+                synthesize(interface, spec_for(interface, rows))
+            assert list(info.value.witness.items()) == list(witness.items())
 
     @pytest.mark.parametrize("max_slots", [1, 2, 3, 31])
     def test_contradiction_found_whatever_the_slot_limit(self, max_slots):
@@ -679,6 +691,17 @@ class TestWideInputs:
         result = simplify(block)
         assert result.block.body == (Statement("y", Var("i0")),)
 
+    def test_extend_with_sat_verifier(self):
+        # the pin of y to i0 is released where the extra row fires
+        names, interface = self.wide_interface()
+        block = Block("wide", interface, (Statement("y", Var("i0")),))
+        extra = ConstraintList("e", Mode.EXTEND, interface,
+                               (TruthTableRow({"i12": True}, {"y": True}),))
+        want = Block("want", interface, (Statement("y", Or(Var("i0"), Var("i12"))),))
+        for seed in range(3):
+            result = extend(block, extra, SynthConfig(seed=seed))
+            assert isinstance(equivalent(result.block, want), Verified)
+
 
 def exprs_over(names):
     leaves = st.sampled_from([Var(n) for n in names] + [Const(False), Const(True)])
@@ -729,7 +752,7 @@ def cube_and_point_outcomes(block, constraints):
     def cube_twin(pspec):
         mp.setattr(engine, "_CUBE_INPUTS", 12)
         twin = engine._PointSpec(pspec.input_names, pspec.outputs, pspec.obligations,
-                                 pspec.assertions, pspec.pins, pspec.pin_release)
+                                 pspec.assertions)
         mp.setattr(engine, "_CUBE_INPUTS", 0)
         return twin
 
@@ -815,15 +838,16 @@ class TestTruthTables:
         block, constraints = case
         inputs, outputs = block.interface.inputs, block.interface.outputs
         spec = spec_for(without_temps(block.interface), constraints)
-        args = (inputs, outputs, spec.obligations, spec.assertions)
-        pins = {"pins": engine._original_exprs(block),
-                "pin_release": {o: [c.guard for c in spec.obligations.get(o, ())]
-                                for o in outputs}}
-        for kw in ({}, pins):
-            cube = engine._PointSpec(*args, **kw)
+        originals, pinned = engine._original_exprs(block), spec.obligations
+        for o in outputs:
+            pinned = engine._pinned(pinned, o, originals[o],
+                                    [c.guard for c in spec.obligations.get(o, ())])
+        for obligations in (spec.obligations, pinned):
+            args = (inputs, outputs, obligations, spec.assertions)
+            cube = engine._PointSpec(*args)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "_CUBE_INPUTS", 0)
-                single = engine._PointSpec(*args, **kw)
+                single = engine._PointSpec(*args)
             assert cube.cube and not single.cube
             for point in itertools.product((False, True), repeat=len(inputs)):
                 assert cube.allowed(point) == single.allowed(point)
@@ -1271,9 +1295,10 @@ class TestSlotBound:
     def test_bound_sound_and_exact_to_two_slots(self, case):
         inputs, spec, pin = case
         guards = [c.guard for c in spec.obligations.get("y", ())]
-        pspec = engine._PointSpec(inputs, ["y"], spec.obligations, spec.assertions,
-                                  pins={"y": pin} if pin is not None else None,
-                                  pin_release={"y": guards})
+        obligations = spec.obligations
+        if pin is not None:
+            obligations = engine._pinned(obligations, "y", pin, guards)
+        pspec = engine._PointSpec(inputs, ["y"], obligations, spec.assertions)
         allowed = {}  # point index as in reachable_functions -> values of y
         for bits in itertools.product((False, True), repeat=len(inputs)):
             env = dict(zip(inputs, bits))
