@@ -2,8 +2,8 @@
 
 Operates on a file-based project: blocks live in `.st`/`.il` source files,
 constraint lists in `.xml` files.  Exit codes: 0 success or Verified,
-1 Violated/Unsatisfiable/inconsistent, 2 usage or input errors,
-3 size-bound or internal errors.
+1 Violated or Unsatisfiable (a contradictory constraint list, from `check`
+or any op), 2 usage or input errors, 3 size-bound or internal errors.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from pathlib import Path
 from .bench import SCENARIO_NAMES, BenchReport, bench_run, scenario
 from .blocks import Block, Lang, TypeCheckError
 from .constraints import (
-    ConstraintList, SchemaError, check_consistency, compile_spec,
-    load_constraints,
+    ConstraintList, SchemaError, compile_spec, load_constraints,
 )
 from .engine import (
     Counterexample, SizeBoundExceeded, SynthConfig, Unsatisfiable, Verified,
-    equivalent, extend, repair, simplify, synthesize, verify,
+    check, equivalent, extend, repair, simplify, synthesize, verify,
 )
 from .lang import ParseError, emit, parse_il, parse_st, translate
 
@@ -162,8 +161,8 @@ def _parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeat", type=int, default=10)
     bench.add_argument("--seed", type=int, default=0)
 
-    check = sub.add_parser("check", help="report conflicting truth-table rows")
-    check.add_argument("--constraints", required=True)
+    chk = sub.add_parser("check", help="report where a constraint list contradicts itself")
+    chk.add_argument("--constraints", required=True)
     return parser
 
 
@@ -261,16 +260,9 @@ def _cmd_bench(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
-    constraint_list = load_constraints(args.constraints)
-    report = check_consistency(constraint_list)
-    if report.consistent:
-        print("consistent", file=out)
-        return EXIT_OK
-    for conflict in report.conflicts:
-        witness = " ".join(f"{n}={int(v)}" for n, v in conflict.witness.items())
-        print(f"conflict: constraints {conflict.first} and {conflict.second} "
-              f"disagree on {conflict.output} at {witness}", file=out)
-    return EXIT_VIOLATED
+    check(compile_spec(load_constraints(args.constraints)))
+    print("consistent", file=out)
+    return EXIT_OK
 
 
 _COMMANDS = {

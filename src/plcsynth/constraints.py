@@ -3,8 +3,9 @@
 A constraint list pairs a block interface with truth-table rows,
 cause-and-effect columns and free assertions, plus the requested mode.
 This module persists lists as XML, compiles them into the uniform
-guard/value obligation form used by the engine, detects contradictory
-rows and instantiates templates by renaming.
+guard/value obligation form used by the engine, words compiled clauses
+for messages and instantiates templates by renaming.  Whether a list
+contradicts itself is asked of the compiled spec (`engine.check`).
 """
 
 from __future__ import annotations
@@ -147,13 +148,15 @@ class SpecFormula:
     obligations: dict[str, tuple[ObligationClause, ...]]
     assertions: tuple[AssertionClause, ...]
 
-    def describe_obligation(self, output: str, clause: ObligationClause) -> str:
-        want = "1" if clause.value else "0"
-        return (f"constraint {clause.origin}: {output} = {want} "
-                f"when {format_expression(clause.guard)}")
 
-    def describe_assertion(self, clause: AssertionClause) -> str:
-        return f"assertion {clause.origin}: {format_expression(clause.expr)}"
+def describe_obligation(output: str, clause: ObligationClause) -> str:
+    want = "1" if clause.value else "0"
+    return (f"constraint {clause.origin}: {output} = {want} "
+            f"when {format_expression(clause.guard)}")
+
+
+def describe_assertion(clause: AssertionClause) -> str:
+    return f"assertion {clause.origin}: {format_expression(clause.expr)}"
 
 
 def _conjunction(literals: list[BoolExpr]) -> BoolExpr:
@@ -200,60 +203,6 @@ def compile_spec(cl: ConstraintList) -> SpecFormula:
     return SpecFormula(cl.interface,
                        {k: tuple(v) for k, v in obligations.items()},
                        tuple(assertions))
-
-
-# --------------------------------------------------------------------------
-# Row consistency
-
-
-@dataclass(frozen=True)
-class RowConflict:
-    first: int
-    second: int
-    output: str
-    witness: dict[str, bool]
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    conflicts: tuple[RowConflict, ...]
-
-    @property
-    def consistent(self) -> bool:
-        return not self.conflicts
-
-
-def _unify_rows(a: TruthTableRow, b: TruthTableRow) -> Optional[dict[str, bool]]:
-    merged: dict[str, bool] = {}
-    for row in (a, b):
-        for name, value in row.inputs.items():
-            if value is None:
-                continue
-            if name in merged and merged[name] != value:
-                return None
-            merged[name] = value
-    return merged
-
-
-def check_consistency(cl: ConstraintList) -> ConsistencyReport:
-    """All pairs of rows whose input patterns unify yet demand different
-    values for some output.  An empty report means the rows are conflict-free."""
-    validate_constraint_list(cl)
-    rows = [(i, c) for i, c in enumerate(cl.constraints)
-            if isinstance(c, TruthTableRow)]
-    conflicts = []
-    for pos, (i, row_a) in enumerate(rows):
-        for j, row_b in rows[pos + 1:]:
-            witness = _unify_rows(row_a, row_b)
-            if witness is None:
-                continue
-            for output, value in row_a.outputs.items():
-                if value is None:
-                    continue
-                other = row_b.outputs.get(output)
-                if other is not None and other != value:
-                    conflicts.append(RowConflict(i, j, output, dict(witness)))
-    return ConsistencyReport(tuple(conflicts))
 
 
 # --------------------------------------------------------------------------

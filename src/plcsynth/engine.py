@@ -20,8 +20,9 @@ Repair and extension reuse the same template seeded with the original
 program plus an edit budget; simplification synthesizes against the
 block's own behavior.  Simplification and extension pin outputs to the
 original block through ordinary obligation clauses, so every run reads
-one spec model; a contradictory spec is reported once, before CEGIS, at
-an input point that no output valuation meets.
+one spec model.  `check` and every op but simplify report a contradictory
+spec from one place, `_PointSpec.refute`, before CEGIS: an input point
+that no output valuation meets and the constraints that clash there.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .blocks import (
 )
 from .constraints import (
     AssertionClause, ConstraintList, ObligationClause, SpecFormula,
-    compile_spec,
+    compile_spec, describe_assertion, describe_obligation,
 )
 from .sat import CdclSolver, CnfFormula, TseitinEncoder, solve
 
@@ -55,11 +56,16 @@ class Unsatisfiable(Exception):
     """No program of any size can satisfy the spec: no output valuation
     meets it at the input point `witness` (every input, in interface
     order).  Up to _CUBE_INPUTS inputs that is the lowest such point in
-    product order, past them whichever one SAT finds."""
+    product order, past them whichever one SAT finds.  The message names
+    the clauses that rule the valuations out there, one line each;
+    `origins` holds their constraint indices, sorted (see
+    `_PointSpec.refute`)."""
 
-    def __init__(self, message: str, witness: Optional[dict[str, bool]] = None):
+    def __init__(self, message: str, witness: dict[str, bool],
+                 origins: tuple[int, ...]):
         super().__init__(message)
         self.witness = witness
+        self.origins = origins
 
 
 class SizeBoundExceeded(Exception):
@@ -289,15 +295,17 @@ def _violation_exprs(spec: SpecFormula | _PointSpec,
     return out
 
 
-def _first_violation(spec: SpecFormula, env: Mapping[str, bool]) -> Optional[str]:
+def _violations(spec: SpecFormula | _PointSpec,
+                env: Mapping[str, bool]) -> Iterator[tuple[int, str]]:
+    """Origin and wording of each obligation or assertion of `spec` that
+    fails at `env`, in spec order."""
     for output, clauses in spec.obligations.items():
         for clause in clauses:
             if eval_expr(clause.guard, env) and env[output] != clause.value:
-                return spec.describe_obligation(output, clause)
+                yield clause.origin, describe_obligation(output, clause)
     for clause in spec.assertions:
         if not eval_expr(clause.expr, env):
-            return spec.describe_assertion(clause)
-    return None
+            yield clause.origin, describe_assertion(clause)
 
 
 def _replay(block: Block, spec: SpecFormula, init_state: dict[str, bool],
@@ -305,10 +313,10 @@ def _replay(block: Block, spec: SpecFormula, init_state: dict[str, bool],
     state = dict(init_state)
     for index, inputs in enumerate(input_cycles):
         env = cycle_environment(block, state, inputs)
-        violated = _first_violation(spec, env)
+        violated = next(_violations(spec, env), None)
         if violated is not None:
             return Counterexample(init_state, tuple(dict(c) for c in input_cycles),
-                                  violated, index)
+                                  violated[1], index)
         state = {s: env[s] for s in block.interface.state_vars}
     raise AssertionError("solver counterexample does not replay")
 
@@ -556,6 +564,28 @@ class _PointSpec:
         every = _conj([self.violation_expr(input_vars, dict(zip(self.outputs, v)))
                        for v in valuations])
         return _sat_point(every, self.input_names, seed)
+
+    def refute(self, seed: int) -> None:
+        """Raise Unsatisfiable at the spec's `dead_point`, if it has one.
+
+        For each output valuation (product order) the message names the
+        failing clause of lowest origin at that point, source clauses before
+        pin clauses (origin -1), one line each, sorted by origin.  Together
+        the named clauses rule out every valuation at the witness; the set
+        is not promised to be minimal."""
+        dead = self.dead_point(seed)
+        if dead is None:
+            return
+        witness = dict(zip(self.input_names, dead))
+        named: dict[str, int] = {}
+        for bits in itertools.product((False, True), repeat=len(self.outputs)):
+            env = {**witness, **dict(zip(self.outputs, bits))}
+            origin, text = min(_violations(self, env), key=lambda f: (f[0] < 0, f[0]))
+            named[text] = origin
+        pattern = " ".join(f"{n}={int(v)}" for n, v in witness.items())
+        raise Unsatisfiable("\n  ".join([f"spec is contradictory at input pattern: {pattern}",
+                                         *sorted(named, key=named.get)]),
+                            witness, tuple(sorted(set(named.values()))))
 
 
 # --------------------------------------------------------------------------
@@ -1006,16 +1036,12 @@ def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
 
     Each template's own solver holds its well-formedness clauses and the
     points seen so far; every counterexample adds only its own point
-    constraint before the solver is asked again.  A spec's dead point
-    raises Unsatisfiable before any template is built, as the templates
-    may run out before CEGIS reaches it."""
+    constraint before the solver is asked again.  The spec must have no
+    dead point: callers `refute` it first, as the templates may run out
+    before CEGIS reaches one.  Simplify's spec needs no check, since its
+    only clauses are one pair of complementary pins, which cannot clash."""
     start = time.perf_counter()
     iterations = counterexamples = 0
-    dead = pspec.dead_point(cfg.seed)
-    if dead is not None:
-        witness = dict(zip(pspec.input_names, dead))
-        pattern = " ".join(f"{n}={int(v)}" for n, v in witness.items())
-        raise Unsatisfiable(f"spec is contradictory at input pattern: {pattern}", witness)
     points = _seed_points(pspec)
     for template in rounds:
         for point in points:
@@ -1084,6 +1110,14 @@ def _build_body(interface: BlockInterface,
                  for name in interface.outputs if name in exprs)
 
 
+def check(spec: SpecFormula) -> None:
+    """Raise Unsatisfiable when no combinational block can meet the spec,
+    at the dead point and with the clauses `synthesize` would report."""
+    _require_combinational(spec.interface, "check")
+    _PointSpec(spec.interface.inputs, spec.interface.outputs, spec.obligations,
+               spec.assertions).refute(SynthConfig().seed)
+
+
 def synthesize(interface: BlockInterface, spec: SpecFormula,
                cfg: SynthConfig = SynthConfig(), *,
                name: str = "generated") -> SynthesisResult:
@@ -1103,6 +1137,7 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
         raise TypeCheckError("synthesizable blocks need at least one output")
     per_assertions, coupling = _split_assertions(spec, outputs)
     full_pspec = _PointSpec(inputs, outputs, spec.obligations, spec.assertions)
+    full_pspec.refute(cfg.seed)
     if cfg.per_output and not coupling and len(outputs) > 1:
         jobs = [(o, _PointSpec(inputs, [o], spec.obligations, per_assertions[o]))
                 for o in outputs]
@@ -1191,6 +1226,7 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
             runs.append(OutputSynthesis(output, 0, 0, 0,
                                         time.perf_counter() - check_start))
             continue
+        pspec.refute(cfg.seed)
         shapes = _encode_original(originals[output], inputs)
         candidate, run = _run_cegis(output, _repair_rounds(shapes, inputs, output, cfg),
                                     pspec, cfg)

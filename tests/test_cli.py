@@ -71,6 +71,38 @@ CONFLICT_XML = """<?xml version="1.0" encoding="UTF-8"?>
 """
 
 
+def ab_list(body, state=()):
+    """A constraint list over inputs a, b and output y (plus `state` vars)
+    with the given XML after the interface."""
+    decls = "".join(f'\n    <var name="{s}" dir="state" type="BOOL"/>' for s in state)
+    return f"""<?xml version="1.0" encoding="UTF-8"?>
+<constraintList block="Clash" mode="generate">
+  <interface>
+    <var name="a" dir="in" type="BOOL"/>
+    <var name="b" dir="in" type="BOOL"/>
+    <var name="y" dir="out" type="BOOL"/>{decls}
+  </interface>
+{body}
+</constraintList>
+"""
+
+
+# contradictory lists: the dead point `check` and `synth` report, then the
+# clauses they name there
+CLASHES = {
+    "conflict": (CONFLICT_XML, ["a=0", "constraint 0: y = 0 when NOT a",
+                                "constraint 1: y = 1 when NOT a"]),
+    "row-column": (ab_list("""  <truthTable> <row in="a=1" out="y=0"/> </truthTable>
+  <causeEffect output="y" combinator="any"> <cause input="a" mark="x"/> </causeEffect>"""),
+                   ["a=1 b=0", "constraint 0: y = 0 when a",
+                    "constraint 1: y = 1 when a"]),
+    "row-assertion": (ab_list("""  <truthTable> <row in="b=1" out="y=1"/> </truthTable>
+  <assertion expr="NOT (a AND y)"/>"""),
+                      ["a=1 b=1", "constraint 0: y = 1 when b",
+                       "assertion 1: NOT (a AND y)"]),
+}
+
+
 def invoke(*argv):
     out = io.StringIO()
     code = run(list(argv), out)
@@ -231,12 +263,24 @@ class TestCheck:
         assert code == EXIT_OK
         assert "consistent" in text
 
-    def test_conflict_reported(self, project):
-        code, text = invoke("check", "--constraints",
-                            str(project / "conflict.xml"))
+    @pytest.mark.parametrize("case", CLASHES)
+    def test_conflict_reported(self, tmp_path, case):
+        xml, (point, *named) = CLASHES[case]
+        path = tmp_path / "clash.xml"
+        path.write_text(xml)
+        code, text = invoke("check", "--constraints", str(path))
         assert code == EXIT_VIOLATED
-        assert "constraints 0 and 1" in text
-        assert "a=0" in text
+        assert text == (f"unsatisfiable: spec is contradictory at input pattern: "
+                        f"{point}\n" + "".join(f"  {line}\n" for line in named))
+        assert invoke("synth", "--constraints", str(path),
+                      "--out", str(tmp_path / "clash.st")) == (EXIT_VIOLATED, text)
+
+    def test_stateful_list_exit_2(self, tmp_path):
+        path = tmp_path / "latch.xml"
+        path.write_text(ab_list('  <assertion expr="s OR NOT y"/>', state=["s"]))
+        code, text = invoke("check", "--constraints", str(path))
+        assert code == EXIT_USAGE
+        assert "combinational blocks only" in text
 
 
 class TestProjectLayout:

@@ -13,10 +13,10 @@ from plcsynth.blocks import (
 from plcsynth.constraints import (
     Assertion, CauseEffectColumn, Combinator, ConstraintList, Mode,
     MissingRenameTarget, RenameCollision, SchemaError, TruthTableRow,
-    check_consistency, compile_spec, dumps_constraints, instantiate_template,
-    load_constraints, loads_constraints, save_constraints,
-    validate_constraint_list,
+    compile_spec, dumps_constraints, instantiate_template, load_constraints,
+    loads_constraints, save_constraints, validate_constraint_list,
 )
+from plcsynth.engine import Unsatisfiable, check
 
 
 def iface2():
@@ -110,38 +110,40 @@ class TestCompileSpec:
 
 
 class TestConsistency:
+    """`engine.check` on row lists: it reports the lowest dead point (every
+    input) and the constraints that clash there."""
+
     def test_direct_contradiction(self):
         cl = clist([TruthTableRow({"a": False}, {"y": False}),
                     TruthTableRow({"a": False}, {"y": True})])
-        report = check_consistency(cl)
-        assert not report.consistent
-        conflict = report.conflicts[0]
-        assert (conflict.first, conflict.second) == (0, 1)
-        assert conflict.witness == {"a": False}
+        with pytest.raises(Unsatisfiable) as info:
+            check(compile_spec(cl))
+        assert info.value.origins == (0, 1)
+        assert info.value.witness == {"a": False, "b": False}
 
     def test_dontcare_unification(self):
         cl = clist([TruthTableRow({"a": True, "b": None}, {"y": True}),
                     TruthTableRow({"a": None, "b": False}, {"y": False})])
-        report = check_consistency(cl)
-        assert len(report.conflicts) == 1
-        assert report.conflicts[0].witness == {"a": True, "b": False}
+        with pytest.raises(Unsatisfiable) as info:
+            check(compile_spec(cl))
+        assert info.value.origins == (0, 1)
+        assert info.value.witness == {"a": True, "b": False}
 
     def test_disjoint_rows_no_conflict(self):
         cl = clist([TruthTableRow({"a": True}, {"y": True}),
                     TruthTableRow({"a": False}, {"y": False})])
-        assert check_consistency(cl).consistent
+        check(compile_spec(cl))
 
     def test_agreeing_overlap_no_conflict(self):
         cl = clist([TruthTableRow({"a": True}, {"y": True}),
                     TruthTableRow({"b": True}, {"y": True})])
-        assert check_consistency(cl).consistent
+        check(compile_spec(cl))
 
     def test_unique_function_when_total_and_consistent(self):
         rows = [TruthTableRow({"a": av, "b": bv}, {"y": av and bv})
                 for av, bv in itertools.product([False, True], repeat=2)]
-        cl = clist(rows)
-        assert check_consistency(cl).consistent
-        spec = compile_spec(cl)
+        spec = compile_spec(clist(rows))
+        check(spec)
         for env in all_assignments(["a", "b"]):
             assert spec_output_value(spec, "y", env) == (env["a"] and env["b"])
 

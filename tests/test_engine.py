@@ -15,13 +15,14 @@ from plcsynth.blocks import (
     TypeCheckError, Var, VarDecl, Xor, eval_expr, expr_size, simulate,
 )
 from plcsynth.constraints import (
-    Assertion, ConstraintList, Mode, TruthTableRow, compile_spec,
+    Assertion, CauseEffectColumn, Combinator, ConstraintList, Mode, SpecFormula,
+    TruthTableRow, compile_spec,
 )
 from plcsynth import engine
 from plcsynth.bench import magnet_rule
 from plcsynth.engine import (
     FALSE, TRUE, SizeBoundExceeded, SynthConfig, Unsatisfiable, Verified, Violated,
-    equivalent, extend, repair, simplify, synthesize, verify,
+    check, equivalent, extend, repair, simplify, synthesize, verify,
 )
 from plcsynth.lang import emit, parse_expression
 from plcsynth.sat import CnfFormula, to_dimacs
@@ -393,22 +394,30 @@ class TestSynthesize:
 
     def test_conflicting_rows_unsatisfiable(self):
         # the witness is the lowest dead point, every input in interface
-        # order, whichever clashing rows come first
-        def clash(pattern):
-            return [TruthTableRow(pattern, {"y": v}) for v in (False, True)]
+        # order, whichever clashing rows come first, also when the clashes
+        # are on different outputs and each output gets its own run
+        def clash(pattern, output="y"):
+            return [TruthTableRow(pattern, {output: v}) for v in (False, True)]
 
-        for names, rows, witness in [
-                (["a"], clash({"a": False}), {"a": False}),
-                (["a", "b"], clash({"a": False}), {"a": False, "b": False}),
-                (["a", "b", "c"], clash({"a": True, "b": False, "c": False})
+        for names, outputs, rows, witness, origins in [
+                (["a"], ["y"], clash({"a": False}), {"a": False}, (0, 1)),
+                (["a", "b"], ["y"], clash({"a": False}), {"a": False, "b": False},
+                 (0, 1)),
+                (["a", "b", "c"], ["y"], clash({"a": True, "b": False, "c": False})
                  + clash({"a": False, "b": True, "c": True}),
-                 {"a": False, "b": True, "c": True})]:
-            interface = iface(*(f"i:{x}" for x in names), "o:y")
+                 {"a": False, "b": True, "c": True}, (2, 3)),
+                (["a", "b"], ["y", "z"], clash({"a": True, "b": True})
+                 + clash({"a": False, "b": True}, "z"), {"a": False, "b": True},
+                 (2, 3))]:
+            interface = iface(*(f"i:{x}" for x in names), *(f"o:{o}" for o in outputs))
             pattern = " ".join(f"{x}={int(v)}" for x, v in witness.items())
-            with pytest.raises(Unsatisfiable,
-                               match=f"contradictory at input pattern: {pattern}$") as info:
-                synthesize(interface, spec_for(interface, rows))
-            assert list(info.value.witness.items()) == list(witness.items())
+            for per_output in (True, False):
+                with pytest.raises(Unsatisfiable, match=f"contradictory at input "
+                                                        f"pattern: {pattern}\n") as info:
+                    synthesize(interface, spec_for(interface, rows),
+                               SynthConfig(per_output=per_output))
+                assert list(info.value.witness.items()) == list(witness.items())
+                assert info.value.origins == origins
 
     @pytest.mark.parametrize("max_slots", [1, 2, 3, 31])
     def test_contradiction_found_whatever_the_slot_limit(self, max_slots):
@@ -812,6 +821,85 @@ def spec_cases(draw):
     return block, constraints
 
 
+@st.composite
+def constraint_lists(draw):
+    """A random combinational constraint list over 2-3 inputs and 1-2
+    outputs: rows with don't-cares, cause-effect columns, and assertions
+    over inputs only, over one output or coupling two outputs."""
+    inputs = [f"i{k}" for k in range(draw(st.integers(2, 3)))]
+    outputs = [f"o{k}" for k in range(draw(st.integers(1, 2)))]
+    interface = BlockInterface(tuple(
+        [VarDecl(x, Direction.INPUT) for x in inputs]
+        + [VarDecl(o, Direction.OUTPUT) for o in outputs]))
+    scopes = [[], *([o] for o in outputs), *([outputs] if len(outputs) > 1 else [])]
+
+    def literal(name):
+        return Var(name) if draw(st.booleans()) else Not(Var(name))
+
+    constraints = []
+    for kind in draw(st.lists(st.sampled_from(["row", "column", "assertion"]),
+                              max_size=4)):
+        if kind == "row":
+            told = draw(st.lists(st.sampled_from(outputs), min_size=1, unique=True))
+            constraints.append(TruthTableRow(
+                {x: draw(st.sampled_from([False, True, None])) for x in inputs},
+                {o: draw(st.booleans()) for o in told}))
+        elif kind == "column":
+            marked = draw(st.lists(st.sampled_from(inputs), min_size=1, unique=True))
+            constraints.append(CauseEffectColumn(
+                draw(st.sampled_from(outputs)), draw(st.sampled_from(list(Combinator))),
+                {x: draw(st.booleans()) for x in marked}))
+        else:
+            names = draw(st.sampled_from(scopes)) + draw(
+                st.lists(st.sampled_from(inputs), min_size=1, max_size=2, unique=True))
+            expr = literal(names[0])
+            for name in names[1:]:
+                expr = draw(st.sampled_from([And, Or, Or, Xor]))(expr, literal(name))
+            constraints.append(Assertion(expr))
+    return interface, constraints
+
+
+class TestContradictionCheck:
+    @given(constraint_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_check_agrees_with_synthesize(self, case):
+        # synthesis stops at 3 slots: a spec is refuted before any template
+        interface, constraints = case
+        inputs, outputs = interface.inputs, interface.outputs
+        spec = spec_for(interface, constraints)
+        runs = [lambda: check(spec)] + [
+            lambda per_output=per_output: synthesize(
+                interface, spec, SynthConfig(max_slots=3, per_output=per_output))
+            for per_output in (True, False)]
+        outcomes = []
+        for op in runs:
+            try:
+                op()
+                outcomes.append(None)
+            except SizeBoundExceeded:
+                outcomes.append(None)
+            except Unsatisfiable as exc:
+                outcomes.append((str(exc), exc.witness, exc.origins))
+        assert outcomes[1:] == outcomes[:-1]
+        valuations = list(itertools.product((False, True), repeat=len(outputs)))
+        dead = next((dict(zip(inputs, bits))
+                     for bits in itertools.product((False, True), repeat=len(inputs))
+                     if not any(spec_holds(spec, {**dict(zip(inputs, bits)),
+                                                  **dict(zip(outputs, v))})
+                                for v in valuations)), None)
+        if dead is None:
+            assert outcomes[0] is None
+            return
+        _, witness, origins = outcomes[0]
+        assert witness == dead
+        assert origins == tuple(sorted(set(origins)))
+        named = SpecFormula(interface, {o: tuple(c for c in clauses if c.origin in origins)
+                                        for o, clauses in spec.obligations.items()},
+                            tuple(c for c in spec.assertions if c.origin in origins))
+        for v in valuations:
+            assert not spec_holds(named, {**dead, **dict(zip(outputs, v))})
+
+
 class TestTruthTables:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -1152,6 +1240,19 @@ class TestExtend:
         block = Block("ext", IFACE_AB_Y, (Statement("y", Var("a")),))
         with pytest.raises(Unsatisfiable):
             extend(block, extra)
+
+    def test_contradiction_names_no_pin(self):
+        # at a=0 b=0 the assertion fails whatever y is, and the pin holding
+        # y to a fails too for y=1; the source constraint is named, not it
+        extra = ConstraintList("e", Mode.EXTEND, IFACE_AB_Y,
+                               (Assertion(parse_expression("b")),))
+        block = Block("ext", IFACE_AB_Y, (Statement("y", Var("a")),))
+        with pytest.raises(Unsatisfiable) as info:
+            extend(block, extra)
+        assert info.value.witness == {"a": False, "b": False}
+        assert info.value.origins == (0,)
+        assert str(info.value) == ("spec is contradictory at input pattern: a=0 b=0\n"
+                                   "  assertion 0: b")
 
     def test_unconstrained_behavior_preserved(self):
         rng = random.Random(9)

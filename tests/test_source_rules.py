@@ -18,3 +18,13 @@ def test_no_bare_assert(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+def test_one_unsatisfiable_site():
+    # every contradiction is found and worded in one place, so `check` and
+    # every op report the same point and constraints
+    calls = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Unsatisfiable"]
+    assert len(calls) == 1, f"Unsatisfiable is constructed at {calls}"
