@@ -17,12 +17,14 @@ tables held as Python ints (one bit per input point), so the first point
 where a candidate fails is the lowest set bit of one mask; wider specs are
 checked by the SAT solver.
 Repair and extension reuse the same template seeded with the original
-program plus an edit budget; simplification synthesizes against the
-block's own behavior.  Simplification and extension pin outputs to the
-original block through ordinary obligation clauses, so every run reads
-one spec model.  `check` and every op but simplify report a contradictory
-spec from one place, `_PointSpec.refute`, before CEGIS: an input point
-that no output valuation meets and the constraints that clash there.
+program, one per slot count; the edit budget is an assumption on its
+counter of changed slots, so one solver serves every budget.
+Simplification synthesizes against the block's own behavior.
+Simplification and extension pin outputs to the original block through
+ordinary obligation clauses, so every run reads one spec model.  `check`
+and every op but simplify report a contradictory spec from one place,
+`_PointSpec.refute`, before CEGIS: an input point that no output
+valuation meets and the constraints that clash there.
 """
 
 from __future__ import annotations
@@ -665,12 +667,14 @@ class _SlotTemplate:
     clauses are numbered and ordered as the Tseitin encoding of the same
     constraints as expressions was, since search is very sensitive to
     that order.
+
+    A repair template (`originals` given) counts the slots that differ
+    from the original: `solve([-more_than[b]])` allows at most b of them.
     """
 
     def __init__(self, input_names: Sequence[str], n_slots: int,
                  outputs: Sequence[str], seed: int, prune: bool = True,
-                 originals: Optional[list[_SlotShape]] = None,
-                 edit_budget: Optional[int] = None):
+                 originals: Optional[list[_SlotShape]] = None):
         self.inputs = list(input_names)
         self.n = len(self.inputs)
         self.k = n_slots
@@ -679,9 +683,8 @@ class _SlotTemplate:
         self.ops += [("const",), ("not",), ("and",), ("or",), ("xor",)]
         self.prune = prune
         self.originals = originals
-        self.edit_budget = edit_budget
-        if originals is not None and edit_budget < n_slots - len(originals):
-            raise ValueError("edit budget below the number of added slots")
+        self.more_than: list[int] = []
+        self.loaded = 0  # points given to add_point so far
         self._idx = {op: i for i, op in enumerate(self.ops)}
         self._binary_ids = [self._idx[op] for op in (("and",), ("or",), ("xor",))]
         self._leaf_ids = [i for i, op in enumerate(self.ops)
@@ -711,7 +714,7 @@ class _SlotTemplate:
     def _wellformed_clauses(self) -> list[tuple[int, ...]]:
         """Int clauses making the selectors describe one program: one-hot
         operator, operand and output selectors with unused ones pinned,
-        then a repair template's edit budget, then the pruning rules.
+        then a repair template's edit rules, then the pruning rules.
 
         Selectors are numbered in first appearance, reading the
         constraints in order; the gates of the slot-use, duplicate-slot and
@@ -756,9 +759,7 @@ class _SlotTemplate:
         for row in self._outs:
             fwd += _one_hot(row)
         if self.originals is not None:
-            budget = self.edit_budget - (k - len(self.originals))
-            if budget < len(self.originals):
-                fwd += self._edit_clauses(budget)
+            fwd += self._edit_clauses()
         if self.prune:
             fwd += self._pruning_clauses()
         clauses: list[tuple[int, ...]] = []
@@ -811,13 +812,24 @@ class _SlotTemplate:
 
     # -- repair: distance to the original encoding
 
-    def _edit_clauses(self, bound: int) -> list:
-        """At most `bound` slots differ from the original program: a
-        sequential counter over the slots, where slot j counts as changed
-        unless an AND gate tree matches it to its original shape."""
+    def _edit_clauses(self) -> list:
+        """Operand order on the original's commutative slots, then a
+        sequential counter of changed slots (Sinz, CP 2005): slot j counts
+        as changed unless an AND gate tree matches it to its original
+        shape, and register c of row i is implied when more than c of
+        slots 0..i changed.  The last row is `more_than`; with no overflow
+        clause, no assumption leaves the count free."""
+        clauses: list = []
         matches = []
         for j, shape in enumerate(self.originals):
             op_sels, arg_sels = self._selectors[j]
+            a, b = shape.args
+            # AND/OR/XOR of the original's operands in swapped order loses
+            # no minimum: the unswapped twin has the same value and slots,
+            # and differs from the original slot no more
+            if shape.op in (("and",), ("or",), ("xor",)) and a != b:
+                clauses += [(-arg_sels[1][a], -arg_sels[0][b], -op_sels[i])
+                            for i in self._binary_ids]
             lits = [op_sels[self._idx[shape.op]]]
             if arg_sels[0]:
                 uses = self._op_uses(shape.op)
@@ -825,18 +837,15 @@ class _SlotTemplate:
             cv = self._cv(j)
             lits.append(cv if shape.op[0] == "const" and shape.const else -cv)
             matches.append(lits)
-        if bound == 0:  # every slot matches
-            return [(lit,) for lits in matches for lit in lits]
-        same = [_fold(lits, _gate_and, None) for lits in matches]
-        regs = [[self._fresh() for _ in range(bound)] for _ in range(len(same) - 1)]
-        clauses: list = [[regs[0][0], same[0]], *((-r,) for r in regs[0][1:])]
-        for i in range(1, len(same) - 1):
-            prev, row = regs[i - 1], regs[i]
-            clauses += ([row[0], same[i]], (row[0], -prev[0]))
-            for c in range(1, bound):
-                clauses += ([row[c], -prev[c - 1], same[i]], (row[c], -prev[c]))
-            clauses.append([-prev[-1], same[i]])
-        clauses.append([-regs[-1][-1], same[-1]])
+        prev: list[int] = []
+        for i, lits in enumerate(matches):
+            same = _fold(lits, _gate_and, None)
+            row = [self._fresh() for _ in range(i + 1)]
+            clauses.append([row[0], same])
+            for c in range(1, i + 1):
+                clauses += ((row[c - 1], -prev[c - 1]), [row[c], -prev[c - 1], same])
+            prev = row
+        self.more_than = prev
         return clauses
 
     # -- per-point evaluation
@@ -903,12 +912,14 @@ class _SlotTemplate:
         clauses += blocked
         clauses = [clause[::-1] for clause in reversed(clauses)]
         self.solver.extend(self.num_vars, clauses)
+        self.loaded += 1
 
     # -- search and decoding
 
-    def solve(self) -> Optional[dict[str, BoolExpr]]:
-        """The candidate of the solver's next model, None once UNSAT."""
-        result = self.solver.solve()
+    def solve(self, assumptions: Sequence[int] = ()) -> Optional[dict[str, BoolExpr]]:
+        """The candidate of the solver's next model under the assumed
+        literals, None when there is none."""
+        result = self.solver.solve(assumptions)
         return self.decode(result.model) if result.satisfiable else None
 
     def decode(self, model: Mapping[int, bool]) -> dict[str, BoolExpr]:
@@ -1028,27 +1039,31 @@ def _seed_points(pspec: _PointSpec) -> list[tuple[bool, ...]]:
             and (fixed or pspec.allowed(point) != every)]
 
 
-def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
+_Round = tuple[_SlotTemplate, Sequence[int]]
+
+
+def _run_cegis(label: str, rounds: Iterable[_Round], pspec: _PointSpec,
                cfg: SynthConfig) -> tuple[Optional[dict[str, BoolExpr]], OutputSynthesis]:
     """First candidate (in round order) meeting the spec, or None when no
-    template yields one, with the run's record under `label` (slots_used
-    is the winning template's size, 0 without a candidate).
+    round yields one, with the run's record under `label` (slots_used is
+    the winning template's size, 0 without a candidate).
 
-    Each template's own solver holds its well-formedness clauses and the
-    points seen so far; every counterexample adds only its own point
-    constraint before the solver is asked again.  The spec must have no
-    dead point: callers `refute` it first, as the templates may run out
-    before CEGIS reaches one.  Simplify's spec needs no check, since its
-    only clauses are one pair of complementary pins, which cannot clash."""
+    A round is a template and the literals its solver assumes; a template
+    may serve several rounds.  Its solver keeps its well-formedness
+    clauses and the points it was given, and is given only the points
+    found since, before each solve.  The spec must have no dead point:
+    callers `refute` it first, as the rounds may run out before CEGIS
+    reaches one.  Simplify's spec needs no check, since its only clauses
+    are one pair of complementary pins, which cannot clash."""
     start = time.perf_counter()
     iterations = counterexamples = 0
     points = _seed_points(pspec)
-    for template in rounds:
-        for point in points:
-            template.add_point(point, pspec)
+    for template, assumptions in rounds:
         while True:
+            for point in points[template.loaded:]:
+                template.add_point(point, pspec)
             iterations += 1
-            candidate = template.solve()
+            candidate = template.solve(assumptions)
             if candidate is None:
                 break
             violation = _find_violation(candidate, pspec, cfg.seed)
@@ -1058,18 +1073,17 @@ def _run_cegis(label: str, rounds: Iterable[_SlotTemplate], pspec: _PointSpec,
                                                   time.perf_counter() - start)
             if violation in points:
                 raise AssertionError("counterexample repeated")
-            template.add_point(violation, pspec)
             points.append(violation)
             counterexamples += 1
     return None, OutputSynthesis(label, 0, iterations, counterexamples,
                                  time.perf_counter() - start)
 
 
-def _deepening(pspec: _PointSpec, top: int, seed: int) -> Iterator[_SlotTemplate]:
-    """Templates from the spec's slot lower bound up to `top` slots; the
-    bound is computed on first use, inside the run that consumes them."""
+def _deepening(pspec: _PointSpec, top: int, seed: int) -> Iterator[_Round]:
+    """One round per template from the spec's slot lower bound up to `top`
+    slots; the bound is computed on first use, inside the run."""
     for k in range(pspec.min_slot_bound(), top + 1):
-        yield _SlotTemplate(pspec.input_names, k, pspec.outputs, seed)
+        yield _SlotTemplate(pspec.input_names, k, pspec.outputs, seed), ()
 
 
 def _result(block: Block, runs: Sequence[OutputSynthesis],
@@ -1187,13 +1201,21 @@ def _slot_count(expr: BoolExpr) -> int:
 
 
 def _repair_rounds(originals: list[_SlotShape], inputs: Sequence[str],
-                   output: str, cfg: SynthConfig):
+                   output: str, cfg: SynthConfig) -> Iterator[_Round]:
+    """Rounds by edits (changed original slots plus added slots), then by
+    slots added; each template size is built once, when first needed.  A
+    template is asked with no assumption (any original slot may change)
+    in one round only, as UNSAT without assumptions is final."""
     n_orig = len(originals)
     max_extra = max(0, cfg.max_slots - n_orig)
-    for edits in range(0, n_orig + max_extra + 1):
-        for extra in range(0, min(edits, max_extra) + 1):
-            yield _SlotTemplate(inputs, n_orig + extra, [output], cfg.seed, prune=False,
-                                originals=originals, edit_budget=edits)
+    templates: list[_SlotTemplate] = []  # index: slots added
+    for edits in range(n_orig + max_extra + 1):
+        for extra in range(max(0, edits - n_orig), min(edits, max_extra) + 1):
+            if extra == len(templates):
+                templates.append(_SlotTemplate(inputs, n_orig + extra, [output], cfg.seed,
+                                               prune=False, originals=originals))
+            template, changed = templates[extra], edits - extra
+            yield template, [-template.more_than[changed]] if changed < n_orig else []
 
 
 def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
@@ -1248,9 +1270,10 @@ def repair(block: Block, spec: SpecFormula,
     """Make the block satisfy the spec by changing as few slots of its
     straight-line encoding as possible, then using as few slots as
     possible.  A slot counts as changed when its operator, operands or
-    constant differ, however many expression nodes that touches, so
-    `a OR b` may become `b AND a`.  A block that already verifies is
-    returned unchanged with zero iterations."""
+    constant differ, however many expression nodes that touches; operands
+    keep their order, so `a OR b` becomes `a AND b`, not `b AND a`.  A
+    block that already verifies is returned unchanged with zero
+    iterations."""
     return _minimal_edit_synthesis(block, spec, cfg, "repair")
 
 

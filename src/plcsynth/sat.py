@@ -26,26 +26,6 @@ SatVar = int  # 1-based variable index
 
 
 @dataclass(frozen=True)
-class Literal:
-    var: SatVar
-    negated: bool = False
-
-    def __post_init__(self):
-        if self.var < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.var}")
-
-    def __neg__(self) -> "Literal":
-        return Literal(self.var, not self.negated)
-
-    def to_int(self) -> int:
-        return -self.var if self.negated else self.var
-
-    @classmethod
-    def from_int(cls, lit: int) -> "Literal":
-        return cls(abs(lit), lit < 0)
-
-
-@dataclass(frozen=True)
 class CnfFormula:
     """Immutable clause set; clauses are tuples of signed variable indices."""
 
@@ -190,17 +170,6 @@ class TseitinEncoder:
 
     def formula(self) -> CnfFormula:
         return CnfFormula(self.num_vars, tuple(self.clauses))
-
-
-def tseitin(root: BoolExpr, var_map: Mapping[str, SatVar]) -> tuple[CnfFormula, Literal]:
-    """Equisatisfiable CNF for the circuit rooted at `root`.
-
-    Asserting the returned root literal constrains the expression to true;
-    fresh variables are numbered after the highest index in var_map.
-    """
-    enc = TseitinEncoder(var_map)
-    lit = enc.encode(root)
-    return enc.formula(), Literal.from_int(lit)
 
 
 # --------------------------------------------------------------------------
@@ -566,11 +535,17 @@ class CdclSolver:
         self._order_head = var
         return var if var <= self.num_vars else None
 
-    def solve(self, assumptions: Iterable[Literal | int] = ()) -> SatResult:
-        """Complete search; internally runs conflict-budgeted attempts with
-        escalating budgets and varying phase profiles, so one pathological
-        polarity choice cannot dominate the runtime."""
-        assumed = [a.to_int() if isinstance(a, Literal) else int(a) for a in assumptions]
+    def solve(self, assumptions: Iterable[int] = ()) -> SatResult:
+        """Complete search under the assumed literals; internally runs
+        conflict-budgeted attempts with escalating budgets and varying phase
+        profiles, so one pathological polarity choice cannot dominate the
+        runtime.
+
+        UNSAT under assumptions leaves the solver usable for other
+        assumptions.  UNSAT that needed no assumption is final: the formula
+        itself is contradictory, `ok` turns false and every later call
+        answers UNSAT at once."""
+        assumed = list(assumptions)
         for lit in assumed:
             if not 1 <= abs(lit) <= self.num_vars:
                 raise ValueError(f"assumption {lit} out of range")
@@ -597,7 +572,8 @@ class CdclSolver:
         while True:
             confl = self._propagate()
             if confl is not None:
-                if not self.trail_lim:
+                if not self.trail_lim:  # no decision or assumption behind it
+                    self.ok = False
                     return SatResult.unsat()
                 total_conflicts += 1
                 since_restart += 1
@@ -646,7 +622,7 @@ class CdclSolver:
                 raise AssertionError(f"model does not satisfy assumption {lit}")
 
 
-def solve(formula: CnfFormula, assumptions: Iterable[Literal | int] = (),
+def solve(formula: CnfFormula, assumptions: Iterable[int] = (),
           seed: int = 0) -> SatResult:
     """Complete decision procedure: Sat with a total model, or Unsat."""
     return CdclSolver(formula, seed).solve(assumptions)

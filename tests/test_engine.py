@@ -1024,39 +1024,43 @@ class TestCegisProgress:
             "dc927ddf66dab33d3aebb80e332beba9e0e20ce66b8ad609a6dec29922fa0211")
 
     @staticmethod
-    def template_sweep():
-        """Plain templates over 0-5 inputs, 1-6 slots and 1-3 outputs, with
-        and without pruning, then the repair rounds of fixed random
-        expressions over 0-4 inputs (0-input blocks are all constants)."""
-        for n in range(6):
-            inputs = [f"i{x}" for x in range(n)]
-            for k, m, prune in itertools.product(range(1, 7), range(1, 4), (True, False)):
-                yield engine._SlotTemplate(inputs, k, [f"o{x}" for x in range(m)], 0, prune)
-        rng = random.Random(20261018)
-        for trial in range(60):
-            inputs = [f"i{x}" for x in range(trial % 5)]
-            shapes = engine._encode_original(random_expr(rng, inputs, rng.randint(1, 6)),
-                                             inputs)
-            yield from engine._repair_rounds(shapes, inputs, "y",
-                                             SynthConfig(max_slots=len(shapes) + 2))
-
-    def test_template_cnf_matches_golden(self):
-        # digest of the CNF and variable count that each template's
-        # well-formedness constraints gave through the Tseitin encoder;
-        # search is very sensitive to variable and clause order
+    def template_digest(templates):
+        """(count, digest) of each template's well-formedness CNF and
+        variable count."""
         digest, count = hashlib.sha256(), 0
-        for template in self.template_sweep():
+        for template in templates:
             digest.update(repr((template.solver.original, template.num_vars)).encode())
             count += 1
-        assert (count, digest.hexdigest()) == (
-            900, "d94dc69f140f882aae849ef23f4f21ea8de10894674efca263b95a26608ff44d")
+        return count, digest.hexdigest()
 
-    def test_edit_budget_below_added_slots_rejected(self):
-        # repair rounds never add more slots than edits
-        shapes = engine._encode_original(Not(Var("a")), ["a"])
-        engine._SlotTemplate(["a"], 2, ["y"], 0, originals=shapes, edit_budget=1)
-        with pytest.raises(ValueError, match="edit budget"):
-            engine._SlotTemplate(["a"], 3, ["y"], 0, originals=shapes, edit_budget=1)
+    def test_template_cnf_matches_golden(self):
+        # plain templates over 0-5 inputs, 1-6 slots and 1-3 outputs, with
+        # and without pruning; the digest is the CNF the Tseitin encoder gave
+        # these constraints, as search is very sensitive to variable and
+        # clause order
+        templates = (engine._SlotTemplate([f"i{x}" for x in range(n)], k,
+                                          [f"o{x}" for x in range(m)], 0, prune)
+                     for n in range(6)
+                     for k, m, prune in itertools.product(range(1, 7), range(1, 4),
+                                                          (True, False)))
+        assert self.template_digest(templates) == (
+            216, "1ad591485cb6d6240775dfaad257dc650f6f76e41b64fccdba8ee6a6c77b7417")
+
+    def test_repair_template_cnf_matches_golden(self):
+        # the templates of the repair rounds of fixed random expressions
+        # over 0-4 inputs (0-input blocks are all constants), one per size
+        def templates():
+            rng = random.Random(20261018)
+            for trial in range(60):
+                inputs = [f"i{x}" for x in range(trial % 5)]
+                shapes = engine._encode_original(
+                    random_expr(rng, inputs, rng.randint(1, 6)), inputs)
+                rounds = engine._repair_rounds(shapes, inputs, "y",
+                                               SynthConfig(max_slots=len(shapes) + 2))
+                yield from dict.fromkeys(template for template, _ in rounds)
+
+        assert self.template_digest(templates()) == (
+            180, "23366c8a6678a7ae1287c814b0172185bb908988d0a4485448d945981d1c6d89")
 
     def test_same_seed_same_bytes(self):
         interface, spec = self.magnet_case()
@@ -1140,19 +1144,13 @@ class TestRepair:
                 matching.append(cand)
         assert matching == [And(Var("a"), Var("b"))]
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(12))
     def test_one_changed_slot_whatever_the_seed(self, seed):
-        # the edit count is in slots: And(b, a) is as good as And(a, b)
-        original = Or(Var("a"), Var("b"))
-        block = Block("orb", IFACE_AB_Y, (Statement("y", original),))
+        # one changed slot, and a changed commutative slot keeps the
+        # original operand order: never And(b, a)
+        block = Block("orb", IFACE_AB_Y, (Statement("y", Or(Var("a"), Var("b"))),))
         result = repair(block, and_table_spec(), SynthConfig(seed=seed))
-        assert output_table(result.block, "y") == {
-            bits: bits[0] and bits[1]
-            for bits in itertools.product((False, True), repeat=2)}
-        before = engine._encode_original(original, ["a", "b"])
-        after = engine._encode_original(result.block.body[0].rhs, ["a", "b"])
-        changed = sum(x != y for x, y in zip(before, after)) + abs(len(before) - len(after))
-        assert changed == 1
+        assert result.block.body == (Statement("y", And(Var("a"), Var("b"))),)
 
     def test_satisfying_block_unchanged(self):
         block = Block("ok", IFACE_AB_Y, (Statement("y", And(Var("a"), Var("b"))),))
@@ -1175,6 +1173,118 @@ class TestRepair:
         block = Block("idb", interface, (Statement("y", Var("a")),))
         with pytest.raises(Unsatisfiable):
             repair(block, spec)
+
+
+def straight_line_programs(n_inputs, n_slots):
+    """Every program of the repair template's grammar with `n_slots` slots,
+    as (slot shapes, truth table of the last slot); input i is true at the
+    points p with bit i set."""
+    points = range(1 << n_inputs)
+    full = (1 << len(points)) - 1
+    tables = [sum(1 << p for p in points if p >> i & 1) for i in range(n_inputs)]
+    programs = [((), tables)]
+    for j in range(n_slots):
+        dom = n_inputs + j
+        grown = []
+        for shapes, values in programs:
+            options = [(engine._SlotShape(("input", i)), tables[i]) for i in range(n_inputs)]
+            options += [(engine._SlotShape(("const",), const=c), full if c else 0)
+                        for c in (False, True)]
+            options += [(engine._SlotShape(("not",), (d, 0)), full ^ values[d])
+                        for d in range(dom)]
+            for d0, d1 in itertools.product(range(dom), repeat=2):
+                x, y = values[d0], values[d1]
+                options += [(engine._SlotShape(("and",), (d0, d1)), x & y),
+                            (engine._SlotShape(("or",), (d0, d1)), x | y),
+                            (engine._SlotShape(("xor",), (d0, d1)), x ^ y)]
+            grown += [(shapes + (shape,), values + [value]) for shape, value in options]
+        programs = grown
+    return [(shapes, values[-1]) for shapes, values in programs]
+
+
+def chosen_shapes(template, model):
+    """The slot shapes a repair template's model picks."""
+    def pick(sels):
+        return next(i for i, sel in enumerate(sels) if model[sel])
+
+    return [engine._SlotShape(template.ops[pick(op_sels)],
+                              tuple(pick(sels) for sels in arg_sels) if arg_sels[0] else (0, 0),
+                              model[cv])
+            for (op_sels, arg_sels), cv in zip(template._selectors, template._cvs)]
+
+
+class TestMinimalEditSearch:
+    @pytest.mark.parametrize("op", ["repair", "extend"])
+    def test_one_solver_per_template_size(self, monkeypatch, op):
+        # y := a needs one changed and one added slot for a OR (b AND c):
+        # sizes 1 and 2 open, each once, across edit budgets 0 to 2
+        interface = iface("i:a", "i:b", "i:c", "o:y")
+        block = Block("base", interface, (Statement("y", Var("a")),))
+        if op == "repair":
+            spec = spec_for(interface, table_rows(["a", "b", "c"], ["y"], lambda e: {
+                "y": e["a"] or (e["b"] and e["c"])}))
+            run = lambda: repair(block, spec, SynthConfig(seed=1))
+        else:
+            extra = ConstraintList("e", Mode.EXTEND, interface,
+                                   (TruthTableRow({"b": True, "c": True}, {"y": True}),))
+            run = lambda: extend(block, extra, SynthConfig(seed=1))
+        built, sizes = count_solvers(monkeypatch), []
+        real_init = engine._SlotTemplate.__init__
+
+        def init(self, input_names, n_slots, *args, **kwargs):
+            sizes.append(n_slots)
+            real_init(self, input_names, n_slots, *args, **kwargs)
+
+        monkeypatch.setattr(engine._SlotTemplate, "__init__", init)
+        result = run()
+        assert output_table(result.block, "y") == {
+            bits: bits[0] or (bits[1] and bits[2])
+            for bits in itertools.product((False, True), repeat=3)}
+        assert sizes == [1, 2]
+        assert len(built) == 2
+
+    @given(st.recursive(st.sampled_from([Var("a"), Var("b"), FALSE, TRUE]), lambda sub: st.one_of(
+               st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub),
+               st.builds(Xor, sub, sub)), max_leaves=3),
+           st.dictionaries(st.sampled_from(list(itertools.product((False, True), repeat=2))),
+                           st.booleans(), min_size=1),
+           st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_fewest_changed_slots_then_fewest_slots(self, original, table, seed):
+        # brute force over every program of the template sizes: the winner
+        # has the fewest edits (changed original slots plus added slots),
+        # then the fewest slots
+        inputs = ["a", "b"]
+        block = Block("orig", IFACE_AB_Y, (Statement("y", original),))
+        # repair reads the block with its constants folded
+        originals = engine._encode_original(engine._original_exprs(block)["y"], inputs)
+        assume(len(originals) <= 2)
+        index = {bits: sum(b << i for i, b in enumerate(bits)) for bits in table}
+        meets = lambda vec: all(bool(vec >> index[bits] & 1) == v for bits, v in table.items())
+        assume(not meets(sum(1 << index[bits] for bits in table
+                             if eval_expr(original, dict(zip(inputs, bits))))))
+        n = len(originals)
+        best = min((sum(x != y for x, y in zip(shapes, originals)) + k - n, k)
+                   for k in (n, n + 1)
+                   for shapes, vec in straight_line_programs(2, k) if meets(vec))
+        spec = spec_for(IFACE_AB_Y, [TruthTableRow(dict(zip(inputs, bits)), {"y": v})
+                                     for bits, v in table.items()])
+        picked = []
+        real_decode = engine._SlotTemplate.decode
+
+        def decode(template, model):
+            picked[:] = [(template, model)]
+            return real_decode(template, model)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine._SlotTemplate, "decode", decode)
+            result = repair(block, spec, SynthConfig(seed=seed, max_slots=n + 1))
+        template, model = picked[0]
+        shapes = chosen_shapes(template, model)
+        changed = sum(x != y for x, y in zip(shapes, originals))
+        assert (changed + template.k - n, template.k) == best
+        assert meets(sum(1 << index[bits] for bits in table
+                         if eval_expr(result.block.body[0].rhs, dict(zip(inputs, bits)))))
 
 
 class TestSimplify:

@@ -13,25 +13,18 @@ from plcsynth.blocks import (
     VarDecl, Xor,
 )
 from plcsynth.constraints import ConstraintList, Mode, TruthTableRow, compile_spec
-from plcsynth.sat import (
-    CdclSolver, CnfFormula, Literal, solve, to_dimacs, tseitin,
-)
+from plcsynth.sat import CdclSolver, CnfFormula, TseitinEncoder, solve, to_dimacs
 
 
 def cnf(num_vars, clauses):
     return CnfFormula(num_vars, tuple(tuple(c) for c in clauses))
 
 
-class TestLiteral:
-    def test_negation_roundtrip(self):
-        lit = Literal(3)
-        assert (-lit).negated and (-(-lit)) == lit
-        assert lit.to_int() == 3 and (-lit).to_int() == -3
-        assert Literal.from_int(-7) == Literal(7, True)
-
-    def test_rejects_zero_index(self):
-        with pytest.raises(ValueError):
-            Literal(0)
+def tseitin(root, var_map):
+    """The encoder's CNF for `root` and the literal equivalent to it."""
+    enc = TseitinEncoder(var_map)
+    lit = enc.encode(root)
+    return enc.formula(), lit
 
 
 class TestCnfFormula:
@@ -72,19 +65,19 @@ class TestSolveBasics:
 
     def test_assumptions_flip_verdict(self):
         f = cnf(2, [(1, 2)])
-        assert solve(f, assumptions=[Literal(1)]).satisfiable
-        res = solve(f, assumptions=[Literal(1, True), Literal(2, True)])
+        assert solve(f, assumptions=[1]).satisfiable
+        res = solve(f, assumptions=[-1, -2])
         assert not res.satisfiable
 
     def test_assumptions_do_not_poison_later_calls(self):
         solver = CdclSolver(cnf(2, [(1, 2)]))
-        assert not solver.solve([Literal(1, True), Literal(2, True)]).satisfiable
-        again = solver.solve([Literal(1)])
+        assert not solver.solve([-1, -2]).satisfiable
+        again = solver.solve([1])
         assert again.satisfiable and again.model[1] is True
 
     def test_assumption_out_of_range(self):
         with pytest.raises(ValueError):
-            solve(cnf(1, [(1,)]), assumptions=[Literal(4)])
+            solve(cnf(1, [(1,)]), assumptions=[4])
 
     def test_tautological_clause_ignored(self):
         res = solve(cnf(2, [(1, -1), (2,)]))
@@ -156,7 +149,7 @@ class TestTseitin:
                 v = var_map[name]
                 assumps.append(v if (bits >> i) & 1 else -v)
             if assert_root:
-                assumps.append(root.to_int())
+                assumps.append(root)
             if solve(formula, assumptions=assumps).satisfiable:
                 found.add(tuple(bool((bits >> i) & 1) for i in range(len(names))))
         return found
@@ -206,7 +199,7 @@ class TestTseitin:
         for bits in range(1 << len(names)):
             env = {n: bool((bits >> i) & 1) for i, n in enumerate(names)}
             assumps = [var_map[n] if env[n] else -var_map[n] for n in names]
-            assumps.append(root.to_int())
+            assumps.append(root)
             assert solve(formula, assumptions=assumps).satisfiable == eval_expr(expr, env)
 
     def test_size_bounds(self):
@@ -271,6 +264,17 @@ class TestIncremental:
         assert (solver.original, solver.trail, solver.num_vars) == ([(1, 2)], trail, 2)
         assert solver.solve().satisfiable
 
+    def test_unsat_without_assumptions_is_final(self):
+        # the first solve ends in a conflict with no decision behind it;
+        # a later solve under assumptions must not build a model from the
+        # trail that conflict left
+        solver = CdclSolver(cnf(3, [(1, -3), (3, 2), (-2, 1), (-1, 2, -3),
+                                    (-2, -1, -3), (-2, -1, 3)]), seed=2)
+        assert not solver.solve().satisfiable
+        assert not solver.ok
+        assert not solver.solve().satisfiable
+        assert not solver.solve([1, -2]).satisfiable
+
     @given(chunked_cnf())
     @settings(max_examples=300)
     def test_chunked_extend_matches_fresh_solver(self, case):
@@ -290,11 +294,16 @@ class TestIncremental:
                            for c in so_far)
             if not num_vars:
                 continue
-            # an assumption against the last model must agree with a fresh
-            # solver and must not stick for the next chunk
-            lit = -1 if got.satisfiable and got.model[1] else 1
-            assumed = solver.solve([lit]).satisfiable
-            assert assumed == solve(cnf(num_vars, so_far), [lit]).satisfiable
+            # queries under assumptions, several on the same solver, must
+            # agree with a fresh solver and must not stick for the next
+            # chunk or query
+            last = got.model if got.satisfiable else {}
+            flips = [-v if last.get(v) else v for v in range(1, num_vars + 1)]
+            for assumed in ([flips[0]], flips[:2], [-lit for lit in flips[-2:]], flips[1:4]):
+                answer = solver.solve(assumed)
+                assert answer.satisfiable == solve(cnf(num_vars, so_far), assumed).satisfiable
+                if answer.satisfiable:
+                    assert all(answer.model[abs(l)] == (l > 0) for l in assumed)
 
 
 def _answers_digest(answers) -> str:
