@@ -9,13 +9,14 @@ simulator.
 Synthesis searches straight-line candidate programs described by a slot
 template (operator and operand selector variables) with iterative
 deepening on the slot count, so the first verified candidate is minimal.
-Each template numbers its own variables and owns one incremental solver,
-which receives the template's well-formedness constraints and then every
-counterexample point as int clauses, with no expressions or Tseitin pass
-between.  Up to _CUBE_INPUTS inputs, the spec and each candidate are truth
-tables held as Python ints (one bit per input point), so the first point
-where a candidate fails is the lowest set bit of one mask; wider specs are
-checked by the SAT solver.
+Each template numbers its variables through one Tseitin encoder and owns
+one incremental solver.  The encoder writes the gates of the template's
+pruning and edit-counter rules, which are expressions over selector
+literals; the other well-formedness constraints and every counterexample
+point go to the solver as int clauses.  Up to _CUBE_INPUTS inputs, the
+spec and each candidate are truth tables held as Python ints (one bit per
+input point), so the first point where a candidate fails is the lowest
+set bit of one mask; wider specs are checked by the SAT solver.
 Repair and extension reuse the same template seeded with the original
 program, one per slot count; the edit budget is an assumption on its
 counter of changed slots, so one solver serves every budget.
@@ -168,7 +169,7 @@ def _xor(a: BoolExpr, b: BoolExpr) -> BoolExpr:
 
 
 def _fold(items: Sequence, op: Callable, unit):
-    """Balanced fold of `items` by `op` (expressions or gate nodes)."""
+    """Balanced fold of `items` by `op`, an expression constructor."""
     work = list(items)
     if not work:
         return unit
@@ -333,23 +334,18 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
     unless symbolic_init).  One encoder and one solver serve the whole
     call: each bound unrolls one more cycle, feeds the solver only the new
     clauses and solves under the assumption that this cycle's violation
-    holds, so the first model found belongs to the shortest bound.
+    holds, so the first model found belongs to the shortest bound.  The
+    initial state and inputs are int leaves that the encoder numbered.
     """
     iface = blocks[0].interface
     enc = TseitinEncoder({})
     solver = CdclSolver(CnfFormula(0, ()), seed=seed)
-
-    def fresh(name: str) -> BoolExpr:
-        enc.var_map[name] = enc.fresh()
-        return Var(name)
-
-    if symbolic_init:
-        init: dict[str, BoolExpr] = {s: fresh(f"{s}@init") for s in iface.state_vars}
-    else:
-        init = {s: FALSE for s in iface.state_vars}
+    init = {s: enc.fresh() if symbolic_init else FALSE for s in iface.state_vars}
     states = [init] * len(blocks)
+    input_vars: list[dict[str, int]] = []
     for t in range(cycles):
-        inputs = {n: fresh(f"{n}@{t}") for n in iface.inputs}
+        inputs = {n: enc.fresh() for n in iface.inputs}
+        input_vars.append(inputs)
         envs = [_symbolic_cycle(b, state, inputs) for b, state in zip(blocks, states)]
         states = [{s: env[s] for s in iface.state_vars} for env in envs]
         violation = _disj(bad(envs))
@@ -360,11 +356,9 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
         solver.extend(enc.num_vars, enc.clauses[loaded:])
         result = solver.solve([root])
         if result.satisfiable:
-            value = {name: result.model[v] for name, v in enc.var_map.items()}
-            init_state = {s: value[f"{s}@init"] if symbolic_init else False
-                          for s in iface.state_vars}
-            return init_state, [{n: value[f"{n}@{i}"] for n in iface.inputs}
-                                for i in range(t + 1)]
+            value = result.model
+            return ({s: symbolic_init and value[v] for s, v in init.items()},
+                    [{n: value[v] for n, v in cycle.items()} for cycle in input_vars])
     return None
 
 
@@ -614,38 +608,6 @@ _OP_CLAUSES = {
 }
 
 
-def _gate_and(a, b) -> tuple:
-    return ("&", a, b)
-
-
-def _gate_or(a, b) -> tuple:
-    return ("|", a, b)
-
-
-def _gate(node, out: list[tuple[int, ...]], fresh: Callable[[], int],
-          memo: dict[int, int]) -> int:
-    """Literal of a gate node: an int literal, ("-", node) for a negation
-    or (kind, left, right) for an AND ("&"), OR ("|") or XOR ("^") gate.
-    On a gate's first use its operands are encoded, it is numbered by
-    `fresh` and its Tseitin definition is appended to `out`."""
-    if type(node) is int:
-        return node
-    if node[0] == "-":
-        return -_gate(node[1], out, fresh, memo)
-    v = memo.get(id(node))
-    if v is None:
-        kind, a, b = node
-        a, b = _gate(a, out, fresh, memo), _gate(b, out, fresh, memo)
-        v = memo[id(node)] = fresh()
-        if kind == "&":
-            out += ((-v, a), (-v, b), (v, -a, -b))
-        elif kind == "|":
-            out += ((-v, a, b), (v, -a), (v, -b))
-        else:
-            out += ((-v, a, b), (-v, -a, -b), (v, a, -b), (v, -a, b))
-    return v
-
-
 def _one_hot(lits: list[int]) -> list[tuple[int, ...]]:
     """Exactly one of the literals: at least one, then at most one of each
     pair, every clause with its literals last to first."""
@@ -659,14 +621,14 @@ class _SlotTemplate:
     Slot j computes one of: an input, a constant, NOT, AND, OR, XOR of
     operands drawn from the inputs and earlier slots.  Selectors are
     one-hot variables, so per-point semantics turn into short implication
-    clauses that propagate well.  The template numbers every variable
-    itself (`num_vars` counts them) and keeps its selectors as ints for
-    `decode`.  Construction loads the well-formedness clauses into
-    `solver`; `add_point` adds one point's clauses, and the solver keeps
-    its learned clauses and activities between `solve` calls.  The int
-    clauses are numbered and ordered as the Tseitin encoding of the same
-    constraints as expressions was, since search is very sensitive to
-    that order.
+    clauses that propagate well.  One Tseitin encoder numbers every
+    variable of the template (`num_vars` counts them) and writes the gates
+    of its well-formedness rules; the selectors stay ints for `decode`.
+    Construction loads the well-formedness clauses into `solver`;
+    `add_point` adds one point's clauses, and the solver keeps its learned
+    clauses and activities between `solve` calls.  Search is very
+    sensitive to variable and clause order, so both are fixed as the
+    methods below describe.
 
     A repair template (`originals` given) counts the slots that differ
     from the original: `solve([-more_than[b]])` allows at most b of them.
@@ -689,24 +651,25 @@ class _SlotTemplate:
         self._binary_ids = [self._idx[op] for op in (("and",), ("or",), ("xor",))]
         self._leaf_ids = [i for i, op in enumerate(self.ops)
                           if op[0] in ("input", "const")]
-        self.num_vars = 0
+        self._enc = TseitinEncoder({})
         clauses = self._wellformed_clauses()
         self.solver = CdclSolver(CnfFormula(0, ()), seed=seed)
         self.solver.extend(self.num_vars, clauses)
+        clauses.clear()  # the solver holds them now
 
     def _op_uses(self, op: tuple) -> int:
         return {"input": 0, "const": 0, "not": 1}.get(op[0], 2)
 
-    def _fresh(self) -> int:
-        self.num_vars += 1
-        return self.num_vars
+    @property
+    def num_vars(self) -> int:
+        return self._enc.num_vars
 
     def _cv(self, j: int) -> int:
         """Slot j's constant bit.  A slot with no operands (slot 0 without
         inputs) gets it numbered where it is first mentioned: the edit
         counter, the duplicate-slot rule or the first point."""
         if self._cvs[j] is None:
-            self._cvs[j] = self._fresh()
+            self._cvs[j] = self._enc.fresh()
         return self._cvs[j]
 
     # -- well-formedness and pruning constraints
@@ -718,16 +681,16 @@ class _SlotTemplate:
 
         Selectors are numbered in first appearance, reading the
         constraints in order; the gates of the slot-use, duplicate-slot and
-        edit-counter constraints after all selectors.  Clauses are
-        gathered in reading order, each with its literals last to first;
-        the last pass reverses the list and numbers every gate where it is
-        first met (a slot's match test, shared by its counter row, once).
-        That is the CNF the Tseitin encoding of these constraints as one
-        conjunction gives, and search depends on it: golden digests in the
-        tests pin it.
+        edit-counter rules after all selectors.  Clauses are gathered in
+        reading order, each with its literals last to first; the last pass
+        reverses the list and encodes each clause that holds expressions,
+        so the encoder numbers every gate where it is first met (a slot's
+        match test, shared by its counter row, once) and writes its
+        definition just before that clause.  Search depends on this CNF:
+        golden digests in the tests pin it.
         """
-        k, fresh = self.k, self._fresh
-        fwd: list = []  # clause tuples, or lists holding gate nodes
+        k, fresh = self.k, self._enc.fresh
+        fwd: list = []  # int clause tuples, or lists holding expressions
         # per slot: operator selectors, both operand selector lists
         self._selectors: list[tuple[list[int], list[list[int]]]] = []
         self._cvs: list[Optional[int]] = []  # constant bits; None until mentioned
@@ -762,13 +725,12 @@ class _SlotTemplate:
             fwd += self._edit_clauses()
         if self.prune:
             fwd += self._pruning_clauses()
-        clauses: list[tuple[int, ...]] = []
-        memo: dict[int, int] = {}
+        enc = self._enc
         for clause in reversed(fwd):
             if type(clause) is list:
-                clause = tuple([_gate(lit, clauses, fresh, memo) for lit in clause])
-            clauses.append(clause)
-        return clauses
+                clause = tuple([enc.encode(lit) for lit in clause])
+            enc.clauses.append(clause)
+        return enc.clauses
 
     def _pruning_clauses(self) -> list:
         """Rules that only cut redundant programs: symmetric or reducible
@@ -795,25 +757,25 @@ class _SlotTemplate:
                 for later_ops, (later0, later1) in reversed(sels[j + 1:]):
                     binary = [later_ops[i] for i in self._binary_ids]
                     leafish = [later_ops[i] for i in self._leaf_ids]
-                    used.append(("&", later1[n + j], _fold(binary, _gate_or, None)))
-                    used.append(("&", later0[n + j], ("-", _fold(leafish, _gate_or, None))))
+                    used.append(And(later1[n + j], _fold(binary, Or, None)))
+                    used.append(And(later0[n + j], Not(_fold(leafish, Or, None))))
                 clauses.append(used + taps)
         # no two slots compute the same thing
         for i, (ops_i, args_i) in enumerate(sels):
             for j in range(i + 1, k):
                 ops_j, args_j = sels[j]
-                same = [_fold([("&", a, b) for a, b in zip(ops_i, ops_j)], _gate_or, None)]
+                same = [_fold([And(a, b) for a, b in zip(ops_i, ops_j)], Or, None)]
                 if n + i:
-                    same += [_fold([("&", a, b) for a, b in zip(args_i[w], args_j[w])],
-                                   _gate_or, None) for w in (0, 1)]
-                same.append(("-", ("^", self._cv(i), self._cv(j))))
-                clauses.append([("-", _fold(same, _gate_and, None))])
+                    same += [_fold([And(a, b) for a, b in zip(args_i[w], args_j[w])], Or, None)
+                             for w in (0, 1)]
+                same.append(Not(Xor(self._cv(i), self._cv(j))))
+                clauses.append([Not(_fold(same, And, None))])
         return clauses
 
     # -- repair: distance to the original encoding
 
     def _edit_clauses(self) -> list:
-        """Operand order on the original's commutative slots, then a
+        """Operand rules on the original's commutative slots, then a
         sequential counter of changed slots (Sinz, CP 2005): slot j counts
         as changed unless an AND gate tree matches it to its original
         shape, and register c of row i is implied when more than c of
@@ -824,12 +786,14 @@ class _SlotTemplate:
         for j, shape in enumerate(self.originals):
             op_sels, arg_sels = self._selectors[j]
             a, b = shape.args
-            # AND/OR/XOR of the original's operands in swapped order loses
-            # no minimum: the unswapped twin has the same value and slots,
-            # and differs from the original slot no more
+            # on an original op(a, b), AND/OR/XOR may take b first only as
+            # (b, b) and a second only as (a, a); this loses no minimum:
+            # the swapped twin has the same value, obeys both rules and
+            # differs from the original slot no more
             if shape.op in (("and",), ("or",), ("xor",)) and a != b:
-                clauses += [(-arg_sels[1][a], -arg_sels[0][b], -op_sels[i])
-                            for i in self._binary_ids]
+                arg0, arg1 = arg_sels
+                for i in self._binary_ids:
+                    clauses += ((arg1[b], -arg0[b], -op_sels[i]), (arg0[a], -arg1[a], -op_sels[i]))
             lits = [op_sels[self._idx[shape.op]]]
             if arg_sels[0]:
                 uses = self._op_uses(shape.op)
@@ -839,8 +803,8 @@ class _SlotTemplate:
             matches.append(lits)
         prev: list[int] = []
         for i, lits in enumerate(matches):
-            same = _fold(lits, _gate_and, None)
-            row = [self._fresh() for _ in range(i + 1)]
+            same = _fold(lits, And, None)
+            row = [self._enc.fresh() for _ in range(i + 1)]
             clauses.append([row[0], same])
             for c in range(1, i + 1):
                 clauses += ((row[c - 1], -prev[c - 1]), [row[c], -prev[c - 1], same])
@@ -857,11 +821,10 @@ class _SlotTemplate:
         Disallowed output valuations are blocked by clauses over the
         output values (defined from the output selectors when there are
         several outputs).  New variables are numbered in first appearance
-        and the clauses come last to first with reversed literals: the CNF
-        the Tseitin flattening of their conjunction gave, as search is very
-        sensitive to that order.
+        and the clauses come last to first with reversed literals; search
+        is very sensitive to that order.
         """
-        n, fresh = self.n, self._fresh
+        n, fresh = self.n, self._enc.fresh
         sign = [1 if bit else -1 for bit in point]
         clauses: list[tuple[int, ...]] = []
         add = clauses.append
@@ -1270,10 +1233,10 @@ def repair(block: Block, spec: SpecFormula,
     """Make the block satisfy the spec by changing as few slots of its
     straight-line encoding as possible, then using as few slots as
     possible.  A slot counts as changed when its operator, operands or
-    constant differ, however many expression nodes that touches; operands
-    keep their order, so `a OR b` becomes `a AND b`, not `b AND a`.  A
-    block that already verifies is returned unchanged with zero
-    iterations."""
+    constant differ, however many expression nodes that touches.  A
+    changed AND/OR/XOR slot keeps an original operand in place: `a OR b`
+    and `a AND c` become `a AND b`, not `b AND a`.  A block that already
+    verifies is returned unchanged with zero iterations."""
     return _minimal_edit_synthesis(block, spec, cfg, "repair")
 
 
@@ -1291,7 +1254,7 @@ def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
         if output not in assigned:
             continue
         pspec = _PointSpec(inputs, [output], _pinned({}, output, originals[output]))
-        orig_size = len(_encode_original(originals[output], inputs))
+        orig_size = _slot_count(originals[output])
         top = min(cfg.max_slots, orig_size)
         candidate, run = _run_cegis(output, _deepening(pspec, top, cfg.seed), pspec, cfg)
         if candidate is None:

@@ -3,8 +3,10 @@
 Tseitin transformation of Boolean expression circuits into CNF plus a
 complete incremental CDCL solver (watched literals, first-UIP clause
 learning, Luby restarts inside conflict-budgeted attempts that rephase
-between attempts).  Everything is deterministic for a fixed formula,
-clause-addition order, assumption list and seed.
+between attempts).  `TseitinEncoder.encode` is the one writer of gate
+definitions; a leaf may also be an int literal that is numbered already.
+Everything is deterministic for a fixed formula, clause-addition order,
+assumption list and seed.
 
 The solver's tables are indexed by the signed literal itself: the value
 table and the watch lists have 2N+1 entries, literal v at index v and -v
@@ -127,8 +129,12 @@ class TseitinEncoder:
             if lits:
                 self.add_clause(*lits)
 
-    def encode(self, expr: BoolExpr) -> int:
-        """Returns a signed literal equivalent to the expression."""
+    def encode(self, expr: BoolExpr | int) -> int:
+        """Returns a signed literal equivalent to the expression.  An int
+        leaf is a literal numbered already and comes back as is, with no
+        clause, variable or memo entry."""
+        if type(expr) is int:
+            return expr
         key = id(expr)
         cached = self._memo.get(key)
         if cached is not None:

@@ -366,6 +366,39 @@ class TestBoundedUnroll:
         assert isinstance(equivalent(block, silent, SynthConfig(unwind_cycles=4)), Violated)
         assert len(built) == 1 and 1 <= len(solves) <= 4
 
+    def test_unrolled_cnf_matches_golden(self, monkeypatch):
+        # digest of the CNF verify and equivalent load over 3 cycles of a
+        # stateful block, as search is very sensitive to variable and
+        # clause order
+        solvers = []
+
+        class RecordingSolver(engine.CdclSolver):
+            def __init__(self, *args, **kwargs):
+                solvers.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "CdclSolver", RecordingSolver)
+        interface = iface("i:a", "i:b", "o:y", "s:s1", "s:s2")
+        p = parse_expression
+        block = Block("st", interface, (Statement("y", p("s1 XOR (a AND s2)")),
+                                        Statement("s2", p("s1 OR b")),
+                                        Statement("s1", p("a AND NOT s2"))))
+        twin = Block("tw", interface, (Statement("y", p("(s2 AND a) XOR s1")),
+                                       Statement("s2", p("b OR s1")),
+                                       Statement("s1", p("NOT s2 AND a"))))
+        holds = spec_for(interface, [Assertion(p("NOT s1 OR a"))], Mode.VERIFY)
+        fails = spec_for(interface, [TruthTableRow({}, {"y": False})], Mode.VERIFY)
+        results = []
+        for symbolic in (False, True):
+            cfg = SynthConfig(unwind_cycles=3, symbolic_init=symbolic)
+            results += [verify(block, holds, cfg), verify(block, fails, cfg)]
+        results.append(equivalent(block, twin, SynthConfig(unwind_cycles=3)))
+        assert [type(r).__name__ for r in results] == [
+            "Verified", "Violated", "Verified", "Violated", "Verified"]
+        digest = hashlib.sha256(repr([(s.original, s.num_vars) for s in solvers]).encode())
+        assert (len(solvers), digest.hexdigest()) == (
+            5, "596e831537d2099e56979923143f1e55769a7071852c92a6951e961e095f7612")
+
 
 class TestSynthesize:
     def test_all_two_input_tables(self):
@@ -1060,7 +1093,7 @@ class TestCegisProgress:
                 yield from dict.fromkeys(template for template, _ in rounds)
 
         assert self.template_digest(templates()) == (
-            180, "23366c8a6678a7ae1287c814b0172185bb908988d0a4485448d945981d1c6d89")
+            180, "c6806161a829563952c388ce589d80154e1ef9a6f5d65ed3a11f8e2367384248")
 
     def test_same_seed_same_bytes(self):
         interface, spec = self.magnet_case()
@@ -1151,6 +1184,18 @@ class TestRepair:
         block = Block("orb", IFACE_AB_Y, (Statement("y", Or(Var("a"), Var("b"))),))
         result = repair(block, and_table_spec(), SynthConfig(seed=seed))
         assert result.block.body == (Statement("y", And(Var("a"), Var("b"))),)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_changed_slot_keeps_operand_in_place(self, seed):
+        # a AND c becomes a AND b: the kept operand a stays first
+        interface = iface("i:a", "i:b", "i:c", "o:y")
+        spec = spec_for(interface, table_rows(["a", "b", "c"], ["y"], lambda e: {
+            "y": (e["a"] and e["b"]) or not e["c"]}))
+        block = Block("rb", interface,
+                      (Statement("y", parse_expression("(a AND c) OR NOT c")),))
+        result = repair(block, spec, SynthConfig(seed=seed))
+        assert result.block.body == (
+            Statement("y", parse_expression("(a AND b) OR NOT c")),)
 
     def test_satisfying_block_unchanged(self):
         block = Block("ok", IFACE_AB_Y, (Statement("y", And(Var("a"), Var("b"))),))
@@ -1318,6 +1363,16 @@ class TestSimplify:
                 orig = _original_exprs(block)[stmt.target]
                 assert len(_encode_original(stmt.rhs, block.interface.inputs)) <= \
                     len(_encode_original(orig, block.interface.inputs))
+
+    def test_fallback_counts_written_slots(self):
+        # nothing fits one slot, so the original stays: t is written once
+        interface = BlockInterface((*iface("i:a", "i:b", "i:c", "o:y").decls,
+                                    VarDecl("t", Direction.TEMP)))
+        block = Block("sh", interface, (Statement("t", parse_expression("a AND b")),
+                                        Statement("y", parse_expression("t OR (t XOR c)"))))
+        result = simplify(block, SynthConfig(max_slots=1))
+        assert blocks_equivalent(block, result.block)
+        assert result.slots_used == 3
 
     def test_stateful_rejected(self):
         interface = iface("i:a", "o:y", "s:s")

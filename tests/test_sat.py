@@ -201,6 +201,26 @@ class TestTseitin:
             assumps = [var_map[n] if env[n] else -var_map[n] for n in names]
             assumps.append(root)
             assert solve(formula, assumptions=assumps).satisfiable == eval_expr(expr, env)
+        # with each Var replaced by its int literal (sharing kept), the
+        # encoding is the same CNF and root
+        memo = {}
+
+        def numbered(node):
+            if id(node) not in memo:
+                if isinstance(node, Var):
+                    memo[id(node)] = var_map[node.name]
+                elif isinstance(node, Not):
+                    memo[id(node)] = Not(numbered(node.operand))
+                elif isinstance(node, (And, Or, Xor)):
+                    memo[id(node)] = type(node)(numbered(node.left), numbered(node.right))
+                else:
+                    memo[id(node)] = node
+            return memo[id(node)]
+
+        assert tseitin(numbered(expr), var_map) == (formula, root)
+        enc = TseitinEncoder(var_map)
+        leaf = -var_map[names[-1]]
+        assert (enc.encode(leaf), enc.clauses, enc.num_vars) == (leaf, [], len(names))
 
     def test_size_bounds(self):
         from helpers import random_expr
