@@ -69,9 +69,8 @@ def load_block(path) -> Block:
 
 
 def write_block(block: Block, path) -> None:
-    path = Path(path)
-    lang = Lang.IL if path.suffix == ".il" else Lang.ST
-    path.write_text(emit(block, lang), encoding="utf-8")
+    """Write the block in its own dialect, whatever the path's suffix."""
+    Path(path).write_text(emit(block, block.lang), encoding="utf-8")
 
 
 def _default_out(block_path: str, op: str, lang: Lang) -> Path:
@@ -173,7 +172,7 @@ def _cmd_synth(args, out) -> int:
     result = synthesize(constraint_list.interface, spec, cfg,
                         name=constraint_list.block_name)
     lang = Lang(args.lang)
-    block = translate(result.block, lang)
+    block = replace(result.block, lang=lang)
     path = Path(args.out) if args.out else Path(f"{block.name}.{lang.value}")
     write_block(block, path)
     print(_summary("synth", result, path), file=out)

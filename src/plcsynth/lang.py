@@ -2,7 +2,9 @@
 
 Structured Text (ST) is the Pascal-like assignment language; Instruction
 List (IL) is the accumulator language with LD/ST and deferred operator
-groups.  Both share the VAR section syntax for the interface.  Emission is
+groups, one instruction per line.  Both dialects share one tokenizer
+(blanks, tabs and `//` comments) and one parser for the `FUNCTION_BLOCK`
+header and its VAR sections; they differ only in the body.  Emission is
 canonical and byte-deterministic, and parsing an emitted block yields the
 same interface and expression trees back.
 """
@@ -11,11 +13,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .blocks import (
-    MAX_EXPR_DEPTH, And, Block, BlockInterface, BoolExpr, Const, Direction,
-    Lang, Not, Or, Statement, TypeCheckError, Var, VarDecl, Xor, expr_depth,
+    MAX_EXPR_DEPTH, RESERVED_WORDS, And, Block, BlockInterface, BoolExpr,
+    Const, Direction, Lang, Not, Or, Statement, TypeCheckError, Var, VarDecl,
+    Xor, expr_depth, expr_vars,
 )
 
 _SECTION_KEYWORDS = {
@@ -26,11 +29,6 @@ _SECTION_KEYWORDS = {
 }
 
 _SECTION_FOR_DIRECTION = {d: kw for kw, d in _SECTION_KEYWORDS.items()}
-
-_KEYWORDS = frozenset(_SECTION_KEYWORDS) | {
-    "FUNCTION_BLOCK", "END_FUNCTION_BLOCK", "END_VAR", "BEGIN",
-    "NOT", "AND", "OR", "XOR", "TRUE", "FALSE", "BOOL",
-}
 
 
 @dataclass(frozen=True)
@@ -62,11 +60,10 @@ class UnbalancedParen(ParseError):
 
 
 # --------------------------------------------------------------------------
-# Tokenizer (shared by ST and the IL interface sections)
+# Tokenizer (shared by both dialects)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT, KEYWORD, SYMBOL, EOF
     text: str
     line: int
@@ -77,34 +74,30 @@ class _Token:
         return SourceSpan(self.line, self.column, max(1, len(self.text)))
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|:=|[():;]")
+# blanks, then an identifier, a symbol or an unexpected character
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(:=|[():;])|(\S))")
 
 
-def _tokenize(text: str, first_line: int = 1) -> list[_Token]:
+def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     lines = text.splitlines()
-    for offset, raw_line in enumerate(lines):
-        line_no = first_line + offset
-        line = raw_line.split("//", 1)[0]
-        pos = 0
-        while pos < len(line):
-            ch = line[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            match = _TOKEN_RE.match(line, pos)
-            if not match:
-                raise ParseError(SourceSpan(line_no, pos + 1, 1),
-                                 f"unexpected character {ch!r}")
-            word = match.group(0)
-            kind = "KEYWORD" if word in _KEYWORDS else (
-                "IDENT" if word[0].isalpha() or word[0] == "_" else "SYMBOL")
-            tokens.append(_Token(kind, word, line_no, pos + 1))
-            pos = match.end()
-    last_line = first_line + max(0, len(lines) - 1)
-    last_col = len(lines[-1]) + 1 if lines else 1
-    tokens.append(_Token("EOF", "", last_line, last_col))
+    for line_no, line in enumerate(lines, 1):
+        for match in _TOKEN_RE.finditer(line.split("//", 1)[0]):
+            word, symbol, stray = match.groups()
+            column = match.start(match.lastindex) + 1
+            if stray:
+                raise ParseError(SourceSpan(line_no, column, 1),
+                                 f"unexpected character {stray!r}")
+            kind = "SYMBOL" if symbol else "KEYWORD" if word in RESERVED_WORDS else "IDENT"
+            tokens.append(_Token(kind, word or symbol, line_no, column))
+    tokens.append(_Token("EOF", "", max(1, len(lines)),
+                         len(lines[-1]) + 1 if lines else 1))
     return tokens
+
+
+def _unexpected(tok: _Token, *expected: str) -> ParseError:
+    shown = tok.text if tok.kind != "EOF" else "end of input"
+    return ParseError(tok.span, f"unexpected {shown!r}", expected=expected)
 
 
 class _TokenStream:
@@ -122,24 +115,30 @@ class _TokenStream:
         return tok
 
     def accept(self, text: str) -> Optional[_Token]:
-        tok = self.peek()
-        if tok.text == text and tok.kind != "EOF":
-            return self.next()
-        return None
+        tok = self.tokens[self.pos]
+        if tok.text != text:  # `text` is never empty, so never EOF's
+            return None
+        self.pos += 1
+        return tok
 
     def expect(self, text: str, what: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "EOF":
-            shown = tok.text if tok.kind != "EOF" else "end of input"
-            raise ParseError(tok.span, f"unexpected {shown!r}",
-                             expected=(what or repr(text),))
-        return self.next()
+        tok = self.accept(text)
+        if tok is None:
+            raise _unexpected(self.peek(), what or repr(text))
+        return tok
+
+    def take_line(self) -> list[_Token]:
+        """The next token and the ones after it on its source line."""
+        start, tokens = self.pos, self.tokens
+        line = tokens[start].line
+        while tokens[self.pos].kind != "EOF" and tokens[self.pos].line == line:
+            self.pos += 1
+        return tokens[start:self.pos]
 
     def expect_ident(self, what: str = "identifier") -> _Token:
         tok = self.peek()
         if tok.kind != "IDENT":
-            shown = tok.text if tok.kind != "EOF" else "end of input"
-            raise ParseError(tok.span, f"unexpected {shown!r}", expected=(what,))
+            raise _unexpected(tok, what)
         return self.next()
 
 
@@ -186,9 +185,7 @@ def _parse_unary(ts: _TokenStream) -> BoolExpr:
     if tok.kind == "IDENT":
         ts.next()
         return Var(tok.text)
-    shown = tok.text if tok.kind != "EOF" else "end of input"
-    raise ParseError(tok.span, f"unexpected {shown!r}",
-                     expected=("NOT", "(", "TRUE", "FALSE", "identifier"))
+    raise _unexpected(tok, "NOT", "(", "TRUE", "FALSE", "identifier")
 
 
 def parse_expression(text: str, interface: Optional[BlockInterface] = None) -> BoolExpr:
@@ -201,7 +198,6 @@ def parse_expression(text: str, interface: Optional[BlockInterface] = None) -> B
     if expr_depth(expr) > MAX_EXPR_DEPTH:
         raise ParseError(SourceSpan(1, 1, 1), "expression too deep")
     if interface is not None:
-        from .blocks import expr_vars
         for name in expr_vars(expr):
             if name not in interface:
                 raise TypeCheckError(f"undeclared variable '{name}'")
@@ -209,10 +205,13 @@ def parse_expression(text: str, interface: Optional[BlockInterface] = None) -> B
 
 
 # --------------------------------------------------------------------------
-# Interface sections
+# Shared by both dialects: the header, statements and the block's end
 
 
-def _parse_sections(ts: _TokenStream) -> list[VarDecl]:
+def _parse_header(ts: _TokenStream) -> tuple[str, BlockInterface]:
+    """`FUNCTION_BLOCK name` and the VAR sections that follow it."""
+    ts.expect("FUNCTION_BLOCK", "'FUNCTION_BLOCK'")
+    name = ts.expect_ident("block name").text
     decls: list[VarDecl] = []
     while ts.peek().text in _SECTION_KEYWORDS:
         direction = _SECTION_KEYWORDS[ts.next().text]
@@ -225,7 +224,25 @@ def _parse_sections(ts: _TokenStream) -> list[VarDecl]:
                 decls.append(VarDecl(name_tok.text, direction))
             except TypeCheckError as exc:
                 raise ParseError(name_tok.span, str(exc)) from None
-    return decls
+    try:
+        return name, BlockInterface(tuple(decls))
+    except TypeCheckError as exc:
+        raise ParseError(ts.peek().span, str(exc)) from None
+
+
+def _statement(target: _Token, rhs: BoolExpr) -> Statement:
+    if expr_depth(rhs) > MAX_EXPR_DEPTH:
+        raise ParseError(target.span, "expression too deep")
+    return Statement(target.text, rhs)
+
+
+def _finish(ts: _TokenStream, name: str, interface: BlockInterface,
+            body: list[Statement], lang: Lang) -> Block:
+    """The block, once END_FUNCTION_BLOCK has been read and nothing follows."""
+    trailing = ts.peek()
+    if trailing.kind != "EOF":
+        raise ParseError(trailing.span, f"unexpected {trailing.text!r} after block")
+    return Block(name, interface, tuple(body), lang)
 
 
 # --------------------------------------------------------------------------
@@ -235,177 +252,89 @@ def _parse_sections(ts: _TokenStream) -> list[VarDecl]:
 def parse_st(text: str) -> Block:
     """Parse a FUNCTION_BLOCK in the ST subset into a type-checked Block."""
     ts = _TokenStream(_tokenize(text))
-    ts.expect("FUNCTION_BLOCK", "'FUNCTION_BLOCK'")
-    name = ts.expect_ident("block name").text
-    decls = _parse_sections(ts)
-    interface = _build_interface(decls, ts)
+    name, interface = _parse_header(ts)
     ts.expect("BEGIN", "'BEGIN'")
     body: list[Statement] = []
     while not ts.accept("END_FUNCTION_BLOCK"):
         target = ts.expect_ident("assignment target or END_FUNCTION_BLOCK")
         ts.expect(":=")
         rhs = _parse_expr(ts)
-        semi = ts.expect(";")
-        if expr_depth(rhs) > MAX_EXPR_DEPTH:
-            raise ParseError(semi.span, "expression too deep")
-        body.append(Statement(target.text, rhs))
-    trailing = ts.peek()
-    if trailing.kind != "EOF":
-        raise ParseError(trailing.span, f"unexpected {trailing.text!r} after block")
-    return Block(name, interface, tuple(body), Lang.ST)
-
-
-def _build_interface(decls: list[VarDecl], ts: _TokenStream) -> BlockInterface:
-    try:
-        return BlockInterface(tuple(decls))
-    except TypeCheckError as exc:
-        raise ParseError(ts.peek().span, str(exc)) from None
+        ts.expect(";")
+        body.append(_statement(target, rhs))
+    return _finish(ts, name, interface, body, Lang.ST)
 
 
 # --------------------------------------------------------------------------
 # Instruction List
 
-_IL_PLAIN = {"LD": None, "LDN": None, "AND": And, "ANDN": And, "OR": Or,
-             "ORN": Or, "XOR": Xor, "XORN": Xor}
-_IL_DEFERRED = {"AND(": (And, False), "ANDN(": (And, True), "OR(": (Or, False),
-                "ORN(": (Or, True), "XOR(": (Xor, False), "XORN(": (Xor, True)}
-
-_IL_LINE_RE = re.compile(r"^([A-Z]+\(?|\))(?:\s+(\S+))?\s*$")
+_IL_COMBINE = {"AND": And, "ANDN": And, "OR": Or, "ORN": Or, "XOR": Xor, "XORN": Xor}
 
 
 def parse_il(text: str) -> Block:
-    """Parse an IL block: VAR sections, then one instruction per line."""
-    lines = text.splitlines()
-    index = 0
-
-    def skip_blank(i: int) -> int:
-        while i < len(lines) and not lines[i].split("//", 1)[0].strip():
-            i += 1
-        return i
-
-    index = skip_blank(index)
-    if index >= len(lines):
-        raise ParseError(SourceSpan(1, 1, 1), "empty input",
-                         expected=("'FUNCTION_BLOCK'",))
-    header = lines[index].split("//", 1)[0].strip()
-    match = re.match(r"^FUNCTION_BLOCK\s+([A-Za-z_][A-Za-z0-9_]*)$", header)
-    if not match:
-        raise ParseError(SourceSpan(index + 1, 1, max(1, len(header))),
-                         "malformed header", expected=("'FUNCTION_BLOCK <name>'",))
-    name = match.group(1)
-    index += 1
-
-    # interface sections: collect lines until the last END_VAR
-    section_start = skip_blank(index)
-    section_end = section_start
-    scan = section_start
-    while scan < len(lines):
-        stripped = lines[scan].split("//", 1)[0].strip()
-        first_word = stripped.split(" ", 1)[0] if stripped else ""
-        if first_word in _SECTION_KEYWORDS:
-            while scan < len(lines):
-                if "END_VAR" in lines[scan].split("//", 1)[0]:
-                    scan += 1
-                    break
-                scan += 1
-            else:
-                raise ParseError(SourceSpan(len(lines), 1, 1), "unterminated VAR section",
-                                 expected=("'END_VAR'",))
-            section_end = scan
-            scan = skip_blank(scan)
-        else:
-            break
-    section_text = "\n".join(lines[section_start:section_end])
-    ts = _TokenStream(_tokenize(section_text, first_line=section_start + 1))
-    decls = _parse_sections(ts)
-    leftover = ts.peek()
-    if leftover.kind != "EOF":
-        raise ParseError(leftover.span, f"unexpected {leftover.text!r} in VAR sections")
-    interface = _build_interface(decls, ts)
-
+    """Parse an IL block: the header, then one instruction per line."""
+    ts = _TokenStream(_tokenize(text))
+    name, interface = _parse_header(ts)
     body: list[Statement] = []
     acc: Optional[BoolExpr] = None
-    stack: list[tuple[type, bool, Optional[BoolExpr], SourceSpan]] = []
-    ended = False
-    for i in range(max(section_end, index), len(lines)):
-        stripped = lines[i].split("//", 1)[0].strip()
-        if not stripped:
-            continue
-        span = SourceSpan(i + 1, 1, len(stripped))
-        if ended:
-            raise ParseError(span, f"unexpected {stripped!r} after block")
-        if stripped == "END_FUNCTION_BLOCK":
-            ended = True
-            continue
-        match = _IL_LINE_RE.match(stripped)
-        if not match:
-            raise ParseError(span, f"malformed instruction {stripped!r}")
-        mnemonic, operand = match.group(1), match.group(2)
-        acc = _il_step(mnemonic, operand, acc, stack, body, span)
-    if not ended:
-        raise ParseError(SourceSpan(max(1, len(lines)), 1, 1),
-                         "missing END_FUNCTION_BLOCK")
+    stack: list[tuple[type, bool, BoolExpr, _Token]] = []
+    while not ts.accept("END_FUNCTION_BLOCK"):
+        line = ts.take_line()
+        if not line:
+            raise _unexpected(ts.peek(), "instruction or END_FUNCTION_BLOCK")
+        acc = _il_step(line, acc, stack, body)
     if stack:
-        raise UnbalancedParen(stack[-1][3], "unclosed deferred operator group")
-    return Block(name, interface, tuple(body), Lang.IL)
+        raise UnbalancedParen(stack[-1][3].span, "unclosed deferred operator group")
+    return _finish(ts, name, interface, body, Lang.IL)
 
 
-def _operand_expr(operand: Optional[str], span: SourceSpan) -> BoolExpr:
+def _operand_expr(operand: Optional[_Token], head: _Token) -> BoolExpr:
     if operand is None:
-        raise ParseError(span, "missing operand")
-    if operand == "TRUE":
-        return Const(True)
-    if operand == "FALSE":
-        return Const(False)
-    if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", operand):
-        raise ParseError(span, f"bad operand {operand!r}")
-    return Var(operand)
+        raise ParseError(head.span, "missing operand")
+    if operand.text in ("TRUE", "FALSE"):
+        return Const(operand.text == "TRUE")
+    if operand.kind != "IDENT":
+        raise ParseError(operand.span, f"bad operand {operand.text!r}")
+    return Var(operand.text)
 
 
-def _il_step(mnemonic: str, operand: Optional[str], acc: Optional[BoolExpr],
-             stack: list, body: list[Statement], span: SourceSpan) -> Optional[BoolExpr]:
-    if mnemonic == "LD" or mnemonic == "LDN":
-        value = _operand_expr(operand, span)
+def _il_step(line: list[_Token], acc: Optional[BoolExpr], stack: list,
+             body: list[Statement]) -> Optional[BoolExpr]:
+    """Run one instruction (the tokens of one line) on the accumulator."""
+    head, rest = line[0], line[1:]
+    mnemonic = head.text
+    deferred = bool(rest) and rest[0].text == "("
+    if deferred:
+        mnemonic, rest = mnemonic + "(", rest[1:]
+    if len(rest) > 1:
+        raise _unexpected(rest[1], "end of instruction")
+    operand = rest[0] if rest else None
+    if mnemonic in ("LD", "LDN"):
+        value = _operand_expr(operand, head)
         return Not(value) if mnemonic == "LDN" else value
-    if mnemonic in _IL_DEFERRED:
-        op, negate = _IL_DEFERRED[mnemonic]
-        if acc is None:
-            raise AccumulatorUndefined(span, f"{mnemonic} before any load")
-        inner = _operand_expr(operand, span) if operand is not None else None
-        stack.append((op, negate, acc, span))
-        return inner
+    if mnemonic in (")", "NOT") and operand is not None:
+        raise ParseError(operand.span, f"{mnemonic} takes no operand")
+    if mnemonic == ")" and not stack:
+        raise UnbalancedParen(head.span, "')' without open group")
+    if mnemonic not in (")", "NOT", "ST") and mnemonic.rstrip("(") not in _IL_COMBINE:
+        raise ParseError(head.span, f"unknown mnemonic {mnemonic!r}")
+    if acc is None:
+        raise AccumulatorUndefined(head.span, "empty deferred operator group"
+                                   if mnemonic == ")" else f"{mnemonic} before any load")
+    if deferred:
+        stack.append((_IL_COMBINE[head.text], head.text.endswith("N"), acc, head))
+        return None if operand is None else _operand_expr(operand, head)
     if mnemonic == ")":
-        if operand is not None:
-            raise ParseError(span, "')' takes no operand")
-        if not stack:
-            raise UnbalancedParen(span, "')' without open group")
         op, negate, saved, _ = stack.pop()
-        if acc is None:
-            raise AccumulatorUndefined(span, "empty deferred operator group")
         return op(saved, Not(acc) if negate else acc)
     if mnemonic == "NOT":
-        if operand is not None:
-            raise ParseError(span, "NOT takes no operand")
-        if acc is None:
-            raise AccumulatorUndefined(span, "NOT before any load")
         return Not(acc)
     if mnemonic == "ST":
-        if acc is None:
-            raise AccumulatorUndefined(span, "ST before any load")
-        target = _operand_expr(operand, span)
-        if not isinstance(target, Var):
-            raise ParseError(span, "ST needs a variable operand")
-        body.append(Statement(target.name, acc))
+        if operand is None or operand.kind != "IDENT":
+            raise ParseError(head.span, "ST needs a variable operand")
+        body.append(_statement(operand, acc))
         return acc
-    if mnemonic in _IL_PLAIN:
-        if acc is None:
-            raise AccumulatorUndefined(span, f"{mnemonic} before any load")
-        value = _operand_expr(operand, span)
-        if mnemonic.endswith("N"):
-            value = Not(value)
-        op = _IL_PLAIN[mnemonic]
-        return op(acc, value)
-    raise ParseError(span, f"unknown mnemonic {mnemonic!r}")
+    value = _operand_expr(operand, head)
+    return _IL_COMBINE[mnemonic](acc, Not(value) if mnemonic.endswith("N") else value)
 
 
 # --------------------------------------------------------------------------

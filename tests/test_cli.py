@@ -17,6 +17,7 @@ from plcsynth.cli import (
 )
 from plcsynth.constraints import SchemaError
 from plcsynth.engine import SynthConfig
+from plcsynth.lang import parse_il
 
 AND_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <constraintList block="AndGate" mode="generate">
@@ -130,13 +131,18 @@ class TestSynth:
             bits: bits[0] and bits[1]
             for bits in itertools.product((False, True), repeat=2)}
 
-    def test_synth_il_output(self, project):
-        out_path = project / "and.il"
+    @pytest.mark.parametrize("out_name", ["and.il", "and.txt"])
+    def test_synth_il_output(self, project, out_name):
+        # --lang picks the written dialect, whatever the suffix
+        out_path = project / out_name
         code, _ = invoke("synth", "--constraints", str(project / "and.xml"),
                          "--out", str(out_path), "--lang", "il")
         assert code == EXIT_OK
-        block = load_block(out_path)
+        block = parse_il(out_path.read_text())
         assert block.lang is Lang.IL
+        assert output_table(block, "y") == {
+            bits: bits[0] and bits[1]
+            for bits in itertools.product((False, True), repeat=2)}
 
     def test_conflicting_rows_exit_1(self, project):
         code, text = invoke("synth", "--constraints",
@@ -220,13 +226,20 @@ class TestRepairSimplifyExtend:
         assert table[(True, False)] is True
         assert table[(False, True)] is True
 
-    def test_translate_roundtrip(self, project):
-        code, _ = invoke("translate", "--block", str(project / "or.st"),
-                         "--to", "il", "--out", str(project / "or.il"))
-        assert code == EXIT_OK
-        il_block = load_block(project / "or.il")
-        st_block = load_block(project / "or.st")
-        assert blocks_equivalent(st_block, il_block)
+    @pytest.mark.parametrize("source, out_name", [
+        (OR_ST, "or.il"),
+        (OR_ST, "or.txt"),
+        (OR_ST.replace(" a ", " was_END_VAR "), "was_END_VAR.il"),
+    ], ids=["il", "txt", "was_END_VAR"])
+    def test_translate_roundtrip(self, project, source, out_name):
+        # --to picks the written dialect, whatever the suffix
+        src = project / "src.st"
+        src.write_text(source)
+        out_path = project / out_name
+        code, text = invoke("translate", "--block", str(src), "--to", "il",
+                            "--out", str(out_path))
+        assert code == EXIT_OK, text
+        assert blocks_equivalent(load_block(src), parse_il(out_path.read_text()))
 
 
 class TestDeterminism:

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from helpers import blocks_equivalent, random_block
 from plcsynth.blocks import (
     And, Block, BlockInterface, Const, Direction, Lang, Not, Or, Statement,
-    TypeCheckError, Var, VarDecl, Xor,
+    TypeCheckError, Var, VarDecl, Xor, rename_vars,
 )
 from plcsynth.lang import (
     AccumulatorUndefined, ParseError, UnbalancedParen, emit,
-    format_expression, parse_expression, parse_il, parse_st, translate,
+    format_expression, parse, parse_expression, parse_il, parse_st, translate,
 )
 
 ST_AND = """
@@ -259,11 +259,36 @@ class TestTranslate:
         st_again = translate(il, Lang.ST)
         assert st_again.body == tuple(b.body) or blocks_equivalent(b, st_again, cycles=2)
 
-    def test_il_roundtrip_exact_trees(self):
+    @pytest.mark.parametrize("lang", list(Lang), ids=lambda lang: lang.value)
+    def test_il_roundtrip_exact_trees(self, lang):
+        # names that contain keywords or are IL mnemonics
+        names = dict(zip(["in0", "in1", "in2", "out0", "out1", "st0"],
+                         ["was_END_VAR", "END_VARx", "VAR_INPUTs", "LD", "ST", "ANDN"]))
         rng = random.Random(31)
         for _ in range(50):
             b = random_block(rng, 3, 2, 1, 1, rng.randint(1, 6), max_expr_size=10)
-            il_text = emit(b, Lang.IL)
-            again = parse_il(il_text)
+            iface = BlockInterface(tuple(VarDecl(names.get(d.name, d.name), d.direction)
+                                         for d in b.interface.decls))
+            b = Block(b.name, iface, tuple(Statement(names.get(s.target, s.target),
+                                                     rename_vars(s.rhs, names))
+                                           for s in b.body))
+            again = parse(emit(b, lang), lang)
             assert again.body == b.body
             assert again.interface == b.interface
+
+
+@pytest.mark.parametrize("lang", list(Lang), ids=lambda lang: lang.value)
+def test_dialects_share_header_and_errors(lang):
+    def text(ands, end="END_FUNCTION_BLOCK\n"):
+        body = (f"BEGIN\n  y := a{' AND b' * ands};\n" if lang is Lang.ST
+                else "LD a\n" + "AND b\n" * ands + "ST y\n")
+        return ("FUNCTION_BLOCK P\nVAR_INPUT\ta : BOOL; b : BOOL;\nEND_VAR // inputs\n"
+                "VAR_OUTPUT y : BOOL; END_VAR\n" + body + end)
+
+    block = parse(text(1), lang)
+    assert block.interface.inputs == ("a", "b")
+    assert block.body == (Statement("y", And(Var("a"), Var("b"))),)
+    # a 70-deep AND chain, and a block without its end
+    for bad in (text(69), text(1, end="")):
+        with pytest.raises(ParseError):
+            parse(bad, lang)
