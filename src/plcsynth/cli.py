@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Operates on a file-based project: blocks live in `.st`/`.il` source files,
-constraint lists in `.xml` files.  Exit codes: 0 success or Verified,
-1 Violated or Unsatisfiable (a contradictory constraint list, from `check`
-or any op), 2 usage or input errors, 3 size-bound or internal errors.
+constraint lists in `.xml` files.  A block file is read in the dialect of
+its text and written in the block's own dialect, whatever the suffix.
+Exit codes: 0 success or Verified, 1 Violated or Unsatisfiable (a
+contradictory constraint list, from `check` or any op), 2 usage or input
+errors, 3 size-bound or internal errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -60,12 +63,15 @@ class ProjectLayout:
         return cls(root, blocks, tuple(lists))
 
 
+# `BEGIN` outside a comment: after the header, ST has it and IL does not
+_ST_BODY_RE = re.compile(r"^(?:(?!//).)*\bBEGIN\b", re.MULTILINE)
+
+
 def load_block(path) -> Block:
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".il":
-        return parse_il(text)
-    return parse_st(text)
+    """Parse a block file in the dialect its text is written in, whatever
+    the path's suffix."""
+    text = Path(path).read_text(encoding="utf-8")
+    return parse_st(text) if _ST_BODY_RE.search(text) else parse_il(text)
 
 
 def write_block(block: Block, path) -> None:
@@ -190,35 +196,24 @@ def _cmd_verify(args, out) -> int:
     return EXIT_VIOLATED
 
 
-def _cmd_repair(args, out) -> int:
+# editing commands, by the word in their default output name
+_EDITED = {"repair": "repaired", "simplify": "simplified", "extend": "extended"}
+
+
+def _cmd_edit(args, out) -> int:
+    """repair, simplify or extend the block: the engine function of that
+    name, looked up when the command runs."""
+    op = args.command
     block = load_block(args.block)
-    spec = compile_spec(load_constraints(args.constraints))
-    result = repair(block, spec, _config(args))
-    path = Path(args.out) if args.out else _default_out(args.block, "repaired",
-                                                        block.lang)
+    operands = [block]
+    if op == "repair":
+        operands.append(compile_spec(load_constraints(args.constraints)))
+    elif op == "extend":
+        operands.append(load_constraints(args.constraints))
+    result = globals()[op](*operands, _config(args))
+    path = Path(args.out) if args.out else _default_out(args.block, _EDITED[op], block.lang)
     write_block(result.block, path)
-    print(_summary("repair", result, path), file=out)
-    return EXIT_OK
-
-
-def _cmd_simplify(args, out) -> int:
-    block = load_block(args.block)
-    result = simplify(block, _config(args))
-    path = Path(args.out) if args.out else _default_out(args.block, "simplified",
-                                                        block.lang)
-    write_block(result.block, path)
-    print(_summary("simplify", result, path), file=out)
-    return EXIT_OK
-
-
-def _cmd_extend(args, out) -> int:
-    block = load_block(args.block)
-    extra = load_constraints(args.constraints)
-    result = extend(block, extra, _config(args))
-    path = Path(args.out) if args.out else _default_out(args.block, "extended",
-                                                        block.lang)
-    write_block(result.block, path)
-    print(_summary("extend", result, path), file=out)
+    print(_summary(op, result, path), file=out)
     return EXIT_OK
 
 
@@ -267,9 +262,9 @@ def _cmd_check(args, out) -> int:
 _COMMANDS = {
     "synth": _cmd_synth,
     "verify": _cmd_verify,
-    "repair": _cmd_repair,
-    "simplify": _cmd_simplify,
-    "extend": _cmd_extend,
+    "repair": _cmd_edit,
+    "simplify": _cmd_edit,
+    "extend": _cmd_edit,
     "translate": _cmd_translate,
     "bench": _cmd_bench,
     "check": _cmd_check,

@@ -1,10 +1,10 @@
 """Bounded verification and counterexample-guided synthesis.
 
-Verification (and equivalence checking) grows one unrolled formula a
-scan cycle at a time in a single incremental SAT solver, asking after each
-cycle whether the spec can fail there, so the first counterexample found
-is a shortest one; counterexamples always replay on the reference
-simulator.
+Verification, equivalence checking and, past _CUBE_INPUTS inputs, the
+counterexample and dead-point searches of synthesis ask one bounded
+checker, `_unroll`.  It grows one unrolled formula a scan cycle at a time
+in a single incremental SAT solver, so the first counterexample found is a
+shortest one, and it replays every model on the reference simulator.
 
 Synthesis searches straight-line candidate programs described by a slot
 template (operator and operand selector variables) with iterative
@@ -16,7 +16,7 @@ literals; the other well-formedness constraints and every counterexample
 point go to the solver as int clauses.  Up to _CUBE_INPUTS inputs, the
 spec and each candidate are truth tables held as Python ints (one bit per
 input point), so the first point where a candidate fails is the lowest
-set bit of one mask; wider specs are checked by the SAT solver.
+set bit of one mask; wider specs go to `_unroll`.
 Repair and extension reuse the same template seeded with the original
 program, one per slot count; the edit budget is an assumption on its
 counter of changed slots, so one solver serves every budget.
@@ -39,14 +39,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .blocks import (
     And, Block, BlockInterface, BoolExpr, Const, Direction, Lang, Not, Or,
-    Statement, TypeCheckError, UnboundVariable, Var, Xor, cycle_environment,
-    eval_expr, expr_vars, simulate,
+    Statement, TypeCheckError, UnboundVariable, Var, VarDecl, Xor, eval_expr,
+    expr_vars, simulate,
 )
 from .constraints import (
     AssertionClause, ConstraintList, ObligationClause, SpecFormula,
     compile_spec, describe_assertion, describe_obligation,
 )
-from .sat import CdclSolver, CnfFormula, TseitinEncoder, solve
+from .sat import CdclSolver, CnfFormula, TseitinEncoder
 
 FALSE = Const(False)
 TRUE = Const(True)
@@ -262,14 +262,13 @@ def _symbolic_cycle(block: Block, state: Mapping[str, BoolExpr],
 # Interface checks
 
 
-def _non_temp_decls(interface: BlockInterface) -> set[tuple[str, Direction]]:
-    return {(d.name, d.direction) for d in interface.decls
-            if d.direction is not Direction.TEMP}
-
-
-def _check_same_interface(block: Block, spec: SpecFormula) -> None:
-    if _non_temp_decls(block.interface) != _non_temp_decls(spec.interface):
-        raise TypeCheckError("block and spec interfaces do not match")
+def _check_same_interface(a: BlockInterface, b: BlockInterface, message: str) -> None:
+    """Raise TypeCheckError(message) unless both declare the same
+    variables apart from temps."""
+    a_decls, b_decls = ({d for d in i.decls if d.direction is not Direction.TEMP}
+                        for i in (a, b))
+    if a_decls != b_decls:
+        raise TypeCheckError(message)
 
 
 def _require_combinational(interface: BlockInterface, what: str) -> None:
@@ -311,24 +310,13 @@ def _violations(spec: SpecFormula | _PointSpec,
             yield clause.origin, describe_assertion(clause)
 
 
-def _replay(block: Block, spec: SpecFormula, init_state: dict[str, bool],
-            input_cycles: Sequence[dict]) -> Counterexample:
-    state = dict(init_state)
-    for index, inputs in enumerate(input_cycles):
-        env = cycle_environment(block, state, inputs)
-        violated = next(_violations(spec, env), None)
-        if violated is not None:
-            return Counterexample(init_state, tuple(dict(c) for c in input_cycles),
-                                  violated[1], index)
-        state = {s: env[s] for s in block.interface.state_vars}
-    raise AssertionError("solver counterexample does not replay")
-
-
 def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
             bad: Callable[[list[dict[str, BoolExpr]]], list[BoolExpr]],
-            seed: int) -> Optional[tuple[dict[str, bool], list[dict[str, bool]]]]:
-    """Shortest run of at most `cycles` scan cycles after whose last cycle
-    one of `bad(envs)` holds, as (initial state, inputs per cycle), or None.
+            violated: Callable[[list[dict[str, bool]]], Optional[str]],
+            seed: int) -> VerifyResult:
+    """Verified(cycles) when no run of at most `cycles` scan cycles ends in
+    a cycle where one of `bad(envs)` holds, else Violated with a shortest
+    such run.
 
     All blocks read the same inputs from the same initial state (all false
     unless symbolic_init).  One encoder and one solver serve the whole
@@ -336,6 +324,12 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
     clauses and solves under the assumption that this cycle's violation
     holds, so the first model found belongs to the shortest bound.  The
     initial state and inputs are int leaves that the encoder numbered.
+
+    Every model replays on the simulator before it is returned: `violated`
+    names what fails on one cycle's concrete environments, one per block
+    (inputs, outputs and state after the cycle), and the counterexample is
+    its first cycle where it names something.  A model that does not
+    replay raises AssertionError.
     """
     iface = blocks[0].interface
     enc = TseitinEncoder({})
@@ -355,29 +349,32 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
         root = enc.encode(violation)
         solver.extend(enc.num_vars, enc.clauses[loaded:])
         result = solver.solve([root])
-        if result.satisfiable:
-            value = result.model
-            return ({s: symbolic_init and value[v] for s, v in init.items()},
-                    [{n: value[v] for n, v in cycle.items()} for cycle in input_vars])
-    return None
+        if not result.satisfiable:
+            continue
+        value = result.model
+        init_state = {s: symbolic_init and value[v] for s, v in init.items()}
+        input_cycles = tuple({n: value[v] for n, v in cycle.items()} for cycle in input_vars)
+        traces = [simulate(b, input_cycles, init_state).cycles for b in blocks]
+        for index, replayed in enumerate(zip(*traces)):
+            text = violated([{**c.inputs, **c.outputs, **c.state_after} for c in replayed])
+            if text is not None:
+                return Violated(Counterexample(init_state, input_cycles, text, index))
+        raise AssertionError("solver counterexample does not replay")
+    return Verified(cycles)
 
 
 def verify(block: Block, spec: SpecFormula,
            cfg: SynthConfig = SynthConfig()) -> VerifyResult:
-    """Bounded model check of the block against the compiled spec.
-
-    Unrolls the scan cycle one cycle at a time into a single growing
-    formula (initial state all false unless symbolic_init) and asks after
-    each cycle whether an obligation or assertion can fail there, so a
-    Violated result carries a shortest counterexample within
-    `unwind_cycles`, which provably replays on the simulator.
-    """
-    _check_same_interface(block, spec)
-    found = _unroll([block], cfg.symbolic_init, cfg.unwind_cycles,
-                    lambda envs: _violation_exprs(spec, envs[0]), cfg.seed)
-    if found is None:
-        return Verified(cfg.unwind_cycles)
-    return Violated(_replay(block, spec, *found))
+    """Bounded model check of the block against the compiled spec: a
+    shortest run of at most `unwind_cycles` cycles (initial state all false
+    unless symbolic_init) at whose end an obligation or assertion fails,
+    replayed on the simulator (see `_unroll`), else Verified."""
+    _check_same_interface(block.interface, spec.interface,
+                          "block and spec interfaces do not match")
+    return _unroll([block], cfg.symbolic_init, cfg.unwind_cycles,
+                   lambda envs: _violation_exprs(spec, envs[0]),
+                   lambda envs: next((t for _, t in _violations(spec, envs[0])), None),
+                   cfg.seed)
 
 
 def equivalent(a: Block, b: Block,
@@ -385,24 +382,13 @@ def equivalent(a: Block, b: Block,
     """Verified iff outputs agree on every input and initial-state pattern
     across `unwind_cycles` cycles; otherwise a shortest distinguishing
     counterexample is returned."""
-    if _non_temp_decls(a.interface) != _non_temp_decls(b.interface):
-        raise TypeCheckError("blocks have different interfaces")
+    _check_same_interface(a.interface, b.interface, "blocks have different interfaces")
     outputs = a.interface.outputs
-    found = _unroll([a, b], True, cfg.unwind_cycles,
-                    lambda envs: [_xor(envs[0][o], envs[1][o]) for o in outputs],
-                    cfg.seed)
-    if found is None:
-        return Verified(cfg.unwind_cycles)
-    init_state, input_cycles = found
-    trace_a = simulate(a, input_cycles, init_state)
-    trace_b = simulate(b, input_cycles, init_state)
-    for index, (ca, cb) in enumerate(zip(trace_a.cycles, trace_b.cycles)):
-        for output in outputs:
-            if ca.outputs[output] != cb.outputs[output]:
-                return Violated(Counterexample(
-                    init_state, tuple(dict(c) for c in input_cycles),
-                    f"outputs differ: {output}", index))
-    raise AssertionError("solver difference witness does not replay")
+    return _unroll([a, b], True, cfg.unwind_cycles,
+                   lambda envs: [_xor(envs[0][o], envs[1][o]) for o in outputs],
+                   lambda envs: next((f"outputs differ: {o}" for o in outputs
+                                      if envs[0][o] != envs[1][o]), None),
+                   cfg.seed)
 
 
 # --------------------------------------------------------------------------
@@ -433,7 +419,7 @@ class _PointSpec:
     set bit is the first point in that order.  `memo` keeps the tables of
     the guards, `ok` one table per output valuation.  Past _CUBE_INPUTS
     inputs there is no cube: the same walk runs on one point at a time
-    with width-1 masks, and `_find_violation` asks the SAT solver.
+    with width-1 masks, and `_unroll` answers the SAT questions.
     """
 
     def __init__(self, input_names: Sequence[str], outputs: Sequence[str],
@@ -545,21 +531,32 @@ class _PointSpec:
                       if any(f & must0 == 0 and f & must1 == must1 for f in tables)), 3)
         return max(bound, exact)
 
-    def violation_expr(self, input_vars: Mapping[str, BoolExpr],
-                       outs: Mapping[str, BoolExpr]) -> BoolExpr:
-        """Fully symbolic violation predicate (for SAT-based verification)."""
-        return _disj(_violation_exprs(self, {**input_vars, **outs}))
+    @cached_property
+    def interface(self) -> BlockInterface:
+        """The spec's inputs and outputs, for one-cycle blocks past the cube."""
+        return BlockInterface(tuple(
+            [VarDecl(name, Direction.INPUT) for name in self.input_names]
+            + [VarDecl(name, Direction.OUTPUT) for name in self.outputs]))
+
+    def point(self, found: VerifyResult) -> Optional[tuple[bool, ...]]:
+        """The input point of a one-cycle `_unroll` answer, None if Verified."""
+        if isinstance(found, Verified):
+            return None
+        return tuple(found.counterexample.input_cycles[0][n] for n in self.input_names)
 
     def dead_point(self, seed: int) -> Optional[tuple[bool, ...]]:
         """A point that no output valuation meets, or None: the first one
-        in the cube, past it whichever one SAT finds."""
+        in the cube, past it whichever one SAT finds, checked by `allowed`."""
         if self.cube:
             return self.lowest(self.full & ~reduce(or_, self.ok))
-        input_vars = {name: Var(name) for name in self.input_names}
-        valuations = itertools.product((FALSE, TRUE), repeat=len(self.outputs))
-        every = _conj([self.violation_expr(input_vars, dict(zip(self.outputs, v)))
-                       for v in valuations])
-        return _sat_point(every, self.input_names, seed)
+        valuations = [dict(zip(self.outputs, v))
+                      for v in itertools.product((FALSE, TRUE), repeat=len(self.outputs))]
+        return self.point(_unroll(
+            [Block("dead", self.interface, ())], False, 1,
+            lambda envs: [_conj([_disj(_violation_exprs(self, {**envs[0], **v}))
+                                 for v in valuations])],
+            lambda envs: None if self.allowed(tuple(envs[0][n] for n in self.input_names))
+            else "no output valuation meets the spec", seed))
 
     def refute(self, seed: int) -> None:
         """Raise Unsatisfiable at the spec's `dead_point`, if it has one.
@@ -967,28 +964,24 @@ def _encode_original(expr: BoolExpr, template_inputs: Sequence[str]) -> list[_Sl
 def _find_violation(out_exprs: Mapping[str, BoolExpr], pspec: _PointSpec,
                     seed: int) -> Optional[tuple[bool, ...]]:
     """The first point (in product order) where the candidate's outputs
-    break the spec; past _CUBE_INPUTS inputs, whichever one SAT finds."""
+    break the spec; past _CUBE_INPUTS inputs, the `_failing_point` of the
+    candidate as a one-cycle block."""
     if pspec.cube:
         memo: dict[int, int] = {}
         outs = {o: _mask(expr, pspec.env, pspec.full, memo)
                 for o, expr in out_exprs.items()}
         return pspec.lowest(pspec.failing(outs, pspec.env, pspec.full, pspec.memo))
-    input_vars = {name: Var(name) for name in pspec.input_names}
-    return _sat_point(pspec.violation_expr(input_vars, out_exprs), pspec.input_names, seed)
+    return _failing_point(Block("candidate", pspec.interface,
+                                _build_body(pspec.interface, out_exprs)), pspec, seed)
 
 
-def _sat_point(expr: BoolExpr, input_names: Sequence[str],
-               seed: int) -> Optional[tuple[bool, ...]]:
-    """An input point where `expr`, over the inputs, holds, or None."""
-    if expr == FALSE:
-        return None
-    var_map = {name: i + 1 for i, name in enumerate(input_names)}
-    enc = TseitinEncoder(var_map)
-    root = enc.encode(expr)
-    result = solve(enc.formula(), assumptions=[root], seed=seed)
-    if not result.satisfiable:
-        return None
-    return tuple(result.model[var_map[name]] for name in input_names)
+def _failing_point(block: Block, pspec: _PointSpec, seed: int) -> Optional[tuple[bool, ...]]:
+    """A point, whichever one `_unroll` finds, where one scan cycle of
+    `block` (reading the spec's inputs) breaks the spec, replayed on the
+    simulator; None if none."""
+    return pspec.point(_unroll(
+        [block], False, 1, lambda envs: _violation_exprs(pspec, envs[0]),
+        lambda envs: next((t for _, t in _violations(pspec, envs[0])), None), seed))
 
 
 def _seed_points(pspec: _PointSpec) -> list[tuple[bool, ...]]:
@@ -1105,8 +1098,7 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
     block is minimal in slot count and verified against the spec.
     """
     start = time.perf_counter()
-    if _non_temp_decls(interface) != _non_temp_decls(spec.interface):
-        raise TypeCheckError("interface does not match the spec")
+    _check_same_interface(interface, spec.interface, "interface does not match the spec")
     _require_combinational(interface, "synthesize")
     inputs = interface.inputs
     outputs = interface.outputs
@@ -1188,7 +1180,8 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
     Extend also pins each output that no assertion mentions to the block's
     behavior wherever none of that output's guards fire."""
     start = time.perf_counter()
-    _check_same_interface(block, spec)
+    _check_same_interface(block.interface, spec.interface,
+                          "block and spec interfaces do not match")
     per_assertions, coupling = _split_assertions(spec, block.interface.outputs)
     if coupling:
         raise TypeCheckError("assertions couple several outputs; "
@@ -1207,7 +1200,10 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
                                   [c.guard for c in obligations.get(output, ())])
         pspec = _PointSpec(inputs, [output], obligations, per_assertions[output])
         check_start = time.perf_counter()
-        if _find_violation({output: originals[output]}, pspec, cfg.seed) is None:
+        # past the cube the block itself replays, as inlining its temps can
+        # make a statement deeper than MAX_EXPR_DEPTH
+        if (_find_violation({output: originals[output]}, pspec, cfg.seed) if pspec.cube
+                else _failing_point(block, pspec, cfg.seed)) is None:
             runs.append(OutputSynthesis(output, 0, 0, 0,
                                         time.perf_counter() - check_start))
             continue

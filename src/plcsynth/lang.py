@@ -104,6 +104,7 @@ class _TokenStream:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # NOTs and open parentheses around the next unary
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -171,11 +172,15 @@ def _parse_andterm(ts: _TokenStream) -> BoolExpr:
 
 
 def _parse_unary(ts: _TokenStream) -> BoolExpr:
-    if ts.accept("NOT"):
-        return Not(_parse_unary(ts))
-    if ts.accept("("):
-        expr = _parse_expr(ts)
-        ts.expect(")")
+    tok = ts.accept("NOT") or ts.accept("(")
+    if tok:
+        ts.nesting += 1  # each level recurses: refuse deep ones before the stack does
+        if ts.nesting > MAX_EXPR_DEPTH:
+            raise ParseError(tok.span, "expression too deep")
+        expr = Not(_parse_unary(ts)) if tok.text == "NOT" else _parse_expr(ts)
+        if tok.text == "(":
+            ts.expect(")")
+        ts.nesting -= 1
         return expr
     if ts.accept("TRUE"):
         return Const(True)

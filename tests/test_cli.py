@@ -164,6 +164,27 @@ class TestSynth:
 
 
 class TestVerifyCli:
+    @pytest.mark.parametrize("lang", ["st", "il"])
+    def test_dialect_read_from_text(self, project, lang):
+        # the file is written in the --lang dialect and read back in the
+        # dialect of its text, whatever the suffix
+        out_path = project / "and.txt"
+        code, text = invoke("synth", "--constraints", str(project / "and.xml"),
+                            "--out", str(out_path), "--lang", lang)
+        assert code == EXIT_OK, text
+        assert load_block(out_path).lang is Lang(lang)
+        code, text = invoke("verify", "--block", str(out_path),
+                            "--constraints", str(project / "and.xml"))
+        assert (code, text) == (EXIT_OK, "Verified (bound 1)\n")
+
+    def test_deep_expression_exit_2(self, project):
+        deep = project / "deep.st"
+        deep.write_text(OR_ST.replace("a OR b", "(" * 300 + "a AND b" + ")" * 300))
+        code, text = invoke("verify", "--block", str(deep),
+                            "--constraints", str(project / "and.xml"))
+        assert code == EXIT_USAGE
+        assert "expression too deep" in text
+
     def test_verified_exit_0(self, project):
         invoke("synth", "--constraints", str(project / "and.xml"),
                "--out", str(project / "and.st"))

@@ -268,6 +268,12 @@ class TestXml:
         with pytest.raises(SchemaError):
             loads_constraints(bad)
 
+    def test_deep_assertion_rejected(self):
+        deep = MINIMAL_XML.replace("</constraintList>", '  <assertion expr="'
+                                   + "(" * 300 + "a" + ")" * 300 + '"/>\n</constraintList>')
+        with pytest.raises(SchemaError, match="expression too deep"):
+            loads_constraints(deep)
+
     def test_malformed_xml_reports_line(self):
         with pytest.raises(SchemaError):
             loads_constraints("<constraintList block='b' mode='generate'>")

@@ -744,6 +744,42 @@ class TestWideInputs:
             result = extend(block, extra, SynthConfig(seed=seed))
             assert isinstance(equivalent(result.block, want), Verified)
 
+    def test_repair_keeps_deep_original(self):
+        # the temps inline to a 70-deep AND chain, deeper than a statement
+        # may be, so the original is replayed as the block itself
+        names, interface = self.wide_interface()
+        temps = [VarDecl(f"t{k}", Direction.TEMP) for k in range(70)]
+        body = [Statement("t0", Var("i0")),
+                *(Statement(f"t{k}", And(Var(f"t{k - 1}"), Var(names[k % 13])))
+                  for k in range(1, 70)),
+                Statement("y", Var("t69"))]
+        block = Block("deep", BlockInterface(interface.decls + tuple(temps)), tuple(body))
+        spec = spec_for(interface, [TruthTableRow({"i0": False}, {"y": False})])
+        result = repair(block, spec)
+        assert (result.block, result.iterations) == (block, 0)
+
+    def test_sat_answers_replay(self, monkeypatch):
+        # a solver that holds none of its clauses answers SAT with a model
+        # that breaks no clause it holds; past the cube the counterexample
+        # and dead-point searches replay that model and refuse it
+        class Planted(engine.CdclSolver):
+            def extend(self, num_vars, clauses):
+                super().extend(num_vars, [])
+
+        names, interface = self.wide_interface()
+        spec = spec_for(interface, [TruthTableRow({"i0": True}, {"y": True}),
+                                    TruthTableRow({"i0": False, "i1": True}, {"y": False})])
+        pspec = engine._PointSpec(names, ["y"], spec.obligations, spec.assertions)
+        assert not pspec.cube
+        meets = {"y": Var("i0")}
+        assert engine._find_violation(meets, pspec, 0) is None
+        assert pspec.dead_point(0) is None
+        monkeypatch.setattr(engine, "CdclSolver", Planted)
+        with pytest.raises(AssertionError, match="does not replay"):
+            engine._find_violation(meets, pspec, 0)
+        with pytest.raises(AssertionError, match="does not replay"):
+            pspec.dead_point(0)
+
 
 def exprs_over(names):
     leaves = st.sampled_from([Var(n) for n in names] + [Const(False), Const(True)])

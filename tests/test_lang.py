@@ -292,3 +292,18 @@ def test_dialects_share_header_and_errors(lang):
     for bad in (text(69), text(1, end="")):
         with pytest.raises(ParseError):
             parse(bad, lang)
+
+
+@pytest.mark.parametrize("nesting", ["(" * 300 + "a AND b" + ")" * 300,
+                                     "NOT " * 1200 + "a", "(" * 65 + "a" + ")" * 65],
+                         ids=["parens", "nots", "just-past"])
+def test_deep_nesting_is_a_parse_error(nesting):
+    # each level recurses, so nesting past MAX_EXPR_DEPTH is refused before
+    # it can exhaust the stack
+    with pytest.raises(ParseError, match="expression too deep"):
+        parse_expression(nesting)
+    block = ST_AND.replace("a AND NOT b", nesting)
+    with pytest.raises(ParseError, match="expression too deep"):
+        parse_st(block)
+    # as deep as allowed: 64 levels of parentheses around one variable
+    assert parse_expression("(" * 64 + "a" + ")" * 64) == Var("a")

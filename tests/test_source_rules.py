@@ -28,3 +28,30 @@ def test_one_unsatisfiable_site():
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Unsatisfiable"]
     assert len(calls) == 1, f"Unsatisfiable is constructed at {calls}"
+
+
+def _calls_by_function(tree: ast.AST, name: str) -> list[str]:
+    """Qualified names of the functions holding each call of `name`."""
+    found: list[str] = []
+
+    def walk(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call) and \
+                    getattr(child.func, "id", getattr(child.func, "attr", None)) == name:
+                found.append(".".join(scope))
+            walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
+def test_solver_built_in_two_places():
+    # one bounded checker and the slot templates hold every solver the
+    # package builds; sat.py defines the solver and its one-shot `solve`
+    sites = [f"{path.stem}.{site}" for path in SOURCES if path.name != "sat.py"
+             for site in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")),
+                                            "CdclSolver")]
+    assert sorted(sites) == ["engine._SlotTemplate.__init__", "engine._unroll"]
