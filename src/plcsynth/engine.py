@@ -17,9 +17,20 @@ point go to the solver as int clauses.  Up to _CUBE_INPUTS inputs, the
 spec and each candidate are truth tables held as Python ints (one bit per
 input point), so the first point where a candidate fails is the lowest
 set bit of one mask; wider specs go to `_unroll`.
+
+Synthesis and simplification search over the inputs the spec depends on
+(`_PointSpec.projected`): in the cube, those whose flip changes what the
+spec allows somewhere; past it, those a guard or assertion mentions, and a
+spec left with at most _CUBE_INPUTS of them gets the cube.  Candidates then
+read only kept inputs, which keeps templates small and gives wide specs the
+bitset checks and the slot lower bound; the least slot count does not
+change, and `synthesize` still checks its block against the full spec.
+
 Repair and extension reuse the same template seeded with the original
-program, one per slot count; the edit budget is an assumption on its
-counter of changed slots, so one solver serves every budget.
+program, one per slot count and over every input, as the original's
+slots may read inputs the spec does not depend on; the edit budget is an
+assumption on its counter of changed slots, so one solver serves every
+budget.
 Simplification synthesizes against the block's own behavior.
 Simplification and extension pin outputs to the original block through
 ordinary obligation clauses, so every run reads one spec model.  `check`
@@ -115,7 +126,12 @@ VerifyResult = Verified | Violated
 
 @dataclass(frozen=True)
 class OutputSynthesis:
+    """One CEGIS run: its output (or "*" for a joint run), the inputs its
+    templates read (synthesize and simplify keep those the spec depends
+    on, see `_PointSpec.projected`), the winning template's size and the
+    run's counts and time."""
     output: str
+    inputs: tuple[str, ...]
     slots_used: int
     iterations: int
     counterexamples_used: int
@@ -530,6 +546,55 @@ class _PointSpec:
         exact = next((k for k, tables in enumerate((one, two), 1)
                       if any(f & must0 == 0 and f & must1 == must1 for f in tables)), 3)
         return max(bound, exact)
+
+    def restricted(self, kept: Sequence[str]) -> _PointSpec:
+        """The spec over the inputs `kept`, the others fixed to false.
+        Obligations whose guard folds to false and assertions that fold
+        to true are left out."""
+        env: dict[str, BoolExpr] = {name: FALSE for name in self.input_names}
+        env.update((name, Var(name)) for name in (*kept, *self.outputs))
+        obligations = {o: [replace(c, guard=guard) for c in clauses
+                           for guard in [_subst(c.guard, env)] if guard != FALSE]
+                       for o, clauses in self.obligations.items()}
+        assertions = [replace(c, expr=expr) for c in self.assertions
+                      for expr in [_subst(c.expr, env)] if expr != TRUE]
+        return _PointSpec(kept, self.outputs, obligations, assertions)
+
+    def projected(self) -> _PointSpec:
+        """The spec over the inputs it depends on (itself when that is all
+        of them), the others fixed to false by `restricted`.
+
+        In the cube, input i is dropped when flipping it changes no `ok`
+        table.  Past the cube, the inputs no guard or assertion mentions
+        are dropped; when at most _CUBE_INPUTS remain, the spec is rebuilt
+        with the cube and projected again, which gives it the bitset
+        checks and `min_slot_bound`.
+
+        Projection keeps the least slot count.  A program over the kept
+        inputs that meets the projected spec meets the full one, since the
+        full spec cannot tell a point from its twin with a dropped input
+        flipped.  Conversely, set the dropped inputs of a program meeting
+        the full spec to false and fold it: a slot that copies one becomes
+        a constant; NOT, AND, OR or XOR with a constant becomes a
+        constant, the other operand or its NOT, and a slot that only
+        copies another slot's value goes once its readers read that slot.
+        No slot is added, and the folded program meets the projected spec.
+        """
+        names = self.input_names
+        if self.cube:
+            shifts = (1 << s for s in range(len(names) - 1, -1, -1))
+            kept = [name for name, shift in zip(names, shifts)
+                    if any(((ok >> shift) ^ ok) & ~self.env[name] for ok in self.ok)]
+        else:
+            mentioned = set().union(
+                *(expr_vars(c.guard) for clauses in self.obligations.values()
+                  for c in clauses),
+                *(expr_vars(c.expr) for c in self.assertions))
+            kept = [name for name in names if name in mentioned]
+        if len(kept) == len(names):
+            return self
+        spec = self.restricted(kept)
+        return spec.projected() if spec.cube and not self.cube else spec
 
     @cached_property
     def interface(self) -> BlockInterface:
@@ -1013,6 +1078,7 @@ def _run_cegis(label: str, rounds: Iterable[_Round], pspec: _PointSpec,
     are one pair of complementary pins, which cannot clash."""
     start = time.perf_counter()
     iterations = counterexamples = 0
+    kept = tuple(pspec.input_names)
     points = _seed_points(pspec)
     for template, assumptions in rounds:
         while True:
@@ -1024,14 +1090,14 @@ def _run_cegis(label: str, rounds: Iterable[_Round], pspec: _PointSpec,
                 break
             violation = _find_violation(candidate, pspec, cfg.seed)
             if violation is None:
-                return candidate, OutputSynthesis(label, template.k, iterations,
+                return candidate, OutputSynthesis(label, kept, template.k, iterations,
                                                   counterexamples,
                                                   time.perf_counter() - start)
             if violation in points:
                 raise AssertionError("counterexample repeated")
             points.append(violation)
             counterexamples += 1
-    return None, OutputSynthesis(label, 0, iterations, counterexamples,
+    return None, OutputSynthesis(label, kept, 0, iterations, counterexamples,
                                  time.perf_counter() - start)
 
 
@@ -1116,6 +1182,7 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
     runs: list[OutputSynthesis] = []
     exprs: dict[str, BoolExpr] = {}
     for label, pspec in jobs:
+        pspec = pspec.projected()
         candidate, run = _run_cegis(label, _deepening(pspec, cfg.max_slots, cfg.seed),
                                     pspec, cfg)
         if candidate is None:
@@ -1204,7 +1271,7 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
         # make a statement deeper than MAX_EXPR_DEPTH
         if (_find_violation({output: originals[output]}, pspec, cfg.seed) if pspec.cube
                 else _failing_point(block, pspec, cfg.seed)) is None:
-            runs.append(OutputSynthesis(output, 0, 0, 0,
+            runs.append(OutputSynthesis(output, tuple(inputs), 0, 0, 0,
                                         time.perf_counter() - check_start))
             continue
         pspec.refute(cfg.seed)
@@ -1249,7 +1316,8 @@ def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
     for output in block.interface.outputs:
         if output not in assigned:
             continue
-        pspec = _PointSpec(inputs, [output], _pinned({}, output, originals[output]))
+        pspec = _PointSpec(inputs, [output],
+                           _pinned({}, output, originals[output])).projected()
         orig_size = _slot_count(originals[output])
         top = min(cfg.max_slots, orig_size)
         candidate, run = _run_cegis(output, _deepening(pspec, top, cfg.seed), pspec, cfg)

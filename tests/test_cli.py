@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import random
+import re
 import statistics
 
 import pytest
@@ -15,9 +16,9 @@ from plcsynth.blocks import Lang
 from plcsynth.cli import (
     EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, ProjectLayout, load_block, run,
 )
-from plcsynth.constraints import SchemaError
-from plcsynth.engine import SynthConfig
-from plcsynth.lang import parse_il
+from plcsynth.constraints import SchemaError, compile_spec, load_constraints
+from plcsynth.engine import SynthConfig, simplify, synthesize
+from plcsynth.lang import emit, parse_il
 
 AND_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <constraintList block="AndGate" mode="generate">
@@ -161,6 +162,55 @@ class TestSynth:
     def test_unknown_command_exit_2(self):
         code, _ = invoke("frobnicate")
         assert code == EXIT_USAGE
+
+
+# the summary line the benchmark parses (perfbench/workloads.py)
+SUMMARY = re.compile(r"^(synth|repair|simplify|extend): wrote (\S+) "
+                     r"\(slots (\d+), iterations (\d+), [0-9.]+ ms\)$")
+
+
+def magnet_xml():
+    """The full table of one warehouse magnet, m2 = (s2 AND s3) OR NOT s4,
+    over its row's four barriers."""
+    rows = "".join(
+        f'\n    <row in="{";".join(f"s{k}={int(v)}" for k, v in enumerate(bits, 1))}" '
+        f'out="m2={int((bits[1] and bits[2]) or not bits[3])}"/>'
+        for bits in itertools.product((False, True), repeat=4))
+    decls = "".join(f'\n    <var name="s{k}" dir="in" type="BOOL"/>' for k in range(1, 5))
+    return f"""<?xml version="1.0" encoding="UTF-8"?>
+<constraintList block="Magnet" mode="generate">
+  <interface>{decls}
+    <var name="m2" dir="out" type="BOOL"/>
+  </interface>
+  <truthTable>{rows}
+  </truthTable>
+</constraintList>
+"""
+
+
+class TestProjectedRuns:
+    def test_summary_and_written_bytes(self, tmp_path):
+        # m2 reads three of the four barriers, so the runs keep only those;
+        # the CLI prints the same summary line and writes the same block
+        xml = tmp_path / "magnet.xml"
+        xml.write_text(magnet_xml())
+        synth_out, simplified = tmp_path / "m.st", tmp_path / "m.simplified.st"
+        code, text = invoke("synth", "--constraints", str(xml), "--out", str(synth_out),
+                            "--seed", "1")
+        assert code == EXIT_OK
+        constraint_list = load_constraints(xml)
+        want = synthesize(constraint_list.interface, compile_spec(constraint_list),
+                          SynthConfig(seed=1), name="Magnet")
+        assert want.per_output[0].inputs == ("s2", "s3", "s4")
+        assert SUMMARY.match(text.rstrip("\n")).groups() == (
+            "synth", str(synth_out), str(want.slots_used), str(want.iterations))
+        assert synth_out.read_bytes() == emit(want.block, Lang.ST).encode()
+        code, text = invoke("simplify", "--block", str(synth_out), "--seed", "1")
+        assert code == EXIT_OK
+        want = simplify(want.block, SynthConfig(seed=1))
+        assert SUMMARY.match(text.rstrip("\n")).groups() == (
+            "simplify", str(simplified), str(want.slots_used), str(want.iterations))
+        assert simplified.read_bytes() == emit(want.block, Lang.ST).encode()
 
 
 class TestVerifyCli:

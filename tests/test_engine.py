@@ -15,8 +15,8 @@ from plcsynth.blocks import (
     TypeCheckError, Var, VarDecl, Xor, eval_expr, expr_size, simulate,
 )
 from plcsynth.constraints import (
-    Assertion, CauseEffectColumn, Combinator, ConstraintList, Mode, SpecFormula,
-    TruthTableRow, compile_spec,
+    Assertion, AssertionClause, CauseEffectColumn, Combinator, ConstraintList, Mode,
+    ObligationClause, SpecFormula, TruthTableRow, compile_spec,
 )
 from plcsynth import engine
 from plcsynth.bench import magnet_rule
@@ -822,10 +822,12 @@ def cube_and_point_outcomes(block, constraints):
     second pass checks every SAT answer (a violation or a dead point
     exactly when the cube finds one, and one by the width-1 masks) and then
     goes on with the cube's first such point, and it takes its slot lower
-    bounds from the cube too, so both passes must make the same search."""
+    bounds and the inputs that projection keeps from the cube too, so both
+    passes must make the same search."""
     real_bound = engine._PointSpec.min_slot_bound
     real_dead = engine._PointSpec.dead_point
     real_find = engine._find_violation
+    real_projected = engine._PointSpec.projected
 
     def cube_twin(pspec):
         mp.setattr(engine, "_CUBE_INPUTS", 12)
@@ -835,7 +837,8 @@ def cube_and_point_outcomes(block, constraints):
         return twin
 
     def checked(out_exprs, pspec, seed):
-        assert not pspec.cube
+        # a spec projected to no inputs keeps its one-point cube
+        assert not pspec.cube or not pspec.input_names
         found = real_find(out_exprs, pspec, seed)
         first = real_find(out_exprs, cube_twin(pspec), seed)
         assert (found is None) == (first is None)
@@ -858,6 +861,8 @@ def cube_and_point_outcomes(block, constraints):
         mp.setattr(engine._PointSpec, "min_slot_bound",
                    lambda pspec: real_bound(cube_twin(pspec)))
         mp.setattr(engine._PointSpec, "dead_point", checked_dead)
+        mp.setattr(engine._PointSpec, "projected", lambda pspec: pspec.restricted(
+            real_projected(cube_twin(pspec)).input_names))
         mp.setattr(engine, "_find_violation", checked)
         mp.setattr(engine, "_CUBE_INPUTS", 0)
         points = op_outcomes(block, constraints)
@@ -969,6 +974,101 @@ class TestContradictionCheck:
             assert not spec_holds(named, {**dead, **dict(zip(outputs, v))})
 
 
+def padded(spec):
+    """The spec over three more inputs it does not depend on: p0, which no
+    constraint mentions, and p1 and p2, which it mentions to no effect.
+    Each obligation splits into one clause where p1 holds and one where
+    it does not, each guard also reads `p2 OR NOT p2`, and each assertion
+    reads `p1 AND NOT p1` in a disjunct."""
+    p1, p2 = Var("p1"), Var("p2")
+    first, *rest = spec.interface.inputs
+    interface = BlockInterface(tuple(
+        [VarDecl(x, Direction.INPUT) for x in ("p0", first, "p1", *rest, "p2")]
+        + [VarDecl(o, Direction.OUTPUT) for o in spec.interface.outputs]))
+    obligations = {o: tuple(ObligationClause(And(And(c.guard, side), Or(p2, Not(p2))),
+                                             c.value, c.origin)
+                            for c in clauses for side in (p1, Not(p1)))
+                   for o, clauses in spec.obligations.items()}
+    assertions = tuple(AssertionClause(Or(c.expr, And(p1, Not(p1))), c.origin)
+                       for c in spec.assertions)
+    return SpecFormula(interface, obligations, assertions)
+
+
+def synthesis_outcome(spec, cfg):
+    try:
+        return synthesize(spec.interface, spec, cfg)
+    except (Unsatisfiable, SizeBoundExceeded) as exc:
+        return type(exc).__name__
+
+
+class TestProjection:
+    """synthesize and simplify search over the inputs the spec depends on
+    (`_PointSpec.projected`); the slot count must not change."""
+
+    @given(constraint_lists(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_padding_keeps_slot_count(self, case, per_output):
+        interface, constraints = case
+        spec = spec_for(interface, constraints)
+        cfg = SynthConfig(seed=1, per_output=per_output)
+        plain, wide = synthesis_outcome(spec, cfg), synthesis_outcome(padded(spec), cfg)
+        if isinstance(plain, str):
+            assert wide == plain
+            return
+        assert [(r.output, r.slots_used) for r in wide.per_output] == \
+            [(r.output, r.slots_used) for r in plain.per_output]
+        assert all(not {"p0", "p1", "p2"} & set(r.inputs) for r in wide.per_output)
+        assert isinstance(verify(wide.block, padded(spec)), Verified)
+
+    def test_projection_semantic_in_cube(self):
+        spec = padded(spec_for(IFACE_AB_Y, [TruthTableRow({"a": True}, {"y": True}),
+                                            TruthTableRow({"a": False}, {"y": False})]))
+        pspec = engine._PointSpec(spec.interface.inputs, ["y"], spec.obligations)
+        assert pspec.cube and pspec.input_names == ["p0", "a", "p1", "b", "p2"]
+        assert pspec.projected().input_names == ["a"]
+        assert pspec.projected().projected().input_names == ["a"]
+
+    def test_four_inputs_of_sixteen(self):
+        names = [f"i{k}" for k in range(16)]
+        interface = BlockInterface(tuple(
+            [VarDecl(x, Direction.INPUT) for x in names]
+            + [VarDecl("y", Direction.OUTPUT)]))
+        read = ["i3", "i7", "i11", "i14"]
+        rule = lambda e: {"y": (e["i3"] and e["i7"]) or (e["i11"] and not e["i14"])}
+        # i0 is mentioned to no effect, so only the cube can drop it
+        spec = spec_for(interface, (*table_rows(read, ["y"], rule),
+                                    Assertion(Or(Var("y"), Or(Var("i0"), Not(Var("i0")))))))
+        a, b, c, d = (Var(x) for x in read)
+        want = Block("want", interface, (Statement("y", Or(And(a, b), And(c, Not(d)))),))
+        for seed in range(3):
+            result = synthesize(interface, spec, SynthConfig(seed=seed))
+            assert isinstance(equivalent(result.block, want), Verified)
+            assert result.iterations < 20
+            assert result.per_output[0].inputs == tuple(read)
+
+    def test_simplify_drops_tautology_input(self, monkeypatch):
+        # a bloated warehouse row: m1 reads s4 only in `s4 OR NOT s4`
+        s1, s2, s3, s4 = (Var(f"s{k}") for k in range(1, 5))
+        interface = iface("i:s1", "i:s2", "i:s3", "i:s4", "o:m1", "o:m2", "o:m3")
+        block = Block("tautology", interface, (
+            Statement("m1", And(Or(And(s1, s2), Not(s3)), Or(s4, Not(s4)))),
+            Statement("m2", Or(Not(Not(And(s2, s3))), Not(s4))),
+            Statement("m3", And(And(s3, s4), s3))))
+        offered = []
+
+        class Recording(engine._SlotTemplate):
+            def __init__(self, input_names, n_slots, outputs, *args, **kwargs):
+                offered.append((outputs[0], tuple(input_names)))
+                super().__init__(input_names, n_slots, outputs, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_SlotTemplate", Recording)
+        result = simplify(block, SynthConfig(seed=1))
+        assert isinstance(equivalent(result.block, block), Verified)
+        assert {inputs for output, inputs in offered if output == "m1"} == {("s1", "s2", "s3")}
+        assert [r.inputs for r in result.per_output] == [
+            ("s1", "s2", "s3"), ("s2", "s3", "s4"), ("s3", "s4")]
+
+
 class TestTruthTables:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -1061,8 +1161,11 @@ class TestCegisProgress:
         interface, spec = self.magnet_case()
         result = synthesize(interface, spec, SynthConfig(seed=1))
         assert result.counterexamples_used > 0
-        # templates run from the slot lower bound up to the answer's size
-        assert 1 <= len(built) <= result.slots_used < result.iterations
+        # one template per slot count from the projected spec's lower
+        # bound up to the answer's size
+        bound = engine._PointSpec(interface.inputs, ["m2"], spec.obligations
+                                  ).projected().min_slot_bound()
+        assert len(built) == result.slots_used - bound + 1
 
     def test_guards_never_evaluated_per_point(self, monkeypatch):
         # a single-output run and the final spec check read the guards'
@@ -1179,7 +1282,7 @@ class TestSlotCount:
         candidate = template.decode({v: v in chosen
                                      for v in range(1, template.num_vars + 1)})
         assert candidate == {"y": And(Var("a"), Var("b"))}
-        run = engine.OutputSynthesis("y", template.k, 1, 0, 0.0)
+        run = engine.OutputSynthesis("y", ("a", "b"), template.k, 1, 0, 0.0)
         monkeypatch.setattr(engine, "_run_cegis",
                             lambda label, rounds, pspec, cfg: (candidate, run))
         block = Block("orb", IFACE_AB_Y, (Statement("y", Or(Var("a"), Var("b"))),))
