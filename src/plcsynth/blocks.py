@@ -184,11 +184,26 @@ def expr_size(expr: BoolExpr) -> int:
 
 
 def expr_depth(expr: BoolExpr) -> int:
-    if isinstance(expr, (Const, Var)):
-        return 1
-    if isinstance(expr, Not):
-        return 1 + expr_depth(expr.operand)
-    return 1 + max(expr_depth(expr.left), expr_depth(expr.right))
+    """Levels of the expression, 1 for a leaf.  Iterative, and each node
+    object is measured once, so a long chain needs no Python stack and a
+    shared subterm (a DAG built by the engine) is not walked per path."""
+    depth: dict[int, int] = {}  # by node identity; leaves are 1, not stored
+    stack = [(expr, False)]  # (node, whether its operands are measured)
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, (Const, Var)) or id(node) in depth:
+            continue
+        if isinstance(node, Not):
+            if ready:
+                depth[id(node)] = 1 + depth.get(id(node.operand), 1)
+            else:
+                stack += ((node, True), (node.operand, False))
+        elif ready:
+            left, right = depth.get(id(node.left), 1), depth.get(id(node.right), 1)
+            depth[id(node)] = 1 + (left if left > right else right)
+        else:
+            stack += ((node, True), (node.left, False), (node.right, False))
+    return depth.get(id(expr), 1)
 
 
 def expr_vars(expr: BoolExpr) -> set[str]:

@@ -986,40 +986,40 @@ class _SlotTemplate:
 
 
 # --------------------------------------------------------------------------
-# Original program encoding (for repair templates)
+# Straight-line encoding: slot counts and repair templates
 
 
 def _encode_original(expr: BoolExpr, template_inputs: Sequence[str]) -> list[_SlotShape]:
-    """Post-order slot encoding; Var/Const leaves inline as operands where
-    possible, the root always lands in the last slot."""
+    """The expression as straight-line code: every slot count is `len` of
+    it, and repair templates seed from it.  Post-order, one slot per
+    distinct operator or constant subterm (shapes are hash-consed, so a
+    temp read twice is one slot); Var operands read their input, a bare
+    variable takes one slot and the root lands in the last.  Each node
+    object is walked once: linear in a temps-inlined DAG, not its paths."""
     input_index = {name: i for i, name in enumerate(template_inputs)}
-    n = len(template_inputs)
-    slots: list[_SlotShape] = []
-
-    def emit(shape: _SlotShape) -> int:
-        slots.append(shape)
-        return n + len(slots) - 1
+    if isinstance(expr, Var):
+        return [_SlotShape(("input", input_index[expr.name]))]
+    slots: dict[_SlotShape, int] = {}  # shape -> operand index, in post-order
+    memo: dict[int, int] = {}
 
     def operand(node: BoolExpr) -> int:
         if isinstance(node, Var):
             return input_index[node.name]
-        return walk(node)
-
-    def walk(node: BoolExpr) -> int:
-        if isinstance(node, Var):
-            return emit(_SlotShape(("input", input_index[node.name])))
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit
         if isinstance(node, Const):
-            return emit(_SlotShape(("const",), const=node.value))
-        if isinstance(node, Not):
-            a = operand(node.operand)
-            return emit(_SlotShape(("not",), (a, 0)))
-        a = operand(node.left)
-        b = operand(node.right)
-        kind = {And: "and", Or: "or", Xor: "xor"}[type(node)]
-        return emit(_SlotShape((kind,), (a, b)))
+            shape = _SlotShape(("const",), const=node.value)
+        elif isinstance(node, Not):
+            shape = _SlotShape(("not",), (operand(node.operand), 0))
+        else:
+            kind = {And: "and", Or: "or", Xor: "xor"}[type(node)]
+            shape = _SlotShape((kind,), (operand(node.left), operand(node.right)))
+        memo[id(node)] = index = slots.setdefault(shape, len(input_index) + len(slots))
+        return index
 
-    walk(expr)
-    return slots
+    operand(expr)
+    return list(slots)
 
 
 # --------------------------------------------------------------------------
@@ -1202,26 +1202,6 @@ def _original_exprs(block: Block) -> dict[str, BoolExpr]:
     return {o: env[o] for o in block.interface.outputs}
 
 
-def _slot_count(expr: BoolExpr) -> int:
-    """Slots the expression takes as straight-line code: one per distinct
-    operator or constant subterm, as a slot's result can be read again; a
-    bare variable still takes the one slot that feeds the output."""
-    if isinstance(expr, Var):
-        return 1
-    seen: set[BoolExpr] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var) or node in seen:
-            continue
-        seen.add(node)
-        if isinstance(node, Not):
-            stack.append(node.operand)
-        elif isinstance(node, (And, Or, Xor)):
-            stack += (node.left, node.right)
-    return len(seen)
-
-
 def _repair_rounds(originals: list[_SlotShape], inputs: Sequence[str],
                    output: str, cfg: SynthConfig) -> Iterator[_Round]:
     """Rounds by edits (changed original slots plus added slots), then by
@@ -1282,7 +1262,7 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
             raise SizeBoundExceeded(cfg.max_slots)
         exprs[output] = candidate[output]
         # repair templates keep dead slots, so count what is written
-        runs.append(replace(run, slots_used=_slot_count(candidate[output])))
+        runs.append(replace(run, slots_used=len(_encode_original(candidate[output], inputs))))
     if exprs != originals:
         assigned = {s.target for s in block.body}
         body = tuple(Statement(o, exprs[o]) for o in block.interface.outputs
@@ -1294,9 +1274,10 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
 def repair(block: Block, spec: SpecFormula,
            cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
     """Make the block satisfy the spec by changing as few slots of its
-    straight-line encoding as possible, then using as few slots as
-    possible.  A slot counts as changed when its operator, operands or
-    constant differ, however many expression nodes that touches.  A
+    straight-line encoding (`_encode_original`: a subterm computed once
+    is one slot) as possible, then using as few slots as possible.  A
+    slot counts as changed when its operator, operands or constant
+    differ, however many expression nodes that touches.  A
     changed AND/OR/XOR slot keeps an original operand in place: `a OR b`
     and `a AND c` become `a AND b`, not `b AND a`.  A block that already
     verifies is returned unchanged with zero iterations."""
@@ -1305,7 +1286,8 @@ def repair(block: Block, spec: SpecFormula,
 
 def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
     """Slot-minimal block with behavior exhaustively equal to the input;
-    the result never uses more slots than the original encoding."""
+    the result never uses more slots than the original's straight-line
+    encoding (`_encode_original`)."""
     _require_combinational(block.interface, "simplify")
     start = time.perf_counter()
     inputs = block.interface.inputs
@@ -1318,7 +1300,7 @@ def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
             continue
         pspec = _PointSpec(inputs, [output],
                            _pinned({}, output, originals[output])).projected()
-        orig_size = _slot_count(originals[output])
+        orig_size = len(_encode_original(originals[output], inputs))
         top = min(cfg.max_slots, orig_size)
         candidate, run = _run_cegis(output, _deepening(pspec, top, cfg.seed), pspec, cfg)
         if candidate is None:

@@ -79,6 +79,13 @@ class TestEvalExpr:
         assert expr_depth(expr) == 4
         assert expr_vars(expr) == {"a", "b"}
 
+    def test_depth_measures_each_node_once(self):
+        # 200 levels that each read the level below twice: 2^200 paths
+        shared = Var("a")
+        for _ in range(200):
+            shared = Xor(shared, shared)
+        assert expr_depth(shared) == 201
+
     def test_rename(self):
         expr = Or(Var("a"), Not(Var("b")))
         assert rename_vars(expr, {"a": "x"}) == Or(Var("x"), Not(Var("b")))
@@ -105,6 +112,13 @@ class TestBlockValidation:
     def test_temp_read_before_assignment_rejected(self):
         with pytest.raises(TypeCheckError):
             block([Statement("y", Var("t"))], outputs=["y"], temps=["t"])
+
+    def test_long_chain_too_deep(self):
+        chain = Var("a")
+        for _ in range(1499):
+            chain = And(chain, Var("a"))
+        with pytest.raises(TypeCheckError, match="too deep"):
+            block([Statement("y", chain)], inputs=["a"], outputs=["y"])
 
     def test_temp_after_assignment_ok(self):
         b = block([Statement("t", Var("a")), Statement("y", Not(Var("t")))],

@@ -235,6 +235,17 @@ class TestVerifyCli:
         assert code == EXIT_USAGE
         assert "expression too deep" in text
 
+    @pytest.mark.parametrize("lang", ["st", "il"])
+    def test_long_chain_exit_2(self, project, lang):
+        # a flat 1,500-term AND chain is 1,500 levels deep once parsed
+        body = ("BEGIN\n  y := " + " AND ".join(["a"] * 1500) + ";\n" if lang == "st"
+                else "LD a\n" + "AND b\n" * 1499 + "ST y\n")
+        chain = project / f"chain.{lang}"
+        chain.write_text(OR_ST.replace("BEGIN\n  y := a OR b;\n", body))
+        code, text = invoke("verify", "--block", str(chain),
+                            "--constraints", str(project / "and.xml"))
+        assert (code, "expression too deep" in text) == (EXIT_USAGE, True), text
+
     def test_verified_exit_0(self, project):
         invoke("synth", "--constraints", str(project / "and.xml"),
                "--out", str(project / "and.st"))

@@ -269,10 +269,12 @@ class TestXml:
             loads_constraints(bad)
 
     def test_deep_assertion_rejected(self):
-        deep = MINIMAL_XML.replace("</constraintList>", '  <assertion expr="'
-                                   + "(" * 300 + "a" + ")" * 300 + '"/>\n</constraintList>')
-        with pytest.raises(SchemaError, match="expression too deep"):
-            loads_constraints(deep)
+        # 300 parentheses, and a flat 1,500-term chain (1,500 levels parsed)
+        for expr in ("(" * 300 + "a" + ")" * 300, " OR ".join(["a"] * 1500)):
+            deep = MINIMAL_XML.replace("</constraintList>", f'  <assertion expr="{expr}"/>\n'
+                                       "</constraintList>")
+            with pytest.raises(SchemaError, match="expression too deep"):
+                loads_constraints(deep)
 
     def test_malformed_xml_reports_line(self):
         with pytest.raises(SchemaError):

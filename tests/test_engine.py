@@ -1265,13 +1265,87 @@ class TestCegisProgress:
             synthesize(IFACE_AB_Y, and_table_spec())
 
 
+def slots(expr, inputs=("a", "b", "c")):
+    """Slots of the expression's straight-line encoding."""
+    return len(engine._encode_original(expr, inputs))
+
+
+def temp_chain(n):
+    """`t1 := a XOR b; t_i := t_(i-1) AND (t_(i-1) OR a); y := t_n`, which
+    computes a XOR b; inlined, every temp is read twice."""
+    interface = BlockInterface((*IFACE_AB_Y.decls,
+                                *(VarDecl(f"t{i}", Direction.TEMP) for i in range(1, n + 1))))
+    body = [Statement("t1", Xor(Var("a"), Var("b")))]
+    body += [Statement(f"t{i}", And(Var(f"t{i - 1}"), Or(Var(f"t{i - 1}"), Var("a"))))
+             for i in range(2, n + 1)]
+    return Block("chain", interface, (*body, Statement("y", Var(f"t{n}"))))
+
+
+SHARED_TEMP = Block("sh", BlockInterface((*iface("i:a", "i:b", "i:c", "o:y").decls,
+                                          VarDecl("t", Direction.TEMP))),
+                    (Statement("t", parse_expression("a AND b")),
+                     Statement("y", parse_expression("t OR (t XOR c)"))))
+
+
+@st.composite
+def shared_exprs(draw):
+    """Expressions over a, b and c, rooted at the last of up to 8 built
+    nodes; each node reads leaves or earlier nodes (the latest by
+    default), so a subterm object is often shared and equal subterms are
+    often built twice."""
+    pool = [Var("a"), Var("b"), Var("c"), FALSE, TRUE]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from([Not, And, Or, Xor]))
+        args = [pool[-1 - draw(st.integers(0, len(pool) - 1))]
+                for _ in range(1 if kind is Not else 2)]
+        pool.append(kind(*args))
+    return pool[-1]
+
+
 class TestSlotCount:
     def test_shared_subterms_counted_once(self):
         shared = And(Var("a"), Var("b"))
-        assert engine._slot_count(Or(shared, Not(And(Var("a"), Var("b"))))) == 3
-        assert engine._slot_count(Var("a")) == 1
-        assert engine._slot_count(Const(True)) == 1
-        assert engine._slot_count(Xor(Var("a"), Const(False))) == 2
+        assert slots(Or(shared, Not(And(Var("a"), Var("b"))))) == 3
+        assert slots(Var("a")) == 1
+        assert slots(Const(True)) == 1
+        assert slots(Xor(Var("a"), Const(False))) == 2
+
+    @given(shared_exprs())
+    @settings(max_examples=200, deadline=None)
+    def test_encoding_computes_the_expression(self, expr):
+        # the slots, run over the cube, give the expression's truth table,
+        # and there is one per distinct non-variable subterm (a bare
+        # variable takes one slot)
+        inputs = ["a", "b", "c"]
+        pspec = engine._PointSpec(inputs, ["y"], {})
+        env, full = pspec.env, pspec.full
+        vals = [env[name] for name in inputs]  # operand index -> truth table
+        for shape in engine._encode_original(expr, inputs):
+            kind, (a, b) = shape.op[0], shape.args
+            if kind == "input":
+                vals.append(env[inputs[shape.op[1]]])
+            elif kind == "const":
+                vals.append(full if shape.const else 0)
+            elif kind == "not":
+                vals.append(full ^ vals[a])
+            else:
+                vals.append({"and": vals[a] & vals[b], "or": vals[a] | vals[b],
+                             "xor": vals[a] ^ vals[b]}[kind])
+        assert vals[-1] == engine._mask(expr, env, full, {})
+        subterms, stack = set(), [expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Not):
+                stack.append(node.operand)
+            elif isinstance(node, (And, Or, Xor)):
+                stack += (node.left, node.right)
+            if not isinstance(node, Var):
+                subterms.add(node)
+        assert len(vals) - len(inputs) == max(1, len(subterms))
+
+    def test_shared_temp_is_one_slot(self):
+        # t is computed once and read twice: three slots, not four
+        assert slots(engine._original_exprs(SHARED_TEMP)["y"]) == 3
 
     def test_repair_reports_written_slots_not_template_size(self, monkeypatch):
         template = engine._SlotTemplate(["a", "b"], 2, ["y"], 0, prune=False)
@@ -1412,20 +1486,33 @@ class TestMinimalEditSearch:
             extra = ConstraintList("e", Mode.EXTEND, interface,
                                    (TruthTableRow({"b": True, "c": True}, {"y": True}),))
             run = lambda: extend(block, extra, SynthConfig(seed=1))
-        built, sizes = count_solvers(monkeypatch), []
-        real_init = engine._SlotTemplate.__init__
-
-        def init(self, input_names, n_slots, *args, **kwargs):
-            sizes.append(n_slots)
-            real_init(self, input_names, n_slots, *args, **kwargs)
-
-        monkeypatch.setattr(engine._SlotTemplate, "__init__", init)
+        built, sizes = count_solvers(monkeypatch), template_sizes(monkeypatch)
         result = run()
         assert output_table(result.block, "y") == {
             bits: bits[0] or (bits[1] and bits[2])
             for bits in itertools.product((False, True), repeat=3)}
         assert sizes == [1, 2]
         assert len(built) == 2
+
+    def test_shared_temp_seeds_one_slot(self, monkeypatch):
+        # t := a AND b is read twice but computed once, so the fix
+        # t := a OR b changes one slot of a 3-slot template
+        interface = iface("i:a", "i:b", "i:c", "o:y")
+        spec = spec_for(interface, table_rows(["a", "b", "c"], ["y"], lambda e: {
+            "y": e["a"] or e["b"] or e["c"]}))
+        sizes = template_sizes(monkeypatch)
+        result = repair(SHARED_TEMP, spec, SynthConfig(seed=1))
+        assert output_table(result.block, "y") == {
+            bits: any(bits) for bits in itertools.product((False, True), repeat=3)}
+        assert sizes == [3]
+
+    def test_temp_chain_repairs_in_one_edit(self):
+        # six temps read twice each are eleven distinct slots, and
+        # changing t1's XOR to AND is one edit
+        target = Block("and", IFACE_AB_Y, (Statement("y", And(Var("a"), Var("b"))),))
+        result = repair(temp_chain(6), and_table_spec())
+        assert isinstance(equivalent(result.block, target), Verified)
+        assert result.slots_used == 11
 
     @given(st.recursive(st.sampled_from([Var("a"), Var("b"), FALSE, TRUE]), lambda sub: st.one_of(
                st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub),
@@ -1505,13 +1592,15 @@ class TestSimplify:
 
     def test_fallback_counts_written_slots(self):
         # nothing fits one slot, so the original stays: t is written once
-        interface = BlockInterface((*iface("i:a", "i:b", "i:c", "o:y").decls,
-                                    VarDecl("t", Direction.TEMP)))
-        block = Block("sh", interface, (Statement("t", parse_expression("a AND b")),
-                                        Statement("y", parse_expression("t OR (t XOR c)"))))
-        result = simplify(block, SynthConfig(max_slots=1))
-        assert blocks_equivalent(block, result.block)
+        result = simplify(SHARED_TEMP, SynthConfig(max_slots=1))
+        assert blocks_equivalent(SHARED_TEMP, result.block)
         assert result.slots_used == 3
+
+    def test_long_temp_chain(self):
+        # 40 temps read twice each: 2^40 inlined paths, 79 distinct slots
+        result = simplify(temp_chain(40))
+        assert result.block.body == (Statement("y", Xor(Var("a"), Var("b"))),)
+        assert result.slots_used == 1
 
     def test_stateful_rejected(self):
         interface = iface("i:a", "o:y", "s:s")
@@ -1694,6 +1783,19 @@ def count_solvers(monkeypatch):
     return built
 
 
+def template_sizes(monkeypatch):
+    """A live list with the slot count of each template the engine builds."""
+    sizes = []
+    real_init = engine._SlotTemplate.__init__
+
+    def init(self, input_names, n_slots, *args, **kwargs):
+        sizes.append(n_slots)
+        real_init(self, input_names, n_slots, *args, **kwargs)
+
+    monkeypatch.setattr(engine._SlotTemplate, "__init__", init)
+    return sizes
+
+
 class TestSlotBound:
     @given(single_output_specs())
     @settings(max_examples=200, deadline=None)
@@ -1741,7 +1843,7 @@ class TestSlotBound:
         got = output_table(result.block, "y")
         assert all(got[bits] == v for bits, v in table.items())
         assert result.slots_used == least
-        assert engine._slot_count(result.block.body[0].rhs) == least
+        assert slots(result.block.body[0].rhs) == least
 
     def test_magnet1_opens_one_template(self, monkeypatch):
         # inputs alone bound m1 = (s1 AND s2) OR NOT s3 by 2 slots; no
