@@ -25,6 +25,13 @@ spec left with at most _CUBE_INPUTS of them gets the cube.  Candidates then
 read only kept inputs, which keeps templates small and gives wide specs the
 bitset checks and the slot lower bound; the least slot count does not
 change, and `synthesize` still checks its block against the full spec.
+A single output that the spec forces to react to r inputs needs at least
+r - 1 slots (`_PointSpec.min_slot_bound`), and every program of exactly
+r - 1 slots that meets it is a read-once AND/OR/XOR tree over those
+inputs.  So when deepening starts there, that one template is read-once:
+binary slots only, each forced input and each slot but the last read
+exactly once.  A spec that is not read-once leaves it UNSAT and deepening
+goes on with full templates.
 
 Repair and extension reuse the same template seeded with the original
 program, one per slot count and over every input, as the original's
@@ -205,61 +212,98 @@ def _disj(items: Sequence[BoolExpr]) -> BoolExpr:
     return _fold(items, _or, FALSE)
 
 
+_FOLD_BINARY = {And: _and, Or: _or, Xor: _xor}
+
+
 def _subst(expr: BoolExpr, env: Mapping[str, BoolExpr]) -> BoolExpr:
-    """Replace variables by expressions, folding constants; memoized so
-    shared subtrees stay shared."""
+    """Replace variables by expressions, folding constants; memoized by
+    node identity so shared subtrees stay shared.  Iterative like
+    `_mask`."""
     memo: dict[int, BoolExpr] = {}
-
-    def walk(node: BoolExpr) -> BoolExpr:
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
-        if isinstance(node, Const):
-            result = node
-        elif isinstance(node, Var):
-            try:
-                result = env[node.name]
-            except KeyError:
-                raise UnboundVariable(node.name) from None
-        elif isinstance(node, Not):
-            result = _not(walk(node.operand))
-        elif isinstance(node, And):
-            result = _and(walk(node.left), walk(node.right))
-        elif isinstance(node, Or):
-            result = _or(walk(node.left), walk(node.right))
-        else:
-            result = _xor(walk(node.left), walk(node.right))
-        memo[id(node)] = result
-        return result
-
-    return walk(expr)
+    stack = [expr]
+    try:
+        while stack:
+            node = stack[-1]
+            kind = type(node)
+            if kind is Var:
+                memo[id(node)] = env[node.name]
+            elif kind is Const:
+                memo[id(node)] = node
+            elif kind is Not:
+                sub = node.operand
+                a = env[sub.name] if type(sub) is Var else \
+                    sub if type(sub) is Const else memo.get(id(sub))
+                if a is None:
+                    stack.append(sub)
+                    continue
+                memo[id(node)] = _not(a)
+            else:
+                left, right = node.left, node.right
+                a = env[left.name] if type(left) is Var else \
+                    left if type(left) is Const else memo.get(id(left))
+                if a is None:
+                    stack.append(left)
+                    continue
+                b = env[right.name] if type(right) is Var else \
+                    right if type(right) is Const else memo.get(id(right))
+                if b is None:
+                    stack.append(right)
+                    continue
+                memo[id(node)] = _FOLD_BINARY[kind](a, b)
+            stack.pop()
+    except KeyError as exc:
+        raise UnboundVariable(exc.args[0]) from None
+    return memo[id(expr)]
 
 
 def _mask(expr: BoolExpr, env: Mapping[str, int], full: int,
           memo: dict[int, int]) -> int:
     """Truth table of `expr` from its variables' tables in `env`: bit p is
     its value at point p, and `full` has every point's bit set.  `memo`
-    is keyed by node identity and belongs to one `env`."""
+    is keyed by node identity and belongs to one `env`.
+
+    Iterative, so a chain of any depth needs no Python stack: the stack
+    holds a path from `expr` down to the node being worked on, each node
+    the operand of the one below; a node is pushed only while its value
+    is missing, and an operand that is a variable or constant is read in
+    place."""
     hit = memo.get(id(expr))
     if hit is not None:
         return hit
-    if isinstance(expr, Const):
-        result = full if expr.value else 0
-    elif isinstance(expr, Var):
-        try:
-            result = env[expr.name]
-        except KeyError:
-            raise UnboundVariable(expr.name) from None
-    elif isinstance(expr, Not):
-        result = full ^ _mask(expr.operand, env, full, memo)
-    elif isinstance(expr, And):
-        result = _mask(expr.left, env, full, memo) & _mask(expr.right, env, full, memo)
-    elif isinstance(expr, Or):
-        result = _mask(expr.left, env, full, memo) | _mask(expr.right, env, full, memo)
-    else:
-        result = _mask(expr.left, env, full, memo) ^ _mask(expr.right, env, full, memo)
-    memo[id(expr)] = result
-    return result
+    stack = [expr]
+    try:
+        while stack:
+            node = stack[-1]
+            kind = type(node)
+            if kind is Var:
+                memo[id(node)] = env[node.name]
+            elif kind is Const:
+                memo[id(node)] = full if node.value else 0
+            elif kind is Not:
+                sub = node.operand
+                a = env[sub.name] if type(sub) is Var else \
+                    (full if sub.value else 0) if type(sub) is Const else memo.get(id(sub))
+                if a is None:
+                    stack.append(sub)
+                    continue
+                memo[id(node)] = full ^ a
+            else:
+                left, right = node.left, node.right
+                a = env[left.name] if type(left) is Var else \
+                    (full if left.value else 0) if type(left) is Const else memo.get(id(left))
+                if a is None:
+                    stack.append(left)
+                    continue
+                b = env[right.name] if type(right) is Var else \
+                    (full if right.value else 0) if type(right) is Const else memo.get(id(right))
+                if b is None:
+                    stack.append(right)
+                    continue
+                memo[id(node)] = a & b if kind is And else a | b if kind is Or else a ^ b
+            stack.pop()
+    except KeyError as exc:
+        raise UnboundVariable(exc.args[0]) from None
+    return memo[id(expr)]
 
 
 def _symbolic_cycle(block: Block, state: Mapping[str, BoolExpr],
@@ -499,6 +543,26 @@ class _PointSpec:
         valuations = itertools.product((False, True), repeat=len(self.outputs))
         return [bits for bits, ok in zip(valuations, oks) if ok >> bit & 1]
 
+    @cached_property
+    def forced_flips(self) -> list[str]:
+        """The inputs every satisfying program reads, in input order: input
+        i counts when flipping it turns a point where some output is
+        forced to one value into a point where it is forced to the other.
+        None are found without a cube or past 4 outputs."""
+        n, m = len(self.input_names), len(self.outputs)
+        if not self.cube or m > 4:
+            return []
+        forced = []  # per output: points where every allowed valuation sets it 0 / 1
+        for o in range(m):
+            can = [0, 0]
+            for bits, ok in zip(itertools.product((False, True), repeat=m), self.ok):
+                can[bits[o]] |= ok
+            forced.append((can[0] & ~can[1], can[1] & ~can[0]))
+        shifts = (1 << s for s in range(n - 1, -1, -1))
+        return [name for name, shift in zip(self.input_names, shifts)
+                if any(((f0 & (f1 >> shift)) | (f1 & (f0 >> shift))) & ~self.env[name]
+                       for f0, f1 in forced)]
+
     def min_slot_bound(self) -> int:
         """Sound lower bound on the slot count of any satisfying program,
         the larger of two arguments; 1 without a cube or inputs.
@@ -506,10 +570,25 @@ class _PointSpec:
         Input count (up to 4 outputs): stripping dead code leaves every
         non-output slot feeding another slot, which caps the number of
         distinct input references at (#binary slots) + (#outputs); a spec
-        that forces the outputs to react to r distinct inputs therefore
-        needs >= r - (#outputs) slots.  Input i counts when flipping it
-        turns a point where some output is forced to one value into a
-        point where it is forced to the other.
+        that forces the outputs to react to the r inputs of `forced_flips`
+        therefore needs >= r - (#outputs) slots.
+
+        Equality (one output, k = r - 1 >= 1 slots): every k-slot program
+        meeting the spec is a read-once AND/OR/XOR tree over exactly the
+        forced inputs.  Proof: count operand references; a constant makes
+        none, NOT and an input copy one, AND/OR/XOR two.  Strip the dead
+        slots, leaving k' <= k with the output last and every other slot
+        read at least once; then at most 2k' - (k' - 1) - c references read
+        inputs, where c counts the slots left that are not binary.  The
+        program reads all r = k + 1 forced inputs, so k + 1 <= k' + 1 - c:
+        k' = k and c = 0.  So no slot is dead, every slot is binary, and
+        the 2k references are exactly k - 1 slot reads (one per slot but
+        the last) and k + 1 input reads (one per forced input): no other
+        input is read.  So a k-slot template may drop the constant, NOT
+        and input-copy operators and every other input, and require each
+        forced input and each slot but the last to be read exactly once
+        (`_SlotTemplate` with read_once), without losing a program; if the
+        spec is not read-once, it has none.
 
         Enumeration (one output, when the input count gives 2 or less):
         a one-slot program computes an input, 0, full, NOT of an input or
@@ -522,17 +601,7 @@ class _PointSpec:
         n, m = len(self.input_names), len(self.outputs)
         if n == 0 or not self.cube or m > 4:
             return 1
-        forced = []  # per output: points where every allowed valuation sets it 0 / 1
-        for o in range(m):
-            can = [0, 0]
-            for bits, ok in zip(itertools.product((False, True), repeat=m), self.ok):
-                can[bits[o]] |= ok
-            forced.append((can[0] & ~can[1], can[1] & ~can[0]))
-        required = sum(any(((f0 & (f1 >> shift)) | (f1 & (f0 >> shift))) & ~self.env[name]
-                           for f0, f1 in forced)
-                       for name, shift in zip(self.input_names,
-                                              (1 << s for s in range(n - 1, -1, -1))))
-        bound = max(1, required - m)
+        bound = max(1, len(self.forced_flips) - m)
         if m > 1 or bound > 2:
             return bound
         full, inputs = self.full, list(self.env.values())
@@ -694,17 +763,24 @@ class _SlotTemplate:
 
     A repair template (`originals` given) counts the slots that differ
     from the original: `solve([-more_than[b]])` allows at most b of them.
+    A read-once template (one output, the inputs of `forced_flips`, one
+    slot fewer than them) holds only AND/OR/XOR slots that read each input
+    and each slot but the last exactly once, which loses no program
+    there (see `_PointSpec.min_slot_bound`).
     """
 
     def __init__(self, input_names: Sequence[str], n_slots: int,
                  outputs: Sequence[str], seed: int, prune: bool = True,
-                 originals: Optional[list[_SlotShape]] = None):
+                 originals: Optional[list[_SlotShape]] = None,
+                 read_once: bool = False):
         self.inputs = list(input_names)
         self.n = len(self.inputs)
         self.k = n_slots
         self.outputs = list(outputs)
-        self.ops: list[tuple] = [("input", i) for i in range(self.n)]
-        self.ops += [("const",), ("not",), ("and",), ("or",), ("xor",)]
+        self.read_once = read_once
+        binary = [("and",), ("or",), ("xor",)]
+        self.ops: list[tuple] = binary if read_once else \
+            [*(("input", i) for i in range(self.n)), ("const",), ("not",), *binary]
         self.prune = prune
         self.originals = originals
         self.more_than: list[int] = []
@@ -765,7 +841,7 @@ class _SlotTemplate:
                 arg_sels.append([fresh() for _ in range(dom)])
                 if dom:
                     fwd += _one_hot(arg_sels[which])
-            cv = fresh() if dom else None
+            cv = fresh() if dom and not self.read_once else None
             for opv, op in zip(op_sels, self.ops):
                 uses = self._op_uses(op)
                 if dom == 0 and uses > 0:
@@ -774,7 +850,7 @@ class _SlotTemplate:
                 # pin unused operand selectors and the constant bit
                 if dom:
                     fwd += [(arg_sels[which][0], -opv) for which in range(uses, 2)]
-                if op[0] != "const":
+                if cv is not None and op[0] != "const":
                     fwd.append((-cv, -opv))
             self._selectors.append((op_sels, arg_sels))
             self._cvs.append(cv)
@@ -785,7 +861,9 @@ class _SlotTemplate:
             fwd += _one_hot(row)
         if self.originals is not None:
             fwd += self._edit_clauses()
-        if self.prune:
+        if self.read_once:
+            fwd += self._read_once_clauses()
+        elif self.prune:
             fwd += self._pruning_clauses()
         enc = self._enc
         for clause in reversed(fwd):
@@ -832,6 +910,32 @@ class _SlotTemplate:
                              for w in (0, 1)]
                 same.append(Not(Xor(self._cv(i), self._cv(j))))
                 clauses.append([Not(_fold(same, And, None))])
+        return clauses
+
+    def _read_once_clauses(self) -> list[tuple[int, ...]]:
+        """A read-once template's rules: strictly ordered operands, as
+        every operator is commutative; each input and each slot but the
+        last read by exactly one operand; and readers in slot order: when
+        slot b reads slot j, no slot before b reads slot j + 1.
+
+        With only binary operators, the first two imply what the pruning
+        rules cut: no slot is dead, copies an input or a constant, negates
+        or repeats another slot.  The last loses no
+        program: number a read-once tree's slots from the root down,
+        breadth first, giving each slot's slot operands the next numbers;
+        readers are then numbered in the order of the slots they read."""
+        n, k = self.n, self.k
+        args = [arg_sels for _, arg_sels in self._selectors]
+        clauses: list[tuple[int, ...]] = []
+        for arg0, arg1 in args:
+            clauses += [(-a1, -a0) for d0, a0 in enumerate(arg0) for a1 in arg1[:d0 + 1]]
+        for d in range(n + k - 1):  # slot d - n is read by later slots only
+            clauses += _one_hot([sels[d] for later in args[max(0, d - n + 1):]
+                                 for sels in later])
+        for j in range(k - 2):
+            for b in range(j + 1, k):
+                clauses += [(-c_sels[n + j + 1], -b_sels[n + j]) for c in range(j + 2, b)
+                            for b_sels in args[b] for c_sels in args[c]]
         return clauses
 
     # -- repair: distance to the original encoding
@@ -887,7 +991,8 @@ class _SlotTemplate:
         is very sensitive to that order.
         """
         n, fresh = self.n, self._enc.fresh
-        sign = [1 if bit else -1 for bit in point]
+        values = dict(zip(pspec.input_names, point))  # the template may read fewer
+        sign = [1 if values[name] else -1 for name in self.inputs]
         clauses: list[tuple[int, ...]] = []
         add = clauses.append
         vals: list[int] = []
@@ -907,7 +1012,7 @@ class _SlotTemplate:
                         add((-sel, av, -vals[d - n]))
             val = fresh()
             vals.append(val)
-            cv = self._cv(j)
+            cv = 0 if self.read_once else self._cv(j)
             while len(operands) < 2:  # no operand selectors: first seen below
                 operands.append(fresh())
             roles = (0, val, *operands, cv)
@@ -995,30 +1100,29 @@ def _encode_original(expr: BoolExpr, template_inputs: Sequence[str]) -> list[_Sl
     distinct operator or constant subterm (shapes are hash-consed, so a
     temp read twice is one slot); Var operands read their input, a bare
     variable takes one slot and the root lands in the last.  Each node
-    object is walked once: linear in a temps-inlined DAG, not its paths."""
+    object is walked once, without recursion: linear in a temps-inlined
+    DAG, not its paths, whatever its depth."""
     input_index = {name: i for i, name in enumerate(template_inputs)}
     if isinstance(expr, Var):
         return [_SlotShape(("input", input_index[expr.name]))]
     slots: dict[_SlotShape, int] = {}  # shape -> operand index, in post-order
-    memo: dict[int, int] = {}
-
-    def operand(node: BoolExpr) -> int:
-        if isinstance(node, Var):
-            return input_index[node.name]
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
-        if isinstance(node, Const):
+    memo: dict[int, int] = {}  # node identity -> operand index
+    stack = [expr]  # a path down from the root, as in `_mask`
+    while stack:
+        node = stack[-1]
+        if type(node) is Const:
             shape = _SlotShape(("const",), const=node.value)
-        elif isinstance(node, Not):
-            shape = _SlotShape(("not",), (operand(node.operand), 0))
         else:
-            kind = {And: "and", Or: "or", Xor: "xor"}[type(node)]
-            shape = _SlotShape((kind,), (operand(node.left), operand(node.right)))
-        memo[id(node)] = index = slots.setdefault(shape, len(input_index) + len(slots))
-        return index
-
-    operand(expr)
+            subs = (node.operand,) if type(node) is Not else (node.left, node.right)
+            args = [input_index[sub.name] if type(sub) is Var else memo.get(id(sub))
+                    for sub in subs]
+            if None in args:
+                stack.append(subs[args.index(None)])
+                continue
+            kind = {Not: "not", And: "and", Or: "or", Xor: "xor"}[type(node)]
+            shape = _SlotShape((kind,), (*args, 0)[:2])
+        memo[id(node)] = slots.setdefault(shape, len(input_index) + len(slots))
+        stack.pop()
     return list(slots)
 
 
@@ -1103,9 +1207,15 @@ def _run_cegis(label: str, rounds: Iterable[_Round], pspec: _PointSpec,
 
 def _deepening(pspec: _PointSpec, top: int, seed: int) -> Iterator[_Round]:
     """One round per template from the spec's slot lower bound up to `top`
-    slots; the bound is computed on first use, inside the run."""
+    slots; the bound is computed on first use, inside the run.  A single
+    output's template one slot short of its `forced_flips` is read-once
+    (see `_PointSpec.min_slot_bound`)."""
+    forced = pspec.forced_flips
     for k in range(pspec.min_slot_bound(), top + 1):
-        yield _SlotTemplate(pspec.input_names, k, pspec.outputs, seed), ()
+        if len(pspec.outputs) == 1 and k == len(forced) - 1:
+            yield _SlotTemplate(forced, k, pspec.outputs, seed, read_once=True), ()
+        else:
+            yield _SlotTemplate(pspec.input_names, k, pspec.outputs, seed), ()
 
 
 def _result(block: Block, runs: Sequence[OutputSynthesis],

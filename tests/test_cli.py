@@ -271,7 +271,28 @@ class TestVerifyCli:
         assert "error" in text
 
 
+def and_chain_st(n, unused=False):
+    """An ST block of n temps `t1 := b AND a; t_i := t_(i-1) AND a` and
+    `y := t_n`, which computes a AND b n levels deep once inlined; with
+    `unused`, it also declares an input c that nothing reads."""
+    temps = "".join(f"  t{i} : BOOL;\n" for i in range(1, n + 1))
+    body = "".join(f"  t{i} := t{i - 1} AND a;\n" for i in range(2, n + 1))
+    text = OR_ST.replace("  b : BOOL;\n", "  b : BOOL;\n  c : BOOL;\n") if unused else OR_ST
+    return text.replace("BEGIN\n  y := a OR b;\n", f"VAR_TEMP\n{temps}END_VAR\nBEGIN\n"
+                        f"  t1 := b AND a;\n{body}  y := t{n};\n")
+
+
 class TestRepairSimplifyExtend:
+    @pytest.mark.parametrize("unused", [False, True], ids=["chain", "unused-input"])
+    def test_simplify_deep_chain(self, project, unused):
+        # 1,200 temps inline to 1,200 levels; simplify walked them with one
+        # Python stack frame per level and exited 3
+        chain, out_path = project / "chain.st", project / "chain.out.st"
+        chain.write_text(and_chain_st(1200, unused))
+        code, text = invoke("simplify", "--block", str(chain), "--out", str(out_path))
+        assert code == EXIT_OK, text
+        assert re.findall(r"\S+ := .*;", out_path.read_text()) == ["y := a AND b;"]
+
     def test_repair_roundtrip(self, project):
         out_path = project / "fixed.st"
         code, _ = invoke("repair", "--block", str(project / "or.st"),

@@ -822,12 +822,14 @@ def cube_and_point_outcomes(block, constraints):
     second pass checks every SAT answer (a violation or a dead point
     exactly when the cube finds one, and one by the width-1 masks) and then
     goes on with the cube's first such point, and it takes its slot lower
-    bounds and the inputs that projection keeps from the cube too, so both
-    passes must make the same search."""
+    bounds, its forced inputs (which make a template read-once) and the
+    inputs that projection keeps from the cube too, so both passes must
+    make the same search."""
     real_bound = engine._PointSpec.min_slot_bound
     real_dead = engine._PointSpec.dead_point
     real_find = engine._find_violation
     real_projected = engine._PointSpec.projected
+    real_flips = engine._PointSpec.forced_flips.func
 
     def cube_twin(pspec):
         mp.setattr(engine, "_CUBE_INPUTS", 12)
@@ -860,6 +862,8 @@ def cube_and_point_outcomes(block, constraints):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._PointSpec, "min_slot_bound",
                    lambda pspec: real_bound(cube_twin(pspec)))
+        mp.setattr(engine._PointSpec, "forced_flips",
+                   property(lambda pspec: real_flips(cube_twin(pspec))))
         mp.setattr(engine._PointSpec, "dead_point", checked_dead)
         mp.setattr(engine._PointSpec, "projected", lambda pspec: pspec.restricted(
             real_projected(cube_twin(pspec)).input_names))
@@ -1281,6 +1285,16 @@ def temp_chain(n):
     return Block("chain", interface, (*body, Statement("y", Var(f"t{n}"))))
 
 
+def and_chain(n, *inputs):
+    """`t1 := b AND a; t_i := t_(i-1) AND a; y := t_n` over inputs a, b and
+    `inputs`, which computes a AND b; inlined, it is n levels deep."""
+    interface = BlockInterface((*iface("i:a", "i:b", *(f"i:{x}" for x in inputs), "o:y").decls,
+                                *(VarDecl(f"t{i}", Direction.TEMP) for i in range(1, n + 1))))
+    body = [Statement("t1", And(Var("b"), Var("a")))]
+    body += [Statement(f"t{i}", And(Var(f"t{i - 1}"), Var("a"))) for i in range(2, n + 1)]
+    return Block("chain", interface, (*body, Statement("y", Var(f"t{n}"))))
+
+
 SHARED_TEMP = Block("sh", BlockInterface((*iface("i:a", "i:b", "i:c", "o:y").decls,
                                           VarDecl("t", Direction.TEMP))),
                     (Statement("t", parse_expression("a AND b")),
@@ -1409,6 +1423,15 @@ class TestRepair:
         result = repair(block, spec, SynthConfig(seed=seed))
         assert result.block.body == (
             Statement("y", parse_expression("(a AND b) OR NOT c")),)
+
+    def test_deep_chain_checked_without_recursion(self):
+        # the chain is 1,200 levels deep once inlined and already meets
+        # the table, so repair returns it after one truth-table check
+        block = and_chain(1200)
+        result = repair(block, and_table_spec())
+        assert (result.block, result.iterations) == (block, 0)
+        assert len(engine._encode_original(engine._original_exprs(block)["y"],
+                                           ("a", "b"))) == 1200
 
     def test_satisfying_block_unchanged(self):
         block = Block("ok", IFACE_AB_Y, (Statement("y", And(Var("a"), Var("b"))),))
@@ -1600,6 +1623,15 @@ class TestSimplify:
         # 40 temps read twice each: 2^40 inlined paths, 79 distinct slots
         result = simplify(temp_chain(40))
         assert result.block.body == (Statement("y", Xor(Var("a"), Var("b"))),)
+        assert result.slots_used == 1
+
+    @pytest.mark.parametrize("inputs", [(), ("c",)], ids=["chain", "unused-input"])
+    def test_deep_chain(self, inputs):
+        # 1,200 levels once inlined: the truth tables, the straight-line
+        # encoding and, with an input to project away, the substitution
+        # must not take a Python stack frame per level
+        result = simplify(and_chain(1200, *inputs))
+        assert result.block.body == (Statement("y", And(Var("a"), Var("b"))),)
         assert result.slots_used == 1
 
     def test_stateful_rejected(self):
@@ -1868,3 +1900,119 @@ class TestSlotBound:
         result = synthesize(IFACE_AB_Y, spec, SynthConfig(seed=1))
         assert result.slots_used == k
         assert len(built) == 1
+
+
+@st.composite
+def read_once_formulas(draw):
+    """Input names and an AND/OR/XOR formula over 2-7 of them that reads
+    each exactly once, in a shuffled order."""
+    names = [f"i{x}" for x in range(draw(st.integers(2, 7)))]
+    nodes = [Var(x) for x in draw(st.permutations(names))]
+    while len(nodes) > 1:
+        at = draw(st.integers(0, len(nodes) - 2))
+        nodes[at:at + 2] = [draw(st.sampled_from([And, Or, Xor]))(*nodes[at:at + 2])]
+    return names, nodes[0]
+
+
+def table_meets(table):
+    """Whether a truth vector in the point order of `reachable_functions`
+    agrees with `table` (input bits -> value) wherever it is defined."""
+    return lambda vec: all(bool(vec >> sum(b << i for i, b in enumerate(bits)) & 1) == v
+                           for bits, v in table.items())
+
+
+class TestReadOnce:
+    """At k = r - 1 slots for the r inputs of `forced_flips`, the template
+    is read-once (see `_PointSpec.min_slot_bound`)."""
+
+    @given(read_once_formulas(), st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_read_once_formula_takes_one_slot_per_operator(self, case, seed):
+        names, formula = case
+        interface = iface(*(f"i:{x}" for x in names), "o:y")
+        spec = spec_for(interface, table_rows(names, ["y"], lambda e: {
+            "y": eval_expr(formula, e)}))
+        result = synthesize(interface, spec, SynthConfig(seed=seed))
+        assert result.slots_used == len(names) - 1
+        original = Block("f", interface, (Statement("y", formula),))
+        assert equivalent(result.block, original) == Verified(1)
+
+    def test_tight_partial_specs_reach_the_enumerated_minimum(self):
+        # the generator of test_criterion_5_minimality, kept where the
+        # first template is the read-once one
+        rng = random.Random(1105)
+        names = ["a", "b", "c"]
+        interface = iface("i:a", "i:b", "i:c", "o:y")
+        checked = 0
+        for trial in range(120):
+            pins = {}
+            for bits in itertools.product((False, True), repeat=3):
+                if rng.random() < 0.65:
+                    pins[bits] = rng.random() < 0.5
+            if not pins:
+                pins[(False, False, False)] = True
+            spec = spec_for(interface, [TruthTableRow(dict(zip(names, bits)), {"y": v})
+                                        for bits, v in pins.items()])
+            pspec = engine._PointSpec(names, ["y"], spec.obligations).projected()
+            if pspec.min_slot_bound() != len(pspec.forced_flips) - 1:
+                continue
+            result = synthesize(interface, spec, SynthConfig(seed=trial))
+            assert result.slots_used == least_slots(3, table_meets(pins)), f"trial {trial}"
+            checked += 1
+        assert checked >= 20
+
+    def test_mux_is_not_read_once(self):
+        # (a AND b) OR (NOT a AND c) reacts to all three inputs, but no
+        # two-slot program computes it
+        names = ["a", "b", "c"]
+        interface = iface("i:a", "i:b", "i:c", "o:y")
+        table = {bits: bits[1] if bits[0] else bits[2]
+                 for bits in itertools.product((False, True), repeat=3)}
+        spec = spec_for(interface, table_rows(names, ["y"], lambda e: {
+            "y": table[(e["a"], e["b"], e["c"])]}))
+        pspec = engine._PointSpec(names, ["y"], spec.obligations)
+        assert pspec.forced_flips == names
+        template = engine._SlotTemplate(names, 2, ["y"], 0, read_once=True)
+        for point in table:
+            template.add_point(point, pspec)
+        assert template.solve() is None
+        result = synthesize(interface, spec, SynthConfig(seed=1))
+        assert result.slots_used == least_slots(3, table_meets(table)) == 3
+
+    def test_or_opens_one_read_once_template(self, monkeypatch):
+        names = [f"i{x}" for x in range(5)]
+        interface = iface(*(f"i:{x}" for x in names), "o:y")
+        spec = spec_for(interface, table_rows(names, ["y"], lambda e: {"y": any(e.values())}))
+        built = []
+        real_init = engine._SlotTemplate.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append((self.k, self.read_once, self.ops))
+
+        monkeypatch.setattr(engine._SlotTemplate, "__init__", init)
+        result = synthesize(interface, spec, SynthConfig(seed=1))
+        assert built == [(4, True, [("and",), ("or",), ("xor",)])]
+        assert result.slots_used == 4
+
+    def test_forced_inputs_only(self):
+        # d changes what is allowed (y is free where it is set) but never
+        # flips a forced value, so the read-once template does not read it
+        names = ["a", "b", "d"]
+        interface = iface("i:a", "i:b", "i:d", "o:y")
+        rows = [TruthTableRow({"a": a, "b": b, "d": False}, {"y": a and b})
+                for a, b in itertools.product((False, True), repeat=2)]
+        spec = spec_for(interface, rows)
+        pspec = engine._PointSpec(names, ["y"], spec.obligations)
+        assert pspec.projected().input_names == names
+        assert pspec.forced_flips == ["a", "b"]
+        result = synthesize(interface, spec, SynthConfig(seed=0))
+        assert result.block.body == (Statement("y", And(Var("a"), Var("b"))),)
+
+    def test_read_once_template_cnf_matches_golden(self):
+        # read-once templates over 2-8 inputs; search is very sensitive to
+        # variable and clause order
+        templates = (engine._SlotTemplate([f"i{x}" for x in range(n)], n - 1, ["y"], 0,
+                                          read_once=True) for n in range(2, 9))
+        assert TestCegisProgress.template_digest(templates) == (
+            7, "a7fae09aa1d62a867d35e5eaa8df542f5f3d91f8c1d3dfffc06cd3c27d177697")
