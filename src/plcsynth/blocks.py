@@ -12,10 +12,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 MAX_IDENTIFIER_LENGTH = 64
 MAX_EXPR_DEPTH = 64
+
+T = TypeVar("T")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -174,63 +176,94 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
+def fold_expr(expr: BoolExpr | int, var: Callable[[str], T], const: Callable[[bool], T],
+              ops: Mapping[type, Callable[..., T]], memo: Optional[dict[int, T]] = None) -> T:
+    """Fold an expression DAG bottom-up: `var(name)` and `const(value)`
+    give the leaves' values, `ops[Not](a)` and `ops[And|Or|Xor](a, b)` an
+    operator node's value from its operands' values.
+
+    Post-order, left operand before right, and iterative, so a chain of any
+    depth needs no Python stack.  Each node object is computed once: `memo`
+    maps node identity to value, and a caller may pass one to share across
+    calls as long as it keeps the nodes behind its keys alive.  A Var
+    operand is read in place, so `var` may run more than once per node; an
+    int is a value already and is never memoized.  No callback may return
+    None.  A node that is not a BoolExpr raises TypeError."""
+    if type(expr) is int:
+        return expr
+    if memo is None:
+        memo = {}
+    else:
+        hit = memo.get(id(expr))
+        if hit is not None:
+            return hit
+    get, negate = memo.get, ops[Not]
+    stack = [expr]  # a path down from `expr`, each node an operand of the one below
+    while stack:
+        node = stack[-1]
+        kind = type(node)
+        if kind is Var:
+            value = var(node.name)
+        elif kind is Const:
+            value = const(node.value)
+        elif kind is Not:
+            sub = node.operand
+            a = var(sub.name) if (t := type(sub)) is Var else sub if t is int else get(id(sub))
+            if a is None:
+                stack.append(sub)
+                continue
+            value = negate(a)
+        elif kind is And or kind is Or or kind is Xor:
+            sub = node.left
+            a = var(sub.name) if (t := type(sub)) is Var else sub if t is int else get(id(sub))
+            if a is None:
+                stack.append(sub)
+                continue
+            sub = node.right
+            b = var(sub.name) if (t := type(sub)) is Var else sub if t is int else get(id(sub))
+            if b is None:
+                stack.append(sub)
+                continue
+            value = ops[kind](a, b)
+        else:
+            raise TypeError(f"not a BoolExpr: {node!r}")
+        memo[id(node)] = value
+        stack.pop()
+    return memo[id(expr)]
+
+
+def _one(_) -> int:
+    return 1
+
+
+def _binary(op: Callable) -> dict[type, Callable]:
+    return {And: op, Or: op, Xor: op}
+
+
+_SIZE = {Not: (1).__add__, **_binary(lambda a, b: a + b + 1)}
+_DEPTH = {Not: (1).__add__, **_binary(lambda a, b: 1 + max(a, b))}
+_VARS = {Not: lambda a: a, **_binary(frozenset.union)}
+_REBUILD = {Not: Not, And: And, Or: Or, Xor: Xor}
+
+
 def expr_size(expr: BoolExpr) -> int:
-    """Node count of the expression tree."""
-    if isinstance(expr, (Const, Var)):
-        return 1
-    if isinstance(expr, Not):
-        return 1 + expr_size(expr.operand)
-    return 1 + expr_size(expr.left) + expr_size(expr.right)
+    """Node count of the expression as a tree: a shared subterm counts
+    once per path to it, but is computed once."""
+    return fold_expr(expr, _one, _one, _SIZE)
 
 
 def expr_depth(expr: BoolExpr) -> int:
-    """Levels of the expression, 1 for a leaf.  Iterative, and each node
-    object is measured once, so a long chain needs no Python stack and a
-    shared subterm (a DAG built by the engine) is not walked per path."""
-    depth: dict[int, int] = {}  # by node identity; leaves are 1, not stored
-    stack = [(expr, False)]  # (node, whether its operands are measured)
-    while stack:
-        node, ready = stack.pop()
-        if isinstance(node, (Const, Var)) or id(node) in depth:
-            continue
-        if isinstance(node, Not):
-            if ready:
-                depth[id(node)] = 1 + depth.get(id(node.operand), 1)
-            else:
-                stack += ((node, True), (node.operand, False))
-        elif ready:
-            left, right = depth.get(id(node.left), 1), depth.get(id(node.right), 1)
-            depth[id(node)] = 1 + (left if left > right else right)
-        else:
-            stack += ((node, True), (node.left, False), (node.right, False))
-    return depth.get(id(expr), 1)
+    """Levels of the expression, 1 for a leaf."""
+    return fold_expr(expr, _one, _one, _DEPTH)
 
 
 def expr_vars(expr: BoolExpr) -> set[str]:
     """Names of all variables occurring in the expression."""
-    out: set[str] = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif isinstance(node, Not):
-            stack.append(node.operand)
-        elif isinstance(node, (And, Or, Xor)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return out
+    return set(fold_expr(expr, lambda name: frozenset((name,)), lambda _: frozenset(), _VARS))
 
 
 def rename_vars(expr: BoolExpr, mapping: Mapping[str, str]) -> BoolExpr:
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Var):
-        return Var(mapping.get(expr.name, expr.name))
-    if isinstance(expr, Not):
-        return Not(rename_vars(expr.operand, mapping))
-    return type(expr)(rename_vars(expr.left, mapping),
-                      rename_vars(expr.right, mapping))
+    return fold_expr(expr, lambda name: Var(mapping.get(name, name)), Const, _REBUILD)
 
 
 def eval_expr(expr: BoolExpr, env: Mapping[str, bool]) -> bool:

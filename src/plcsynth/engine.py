@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from .blocks import (
     And, Block, BlockInterface, BoolExpr, Const, Direction, Lang, Not, Or,
     Statement, TypeCheckError, UnboundVariable, Var, VarDecl, Xor, eval_expr,
-    expr_vars, simulate,
+    expr_vars, fold_expr, simulate,
 )
 from .constraints import (
     AssertionClause, ConstraintList, ObligationClause, SpecFormula,
@@ -212,98 +212,36 @@ def _disj(items: Sequence[BoolExpr]) -> BoolExpr:
     return _fold(items, _or, FALSE)
 
 
-_FOLD_BINARY = {And: _and, Or: _or, Xor: _xor}
+_FOLDING = {Not: _not, And: _and, Or: _or, Xor: _xor}
+
+
+def _const(value: bool) -> BoolExpr:
+    return TRUE if value else FALSE
 
 
 def _subst(expr: BoolExpr, env: Mapping[str, BoolExpr]) -> BoolExpr:
-    """Replace variables by expressions, folding constants; memoized by
-    node identity so shared subtrees stay shared.  Iterative like
-    `_mask`."""
-    memo: dict[int, BoolExpr] = {}
-    stack = [expr]
+    """Replace variables by expressions, folding constants; shared
+    subterms stay shared."""
     try:
-        while stack:
-            node = stack[-1]
-            kind = type(node)
-            if kind is Var:
-                memo[id(node)] = env[node.name]
-            elif kind is Const:
-                memo[id(node)] = node
-            elif kind is Not:
-                sub = node.operand
-                a = env[sub.name] if type(sub) is Var else \
-                    sub if type(sub) is Const else memo.get(id(sub))
-                if a is None:
-                    stack.append(sub)
-                    continue
-                memo[id(node)] = _not(a)
-            else:
-                left, right = node.left, node.right
-                a = env[left.name] if type(left) is Var else \
-                    left if type(left) is Const else memo.get(id(left))
-                if a is None:
-                    stack.append(left)
-                    continue
-                b = env[right.name] if type(right) is Var else \
-                    right if type(right) is Const else memo.get(id(right))
-                if b is None:
-                    stack.append(right)
-                    continue
-                memo[id(node)] = _FOLD_BINARY[kind](a, b)
-            stack.pop()
+        return fold_expr(expr, env.__getitem__, _const, _FOLDING)
     except KeyError as exc:
         raise UnboundVariable(exc.args[0]) from None
-    return memo[id(expr)]
 
 
 def _mask(expr: BoolExpr, env: Mapping[str, int], full: int,
           memo: dict[int, int]) -> int:
     """Truth table of `expr` from its variables' tables in `env`: bit p is
     its value at point p, and `full` has every point's bit set.  `memo`
-    is keyed by node identity and belongs to one `env`.
-
-    Iterative, so a chain of any depth needs no Python stack: the stack
-    holds a path from `expr` down to the node being worked on, each node
-    the operand of the one below; a node is pushed only while its value
-    is missing, and an operand that is a variable or constant is read in
-    place."""
+    is keyed by node identity and belongs to one `env`."""
     hit = memo.get(id(expr))
     if hit is not None:
         return hit
-    stack = [expr]
     try:
-        while stack:
-            node = stack[-1]
-            kind = type(node)
-            if kind is Var:
-                memo[id(node)] = env[node.name]
-            elif kind is Const:
-                memo[id(node)] = full if node.value else 0
-            elif kind is Not:
-                sub = node.operand
-                a = env[sub.name] if type(sub) is Var else \
-                    (full if sub.value else 0) if type(sub) is Const else memo.get(id(sub))
-                if a is None:
-                    stack.append(sub)
-                    continue
-                memo[id(node)] = full ^ a
-            else:
-                left, right = node.left, node.right
-                a = env[left.name] if type(left) is Var else \
-                    (full if left.value else 0) if type(left) is Const else memo.get(id(left))
-                if a is None:
-                    stack.append(left)
-                    continue
-                b = env[right.name] if type(right) is Var else \
-                    (full if right.value else 0) if type(right) is Const else memo.get(id(right))
-                if b is None:
-                    stack.append(right)
-                    continue
-                memo[id(node)] = a & b if kind is And else a | b if kind is Or else a ^ b
-            stack.pop()
+        return fold_expr(expr, env.__getitem__, lambda value: full if value else 0,
+                         {Not: full.__xor__, And: int.__and__, Or: int.__or__,
+                          Xor: int.__xor__}, memo)
     except KeyError as exc:
         raise UnboundVariable(exc.args[0]) from None
-    return memo[id(expr)]
 
 
 def _symbolic_cycle(block: Block, state: Mapping[str, BoolExpr],
@@ -763,6 +701,8 @@ class _SlotTemplate:
 
     A repair template (`originals` given) counts the slots that differ
     from the original: `solve([-more_than[b]])` allows at most b of them.
+    It has no pruning rules: the original must stay expressible with no
+    edit, whatever its operand order, constant slots or double NOTs.
     A read-once template (one output, the inputs of `forced_flips`, one
     slot fewer than them) holds only AND/OR/XOR slots that read each input
     and each slot but the last exactly once, which loses no program
@@ -770,7 +710,7 @@ class _SlotTemplate:
     """
 
     def __init__(self, input_names: Sequence[str], n_slots: int,
-                 outputs: Sequence[str], seed: int, prune: bool = True,
+                 outputs: Sequence[str], seed: int,
                  originals: Optional[list[_SlotShape]] = None,
                  read_once: bool = False):
         self.inputs = list(input_names)
@@ -781,7 +721,6 @@ class _SlotTemplate:
         binary = [("and",), ("or",), ("xor",)]
         self.ops: list[tuple] = binary if read_once else \
             [*(("input", i) for i in range(self.n)), ("const",), ("not",), *binary]
-        self.prune = prune
         self.originals = originals
         self.more_than: list[int] = []
         self.loaded = 0  # points given to add_point so far
@@ -863,7 +802,7 @@ class _SlotTemplate:
             fwd += self._edit_clauses()
         if self.read_once:
             fwd += self._read_once_clauses()
-        elif self.prune:
+        elif self.originals is None:
             fwd += self._pruning_clauses()
         enc = self._enc
         for clause in reversed(fwd):
@@ -1099,30 +1038,21 @@ def _encode_original(expr: BoolExpr, template_inputs: Sequence[str]) -> list[_Sl
     it, and repair templates seed from it.  Post-order, one slot per
     distinct operator or constant subterm (shapes are hash-consed, so a
     temp read twice is one slot); Var operands read their input, a bare
-    variable takes one slot and the root lands in the last.  Each node
-    object is walked once, without recursion: linear in a temps-inlined
-    DAG, not its paths, whatever its depth."""
+    variable takes one slot and the root lands in the last."""
     input_index = {name: i for i, name in enumerate(template_inputs)}
     if isinstance(expr, Var):
         return [_SlotShape(("input", input_index[expr.name]))]
     slots: dict[_SlotShape, int] = {}  # shape -> operand index, in post-order
-    memo: dict[int, int] = {}  # node identity -> operand index
-    stack = [expr]  # a path down from the root, as in `_mask`
-    while stack:
-        node = stack[-1]
-        if type(node) is Const:
-            shape = _SlotShape(("const",), const=node.value)
-        else:
-            subs = (node.operand,) if type(node) is Not else (node.left, node.right)
-            args = [input_index[sub.name] if type(sub) is Var else memo.get(id(sub))
-                    for sub in subs]
-            if None in args:
-                stack.append(subs[args.index(None)])
-                continue
-            kind = {Not: "not", And: "and", Or: "or", Xor: "xor"}[type(node)]
-            shape = _SlotShape((kind,), (*args, 0)[:2])
-        memo[id(node)] = slots.setdefault(shape, len(input_index) + len(slots))
-        stack.pop()
+
+    def slot(shape: _SlotShape) -> int:
+        return slots.setdefault(shape, len(input_index) + len(slots))
+
+    fold_expr(expr, input_index.__getitem__,
+              lambda value: slot(_SlotShape(("const",), const=value)),
+              {Not: lambda a: slot(_SlotShape(("not",), (a, 0))),
+               And: lambda a, b: slot(_SlotShape(("and",), (a, b))),
+               Or: lambda a, b: slot(_SlotShape(("or",), (a, b))),
+               Xor: lambda a, b: slot(_SlotShape(("xor",), (a, b)))})
     return list(slots)
 
 
@@ -1325,7 +1255,7 @@ def _repair_rounds(originals: list[_SlotShape], inputs: Sequence[str],
         for extra in range(max(0, edits - n_orig), min(edits, max_extra) + 1):
             if extra == len(templates):
                 templates.append(_SlotTemplate(inputs, n_orig + extra, [output], cfg.seed,
-                                               prune=False, originals=originals))
+                                               originals=originals))
             template, changed = templates[extra], edits - extra
             yield template, [-template.more_than[changed]] if changed < n_orig else []
 

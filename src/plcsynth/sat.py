@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .blocks import And, BoolExpr, Const, Not, Or, UnboundVariable, Var, Xor
+from .blocks import And, BoolExpr, Const, Not, Or, UnboundVariable, Xor, fold_expr
 
 SatVar = int  # 1-based variable index
 
@@ -81,7 +81,7 @@ class TseitinEncoder:
         self._next = max(self.var_map.values(), default=0) + 1
         self.clauses: list[tuple[int, ...]] = []
         self._memo: dict[int, int] = {}
-        self._keepalive: list[BoolExpr] = []
+        self._keepalive: list[BoolExpr] = []  # the roots encoded
 
     def fresh(self) -> int:
         v = self._next
@@ -132,47 +132,45 @@ class TseitinEncoder:
     def encode(self, expr: BoolExpr | int) -> int:
         """Returns a signed literal equivalent to the expression.  An int
         leaf is a literal numbered already and comes back as is, with no
-        clause, variable or memo entry."""
+        clause, variable or memo entry.  Gates and constants are numbered,
+        and their clauses written, in `fold_expr`'s post-order."""
         if type(expr) is int:
             return expr
-        key = id(expr)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(expr, Var):
-            try:
-                lit = self.var_map[expr.name]
-            except KeyError:
-                raise UnboundVariable(expr.name) from None
-        elif isinstance(expr, Const):
-            v = self.fresh()
-            self.add_clause(v if expr.value else -v)
-            lit = v
-        elif isinstance(expr, Not):
-            lit = -self.encode(expr.operand)
-        else:
-            a = self.encode(expr.left)
-            b = self.encode(expr.right)
-            v = self.fresh()
-            if isinstance(expr, And):
-                self.add_clause(-v, a)
-                self.add_clause(-v, b)
-                self.add_clause(v, -a, -b)
-            elif isinstance(expr, Or):
-                self.add_clause(-v, a, b)
-                self.add_clause(v, -a)
-                self.add_clause(v, -b)
-            elif isinstance(expr, Xor):
-                self.add_clause(-v, a, b)
-                self.add_clause(-v, -a, -b)
-                self.add_clause(v, a, -b)
-                self.add_clause(v, -a, b)
-            else:
-                raise TypeError(f"not a BoolExpr: {expr!r}")
-            lit = v
-        self._memo[key] = lit
-        self._keepalive.append(expr)
+        lit = self._memo.get(id(expr))
+        if lit is None:
+            self._keepalive.append(expr)  # every memo key is reachable from a root
+            # gates built per call: kept on self, bound methods would make the
+            # encoder a cycle that only the cyclic garbage collector frees
+            lit = fold_expr(expr, self._var, self._const,
+                            {Not: int.__neg__, And: self._and, Or: self._or, Xor: self._xor},
+                            self._memo)
         return lit
+
+    def _var(self, name: str) -> int:
+        try:
+            return self.var_map[name]
+        except KeyError:
+            raise UnboundVariable(name) from None
+
+    def _const(self, value: bool) -> int:
+        v = self.fresh()
+        self.clauses.append((v if value else -v,))
+        return v
+
+    def _and(self, a: int, b: int) -> int:
+        v = self.fresh()
+        self.clauses += ((-v, a), (-v, b), (v, -a, -b))
+        return v
+
+    def _or(self, a: int, b: int) -> int:
+        v = self.fresh()
+        self.clauses += ((-v, a, b), (v, -a), (v, -b))
+        return v
+
+    def _xor(self, a: int, b: int) -> int:
+        v = self.fresh()
+        self.clauses += ((-v, a, b), (-v, -a, -b), (v, a, -b), (v, -a, b))
+        return v
 
     def formula(self) -> CnfFormula:
         return CnfFormula(self.num_vars, tuple(self.clauses))

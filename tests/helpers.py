@@ -185,3 +185,133 @@ def min_slots_for(n_inputs: int, satisfies) -> int:
         if any(satisfies(vec) for vec in reachable_functions(n_inputs, k)):
             return k
     raise AssertionError("no program up to 8 slots satisfies the predicate")
+
+
+# --------------------------------------------------------------------------
+# Plain recursive references for the expression folds.  Each walks its
+# expression as a tree, one Python frame per level and a shared subterm
+# once per path (memoized only where the fold's result depends on it), so
+# keep their inputs small and shallow.
+
+
+def ref_size(expr: BoolExpr) -> int:
+    if isinstance(expr, (Const, Var)):
+        return 1
+    if isinstance(expr, Not):
+        return 1 + ref_size(expr.operand)
+    return 1 + ref_size(expr.left) + ref_size(expr.right)
+
+
+def ref_depth(expr: BoolExpr) -> int:
+    if isinstance(expr, (Const, Var)):
+        return 1
+    if isinstance(expr, Not):
+        return 1 + ref_depth(expr.operand)
+    return 1 + max(ref_depth(expr.left), ref_depth(expr.right))
+
+
+def ref_vars(expr: BoolExpr) -> set:
+    if isinstance(expr, Var):
+        return {expr.name}
+    if isinstance(expr, Const):
+        return set()
+    if isinstance(expr, Not):
+        return ref_vars(expr.operand)
+    return ref_vars(expr.left) | ref_vars(expr.right)
+
+
+def ref_rename(expr: BoolExpr, mapping) -> BoolExpr:
+    if isinstance(expr, Const):
+        return expr
+    if isinstance(expr, Var):
+        return Var(mapping.get(expr.name, expr.name))
+    if isinstance(expr, Not):
+        return Not(ref_rename(expr.operand, mapping))
+    return type(expr)(ref_rename(expr.left, mapping), ref_rename(expr.right, mapping))
+
+
+def ref_subst(expr: BoolExpr, env, build) -> BoolExpr:
+    """Variables replaced by `env`'s expressions, each operator node
+    rebuilt by `build[type](operands...)`."""
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, Const):
+        return expr
+    if isinstance(expr, Not):
+        return build[Not](ref_subst(expr.operand, env, build))
+    return build[type(expr)](ref_subst(expr.left, env, build),
+                             ref_subst(expr.right, env, build))
+
+
+def ref_mask(expr: BoolExpr, env, full: int) -> int:
+    """Truth table of `expr` from its variables' tables in `env`."""
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, Const):
+        return full if expr.value else 0
+    if isinstance(expr, Not):
+        return full ^ ref_mask(expr.operand, env, full)
+    a, b = ref_mask(expr.left, env, full), ref_mask(expr.right, env, full)
+    return {And: a & b, Or: a | b, Xor: a ^ b}[type(expr)]
+
+
+def ref_straight_line(expr: BoolExpr, inputs) -> list:
+    """(operator, operands, constant) per slot: post-order, left first, one
+    slot per distinct operator or constant shape; Var operands read their
+    input index and a bare variable takes one slot."""
+    index = {name: i for i, name in enumerate(inputs)}
+    if isinstance(expr, Var):
+        return [(("input", index[expr.name]), (0, 0), False)]
+    slots: dict = {}
+
+    def walk(node) -> int:
+        if isinstance(node, Var):
+            return index[node.name]
+        if isinstance(node, Const):
+            shape = (("const",), (0, 0), node.value)
+        elif isinstance(node, Not):
+            shape = (("not",), (walk(node.operand), 0), False)
+        else:
+            a, b = walk(node.left), walk(node.right)
+            shape = (({And: "and", Or: "or", Xor: "xor"}[type(node)],), (a, b), False)
+        return slots.setdefault(shape, len(index) + len(slots))
+
+    walk(expr)
+    return list(slots)
+
+
+def ref_tseitin(roots, var_map):
+    """(literals, clauses, variable count) of the recursive Tseitin
+    encoding of `roots` in turn: one variable per distinct gate or constant
+    node object, numbered in post-order with left operands first; an int
+    leaf is its own literal."""
+    clauses: list = []
+    memo: dict = {}
+    top = [max(var_map.values(), default=0)]
+
+    def fresh() -> int:
+        top[0] += 1
+        return top[0]
+
+    def enc(node) -> int:
+        if type(node) is int:
+            return node
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, Var):
+            lit = var_map[node.name]
+        elif isinstance(node, Const):
+            lit = fresh()
+            clauses.append((lit if node.value else -lit,))
+        elif isinstance(node, Not):
+            lit = -enc(node.operand)
+        else:
+            a, b = enc(node.left), enc(node.right)
+            v = lit = fresh()
+            clauses.extend({And: [(-v, a), (-v, b), (v, -a, -b)],
+                            Or: [(-v, a, b), (v, -a), (v, -b)],
+                            Xor: [(-v, a, b), (-v, -a, -b), (v, a, -b), (v, -a, b)]}[type(node)])
+        memo[id(node)] = lit
+        return lit
+
+    return [enc(root) for root in roots], clauses, top[0]

@@ -17,8 +17,8 @@ from plcsynth.cli import (
     EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, ProjectLayout, load_block, run,
 )
 from plcsynth.constraints import SchemaError, compile_spec, load_constraints
-from plcsynth.engine import SynthConfig, simplify, synthesize
-from plcsynth.lang import emit, parse_il
+from plcsynth.engine import SynthConfig, Verified, equivalent, simplify, synthesize
+from plcsynth.lang import emit, parse_il, parse_st
 
 AND_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <constraintList block="AndGate" mode="generate">
@@ -280,6 +280,32 @@ def and_chain_st(n, unused=False):
     text = OR_ST.replace("  b : BOOL;\n", "  b : BOOL;\n  c : BOOL;\n") if unused else OR_ST
     return text.replace("BEGIN\n  y := a OR b;\n", f"VAR_TEMP\n{temps}END_VAR\nBEGIN\n"
                         f"  t1 := b AND a;\n{body}  y := t{n};\n")
+
+
+class TestDeepTempChain:
+    # 1,200 temps inline to 1,200 levels, which the bounded checker once
+    # encoded with one Python stack frame per level
+
+    def test_verify(self, project):
+        chain = project / "chain.st"
+        chain.write_text(and_chain_st(1200))
+        code, text = invoke("verify", "--block", str(chain),
+                            "--constraints", str(project / "and.xml"))
+        assert (code, text) == (EXIT_OK, "Verified (bound 1)\n")
+
+    def test_translate(self, project):
+        chain, out_path = project / "chain.st", project / "chain.il"
+        chain.write_text(and_chain_st(1200))
+        code, text = invoke("translate", "--block", str(chain), "--to", "il",
+                            "--out", str(out_path))
+        assert code == EXIT_OK, text
+        assert output_table(parse_il(out_path.read_text()), "y") == {
+            bits: bits[0] and bits[1]
+            for bits in itertools.product((False, True), repeat=2)}
+
+    def test_equivalent_to_itself(self):
+        block = parse_st(and_chain_st(1200))
+        assert isinstance(equivalent(block, block), Verified)
 
 
 class TestRepairSimplifyExtend:

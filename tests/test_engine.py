@@ -1211,11 +1211,16 @@ class TestCegisProgress:
 
     def test_template_cnf_matches_golden(self):
         # plain templates over 0-5 inputs, 1-6 slots and 1-3 outputs, with
-        # and without pruning; the digest is the CNF the Tseitin encoder gave
-        # these constraints, as search is very sensitive to variable and
-        # clause order
-        templates = (engine._SlotTemplate([f"i{x}" for x in range(n)], k,
-                                          [f"o{x}" for x in range(m)], 0, prune)
+        # and without the pruning rules (which only repair templates leave
+        # out); the digest is the CNF the Tseitin encoder gave these
+        # constraints, as search is very sensitive to variable and clause
+        # order
+        class Unpruned(engine._SlotTemplate):
+            def _pruning_clauses(self):
+                return []
+
+        templates = ((engine._SlotTemplate if prune else Unpruned)(
+                        [f"i{x}" for x in range(n)], k, [f"o{x}" for x in range(m)], 0)
                      for n in range(6)
                      for k, m, prune in itertools.product(range(1, 7), range(1, 4),
                                                           (True, False)))
@@ -1362,7 +1367,7 @@ class TestSlotCount:
         assert slots(engine._original_exprs(SHARED_TEMP)["y"]) == 3
 
     def test_repair_reports_written_slots_not_template_size(self, monkeypatch):
-        template = engine._SlotTemplate(["a", "b"], 2, ["y"], 0, prune=False)
+        template = engine._SlotTemplate(["a", "b"], 2, ["y"], 0)
         not_id, and_id = template._idx[("not",)], template._idx[("and",)]
         (ops0, (a00, a01)), (ops1, (a10, a11)) = template._selectors
         # slot 0 computes NOT a and is never read; slot 1 is a AND b

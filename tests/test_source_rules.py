@@ -30,8 +30,8 @@ def test_one_unsatisfiable_site():
     assert len(calls) == 1, f"Unsatisfiable is constructed at {calls}"
 
 
-def _calls_by_function(tree: ast.AST, name: str) -> list[str]:
-    """Qualified names of the functions holding each call of `name`."""
+def _sites(tree: ast.AST, match) -> list[str]:
+    """Qualified names of the functions holding each node `match` accepts."""
     found: list[str] = []
 
     def walk(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -39,13 +39,18 @@ def _calls_by_function(tree: ast.AST, name: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 walk(child, (*scope, child.name))
                 continue
-            if isinstance(child, ast.Call) and \
-                    getattr(child.func, "id", getattr(child.func, "attr", None)) == name:
+            if match(child):
                 found.append(".".join(scope))
             walk(child, scope)
 
     walk(tree, ())
     return found
+
+
+def _calls_by_function(tree: ast.AST, name: str) -> list[str]:
+    """Qualified names of the functions holding each call of `name`."""
+    return _sites(tree, lambda node: isinstance(node, ast.Call) and
+                  getattr(node.func, "id", getattr(node.func, "attr", None)) == name)
 
 
 def test_solver_built_in_two_places():
@@ -55,3 +60,17 @@ def test_solver_built_in_two_places():
              for site in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")),
                                             "CdclSolver")]
     assert sorted(sites) == ["engine._SlotTemplate.__init__", "engine._unroll"]
+
+
+def test_operands_read_by_few_functions():
+    # every structural walk of an expression is a `fold_expr`; the
+    # reference simulator, the NOT constructor and the printers read
+    # operands themselves, and so does `assert_true`, which the
+    # benchmark's tracer patches
+    allowed = {"blocks.fold_expr", "blocks.eval_expr", "engine._not", "lang._format",
+               "lang._compile_il_expr", "sat.TseitinEncoder.assert_true"}
+    sites = {f"{path.stem}.{site}" for path in SOURCES
+             for site in _sites(ast.parse(path.read_text(encoding="utf-8")),
+                                lambda node: isinstance(node, ast.Attribute) and
+                                node.attr in ("operand", "left", "right"))}
+    assert sites <= allowed, f"operands read in {sorted(sites - allowed)}"
