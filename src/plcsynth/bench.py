@@ -91,41 +91,34 @@ def _full_table(interface: BlockInterface, name: str,
     return ConstraintList(name, Mode.GENERATE, interface, tuple(rows))
 
 
-def _magnet_oracle(env: dict[str, bool]) -> dict[str, bool]:
-    occupied = [env[s] for s in _SLOTS]
-    return {"m2": magnet_rule(occupied, 2)}
-
-
-def _row_oracle(env: dict[str, bool]) -> dict[str, bool]:
-    occupied = [env[s] for s in _SLOTS]
-    return {f"m{k}": magnet_rule(occupied, k) for k in (1, 2, 3)}
+def _magnets(*ks: int) -> Callable[[dict[str, bool]], dict[str, bool]]:
+    """The oracle of a row's magnets `ks`, output `m<k>` for magnet k."""
+    def oracle(env: dict[str, bool]) -> dict[str, bool]:
+        occupied = [env[s] for s in _SLOTS]
+        return {f"m{k}": magnet_rule(occupied, k) for k in ks}
+    return oracle
 
 
 def _signal_oracle(env: dict[str, bool]) -> dict[str, bool]:
     return {"light": signal_light_rule([env[f] for f in _FLAGS])}
 
 
+# name -> (inputs, block name, oracle); the outputs are the oracle's keys
+_SCENARIOS = {
+    "magnet": (_SLOTS, "magnet", _magnets(2)),
+    "row": (_SLOTS, "row", _magnets(1, 2, 3)),
+    "signal-light": (_FLAGS, "signal_light", _signal_oracle),
+}
+SCENARIO_NAMES = tuple(_SCENARIOS)
+
+
 def scenario(name: str) -> ScenarioSpec:
-    if name == "magnet":
-        interface = _interface(_SLOTS, ["m2"])
-        return ScenarioSpec("magnet", interface,
-                            lambda: _full_table(interface, "magnet", _magnet_oracle),
-                            _magnet_oracle)
-    if name == "row":
-        interface = _interface(_SLOTS, ["m1", "m2", "m3"])
-        return ScenarioSpec("row", interface,
-                            lambda: _full_table(interface, "row", _row_oracle),
-                            _row_oracle)
-    if name == "signal-light":
-        interface = _interface(_FLAGS, ["light"])
-        return ScenarioSpec("signal-light", interface,
-                            lambda: _full_table(interface, "signal_light",
-                                                _signal_oracle),
-                            _signal_oracle)
-    raise ValueError(f"unknown scenario {name!r}")
-
-
-SCENARIO_NAMES = ("magnet", "row", "signal-light")
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}")
+    inputs, block_name, oracle = _SCENARIOS[name]
+    interface = _interface(inputs, list(oracle(dict.fromkeys(inputs, False))))
+    return ScenarioSpec(name, interface,
+                        lambda: _full_table(interface, block_name, oracle), oracle)
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .bench import SCENARIO_NAMES, BenchReport, bench_run, scenario
@@ -101,18 +101,16 @@ def _summary(op: str, result, path) -> str:
 
 
 def _config(args) -> SynthConfig:
-    cfg = SynthConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "max_slots", None) is not None:
-        cfg = replace(cfg, max_slots=args.max_slots)
-    if getattr(args, "joint", False):
-        cfg = replace(cfg, per_output=False)
-    if getattr(args, "cycles", None) is not None:
-        cfg = replace(cfg, unwind_cycles=args.cycles)
-    if getattr(args, "symbolic_init", False):
-        cfg = replace(cfg, symbolic_init=True)
-    return cfg
+    """The config with the fields the command's options set: each such
+    option's dest is the field's name, and an unset one is None."""
+    return SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)
+                          if getattr(args, f.name, None) is not None})
+
+
+# editing commands: the word in their default output name, and their help
+_EDITED = {"repair": ("repaired", "minimally edit a block to meet constraints"),
+           "simplify": ("simplified", "minimize a block without changing behavior"),
+           "extend": ("extended", "add new behavior with minimal edits")}
 
 
 @functools.cache
@@ -131,30 +129,22 @@ def _parser() -> argparse.ArgumentParser:
     synth.add_argument("--lang", choices=["st", "il"], default="st")
     synth.add_argument("--seed", type=int)
     synth.add_argument("--max-slots", dest="max_slots", type=int)
-    synth.add_argument("--joint", action="store_true")
+    synth.add_argument("--joint", dest="per_output", action="store_const", const=False)
 
     ver = sub.add_parser("verify", help="check a block against constraints")
     ver.add_argument("--block", required=True)
     ver.add_argument("--constraints", required=True)
-    ver.add_argument("--cycles", type=int)
-    ver.add_argument("--symbolic-init", dest="symbolic_init", action="store_true")
+    ver.add_argument("--cycles", dest="unwind_cycles", type=int, metavar="CYCLES")
+    ver.add_argument("--symbolic-init", dest="symbolic_init", action="store_const",
+                     const=True)
 
-    rep = sub.add_parser("repair", help="minimally edit a block to meet constraints")
-    rep.add_argument("--block", required=True)
-    rep.add_argument("--constraints", required=True)
-    rep.add_argument("--out")
-    rep.add_argument("--seed", type=int)
-
-    simp = sub.add_parser("simplify", help="minimize a block without changing behavior")
-    simp.add_argument("--block", required=True)
-    simp.add_argument("--out")
-    simp.add_argument("--seed", type=int)
-
-    ext = sub.add_parser("extend", help="add new behavior with minimal edits")
-    ext.add_argument("--block", required=True)
-    ext.add_argument("--constraints", required=True)
-    ext.add_argument("--out")
-    ext.add_argument("--seed", type=int)
+    for op, (_, text) in _EDITED.items():
+        edit = sub.add_parser(op, help=text)
+        edit.add_argument("--block", required=True)
+        if op != "simplify":
+            edit.add_argument("--constraints", required=True)
+        edit.add_argument("--out")
+        edit.add_argument("--seed", type=int)
 
     tr = sub.add_parser("translate", help="convert a block to the other dialect")
     tr.add_argument("--block", required=True)
@@ -164,7 +154,7 @@ def _parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a warehouse synthesis benchmark")
     bench.add_argument("--scenario", required=True, choices=list(SCENARIO_NAMES))
     bench.add_argument("--repeat", type=int, default=10)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=int)
 
     chk = sub.add_parser("check", help="report where a constraint list contradicts itself")
     chk.add_argument("--constraints", required=True)
@@ -196,10 +186,6 @@ def _cmd_verify(args, out) -> int:
     return EXIT_VIOLATED
 
 
-# editing commands, by the word in their default output name
-_EDITED = {"repair": "repaired", "simplify": "simplified", "extend": "extended"}
-
-
 def _cmd_edit(args, out) -> int:
     """repair, simplify or extend the block: the engine function of that
     name, looked up when the command runs."""
@@ -211,7 +197,7 @@ def _cmd_edit(args, out) -> int:
     elif op == "extend":
         operands.append(load_constraints(args.constraints))
     result = globals()[op](*operands, _config(args))
-    path = Path(args.out) if args.out else _default_out(args.block, _EDITED[op], block.lang)
+    path = Path(args.out) if args.out else _default_out(args.block, _EDITED[op][0], block.lang)
     write_block(result.block, path)
     print(_summary(op, result, path), file=out)
     return EXIT_OK
@@ -248,7 +234,7 @@ def _print_bench(report: BenchReport, out) -> None:
 
 def _cmd_bench(args, out) -> int:
     spec = scenario(args.scenario)
-    report = bench_run(spec, args.repeat, SynthConfig(seed=args.seed))
+    report = bench_run(spec, args.repeat, _config(args))
     _print_bench(report, out)
     return EXIT_OK
 
@@ -262,9 +248,7 @@ def _cmd_check(args, out) -> int:
 _COMMANDS = {
     "synth": _cmd_synth,
     "verify": _cmd_verify,
-    "repair": _cmd_edit,
-    "simplify": _cmd_edit,
-    "extend": _cmd_edit,
+    **dict.fromkeys(_EDITED, _cmd_edit),
     "translate": _cmd_translate,
     "bench": _cmd_bench,
     "check": _cmd_check,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import xml.parsers.expat
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from pathlib import Path
 from typing import Mapping, Optional, Union
 from xml.sax.saxutils import quoteattr
@@ -159,15 +160,6 @@ def describe_assertion(clause: AssertionClause) -> str:
     return f"assertion {clause.origin}: {format_expression(clause.expr)}"
 
 
-def _conjunction(literals: list[BoolExpr]) -> BoolExpr:
-    if not literals:
-        return Const(True)
-    expr = literals[0]
-    for lit in literals[1:]:
-        expr = And(expr, lit)
-    return expr
-
-
 def _cell_literal(name: str, value: bool) -> BoolExpr:
     return Var(name) if value else Not(Var(name))
 
@@ -180,21 +172,18 @@ def compile_spec(cl: ConstraintList) -> SpecFormula:
     assertions: list[AssertionClause] = []
     for index, constraint in enumerate(cl.constraints):
         if isinstance(constraint, TruthTableRow):
-            guard = _conjunction([_cell_literal(n, v)
-                                  for n, v in constraint.inputs.items()
-                                  if v is not None])
+            cells = [_cell_literal(n, v) for n, v in constraint.inputs.items()
+                     if v is not None]
+            guard = reduce(And, cells) if cells else Const(True)
             for output, value in constraint.outputs.items():
                 if value is None:
                     continue
                 obligations.setdefault(output, []).append(
                     ObligationClause(guard, value, index))
         elif isinstance(constraint, CauseEffectColumn):
-            literals = [_cell_literal(n, not negated)
-                        for n, negated in constraint.cells.items()]
             combine = Or if constraint.combinator is Combinator.ANY else And
-            expr = literals[0]
-            for lit in literals[1:]:
-                expr = combine(expr, lit)
+            expr = reduce(combine, (_cell_literal(n, not negated)
+                                    for n, negated in constraint.cells.items()))
             clauses = obligations.setdefault(constraint.output, [])
             clauses.append(ObligationClause(expr, True, index))
             clauses.append(ObligationClause(Not(expr), False, index))

@@ -135,8 +135,9 @@ VerifyResult = Verified | Violated
 class OutputSynthesis:
     """One CEGIS run: its output (or "*" for a joint run), the inputs its
     templates read (synthesize and simplify keep those the spec depends
-    on, see `_PointSpec.projected`), the winning template's size and the
-    run's counts and time."""
+    on, see `_PointSpec.projected`), the slots it writes (each output's
+    straight-line encoding, `_encode_original`) and the run's counts and
+    time."""
     output: str
     inputs: tuple[str, ...]
     slots_used: int
@@ -1101,7 +1102,8 @@ def _run_cegis(label: str, rounds: Iterable[_Round], pspec: _PointSpec,
                cfg: SynthConfig) -> tuple[Optional[dict[str, BoolExpr]], OutputSynthesis]:
     """First candidate (in round order) meeting the spec, or None when no
     round yields one, with the run's record under `label` (slots_used is
-    the winning template's size, 0 without a candidate).
+    what is written: the candidate's straight-line encodings summed over
+    its outputs, 0 without a candidate).
 
     A round is a template and the literals its solver assumes; a template
     may serve several rounds.  Its solver keeps its well-formedness
@@ -1124,7 +1126,8 @@ def _run_cegis(label: str, rounds: Iterable[_Round], pspec: _PointSpec,
                 break
             violation = _find_violation(candidate, pspec, cfg.seed)
             if violation is None:
-                return candidate, OutputSynthesis(label, kept, template.k, iterations,
+                slots = sum(len(_encode_original(expr, kept)) for expr in candidate.values())
+                return candidate, OutputSynthesis(label, kept, slots, iterations,
                                                   counterexamples,
                                                   time.perf_counter() - start)
             if violation in points:
@@ -1301,8 +1304,7 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
         if candidate is None:
             raise SizeBoundExceeded(cfg.max_slots)
         exprs[output] = candidate[output]
-        # repair templates keep dead slots, so count what is written
-        runs.append(replace(run, slots_used=len(_encode_original(candidate[output], inputs))))
+        runs.append(run)
     if exprs != originals:
         assigned = {s.target for s in block.body}
         body = tuple(Statement(o, exprs[o]) for o in block.interface.outputs

@@ -144,30 +144,23 @@ class _TokenStream:
 
 
 # --------------------------------------------------------------------------
-# Expression grammar: expr := xorterm (OR xorterm)*
-#                     xorterm := andterm (XOR andterm)*
-#                     andterm := unary (AND unary)*
+# Expression grammar: expr := unary (binop unary)*, by precedence climbing
+#                       over `_BINARY`; every binary operator is left-associative
 #                     unary := NOT unary | ( expr ) | TRUE | FALSE | ident
 
-
-def _parse_expr(ts: _TokenStream) -> BoolExpr:
-    expr = _parse_xorterm(ts)
-    while ts.accept("OR"):
-        expr = Or(expr, _parse_xorterm(ts))
-    return expr
+# the binary operators by their ST keyword, loosest first; their precedence,
+# their printed names and their IL mnemonics are read off this table
+_BINARY = {"OR": Or, "XOR": Xor, "AND": And}
+_PRECEDENCE = {op: level for level, op in enumerate([*_BINARY.values(), Not], 1)}
 
 
-def _parse_xorterm(ts: _TokenStream) -> BoolExpr:
-    expr = _parse_andterm(ts)
-    while ts.accept("XOR"):
-        expr = Xor(expr, _parse_andterm(ts))
-    return expr
-
-
-def _parse_andterm(ts: _TokenStream) -> BoolExpr:
+def _parse_expr(ts: _TokenStream, min_level: int = 1) -> BoolExpr:
+    """The longest expression whose binary operators all bind at least as
+    tightly as `min_level`."""
     expr = _parse_unary(ts)
-    while ts.accept("AND"):
-        expr = And(expr, _parse_unary(ts))
+    while (op := _BINARY.get(ts.peek().text)) and _PRECEDENCE[op] >= min_level:
+        ts.next()
+        expr = op(expr, _parse_expr(ts, _PRECEDENCE[op] + 1))
     return expr
 
 
@@ -272,7 +265,8 @@ def parse_st(text: str) -> Block:
 # --------------------------------------------------------------------------
 # Instruction List
 
-_IL_COMBINE = {"AND": And, "ANDN": And, "OR": Or, "ORN": Or, "XOR": Xor, "XORN": Xor}
+# each binary operator by its mnemonic and by the negating one (ANDN: AND NOT)
+_IL_COMBINE = {name + suffix: op for name, op in _BINARY.items() for suffix in ("", "N")}
 
 
 def parse_il(text: str) -> Block:
@@ -345,8 +339,7 @@ def _il_step(line: list[_Token], acc: Optional[BoolExpr], stack: list,
 # --------------------------------------------------------------------------
 # Emission
 
-_PRECEDENCE = {Or: 1, Xor: 2, And: 3, Not: 4}
-_BINARY_NAMES = {And: "AND", Or: "OR", Xor: "XOR"}
+_BINARY_NAMES = {op: name for name, op in _BINARY.items()}
 
 
 def format_expression(expr: BoolExpr) -> str:

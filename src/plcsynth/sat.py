@@ -50,14 +50,6 @@ class SatResult:
     satisfiable: bool
     model: Optional[dict[int, bool]] = None
 
-    @classmethod
-    def sat(cls, model: dict[int, bool]) -> "SatResult":
-        return cls(True, model)
-
-    @classmethod
-    def unsat(cls) -> "SatResult":
-        return cls(False, None)
-
 
 def to_dimacs(formula: CnfFormula) -> str:
     lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
@@ -554,7 +546,7 @@ class CdclSolver:
             if not 1 <= abs(lit) <= self.num_vars:
                 raise ValueError(f"assumption {lit} out of range")
         if not self.ok:
-            return SatResult.unsat()
+            return SatResult(False)
         budget = 3000
         attempt = 0
         while True:
@@ -578,7 +570,7 @@ class CdclSolver:
             if confl is not None:
                 if not self.trail_lim:  # no decision or assumption behind it
                     self.ok = False
-                    return SatResult.unsat()
+                    return SatResult(False)
                 total_conflicts += 1
                 since_restart += 1
                 learned, back = self._analyze(confl)
@@ -600,7 +592,7 @@ class CdclSolver:
                 lit = assumed[level]
                 val = self.lv[lit]
                 if val is False:
-                    return SatResult.unsat()
+                    return SatResult(False)
                 self.trail_lim.append(len(self.trail))
                 if val is None:
                     self._enqueue(lit, None)
@@ -609,7 +601,7 @@ class CdclSolver:
             if var is None:
                 model = dict(enumerate(self.lv[1:self.num_vars + 1], 1))
                 self._check_model(model, assumed)
-                return SatResult.sat(model)
+                return SatResult(True, model)
             self.trail_lim.append(len(self.trail))
             self._enqueue(var if self.polarity[var] else -var, None)
 

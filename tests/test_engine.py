@@ -1375,10 +1375,10 @@ class TestSlotCount:
         candidate = template.decode({v: v in chosen
                                      for v in range(1, template.num_vars + 1)})
         assert candidate == {"y": And(Var("a"), Var("b"))}
-        run = engine.OutputSynthesis("y", ("a", "b"), template.k, 1, 0, 0.0)
-        monkeypatch.setattr(engine, "_run_cegis",
-                            lambda label, rounds, pspec, cfg: (candidate, run))
-        block = Block("orb", IFACE_AB_Y, (Statement("y", Or(Var("a"), Var("b"))),))
+        monkeypatch.setattr(engine._SlotTemplate, "solve",
+                            lambda self, assumptions: candidate)
+        # two original slots, so every repair template has at least two
+        block = Block("orb", IFACE_AB_Y, (Statement("y", Or(Not(Var("a")), Var("b"))),))
         result = repair(block, and_table_spec())
         assert result.block.body == (Statement("y", And(Var("a"), Var("b"))),)
         assert result.slots_used == 1
@@ -1725,8 +1725,9 @@ class TestZeroInputs:
         result = synthesize(self.IFACE_YZ, self.spec(),
                             SynthConfig(seed=seed, per_output=False))
         assert result.block.body == (Statement("y", Not(FALSE)), Statement("z", FALSE))
-        assert result.slots_used == 2
-        assert [r.slots_used for r in result.per_output] == [2]
+        # the joint template shares FALSE, but each output's encoding has it
+        assert result.slots_used == 3
+        assert [r.slots_used for r in result.per_output] == [3]
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_repair_negated_constants(self, seed):
