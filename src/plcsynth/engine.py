@@ -24,7 +24,8 @@ spec allows somewhere; past it, those a guard or assertion mentions, and a
 spec left with at most _CUBE_INPUTS of them gets the cube.  Candidates then
 read only kept inputs, which keeps templates small and gives wide specs the
 bitset checks and the slot lower bound; the least slot count does not
-change, and `synthesize` still checks its block against the full spec.
+change, and `synthesize` and `simplify` still check their blocks against
+the full spec.
 A single output that the spec forces to react to r inputs needs at least
 r - 1 slots (`_PointSpec.min_slot_bound`), and every program of exactly
 r - 1 slots that meets it is a read-once AND/OR/XOR tree over those
@@ -51,7 +52,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -660,21 +661,27 @@ class _PointSpec:
 
 @dataclass(frozen=True)
 class _SlotShape:
-    """Decoded slot: operator tag, operand indices, constant value."""
+    """One slot of a straight-line program: its operator tag, `(cls,)` for
+    an expression class of `_OPERATORS` or `(Var, i)` for a copy of input
+    i; its operand indices (the inputs, then earlier slots; 0 where the
+    operator reads fewer); its constant value (False unless a Const)."""
     op: tuple
     args: tuple[int, int] = (0, 0)
     const: bool = False
 
 
-# Clauses tying a slot's value at a point to its operator, each also
-# guarded by the operator's selector.  Role codes: 1 is the slot value, 2
-# and 3 its operand values, 4 its constant bit; a minus sign negates.
-_OP_CLAUSES = {
-    "const": ((-1, 4), (1, -4)),
-    "not": ((-1, -2), (1, 2)),
-    "and": ((-1, 2), (-1, 3), (1, -2, -3)),
-    "or": ((1, -2), (1, -3), (-1, 2, 3)),
-    "xor": ((-1, 2, 3), (-1, -2, -3), (1, -2, 3), (1, 2, -3)),
+# The slot operators, in template order, by expression class: operand
+# count, then the clauses tying a slot's value at a point to the operator,
+# each also guarded by the operator's selector.  Role codes: 1 is the slot
+# value, 2 and 3 its operand values, 4 its constant bit; a minus sign
+# negates.  A Var slot copies one input, whose value at a point is fixed.
+_OPERATORS: dict[type, tuple[int, tuple[tuple[int, ...], ...]]] = {
+    Var: (0, ()),
+    Const: (0, ((-1, 4), (1, -4))),
+    Not: (1, ((-1, -2), (1, 2))),
+    And: (2, ((-1, 2), (-1, 3), (1, -2, -3))),
+    Or: (2, ((1, -2), (1, -3), (-1, 2, 3))),
+    Xor: (2, ((-1, 2, 3), (-1, -2, -3), (1, -2, 3), (1, 2, -3))),
 }
 
 
@@ -719,24 +726,21 @@ class _SlotTemplate:
         self.k = n_slots
         self.outputs = list(outputs)
         self.read_once = read_once
-        binary = [("and",), ("or",), ("xor",)]
-        self.ops: list[tuple] = binary if read_once else \
-            [*(("input", i) for i in range(self.n)), ("const",), ("not",), *binary]
+        self.ops: list[tuple] = [
+            op for cls, (uses, _) in _OPERATORS.items() if uses == 2 or not read_once
+            for op in ([(Var, i) for i in range(self.n)] if cls is Var else [(cls,)])]
         self.originals = originals
         self.more_than: list[int] = []
         self.loaded = 0  # points given to add_point so far
         self._idx = {op: i for i, op in enumerate(self.ops)}
-        self._binary_ids = [self._idx[op] for op in (("and",), ("or",), ("xor",))]
-        self._leaf_ids = [i for i, op in enumerate(self.ops)
-                          if op[0] in ("input", "const")]
+        self._uses = [_OPERATORS[op[0]][0] for op in self.ops]
+        self._binary_ids = [i for i, uses in enumerate(self._uses) if uses == 2]
+        self._leaf_ids = [i for i, uses in enumerate(self._uses) if uses == 0]
         self._enc = TseitinEncoder({})
         clauses = self._wellformed_clauses()
         self.solver = CdclSolver(CnfFormula(0, ()), seed=seed)
         self.solver.extend(self.num_vars, clauses)
         clauses.clear()  # the solver holds them now
-
-    def _op_uses(self, op: tuple) -> int:
-        return {"input": 0, "const": 0, "not": 1}.get(op[0], 2)
 
     @property
     def num_vars(self) -> int:
@@ -782,15 +786,14 @@ class _SlotTemplate:
                 if dom:
                     fwd += _one_hot(arg_sels[which])
             cv = fresh() if dom and not self.read_once else None
-            for opv, op in zip(op_sels, self.ops):
-                uses = self._op_uses(op)
+            for opv, op, uses in zip(op_sels, self.ops, self._uses):
                 if dom == 0 and uses > 0:
                     fwd.append((-opv,))
                     continue
                 # pin unused operand selectors and the constant bit
                 if dom:
                     fwd += [(arg_sels[which][0], -opv) for which in range(uses, 2)]
-                if cv is not None and op[0] != "const":
+                if cv is not None and op[0] is not Const:
                     fwd.append((-cv, -opv))
             self._selectors.append((op_sels, arg_sels))
             self._cvs.append(cv)
@@ -816,7 +819,7 @@ class _SlotTemplate:
         """Rules that only cut redundant programs: symmetric or reducible
         slots, dead slots and duplicate slots."""
         n, k, sels, outs = self.n, self.k, self._selectors, self._outs
-        not_id = self._idx[("not",)]
+        not_id = self._idx[(Not,)]
         clauses: list = []
         for j, (op_sels, (arg0, arg1)) in enumerate(sels):
             taps = [row[j] for row in reversed(outs)]  # output selectors of slot j
@@ -892,20 +895,20 @@ class _SlotTemplate:
         for j, shape in enumerate(self.originals):
             op_sels, arg_sels = self._selectors[j]
             a, b = shape.args
+            uses = _OPERATORS[shape.op[0]][0]
             # on an original op(a, b), AND/OR/XOR may take b first only as
             # (b, b) and a second only as (a, a); this loses no minimum:
             # the swapped twin has the same value, obeys both rules and
             # differs from the original slot no more
-            if shape.op in (("and",), ("or",), ("xor",)) and a != b:
+            if uses == 2 and a != b:
                 arg0, arg1 = arg_sels
                 for i in self._binary_ids:
                     clauses += ((arg1[b], -arg0[b], -op_sels[i]), (arg0[a], -arg1[a], -op_sels[i]))
             lits = [op_sels[self._idx[shape.op]]]
             if arg_sels[0]:
-                uses = self._op_uses(shape.op)
                 lits += [arg_sels[w][shape.args[w] if w < uses else 0] for w in (0, 1)]
             cv = self._cv(j)
-            lits.append(cv if shape.op[0] == "const" and shape.const else -cv)
+            lits.append(cv if shape.const else -cv)
             matches.append(lits)
         prev: list[int] = []
         for i, lits in enumerate(matches):
@@ -957,10 +960,10 @@ class _SlotTemplate:
                 operands.append(fresh())
             roles = (0, val, *operands, cv)
             for opv, op in zip(op_sels, self.ops):
-                if op[0] == "input":
+                if op[0] is Var:
                     add((-opv, sign[op[1]] * val))
                     continue
-                for pattern in _OP_CLAUSES[op[0]]:
+                for pattern in _OPERATORS[op[0]][1]:
                     add((-opv, *[roles[r] if r > 0 else -roles[-r] for r in pattern]))
         outs = [vals[-1]] if not self._outs else []
         for row in self._outs:
@@ -993,41 +996,27 @@ class _SlotTemplate:
         return self.decode(result.model) if result.satisfiable else None
 
     def decode(self, model: Mapping[int, bool]) -> dict[str, BoolExpr]:
-        """Per-output expressions of the program the model's selectors pick."""
+        """Per-output expressions of the program the model's selectors pick.
+        Slots are built in order, as each reads only inputs and earlier
+        slots; a slot read several times is one shared node."""
         def one_hot(sels: Sequence[int]) -> int:
             return next((i for i, v in enumerate(sels) if model[v]), 0)
 
-        memo: dict[int, BoolExpr] = {}
-
-        def operand(d: int) -> BoolExpr:
-            if d < self.n:
-                return Var(self.inputs[d])
-            return slot_expr(d - self.n)
-
-        def slot_expr(j: int) -> BoolExpr:
-            if j in memo:
-                return memo[j]
-            op_sels, (arg0, arg1) = self._selectors[j]
-            op = self.ops[one_hot(op_sels)]
-            kind = op[0]
-            if kind == "input":
-                expr: BoolExpr = Var(self.inputs[op[1]])
-            elif kind == "const":
-                cv = self._cvs[j]  # unmentioned only before any point
+        operands: list[BoolExpr] = [Var(name) for name in self.inputs]  # then slots
+        for (op_sels, arg_sels), cv in zip(self._selectors, self._cvs):
+            i = one_hot(op_sels)
+            cls = self.ops[i][0]
+            if cls is Var:
+                expr = operands[self.ops[i][1]]
+            elif cls is Const:  # cv unmentioned only before any point
                 expr = Const(cv is not None and model[cv])
             else:
-                a = operand(one_hot(arg0))
-                if kind == "not":
-                    expr = Not(a)
-                else:
-                    b = operand(one_hot(arg1))
-                    expr = {"and": And, "or": Or, "xor": Xor}[kind](a, b)
-            memo[j] = expr
-            return expr
-
+                expr = cls(*[operands[one_hot(sels)] for sels in arg_sels[:self._uses[i]]])
+            operands.append(expr)
+        slots = operands[self.n:]
         if not self._outs:
-            return {self.outputs[0]: slot_expr(self.k - 1)}
-        return {name: slot_expr(one_hot(row)) for name, row in zip(self.outputs, self._outs)}
+            return {self.outputs[0]: slots[-1]}
+        return {name: slots[one_hot(row)] for name, row in zip(self.outputs, self._outs)}
 
 
 # --------------------------------------------------------------------------
@@ -1042,18 +1031,14 @@ def _encode_original(expr: BoolExpr, template_inputs: Sequence[str]) -> list[_Sl
     variable takes one slot and the root lands in the last."""
     input_index = {name: i for i, name in enumerate(template_inputs)}
     if isinstance(expr, Var):
-        return [_SlotShape(("input", input_index[expr.name]))]
+        return [_SlotShape((Var, input_index[expr.name]))]
     slots: dict[_SlotShape, int] = {}  # shape -> operand index, in post-order
 
-    def slot(shape: _SlotShape) -> int:
-        return slots.setdefault(shape, len(input_index) + len(slots))
+    def slot(cls: type, a: int = 0, b: int = 0, const: bool = False) -> int:
+        return slots.setdefault(_SlotShape((cls,), (a, b), const), len(input_index) + len(slots))
 
-    fold_expr(expr, input_index.__getitem__,
-              lambda value: slot(_SlotShape(("const",), const=value)),
-              {Not: lambda a: slot(_SlotShape(("not",), (a, 0))),
-               And: lambda a, b: slot(_SlotShape(("and",), (a, b))),
-               Or: lambda a, b: slot(_SlotShape(("or",), (a, b))),
-               Xor: lambda a, b: slot(_SlotShape(("xor",), (a, b)))})
+    fold_expr(expr, input_index.__getitem__, lambda value: slot(Const, const=value),
+              {cls: partial(slot, cls) for cls, (uses, _) in _OPERATORS.items() if uses})
     return list(slots)
 
 
@@ -1078,10 +1063,15 @@ def _find_violation(out_exprs: Mapping[str, BoolExpr], pspec: _PointSpec,
 def _failing_point(block: Block, pspec: _PointSpec, seed: int) -> Optional[tuple[bool, ...]]:
     """A point, whichever one `_unroll` finds, where one scan cycle of
     `block` (reading the spec's inputs) breaks the spec, replayed on the
-    simulator; None if none."""
-    return pspec.point(_unroll(
-        [block], False, 1, lambda envs: _violation_exprs(pspec, envs[0]),
-        lambda envs: next((t for _, t in _violations(pspec, envs[0])), None), seed))
+    simulator; None if none.  The replay asks `allowed`, whose truth
+    tables take no Python stack frame per level of a deep pin guard."""
+    def violated(envs: list[dict[str, bool]]) -> Optional[str]:
+        point = tuple(envs[0][n] for n in pspec.input_names)
+        outs = tuple(envs[0][o] for o in pspec.outputs)
+        return None if outs in pspec.allowed(point) else "spec violated"
+
+    return pspec.point(_unroll([block], False, 1,
+                               lambda envs: _violation_exprs(pspec, envs[0]), violated, seed))
 
 
 def _seed_points(pspec: _PointSpec) -> list[tuple[bool, ...]]:
@@ -1329,7 +1319,9 @@ def repair(block: Block, spec: SpecFormula,
 def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
     """Slot-minimal block with behavior exhaustively equal to the input;
     the result never uses more slots than the original's straight-line
-    encoding (`_encode_original`)."""
+    encoding (`_encode_original`).  Each output is searched over the inputs
+    it depends on and, like `synthesize`'s block, checked over all of
+    them."""
     _require_combinational(block.interface, "simplify")
     start = time.perf_counter()
     inputs = block.interface.inputs
@@ -1340,8 +1332,8 @@ def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
     for output in block.interface.outputs:
         if output not in assigned:
             continue
-        pspec = _PointSpec(inputs, [output],
-                           _pinned({}, output, originals[output])).projected()
+        full_pspec = _PointSpec(inputs, [output], _pinned({}, output, originals[output]))
+        pspec = full_pspec.projected()
         orig_size = len(_encode_original(originals[output], inputs))
         top = min(cfg.max_slots, orig_size)
         candidate, run = _run_cegis(output, _deepening(pspec, top, cfg.seed), pspec, cfg)
@@ -1349,6 +1341,8 @@ def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
             # the original does not fit max_slots and nothing smaller works
             candidate = {output: originals[output]}
             run = replace(run, slots_used=orig_size)
+        elif _find_violation(candidate, full_pspec, cfg.seed) is not None:
+            raise AssertionError("simplified block changes the behavior")
         exprs.update(candidate)
         runs.append(run)
     body = _build_body(block.interface, exprs)

@@ -96,6 +96,22 @@ def random_block(rng: random.Random, n_inputs: int, n_outputs: int = 1,
     return Block(name, iface, tuple(body), Lang.ST)
 
 
+def deep_temps_st(n: int) -> str:
+    """An ST block over inputs a, x1..x12 with temps `t1 := a;
+    t_i := t_(i-1) AND a` and `u := x1 AND ... AND x12`, and
+    `y := (t_n AND x1 OR x2 AND x3) OR (u AND NOT u)`, which computes
+    a AND x1 OR x2 AND x3; y's inlined guard is n levels deep and reads
+    13 inputs."""
+    xs = [f"x{i}" for i in range(1, 13)]
+    inputs = "".join(f"  {x} : BOOL;\n" for x in ["a", *xs])
+    temps = "".join(f"  t{i} : BOOL;\n" for i in range(1, n + 1))
+    body = "".join(f"  t{i} := t{i - 1} AND a;\n" for i in range(2, n + 1))
+    return (f"FUNCTION_BLOCK Deep\nVAR_INPUT\n{inputs}END_VAR\n"
+            f"VAR_OUTPUT\n  y : BOOL;\nEND_VAR\nVAR_TEMP\n{temps}  u : BOOL;\nEND_VAR\n"
+            f"BEGIN\n  t1 := a;\n{body}  u := {' AND '.join(xs)};\n"
+            f"  y := (t{n} AND x1 OR x2 AND x3) OR (u AND NOT u);\nEND_FUNCTION_BLOCK\n")
+
+
 # --------------------------------------------------------------------------
 # Exhaustive block equivalence by simulation
 
@@ -261,19 +277,19 @@ def ref_straight_line(expr: BoolExpr, inputs) -> list:
     input index and a bare variable takes one slot."""
     index = {name: i for i, name in enumerate(inputs)}
     if isinstance(expr, Var):
-        return [(("input", index[expr.name]), (0, 0), False)]
+        return [((Var, index[expr.name]), (0, 0), False)]
     slots: dict = {}
 
     def walk(node) -> int:
         if isinstance(node, Var):
             return index[node.name]
         if isinstance(node, Const):
-            shape = (("const",), (0, 0), node.value)
+            shape = ((Const,), (0, 0), node.value)
         elif isinstance(node, Not):
-            shape = (("not",), (walk(node.operand), 0), False)
+            shape = ((Not,), (walk(node.operand), 0), False)
         else:
             a, b = walk(node.left), walk(node.right)
-            shape = (({And: "and", Or: "or", Xor: "xor"}[type(node)],), (a, b), False)
+            shape = ((type(node),), (a, b), False)
         return slots.setdefault(shape, len(index) + len(slots))
 
     walk(expr)

@@ -7,7 +7,7 @@ import statistics
 
 import pytest
 
-from helpers import blocks_equivalent, output_table
+from helpers import blocks_equivalent, deep_temps_st, output_table
 from plcsynth.bench import (
     InsufficientSamples, bench_run, magnet_rule, scenario, signal_light_rule,
     stats,
@@ -342,6 +342,15 @@ class TestRepairSimplifyExtend:
         code, text = invoke("simplify", "--block", str(chain), "--out", str(out_path))
         assert code == EXIT_OK, text
         assert re.findall(r"\S+ := .*;", out_path.read_text()) == ["y := a AND b;"]
+
+    def test_simplify_deep_temps_past_the_cube(self, project):
+        # 13 inputs and a 1,200-level pin guard: the bounded checker's
+        # replay once exited 3 with a RecursionError
+        deep, out_path = project / "deep.st", project / "deep.out.st"
+        deep.write_text(deep_temps_st(1200))
+        code, text = invoke("simplify", "--block", str(deep), "--out", str(out_path))
+        assert code == EXIT_OK, text
+        assert re.findall(r"\S+ := .*;", out_path.read_text()) == ["y := a AND x1 OR x2 AND x3;"]
 
     def test_repair_roundtrip(self, project):
         out_path = project / "fixed.st"

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    all_assignments, blocks_equivalent, output_table, random_block, random_expr,
-    reachable_functions,
+    all_assignments, blocks_equivalent, deep_temps_st, output_table, random_block,
+    random_expr, reachable_functions,
 )
 from plcsynth.blocks import (
     And, Block, BlockInterface, Const, Direction, Lang, Not, Or, Statement,
@@ -24,7 +24,7 @@ from plcsynth.engine import (
     FALSE, TRUE, SizeBoundExceeded, SynthConfig, Unsatisfiable, Verified, Violated,
     check, equivalent, extend, repair, simplify, synthesize, verify,
 )
-from plcsynth.lang import emit, parse_expression
+from plcsynth.lang import emit, parse_expression, parse_st
 from plcsynth.sat import CnfFormula, to_dimacs
 
 
@@ -1341,15 +1341,15 @@ class TestSlotCount:
         vals = [env[name] for name in inputs]  # operand index -> truth table
         for shape in engine._encode_original(expr, inputs):
             kind, (a, b) = shape.op[0], shape.args
-            if kind == "input":
+            if kind is Var:
                 vals.append(env[inputs[shape.op[1]]])
-            elif kind == "const":
+            elif kind is Const:
                 vals.append(full if shape.const else 0)
-            elif kind == "not":
+            elif kind is Not:
                 vals.append(full ^ vals[a])
             else:
-                vals.append({"and": vals[a] & vals[b], "or": vals[a] | vals[b],
-                             "xor": vals[a] ^ vals[b]}[kind])
+                vals.append({And: vals[a] & vals[b], Or: vals[a] | vals[b],
+                             Xor: vals[a] ^ vals[b]}[kind])
         assert vals[-1] == engine._mask(expr, env, full, {})
         subterms, stack = set(), [expr]
         while stack:
@@ -1368,7 +1368,7 @@ class TestSlotCount:
 
     def test_repair_reports_written_slots_not_template_size(self, monkeypatch):
         template = engine._SlotTemplate(["a", "b"], 2, ["y"], 0)
-        not_id, and_id = template._idx[("not",)], template._idx[("and",)]
+        not_id, and_id = template._idx[(Not,)], template._idx[(And,)]
         (ops0, (a00, a01)), (ops1, (a10, a11)) = template._selectors
         # slot 0 computes NOT a and is never read; slot 1 is a AND b
         chosen = {ops0[not_id], a00[0], a01[0], ops1[and_id], a10[0], a11[1]}
@@ -1473,19 +1473,39 @@ def straight_line_programs(n_inputs, n_slots):
         dom = n_inputs + j
         grown = []
         for shapes, values in programs:
-            options = [(engine._SlotShape(("input", i)), tables[i]) for i in range(n_inputs)]
-            options += [(engine._SlotShape(("const",), const=c), full if c else 0)
+            options = [(engine._SlotShape((Var, i)), tables[i]) for i in range(n_inputs)]
+            options += [(engine._SlotShape((Const,), const=c), full if c else 0)
                         for c in (False, True)]
-            options += [(engine._SlotShape(("not",), (d, 0)), full ^ values[d])
+            options += [(engine._SlotShape((Not,), (d, 0)), full ^ values[d])
                         for d in range(dom)]
             for d0, d1 in itertools.product(range(dom), repeat=2):
                 x, y = values[d0], values[d1]
-                options += [(engine._SlotShape(("and",), (d0, d1)), x & y),
-                            (engine._SlotShape(("or",), (d0, d1)), x | y),
-                            (engine._SlotShape(("xor",), (d0, d1)), x ^ y)]
+                options += [(engine._SlotShape((And,), (d0, d1)), x & y),
+                            (engine._SlotShape((Or,), (d0, d1)), x | y),
+                            (engine._SlotShape((Xor,), (d0, d1)), x ^ y)]
             grown += [(shapes + (shape,), values + [value]) for shape, value in options]
         programs = grown
     return [(shapes, values[-1]) for shapes, values in programs]
+
+
+def test_decode_builds_every_program():
+    # every two-slot program over two inputs, set on a template's
+    # selectors, decodes to an expression with its table and no more slots
+    inputs = ["a", "b"]
+    template = engine._SlotTemplate(inputs, 2, ["y"], 0)
+    env = {name: sum(1 << p for p in range(4) if p >> i & 1) for i, name in enumerate(inputs)}
+    programs = straight_line_programs(2, 2)
+    for shapes, table in programs:
+        chosen = set()
+        for shape, (op_sels, arg_sels), cv in zip(shapes, template._selectors, template._cvs):
+            chosen |= {op_sels[template._idx[shape.op]], arg_sels[0][shape.args[0]],
+                       arg_sels[1][shape.args[1]]}
+            if shape.const:
+                chosen.add(cv)
+        expr = template.decode({v: v in chosen for v in range(1, template.num_vars + 1)})["y"]
+        assert engine._mask(expr, env, 15, {}) == table, shapes
+        assert len(engine._encode_original(expr, inputs)) <= len(shapes), shapes
+    assert len(programs) == 18 * 34
 
 
 def chosen_shapes(template, model):
@@ -1638,6 +1658,23 @@ class TestSimplify:
         result = simplify(and_chain(1200, *inputs))
         assert result.block.body == (Statement("y", And(Var("a"), Var("b"))),)
         assert result.slots_used == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_deep_temps_past_the_cube(self, seed):
+        # 13 inputs, so candidates are checked by the bounded checker, and
+        # the pin guard is 1,200 levels deep: replaying its models once
+        # took a Python stack frame per level
+        result = simplify(parse_st(deep_temps_st(1200)), SynthConfig(seed=seed))
+        assert result.block.body == (
+            Statement("y", parse_expression("a AND x1 OR x2 AND x3")),)
+
+    def test_checked_over_every_input(self, monkeypatch):
+        # a projection that drops a needed input must not go unnoticed
+        monkeypatch.setattr(engine._PointSpec, "projected",
+                            lambda self: self.restricted(self.input_names[:1]))
+        block = Block("and", IFACE_AB_Y, (Statement("y", And(Var("a"), Var("b"))),))
+        with pytest.raises(AssertionError, match="changes the behavior"):
+            simplify(block)
 
     def test_stateful_rejected(self):
         interface = iface("i:a", "o:y", "s:s")
@@ -1998,7 +2035,7 @@ class TestReadOnce:
 
         monkeypatch.setattr(engine._SlotTemplate, "__init__", init)
         result = synthesize(interface, spec, SynthConfig(seed=1))
-        assert built == [(4, True, [("and",), ("or",), ("xor",)])]
+        assert built == [(4, True, [(And,), (Or,), (Xor,)])]
         assert result.slots_used == 4
 
     def test_forced_inputs_only(self):

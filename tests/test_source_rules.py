@@ -20,6 +20,20 @@ def test_no_bare_assert(path):
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
 
+def test_slot_operators_declared_once():
+    # the slot operators are named by their expression classes, in one
+    # table whose order is the templates' operator order
+    from plcsynth import engine
+    from plcsynth.blocks import And, Const, Not, Or, Var, Xor
+
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    tags = {"input", "const", "not", "and", "or", "xor"}
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in tags]
+    assert found == [], f"engine.py: string operator tags at lines {found}"
+    assert list(engine._OPERATORS) == [Var, Const, Not, And, Or, Xor]
+
+
 def test_one_unsatisfiable_site():
     # every contradiction is found and worded in one place, so `check` and
     # every op report the same point and constraints
