@@ -30,6 +30,7 @@ class InsufficientSamples(ValueError):
 
 @dataclass(frozen=True)
 class BenchStats:
+    """Sample count, samples, mean and sample standard deviation of durations."""
     n: int
     samples: tuple[float, ...]
     mean: float
@@ -53,6 +54,8 @@ def stats(samples: Sequence[float]) -> BenchStats:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A warehouse scenario: its interface, its constraint list and the
+    oracle that gives the outputs expected at each input point."""
     name: str
     interface: BlockInterface
     build_constraints: Callable[[], ConstraintList]
@@ -131,6 +134,9 @@ class BenchValidationError(Exception):
 
 @dataclass(frozen=True)
 class BenchReport:
+    """A bench run: statistics of the repeats' wall times, the same per
+    CEGIS run label (an output, or "*" for a joint run), and every
+    repeat's synthesis result."""
     scenario: str
     repeats: int
     stats: BenchStats

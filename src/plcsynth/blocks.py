@@ -77,6 +77,7 @@ class Lang(str, Enum):
 
 @dataclass(frozen=True)
 class VarDecl:
+    """One declared variable: name, direction and type (only BOOL)."""
     name: str
     direction: Direction
     dtype: str = "BOOL"
@@ -89,6 +90,7 @@ class VarDecl:
 
 @dataclass(frozen=True)
 class BlockInterface:
+    """A block's declared variables, in declaration order, names unique."""
     decls: tuple[VarDecl, ...]
 
     def __post_init__(self):
@@ -141,33 +143,39 @@ class BoolExpr:
 
 @dataclass(frozen=True)
 class Const(BoolExpr):
+    """A Boolean constant."""
     value: bool
 
 
 @dataclass(frozen=True)
 class Var(BoolExpr):
+    """A reference to a declared variable."""
     name: str
 
 
 @dataclass(frozen=True)
 class Not(BoolExpr):
+    """Negation of its operand."""
     operand: BoolExpr
 
 
 @dataclass(frozen=True)
 class And(BoolExpr):
+    """Conjunction of its two operands."""
     left: BoolExpr
     right: BoolExpr
 
 
 @dataclass(frozen=True)
 class Or(BoolExpr):
+    """Disjunction of its two operands."""
     left: BoolExpr
     right: BoolExpr
 
 
 @dataclass(frozen=True)
 class Xor(BoolExpr):
+    """Exclusive or of its two operands."""
     left: BoolExpr
     right: BoolExpr
 
@@ -292,12 +300,15 @@ def eval_expr(expr: BoolExpr, env: Mapping[str, bool]) -> bool:
 
 @dataclass(frozen=True)
 class Statement:
+    """The assignment `target := rhs`."""
     target: str
     rhs: BoolExpr
 
 
 @dataclass(frozen=True)
 class Block:
+    """A function block: interface, straight-line body run once per scan
+    cycle, and the dialect it is written in."""
     name: str
     interface: BlockInterface
     body: tuple[Statement, ...]
@@ -375,6 +386,8 @@ def run_cycle(block: Block, state: Mapping[str, bool],
 
 @dataclass(frozen=True)
 class CycleResult:
+    """One scan cycle of a simulation: its inputs, its outputs and the
+    state after it."""
     inputs: Assignment
     outputs: Assignment
     state_after: Assignment
@@ -382,6 +395,7 @@ class CycleResult:
 
 @dataclass(frozen=True)
 class Trace:
+    """The scan cycles of one simulation, in order."""
     cycles: tuple[CycleResult, ...]
 
 

@@ -16,7 +16,6 @@ from enum import Enum
 from functools import reduce
 from pathlib import Path
 from typing import Mapping, Optional, Union
-from xml.sax.saxutils import quoteattr
 
 from .blocks import (
     And, BlockInterface, BoolExpr, Const, Direction, Not, Or, TypeCheckError,
@@ -59,12 +58,16 @@ class MissingRenameTarget(Exception):
 
 @dataclass(frozen=True)
 class TruthTableRow:
+    """Where the non-None input cells hold, each non-None output cell
+    gives its output's value."""
     inputs: dict[str, TriValue]
     outputs: dict[str, TriValue]
 
 
 @dataclass(frozen=True)
 class CauseEffectColumn:
+    """The output equals the OR (combinator any) or AND (all) of its
+    marked cause cells, each an input or, when negated, its NOT."""
     output: str
     combinator: Combinator
     cells: dict[str, bool]  # input name -> negated?
@@ -72,6 +75,7 @@ class CauseEffectColumn:
 
 @dataclass(frozen=True)
 class Assertion:
+    """An expression over the interface that must hold after every cycle."""
     expr: BoolExpr
 
 
@@ -80,6 +84,8 @@ Constraint = Union[TruthTableRow, CauseEffectColumn, Assertion]
 
 @dataclass(frozen=True)
 class ConstraintList:
+    """A named constraint list: the op it is for, the interface and the
+    constraints in source order, each indexed by its position."""
     block_name: str
     mode: Mode
     interface: BlockInterface
@@ -139,25 +145,30 @@ class ObligationClause:
 
 @dataclass(frozen=True)
 class AssertionClause:
+    """An assertion's expression and its index in the source constraint
+    list."""
     expr: BoolExpr
     origin: int
 
 
 @dataclass(frozen=True)
 class SpecFormula:
+    """A compiled constraint list: its interface, per output the
+    obligation clauses, and the assertion clauses, each in source order."""
     interface: BlockInterface
     obligations: dict[str, tuple[ObligationClause, ...]]
     assertions: tuple[AssertionClause, ...]
 
 
-def describe_obligation(output: str, clause: ObligationClause) -> str:
+def describe_clause(output: Optional[str],
+                    clause: ObligationClause | AssertionClause) -> str:
+    """A clause as reports name it: an obligation of `output`, or an
+    assertion when `output` is None."""
+    if output is None:
+        return f"assertion {clause.origin}: {format_expression(clause.expr)}"
     want = "1" if clause.value else "0"
     return (f"constraint {clause.origin}: {output} = {want} "
             f"when {format_expression(clause.guard)}")
-
-
-def describe_assertion(clause: AssertionClause) -> str:
-    return f"assertion {clause.origin}: {format_expression(clause.expr)}"
 
 
 def _cell_literal(name: str, value: bool) -> BoolExpr:
@@ -253,6 +264,7 @@ _CODES_FOR_DIR = {d: c for c, d in _DIR_CODES.items()}
 
 @dataclass
 class _Element:
+    """One parsed XML element: tag, attributes, source line and children."""
     name: str
     attrs: dict[str, str]
     line: int
@@ -436,6 +448,10 @@ def _cells_attr(cells: Mapping[str, TriValue]) -> str:
 def dumps_constraints(cl: ConstraintList) -> str:
     """Canonical XML text; rows are grouped into one truthTable element,
     then cause/effect columns, then assertions, per the schema order."""
+    # imported here: xml.sax.saxutils loads urllib.request, http.client,
+    # ssl and email, which no other command needs
+    from xml.sax.saxutils import quoteattr
+
     validate_constraint_list(cl)
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(f"<constraintList block={quoteattr(cl.block_name)} "

@@ -53,9 +53,11 @@ import itertools
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property, partial, reduce
-from operator import or_
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from operator import and_, or_
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
+# eval_expr is not called here; perfbench's tracer counts calls through
+# engine.eval_expr, so the name stays
 from .blocks import (
     And, Block, BlockInterface, BoolExpr, Const, Direction, Lang, Not, Or,
     Statement, TypeCheckError, UnboundVariable, Var, VarDecl, Xor, eval_expr,
@@ -63,7 +65,7 @@ from .blocks import (
 )
 from .constraints import (
     AssertionClause, ConstraintList, ObligationClause, SpecFormula,
-    compile_spec, describe_assertion, describe_obligation,
+    compile_spec, describe_clause,
 )
 from .sat import CdclSolver, CnfFormula, TseitinEncoder
 
@@ -72,6 +74,8 @@ TRUE = Const(True)
 
 # Specs with at most this many inputs are held as 2^n-bit truth tables.
 _CUBE_INPUTS = 12
+
+T = TypeVar("T")
 
 
 class Unsatisfiable(Exception):
@@ -98,6 +102,8 @@ class SizeBoundExceeded(Exception):
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Settings shared by every op: solver seed, slot bound, per-output or
+    joint synthesis, and the bound and initial state of bounded checks."""
     seed: int = 0
     max_slots: int = 31
     per_output: bool = True
@@ -113,6 +119,9 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class Counterexample:
+    """A run that breaks a check: initial state, inputs per cycle, what
+    fails (a clause's wording or the outputs that differ) and the cycle
+    where it first fails."""
     init_state: dict[str, bool]
     input_cycles: tuple[dict, ...]
     violated: str
@@ -121,11 +130,13 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class Verified:
+    """No run of at most `bound` scan cycles breaks the check."""
     bound: int
 
 
 @dataclass(frozen=True)
 class Violated:
+    """A shortest run that breaks the check."""
     counterexample: Counterexample
 
 
@@ -149,6 +160,8 @@ class OutputSynthesis:
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """A synthesized or edited block with its counts summed over its CEGIS
+    runs, its wall time and the runs themselves."""
     block: Block
     iterations: int
     counterexamples_used: int
@@ -278,36 +291,50 @@ def _require_combinational(interface: BlockInterface, what: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# Bounded verification
+# The spec-failure rule
+
+
+def _failures(spec: SpecFormula | _PointSpec, outs: Mapping[str, T],
+              guard: Callable[[BoolExpr], T], assertion: Callable[[BoolExpr], T],
+              and_op: Callable[[T, T], T], not_op: Callable[[T], T]
+              ) -> Iterator[tuple[Optional[str], ObligationClause | AssertionClause, T]]:
+    """Where each clause of `spec` (a SpecFormula or _PointSpec) fails, in
+    spec order, obligations by output and then assertions: (output, clause,
+    failure), output None for an assertion.  An obligation fails where its
+    guard fires and its output has the other value; an assertion, where its
+    expression is false.  `outs` holds the outputs' values, `guard` and
+    `assertion` read a guard or an assertion's expression, and `and_op` and
+    `not_op` combine values: expressions, truth tables or single points."""
+    for output, clauses in spec.obligations.items():
+        out = outs[output]
+        for clause in clauses:
+            yield output, clause, and_op(guard(clause.guard), not_op(out) if clause.value else out)
+    for clause in spec.assertions:
+        yield None, clause, not_op(assertion(clause.expr))
 
 
 def _violation_exprs(spec: SpecFormula | _PointSpec,
                      env: Mapping[str, BoolExpr]) -> list[BoolExpr]:
-    """Expressions that hold where an obligation or assertion of `spec` (a
-    SpecFormula or _PointSpec) fails, over the environment `env`."""
-    out: list[BoolExpr] = []
-    for output, clauses in spec.obligations.items():
-        out_expr = env[output]
-        for clause in clauses:
-            guard = _subst(clause.guard, env)
-            wrong = _not(out_expr) if clause.value else out_expr
-            out.append(_and(guard, wrong))
-    for clause in spec.assertions:
-        out.append(_not(_subst(clause.expr, env)))
-    return out
+    """Expressions that hold where a clause of `spec` fails, over the
+    environment `env`, in spec order."""
+    read = partial(_subst, env=env)
+    return [bad for _, _, bad in _failures(spec, env, read, read, _and, _not)]
 
 
-def _violations(spec: SpecFormula | _PointSpec,
-                env: Mapping[str, bool]) -> Iterator[tuple[int, str]]:
-    """Origin and wording of each obligation or assertion of `spec` that
-    fails at `env`, in spec order."""
-    for output, clauses in spec.obligations.items():
-        for clause in clauses:
-            if eval_expr(clause.guard, env) and env[output] != clause.value:
-                yield clause.origin, describe_obligation(output, clause)
-    for clause in spec.assertions:
-        if not eval_expr(clause.expr, env):
-            yield clause.origin, describe_assertion(clause)
+def _failing_clauses(spec: SpecFormula | _PointSpec, env: Mapping[str, bool]
+                     ) -> Iterator[tuple[Optional[str], ObligationClause | AssertionClause]]:
+    """(output, clause) of each clause of `spec` that fails at the concrete
+    environment `env`, in spec order, output None for an assertion.  It
+    reads width-1 truth tables, which take no Python stack frame per level
+    of a deep guard."""
+    bits = {name: int(value) for name, value in env.items()}
+    read = partial(_mask, env=bits, full=1, memo={})
+    return ((output, clause) for output, clause, bad
+            in _failures(spec, bits, read, read, and_, (1).__xor__) if bad)
+
+
+# --------------------------------------------------------------------------
+# Bounded verification
 
 
 def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
@@ -373,7 +400,8 @@ def verify(block: Block, spec: SpecFormula,
                           "block and spec interfaces do not match")
     return _unroll([block], cfg.symbolic_init, cfg.unwind_cycles,
                    lambda envs: _violation_exprs(spec, envs[0]),
-                   lambda envs: next((t for _, t in _violations(spec, envs[0])), None),
+                   lambda envs: next((describe_clause(*failed)
+                                      for failed in _failing_clauses(spec, envs[0])), None),
                    cfg.seed)
 
 
@@ -450,16 +478,14 @@ class _PointSpec:
     def failing(self, outs: Mapping[str, int], env: Mapping[str, int], full: int,
                 memo: dict[int, int]) -> int:
         """Points where outputs with truth tables `outs` break the spec;
-        `memo` holds guard tables over the input tables `env`."""
+        `memo` holds guard tables over the input tables `env`, which stay
+        valid across output valuations, and assertions get their own."""
+        assertion_env, assertion_memo = {**env, **outs}, {}
         bad = 0
-        for output in self.outputs:
-            out = outs[output]
-            for clause in self.obligations[output]:
-                wrong = full ^ out if clause.value else out
-                bad |= _mask(clause.guard, env, full, memo) & wrong
-        env, memo = {**env, **outs}, {}
-        for clause in self.assertions:
-            bad |= full ^ _mask(clause.expr, env, full, memo)
+        for _, _, fails in _failures(self, outs, lambda g: _mask(g, env, full, memo),
+                                     lambda e: _mask(e, assertion_env, full, assertion_memo),
+                                     and_, full.__xor__):
+            bad |= fails
         return bad
 
     def _ok(self, env: Mapping[str, int], full: int, memo: dict[int, int]) -> list[int]:
@@ -647,8 +673,9 @@ class _PointSpec:
         named: dict[str, int] = {}
         for bits in itertools.product((False, True), repeat=len(self.outputs)):
             env = {**witness, **dict(zip(self.outputs, bits))}
-            origin, text = min(_violations(self, env), key=lambda f: (f[0] < 0, f[0]))
-            named[text] = origin
+            output, clause = min(_failing_clauses(self, env),
+                                 key=lambda f: (f[1].origin < 0, f[1].origin))
+            named[describe_clause(output, clause)] = clause.origin
         pattern = " ".join(f"{n}={int(v)}" for n, v in witness.items())
         raise Unsatisfiable("\n  ".join([f"spec is contradictory at input pattern: {pattern}",
                                          *sorted(named, key=named.get)]),
@@ -1063,15 +1090,12 @@ def _find_violation(out_exprs: Mapping[str, BoolExpr], pspec: _PointSpec,
 def _failing_point(block: Block, pspec: _PointSpec, seed: int) -> Optional[tuple[bool, ...]]:
     """A point, whichever one `_unroll` finds, where one scan cycle of
     `block` (reading the spec's inputs) breaks the spec, replayed on the
-    simulator; None if none.  The replay asks `allowed`, whose truth
-    tables take no Python stack frame per level of a deep pin guard."""
-    def violated(envs: list[dict[str, bool]]) -> Optional[str]:
-        point = tuple(envs[0][n] for n in pspec.input_names)
-        outs = tuple(envs[0][o] for o in pspec.outputs)
-        return None if outs in pspec.allowed(point) else "spec violated"
-
-    return pspec.point(_unroll([block], False, 1,
-                               lambda envs: _violation_exprs(pspec, envs[0]), violated, seed))
+    simulator; None if none.  The replay words no clause, as printing a
+    deep pin guard takes a Python stack frame per level."""
+    return pspec.point(_unroll(
+        [block], False, 1, lambda envs: _violation_exprs(pspec, envs[0]),
+        lambda envs: next(("spec violated" for _ in _failing_clauses(pspec, envs[0])), None),
+        seed))
 
 
 def _seed_points(pspec: _PointSpec) -> list[tuple[bool, ...]]:

@@ -33,6 +33,8 @@ _SECTION_FOR_DIRECTION = {d: kw for kw, d in _SECTION_KEYWORDS.items()}
 
 @dataclass(frozen=True)
 class SourceSpan:
+    """A 1-based line and column in source text and the length of the
+    text there."""
     line: int
     column: int
     length: int

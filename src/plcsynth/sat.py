@@ -47,6 +47,7 @@ class CnfFormula:
 
 @dataclass(frozen=True)
 class SatResult:
+    """A solver answer, with a model (variable -> value) when satisfiable."""
     satisfiable: bool
     model: Optional[dict[int, bool]] = None
 

@@ -1,9 +1,13 @@
 import io
 import itertools
 import math
+import os
 import random
 import re
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,22 @@ def project(tmp_path):
     (tmp_path / "or.st").write_text(OR_ST)
     (tmp_path / "conflict.xml").write_text(CONFLICT_XML)
     return tmp_path
+
+
+def test_cold_import_skips_urllib():
+    # xml.sax.saxutils loads urllib.request, http.client, ssl and email;
+    # only writing constraint XML needs them, so a fresh CLI process must
+    # load none of them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys; before = set(sys.modules); import plcsynth.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert "'plcsynth.cli'" in loaded
+    assert [m for m in ("urllib.request", "http.client", "ssl", "email")
+            if f"'{m}'" in loaded] == []
 
 
 class TestSynth:
@@ -351,6 +371,26 @@ class TestRepairSimplifyExtend:
         code, text = invoke("simplify", "--block", str(deep), "--out", str(out_path))
         assert code == EXIT_OK, text
         assert re.findall(r"\S+ := .*;", out_path.read_text()) == ["y := a AND x1 OR x2 AND x3;"]
+
+    def test_extend_deep_temps_contradiction(self, project):
+        # an input-only assertion that fails at the all-false point, against
+        # a 1,200-level pin guard: naming the clause there once exited 3
+        deep, extra = project / "deep.st", project / "deep.xml"
+        deep.write_text(deep_temps_st(1200))
+        decls = "".join(f'\n    <var name="{name}" dir="in" type="BOOL"/>'
+                        for name in ["a", *(f"x{i}" for i in range(1, 13))])
+        extra.write_text(f"""<?xml version="1.0" encoding="UTF-8"?>
+<constraintList block="Deep" mode="extend">
+  <interface>{decls}
+    <var name="y" dir="out" type="BOOL"/>
+  </interface>
+  <assertion expr="x5"/>
+</constraintList>
+""")
+        code, text = invoke("extend", "--block", str(deep), "--constraints", str(extra),
+                            "--out", str(project / "deep.out.st"))
+        assert code == EXIT_VIOLATED, text
+        assert text.splitlines()[1:] == ["  assertion 0: x5"]
 
     def test_repair_roundtrip(self, project):
         out_path = project / "fixed.st"

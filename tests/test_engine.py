@@ -1721,6 +1721,20 @@ class TestExtend:
         assert str(info.value) == ("spec is contradictory at input pattern: a=0 b=0\n"
                                    "  assertion 0: b")
 
+    def test_contradiction_past_the_cube_with_deep_pin(self):
+        # 13 inputs and a 1,200-level pin guard: naming the clauses at the
+        # dead point once took a Python stack frame per level
+        block = parse_st(deep_temps_st(1200))
+        interface = BlockInterface(tuple(d for d in block.interface.decls
+                                         if d.direction is not Direction.TEMP))
+        extra = ConstraintList("e", Mode.EXTEND, interface,
+                               (Assertion(parse_expression("x5")),))
+        with pytest.raises(Unsatisfiable) as info:
+            extend(block, extra)
+        assert info.value.witness == dict.fromkeys(interface.inputs, False)
+        assert info.value.origins == (0,)
+        assert str(info.value).splitlines()[1:] == ["  assertion 0: x5"]
+
     def test_unconstrained_behavior_preserved(self):
         rng = random.Random(9)
         for _ in range(10):

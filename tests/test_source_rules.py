@@ -88,3 +88,12 @@ def test_operands_read_by_few_functions():
                                 lambda node: isinstance(node, ast.Attribute) and
                                 node.attr in ("operand", "left", "right"))}
     assert sites <= allowed, f"operands read in {sorted(sites - allowed)}"
+
+
+def test_engine_evaluates_no_point_recursively():
+    # spec clauses are read through truth tables (`fold_expr` walks
+    # iteratively); `eval_expr` takes a Python stack frame per level
+    from plcsynth import engine
+
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    assert _calls_by_function(tree, "eval_expr") == []
