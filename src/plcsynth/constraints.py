@@ -2,14 +2,23 @@
 
 A constraint list pairs a block interface with truth-table rows,
 cause-and-effect columns and free assertions, plus the requested mode.
-This module persists lists as XML, compiles them into the uniform
-guard/value obligation form used by the engine, words compiled clauses
-for messages and instantiates templates by renaming.  Whether a list
-contradicts itself is asked of the compiled spec (`engine.check`).
+Each constraint's index in the list is the number reports give it.
+This module compiles lists into the uniform guard/value obligation form
+used by the engine, words compiled clauses for messages and instantiates
+templates by renaming.  Whether a list contradicts itself is asked of
+the compiled spec (`engine.check`).
+
+It also persists lists as XML.  One table, `_SCHEMA`, declares every
+element's attributes and children; the reader checks each element
+against it as the element opens and closes, so reading and writing only
+translate values, the coded ones through `_CODES`.  The schema puts
+rows, then columns, then assertions, so only a list in that order is
+saved: another would come back renumbered.
 """
 
 from __future__ import annotations
 
+import re
 import xml.parsers.expat
 from dataclasses import dataclass
 from enum import Enum
@@ -242,7 +251,7 @@ def instantiate_template(template: ConstraintList,
                 {rn(n): neg for n, neg in constraint.cells.items()}))
         else:
             constraints.append(Assertion(rename_vars(constraint.expr, mapping)))
-    result = ConstraintList(rn(template.block_name), template.mode,
+    result = ConstraintList(template.block_name, template.mode,
                             BlockInterface(decls), tuple(constraints))
     validate_constraint_list(result)
     return result
@@ -250,42 +259,91 @@ def instantiate_template(template: ConstraintList,
 
 # --------------------------------------------------------------------------
 # XML persistence
-#
-# <constraintList block="NAME" mode="...">
-#   <interface> <var name="ID" dir="in|out|state" type="BOOL"/>* </interface>
-#   <truthTable> <row in="a=1;b=0;c=-" out="y=1;z=-"/>* </truthTable>?
-#   <causeEffect output="ID" combinator="any|all"> <cause .../>+ </causeEffect>*
-#   <assertion expr="ST-EXPRESSION"/>*
-# </constraintList>
 
-_DIR_CODES = {"in": Direction.INPUT, "out": Direction.OUTPUT, "state": Direction.STATE}
-_CODES_FOR_DIR = {d: c for c, d in _DIR_CODES.items()}
+# The schema, one entry per element: its required attributes, its optional
+# attributes and its children in schema order, each child's count marked
+# as in a DTD (`?` at most one, `*` any number, `+` at least one, no mark
+# exactly one).  "#document" stands for the document around the root.
+_SCHEMA = {
+    "#document": ((), (), "constraintList"),
+    "constraintList": (("block", "mode"), (), "interface truthTable? causeEffect* assertion*"),
+    "interface": ((), (), "var*"),
+    "var": (("name", "dir", "type"), (), ""),
+    "truthTable": ((), (), "row*"),
+    "row": (("out",), ("in",), ""),
+    "causeEffect": (("output", "combinator"), (), "cause+"),
+    "cause": (("input", "mark"), (), ""),
+    "assertion": (("expr",), (), ""),
+}
+# each element's children as a regex over their tags, each tag followed by
+# a comma: "interface truthTable?" becomes "(?:interface,) (?:truthTable,)?",
+# whose blank the verbose flag ignores
+_MODELS = {tag: re.compile(re.sub(r"\w+", r"(?:\g<0>,)", content), re.VERBOSE)
+           for tag, (_, _, content) in _SCHEMA.items()}
+# the elements that must hold a child: the only ones checked on closing
+# without children, which keeps the check off the hot path of leaves
+_NEED_CHILDREN = {tag for tag, model in _MODELS.items() if not model.fullmatch("")}
+
+# The coded values, per attribute and for a row's cells: each XML code and
+# the value it stands for.
+_CODES = {
+    "mode": {mode.value: mode for mode in Mode},
+    "dir": {"in": Direction.INPUT, "out": Direction.OUTPUT, "state": Direction.STATE},
+    "combinator": {combinator.value: combinator for combinator in Combinator},
+    "mark": {"x": False, "n": True},  # negated?
+    "cell": {"0": False, "1": True, "-": None},
+}
+_NAMES = {attr: {value: code for code, value in codes.items()}
+          for attr, codes in _CODES.items()}
 
 
 @dataclass
 class _Element:
-    """One parsed XML element: tag, attributes, source line and children."""
+    """One parsed XML element: tag, attributes (coded ones decoded),
+    source line and children."""
     name: str
-    attrs: dict[str, str]
+    attrs: dict[str, object]
     line: int
     children: list["_Element"]
 
 
 def _parse_xml(text: str) -> _Element:
+    """The root element, checked against `_SCHEMA` as each element opens
+    (its tag and attributes) and closes (its children's order and counts)."""
     parser = xml.parsers.expat.ParserCreate()
-    root: list[_Element] = []
-    stack: list[_Element] = []
+    document = _Element("#document", {}, 1, [])
+    stack = [document]
 
     def start(name, attrs):
-        element = _Element(name, dict(attrs), parser.CurrentLineNumber, [])
-        if stack:
-            stack[-1].children.append(element)
-        else:
-            root.append(element)
+        line = parser.CurrentLineNumber
+        if name not in _SCHEMA:
+            raise SchemaError(line, f"unknown element <{name}>")
+        required, optional, _ = _SCHEMA[name]
+        for attr in required:
+            if attr not in attrs:
+                raise SchemaError(line, f"<{name}> missing attribute '{attr}'")
+        for attr, value in attrs.items():
+            if attr not in required and attr not in optional:
+                raise SchemaError(line, f"<{name}> has unknown attribute '{attr}'")
+            if attr in _CODES:
+                if value not in _CODES[attr]:
+                    raise SchemaError(line, f"bad {attr} {value!r}")
+                attrs[attr] = _CODES[attr][value]
+        element = _Element(name, attrs, line, [])
+        stack[-1].children.append(element)
         stack.append(element)
 
     def end(name):
-        stack.pop()
+        element = stack.pop()
+        if not element.children and name not in _NEED_CHILDREN:
+            return
+        tags = "".join([child.name + "," for child in element.children])
+        if not _MODELS[name].fullmatch(tags):
+            # blame the first child past the longest valid prefix, else the element
+            matched = _MODELS[name].match(tags)
+            rest = element.children[tags.count(",", 0, matched.end() if matched else 0):]
+            raise SchemaError((rest + [element])[0].line,
+                              f"<{name}> must hold {_SCHEMA[name][2] or 'no elements'}")
 
     def chardata(data):
         if data.strip():
@@ -299,194 +357,118 @@ def _parse_xml(text: str) -> _Element:
         parser.Parse(text, True)
     except xml.parsers.expat.ExpatError as exc:
         raise SchemaError(exc.lineno or 1, f"malformed XML: {exc}") from None
-    return root[0]
+    end("#document")
+    return document.children[0]
 
 
-def _require_attrs(element: _Element, required: tuple[str, ...],
-                   optional: tuple[str, ...] = ()) -> None:
-    for name in required:
-        if name not in element.attrs:
-            raise SchemaError(element.line,
-                              f"<{element.name}> missing attribute '{name}'")
-    for name in element.attrs:
-        if name not in required and name not in optional:
-            raise SchemaError(element.line,
-                              f"<{element.name}> has unknown attribute '{name}'")
-
-
-def _parse_cells(text: str, line: int) -> dict[str, TriValue]:
+def _cells(row: _Element, attr: str) -> dict[str, TriValue]:
+    """The cells of a row's `in` or `out` attribute, each `name=0|1|-`."""
     cells: dict[str, TriValue] = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, sep, value = chunk.partition("=")
-        name = name.strip()
-        value = value.strip()
-        if not sep or value not in ("0", "1", "-"):
-            raise SchemaError(line, f"malformed cell {chunk!r} (want name=0|1|-)")
+    for chunk in filter(str.strip, row.attrs.get(attr, "").split(";")):
+        name, _, value = chunk.partition("=")
+        name, value = name.strip(), value.strip()
+        if value not in _CODES["cell"]:
+            raise SchemaError(row.line, f"malformed cell {chunk.strip()!r} (want name=0|1|-)")
         if name in cells:
-            raise SchemaError(line, f"duplicate cell for '{name}'")
-        cells[name] = None if value == "-" else value == "1"
+            raise SchemaError(row.line, f"duplicate cell for '{name}'")
+        cells[name] = _CODES["cell"][value]
     return cells
 
 
-def _load_interface(element: _Element) -> BlockInterface:
-    _require_attrs(element, ())
-    decls = []
-    for child in element.children:
-        if child.name != "var":
-            raise SchemaError(child.line, f"unknown element <{child.name}> in <interface>")
-        _require_attrs(child, ("name", "dir", "type"))
-        if child.children:
-            raise SchemaError(child.line, "<var> cannot have children")
-        if child.attrs["type"] != "BOOL":
-            raise SchemaError(child.line, f"unsupported type {child.attrs['type']!r}")
-        direction = _DIR_CODES.get(child.attrs["dir"])
-        if direction is None:
-            raise SchemaError(child.line, f"bad dir {child.attrs['dir']!r}")
-        try:
-            decls.append(VarDecl(child.attrs["name"], direction))
-        except TypeCheckError as exc:
-            raise SchemaError(child.line, str(exc)) from None
+def _at_line(line: int, make, *args):
+    """`make(*args)`, with a TypeCheckError raised as a SchemaError at `line`."""
     try:
-        return BlockInterface(tuple(decls))
+        return make(*args)
     except TypeCheckError as exc:
-        raise SchemaError(element.line, str(exc)) from None
+        raise SchemaError(line, str(exc)) from None
 
 
 def loads_constraints(text: str) -> ConstraintList:
+    """The constraint list in XML `text`; raises SchemaError with a line."""
     root = _parse_xml(text)
-    if root.name != "constraintList":
-        raise SchemaError(root.line, f"expected <constraintList>, got <{root.name}>")
-    _require_attrs(root, ("block", "mode"))
-    try:
-        mode = Mode(root.attrs["mode"])
-    except ValueError:
-        raise SchemaError(root.line, f"bad mode {root.attrs['mode']!r}") from None
-
-    children = list(root.children)
-    if not children or children[0].name != "interface":
-        raise SchemaError(root.line, "<interface> must be the first element")
-    interface = _load_interface(children[0])
-
+    interface, *sections = root.children
+    decls = [_at_line(var.line, VarDecl, var.attrs["name"], var.attrs["dir"], var.attrs["type"])
+             for var in interface.children]
     constraints: list[Constraint] = []
-    # schema order: truthTable? causeEffect* assertion*
-    stage = 0
-    seen_table = False
-    for child in children[1:]:
-        if child.name == "truthTable":
-            if seen_table or stage > 0:
-                raise SchemaError(child.line, "misplaced <truthTable>")
-            seen_table = True
-            _require_attrs(child, ())
-            for row in child.children:
-                if row.name != "row":
-                    raise SchemaError(row.line, f"unknown element <{row.name}> in <truthTable>")
-                _require_attrs(row, ("out",), ("in",))
-                if row.children:
-                    raise SchemaError(row.line, "<row> cannot have children")
-                constraints.append(TruthTableRow(
-                    _parse_cells(row.attrs.get("in", ""), row.line),
-                    _parse_cells(row.attrs["out"], row.line)))
-        elif child.name == "causeEffect":
-            if stage > 1:
-                raise SchemaError(child.line, "misplaced <causeEffect>")
-            stage = 1
-            _require_attrs(child, ("output", "combinator"))
-            try:
-                combinator = Combinator(child.attrs["combinator"])
-            except ValueError:
-                raise SchemaError(child.line,
-                                  f"bad combinator {child.attrs['combinator']!r}") from None
+    for section in sections:
+        if section.name == "truthTable":
+            constraints += [TruthTableRow(_cells(row, "in"), _cells(row, "out"))
+                            for row in section.children]
+        elif section.name == "causeEffect":
             cells: dict[str, bool] = {}
-            for cause in child.children:
-                if cause.name != "cause":
-                    raise SchemaError(cause.line,
-                                      f"unknown element <{cause.name}> in <causeEffect>")
-                _require_attrs(cause, ("input", "mark"))
-                if cause.attrs["mark"] not in ("x", "n"):
-                    raise SchemaError(cause.line, f"bad mark {cause.attrs['mark']!r}")
+            for cause in section.children:
                 if cause.attrs["input"] in cells:
                     raise SchemaError(cause.line,
                                       f"duplicate cause for '{cause.attrs['input']}'")
-                cells[cause.attrs["input"]] = cause.attrs["mark"] == "n"
-            if not cells:
-                raise SchemaError(child.line, "<causeEffect> needs at least one <cause>")
-            constraints.append(CauseEffectColumn(child.attrs["output"], combinator, cells))
-        elif child.name == "assertion":
-            stage = 2
-            _require_attrs(child, ("expr",))
-            if child.children:
-                raise SchemaError(child.line, "<assertion> cannot have children")
-            try:
-                expr = parse_expression(child.attrs["expr"])
-            except Exception as exc:
-                raise SchemaError(child.line, f"bad expression: {exc}") from None
-            constraints.append(Assertion(expr))
+                cells[cause.attrs["input"]] = cause.attrs["mark"]
+            constraints.append(CauseEffectColumn(section.attrs["output"],
+                                                 section.attrs["combinator"], cells))
         else:
-            raise SchemaError(child.line, f"unknown element <{child.name}>")
-
-    result = ConstraintList(root.attrs["block"], mode, interface, tuple(constraints))
-    try:
-        validate_constraint_list(result)
-    except TypeCheckError as exc:
-        raise SchemaError(root.line, str(exc)) from None
+            try:
+                expr = parse_expression(section.attrs["expr"])
+            except Exception as exc:
+                raise SchemaError(section.line, f"bad expression: {exc}") from None
+            constraints.append(Assertion(expr))
+    result = ConstraintList(root.attrs["block"], root.attrs["mode"],
+                            _at_line(interface.line, BlockInterface, tuple(decls)),
+                            tuple(constraints))
+    _at_line(root.line, validate_constraint_list, result)
     return result
 
 
 def load_constraints(path) -> ConstraintList:
-    text = Path(path).read_text(encoding="utf-8")
-    return loads_constraints(text)
+    """The constraint list in the XML file at `path`; raises SchemaError."""
+    return loads_constraints(Path(path).read_text(encoding="utf-8"))
 
 
 def _cells_attr(cells: Mapping[str, TriValue]) -> str:
-    return ";".join(f"{name}={'-' if v is None else ('1' if v else '0')}"
-                    for name, v in cells.items())
+    """Cells as a row's `in` or `out` attribute reads them."""
+    return ";".join(f"{name}={_NAMES['cell'][value]}" for name, value in cells.items())
+
+
+_KINDS = (TruthTableRow, CauseEffectColumn, Assertion)  # in schema order
 
 
 def dumps_constraints(cl: ConstraintList) -> str:
-    """Canonical XML text; rows are grouped into one truthTable element,
-    then cause/effect columns, then assertions, per the schema order."""
+    """Canonical XML text, one element per line, the constraints in list
+    order.  A list's indices are the constraint numbers that reports print,
+    and the schema puts rows, then columns, then assertions; so a list out
+    of that order, which would come back renumbered, raises TypeCheckError."""
     # imported here: xml.sax.saxutils loads urllib.request, http.client,
     # ssl and email, which no other command needs
     from xml.sax.saxutils import quoteattr
 
+    def lines(tag, attrs, children=()):
+        head = tag + "".join(f" {attr}={quoteattr(_NAMES[attr][v] if attr in _NAMES else v)}"
+                             for attr, v in attrs.items() if v is not None)
+        body = ["  " + line for child in children for line in lines(*child)]
+        return [f"<{head}>", *body, f"</{tag}>"] if body else [f"<{head}/>"]
+
     validate_constraint_list(cl)
-    out = ['<?xml version="1.0" encoding="UTF-8"?>']
-    out.append(f"<constraintList block={quoteattr(cl.block_name)} "
-               f"mode={quoteattr(cl.mode.value)}>")
-    out.append("  <interface>")
-    for decl in cl.interface.decls:
-        out.append(f"    <var name={quoteattr(decl.name)} "
-                   f"dir={quoteattr(_CODES_FOR_DIR[decl.direction])} "
-                   f"type={quoteattr(decl.dtype)}/>")
-    out.append("  </interface>")
-    rows = [c for c in cl.constraints if isinstance(c, TruthTableRow)]
-    if rows:
-        out.append("  <truthTable>")
-        for row in rows:
-            attrs = ""
-            if row.inputs:
-                attrs += f" in={quoteattr(_cells_attr(row.inputs))}"
-            attrs += f" out={quoteattr(_cells_attr(row.outputs))}"
-            out.append(f"    <row{attrs}/>")
-        out.append("  </truthTable>")
-    for constraint in cl.constraints:
-        if isinstance(constraint, CauseEffectColumn):
-            out.append(f"  <causeEffect output={quoteattr(constraint.output)} "
-                       f"combinator={quoteattr(constraint.combinator.value)}>")
-            for name, negated in constraint.cells.items():
-                out.append(f"    <cause input={quoteattr(name)} "
-                           f"mark={quoteattr('n' if negated else 'x')}/>")
-            out.append("  </causeEffect>")
-    for constraint in cl.constraints:
-        if isinstance(constraint, Assertion):
-            out.append(f"  <assertion expr="
-                       f"{quoteattr(format_expression(constraint.expr))}/>")
-    out.append("</constraintList>")
-    return "\n".join(out) + "\n"
+    variables = [("var", {"name": d.name, "dir": d.direction, "type": d.dtype})
+                 for d in cl.interface.decls]
+    sections: list = [("interface", {}, variables)]
+    kinds = [_KINDS.index(type(constraint)) for constraint in cl.constraints]
+    for index, constraint in enumerate(cl.constraints):
+        if index and kinds[index] < kinds[index - 1]:
+            raise TypeCheckError(f"constraint {index}: out of schema order "
+                                 "(rows, then cause/effect columns, then assertions)")
+        if isinstance(constraint, TruthTableRow):
+            if sections[-1][0] != "truthTable":
+                sections.append(("truthTable", {}, []))
+            sections[-1][2].append(("row", {"in": _cells_attr(constraint.inputs) or None,
+                                            "out": _cells_attr(constraint.outputs)}))
+        elif isinstance(constraint, CauseEffectColumn):
+            sections.append(("causeEffect", {"output": constraint.output,
+                                             "combinator": constraint.combinator},
+                             [("cause", {"input": name, "mark": negated})
+                              for name, negated in constraint.cells.items()]))
+        else:
+            sections.append(("assertion", {"expr": format_expression(constraint.expr)}))
+    text = lines("constraintList", {"block": cl.block_name, "mode": cl.mode}, sections)
+    return "\n".join(['<?xml version="1.0" encoding="UTF-8"?>', *text]) + "\n"
 
 
 def save_constraints(cl: ConstraintList, path) -> None:
+    """Write `cl` to the file at `path` as `dumps_constraints` text."""
     Path(path).write_text(dumps_constraints(cl), encoding="utf-8")

@@ -177,6 +177,12 @@ class TestTemplates:
         with pytest.raises(MissingRenameTarget):
             instantiate_template(self.template(), {"q": "r"})
 
+    def test_block_name_kept(self):
+        # only interface variables are renamed, even where the block name
+        # equals one of them
+        template = clist(self.template().constraints, name="a")
+        assert instantiate_template(template, {"a": "p"}).block_name == "a"
+
     def test_compile_commutes_with_renaming(self):
         renaming = {"a": "p", "b": "q", "y": "r"}
         renamed_spec = compile_spec(instantiate_template(self.template(), renaming))
@@ -198,6 +204,46 @@ MINIMAL_XML = """<?xml version="1.0" encoding="UTF-8"?>
   </truthTable>
 </constraintList>
 """
+
+
+TABLE = """  <truthTable>
+    <row in="a=1" out="y=1"/>
+  </truthTable>
+"""
+CAUSE_EFFECT = """  <causeEffect output="y" combinator="any">
+    <cause input="a" mark="x"/>
+  </causeEffect>
+"""
+
+
+def with_sections(*sections):
+    return MINIMAL_XML.replace("</constraintList>", "".join(sections) + "</constraintList>")
+
+
+# one malformed document per reader rule
+REJECTED = {
+    "missing attribute": MINIMAL_XML.replace(' dir="in"', ""),
+    "bad dir": MINIMAL_XML.replace('dir="in"', 'dir="sideways"'),
+    "bad type": MINIMAL_XML.replace('dir="in" type="BOOL"', 'dir="in" type="INT"'),
+    "bad combinator": with_sections(CAUSE_EFFECT.replace('"any"', '"most"')),
+    "bad mark": with_sections(CAUSE_EFFECT.replace('mark="x"', 'mark="y"')),
+    "duplicate cell": MINIMAL_XML.replace('in="a=1"', 'in="a=1;a=0"'),
+    "duplicate cause": with_sections(CAUSE_EFFECT.replace(
+        "  </causeEffect>", '    <cause input="a" mark="n"/>\n  </causeEffect>')),
+    "empty causeEffect": with_sections('  <causeEffect output="y" combinator="any">\n'
+                                       "  </causeEffect>\n"),
+    "child in var": MINIMAL_XML.replace('type="BOOL"/>', 'type="BOOL"><x/></var>', 1),
+    "child in row": MINIMAL_XML.replace('out="y=1"/>', 'out="y=1"><x/></row>'),
+    "child in assertion": with_sections('  <assertion expr="a"><x/></assertion>\n'),
+    "child in cause": with_sections(CAUSE_EFFECT.replace(
+        'mark="x"/>', 'mark="x"><mystery><row/></mystery></cause>')),
+    "text content": MINIMAL_XML.replace("<interface>", "<interface>hello"),
+    "interface not first": MINIMAL_XML.replace(TABLE, "").replace(
+        "  <interface>", TABLE + "  <interface>"),
+    "second truthTable": with_sections(TABLE.replace("1", "0")),
+    "causeEffect after assertion": with_sections('  <assertion expr="a"/>\n', CAUSE_EFFECT),
+    "wrong root": MINIMAL_XML.replace("constraintList", "constraints"),
+}
 
 
 class TestXml:
@@ -276,6 +322,12 @@ class TestXml:
             with pytest.raises(SchemaError, match="expression too deep"):
                 loads_constraints(deep)
 
+    @pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
+    def test_rule_broken_rejected_with_line(self, text):
+        with pytest.raises(SchemaError) as exc:
+            loads_constraints(text)
+        assert 1 <= exc.value.line <= text.count("\n")
+
     def test_malformed_xml_reports_line(self):
         with pytest.raises(SchemaError):
             loads_constraints("<constraintList block='b' mode='generate'>")
@@ -313,6 +365,17 @@ class TestXml:
         for _ in range(rng.randint(0, 2)):
             constraints.append(Assertion(Or(Var(rng.choice(inputs)),
                                             Not(Var(rng.choice(outputs))))))
+        if rng.random() < 0.5:
+            rng.shuffle(constraints)
         cl = ConstraintList("blk", rng.choice(list(Mode)), interface,
                             tuple(constraints))
-        assert loads_constraints(dumps_constraints(cl)) == cl
+        # a list saves only in schema order (rows, columns, assertions), so
+        # that its constraint numbers survive the round trip
+        kinds = [(TruthTableRow, CauseEffectColumn, Assertion).index(type(c))
+                 for c in constraints]
+        if kinds == sorted(kinds):
+            assert loads_constraints(dumps_constraints(cl)) == cl
+        else:
+            first = next(i for i in range(1, len(kinds)) if kinds[i] < kinds[i - 1])
+            with pytest.raises(TypeCheckError, match=f"constraint {first}:"):
+                dumps_constraints(cl)
