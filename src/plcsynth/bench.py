@@ -16,10 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .blocks import BlockInterface, Direction, VarDecl, simulate
+from .blocks import BlockInterface, Direction, Record, VarDecl, replace, simulate
 from .constraints import ConstraintList, Mode, TruthTableRow, compile_spec
 from .engine import SynthConfig, SynthesisResult, synthesize
 
@@ -28,8 +27,7 @@ class InsufficientSamples(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BenchStats:
+class BenchStats(Record):
     """Sample count, samples, mean and sample standard deviation of durations."""
     n: int
     samples: tuple[float, ...]
@@ -52,8 +50,7 @@ def stats(samples: Sequence[float]) -> BenchStats:
 # Scenario definitions
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """A warehouse scenario: its interface, its constraint list and the
     oracle that gives the outputs expected at each input point."""
     name: str
@@ -132,8 +129,7 @@ class BenchValidationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(Record):
     """A bench run: statistics of the repeats' wall times, the same per
     CEGIS run label (an output, or "*" for a joint run), and every
     repeat's synthesis result."""

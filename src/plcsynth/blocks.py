@@ -5,13 +5,18 @@ assignments.  One scan cycle reads the inputs, executes the statements top
 to bottom and publishes the outputs and the next state from the final
 environment.  The simulator in this module is the ground truth everything
 else in the package is checked against.
+
+Every value class of the package (declarations, expressions, blocks,
+constraints, results, configs) is an immutable `Record`: its fields are
+its annotations, it compares and hashes by its fields, and `replace`
+derives a changed copy.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 MAX_IDENTIFIER_LENGTH = 64
@@ -55,6 +60,87 @@ class TypeCheckError(Exception):
     """A block, expression or constraint does not respect its interface."""
 
 
+class FrozenInstanceError(AttributeError):
+    """A field of a record was assigned or deleted."""
+
+
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass's fields are the annotations of it and its bases, bases
+    first, in order; only their names are read.  A class attribute of a
+    field's name is its default.  `_fields` names the fields, and `_key`
+    gets a record's class and field values as one tuple.  Each class
+    declaring fields or a `__post_init__` gets one generated `__init__`
+    that takes the fields by position or keyword, sets them and then calls
+    `__post_init__`, if the class has one; the others inherit theirs.  Two
+    records are equal when they are of the same class with equal fields, a
+    record hashes as the tuple of its fields, and its repr is
+    `Name(field=value, ...)`.  Assigning or deleting an attribute raises
+    FrozenInstanceError; a `__post_init__` that normalizes a field
+    rewrites it with `object.__setattr__`.
+
+    `__init__` sets each field with `object.__setattr__`, as the frozen
+    dataclass does; a write into `__dict__` would be quicker, but on
+    CPython 3.11 reading `__dict__` detaches an instance's attributes from
+    its class's shared layout, and every later field read is then slower.
+    """
+
+    __slots__ = ()
+    _fields = ()
+    _key = staticmethod(lambda record: (record.__class__,))
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names: list[str] = []
+        for base in reversed(cls.__mro__):
+            names.extend(n for n in vars(base).get("__annotations__", ()) if n not in names)
+        cls._fields = tuple(names)
+        if names:
+            cls._key = attrgetter("__class__", *names)
+        if "__annotations__" not in vars(cls) and "__post_init__" not in vars(cls):
+            return
+        namespace = {f"_default_{n}": getattr(cls, n) for n in names if hasattr(cls, n)}
+        namespace["_setattr"] = object.__setattr__
+        params = "".join(f", {n}=_default_{n}" if hasattr(cls, n) else f", {n}" for n in names)
+        lines = [f"def __init__(self{params}):",
+                 *(f"    _setattr(self, {n!r}, {n})" for n in names)]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        exec("\n".join(lines), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self)[1:])
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}"
+                            for name, value in zip(self._fields, self._key(self)[1:])])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+R = TypeVar("R", bound=Record)
+
+
+def replace(record: R, **changes) -> R:
+    """A copy of the record with the given fields changed; it is built
+    afresh, so its `__post_init__` checks it."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return record.__class__(**{**fields, **changes})
+
+
 def validate_identifier(text: str) -> str:
     if not text or len(text) > MAX_IDENTIFIER_LENGTH or not _IDENT_RE.match(text):
         raise TypeCheckError(f"invalid identifier {text!r}")
@@ -75,8 +161,7 @@ class Lang(str, Enum):
     IL = "il"
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(Record):
     """One declared variable: name, direction and type (only BOOL)."""
     name: str
     direction: Direction
@@ -88,8 +173,7 @@ class VarDecl:
             raise TypeCheckError(f"unsupported type {self.dtype!r} for '{self.name}'")
 
 
-@dataclass(frozen=True)
-class BlockInterface:
+class BlockInterface(Record):
     """A block's declared variables, in declaration order, names unique."""
     decls: tuple[VarDecl, ...]
 
@@ -135,45 +219,39 @@ class BlockInterface:
 # Boolean expressions
 
 
-class BoolExpr:
+class BoolExpr(Record):
     """Base of the Boolean expression variants (Const/Var/Not/And/Or/Xor)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(BoolExpr):
     """A Boolean constant."""
     value: bool
 
 
-@dataclass(frozen=True)
 class Var(BoolExpr):
     """A reference to a declared variable."""
     name: str
 
 
-@dataclass(frozen=True)
 class Not(BoolExpr):
     """Negation of its operand."""
     operand: BoolExpr
 
 
-@dataclass(frozen=True)
 class And(BoolExpr):
     """Conjunction of its two operands."""
     left: BoolExpr
     right: BoolExpr
 
 
-@dataclass(frozen=True)
 class Or(BoolExpr):
     """Disjunction of its two operands."""
     left: BoolExpr
     right: BoolExpr
 
 
-@dataclass(frozen=True)
 class Xor(BoolExpr):
     """Exclusive or of its two operands."""
     left: BoolExpr
@@ -298,15 +376,13 @@ def eval_expr(expr: BoolExpr, env: Mapping[str, bool]) -> bool:
 # Blocks
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(Record):
     """The assignment `target := rhs`."""
     target: str
     rhs: BoolExpr
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """A function block: interface, straight-line body run once per scan
     cycle, and the dialect it is written in."""
     name: str
@@ -384,8 +460,7 @@ def run_cycle(block: Block, state: Mapping[str, bool],
     return outputs, next_state
 
 
-@dataclass(frozen=True)
-class CycleResult:
+class CycleResult(Record):
     """One scan cycle of a simulation: its inputs, its outputs and the
     state after it."""
     inputs: Assignment
@@ -393,8 +468,7 @@ class CycleResult:
     state_after: Assignment
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """The scan cycles of one simulation, in order."""
     cycles: tuple[CycleResult, ...]
 

@@ -14,14 +14,11 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .bench import SCENARIO_NAMES, BenchReport, bench_run, scenario
-from .blocks import Block, Lang, TypeCheckError
-from .constraints import (
-    ConstraintList, SchemaError, compile_spec, load_constraints,
-)
+from .blocks import Block, Lang, TypeCheckError, replace
+from .constraints import SchemaError, compile_spec, load_constraints
 from .engine import (
     Counterexample, SizeBoundExceeded, SynthConfig, Unsatisfiable, Verified,
     check, equivalent, extend, repair, simplify, synthesize, verify,
@@ -32,35 +29,6 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-@dataclass(frozen=True)
-class ProjectLayout:
-    """A project directory: blocks/*.st|*.il plus constraints/*.xml."""
-    root: Path
-    blocks: dict[str, Block]
-    constraint_lists: tuple[ConstraintList, ...]
-
-    @classmethod
-    def scan(cls, root) -> "ProjectLayout":
-        root = Path(root)
-        blocks: dict[str, Block] = {}
-        for path in sorted((root / "blocks").glob("*")):
-            if path.suffix not in (".st", ".il"):
-                continue
-            block = load_block(path)
-            if block.name in blocks:
-                raise SchemaError(1, f"duplicate block name '{block.name}' "
-                                     f"({path.name})")
-            blocks[block.name] = block
-        lists = []
-        for path in sorted((root / "constraints").glob("*.xml")):
-            cl = load_constraints(path)
-            if cl.block_name not in blocks:
-                raise SchemaError(1, f"constraint list {path.name} names "
-                                     f"unknown block '{cl.block_name}'")
-            lists.append(cl)
-        return cls(root, blocks, tuple(lists))
 
 
 # `BEGIN` outside a comment: after the header, ST has it and IL does not
@@ -103,8 +71,8 @@ def _summary(op: str, result, path) -> str:
 def _config(args) -> SynthConfig:
     """The config with the fields the command's options set: each such
     option's dest is the field's name, and an unset one is None."""
-    return SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)
-                          if getattr(args, f.name, None) is not None})
+    return SynthConfig(**{name: getattr(args, name) for name in SynthConfig._fields
+                          if getattr(args, name, None) is not None})
 
 
 # editing commands: the word in their default output name, and their help

@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import re
 import xml.parsers.expat
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
 from .blocks import (
-    And, BlockInterface, BoolExpr, Const, Direction, Not, Or, TypeCheckError,
-    Var, VarDecl, expr_vars, rename_vars, validate_identifier,
+    And, BlockInterface, BoolExpr, Const, Direction, Not, Or, Record,
+    TypeCheckError, Var, VarDecl, expr_vars, rename_vars, validate_identifier,
 )
 from .lang import format_expression, parse_expression
 
@@ -65,16 +64,14 @@ class MissingRenameTarget(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TruthTableRow:
+class TruthTableRow(Record):
     """Where the non-None input cells hold, each non-None output cell
     gives its output's value."""
     inputs: dict[str, TriValue]
     outputs: dict[str, TriValue]
 
 
-@dataclass(frozen=True)
-class CauseEffectColumn:
+class CauseEffectColumn(Record):
     """The output equals the OR (combinator any) or AND (all) of its
     marked cause cells, each an input or, when negated, its NOT."""
     output: str
@@ -82,8 +79,7 @@ class CauseEffectColumn:
     cells: dict[str, bool]  # input name -> negated?
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(Record):
     """An expression over the interface that must hold after every cycle."""
     expr: BoolExpr
 
@@ -91,8 +87,7 @@ class Assertion:
 Constraint = Union[TruthTableRow, CauseEffectColumn, Assertion]
 
 
-@dataclass(frozen=True)
-class ConstraintList:
+class ConstraintList(Record):
     """A named constraint list: the op it is for, the interface and the
     constraints in source order, each indexed by its position."""
     block_name: str
@@ -143,8 +138,7 @@ def validate_constraint_list(cl: ConstraintList) -> None:
 # Compilation into the uniform obligation form
 
 
-@dataclass(frozen=True)
-class ObligationClause:
+class ObligationClause(Record):
     """Implication: whenever `guard` holds over the inputs, the output
     named by the enclosing map must equal `value`."""
     guard: BoolExpr
@@ -152,16 +146,14 @@ class ObligationClause:
     origin: int  # index into the source constraint list
 
 
-@dataclass(frozen=True)
-class AssertionClause:
+class AssertionClause(Record):
     """An assertion's expression and its index in the source constraint
     list."""
     expr: BoolExpr
     origin: int
 
 
-@dataclass(frozen=True)
-class SpecFormula:
+class SpecFormula(Record):
     """A compiled constraint list: its interface, per output the
     obligation clauses, and the assertion clauses, each in source order."""
     interface: BlockInterface
@@ -297,8 +289,7 @@ _NAMES = {attr: {value: code for code, value in codes.items()}
           for attr, codes in _CODES.items()}
 
 
-@dataclass
-class _Element:
+class _Element(Record):
     """One parsed XML element: tag, attributes (coded ones decoded),
     source line and children."""
     name: str

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
 from functools import cached_property, partial, reduce
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
@@ -60,8 +59,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Ty
 # engine.eval_expr, so the name stays
 from .blocks import (
     And, Block, BlockInterface, BoolExpr, Const, Direction, Lang, Not, Or,
-    Statement, TypeCheckError, UnboundVariable, Var, VarDecl, Xor, eval_expr,
-    expr_vars, fold_expr, simulate,
+    Record, Statement, TypeCheckError, UnboundVariable, Var, VarDecl, Xor,
+    eval_expr, expr_vars, fold_expr, replace, simulate,
 )
 from .constraints import (
     AssertionClause, ConstraintList, ObligationClause, SpecFormula,
@@ -100,8 +99,7 @@ class SizeBoundExceeded(Exception):
         self.max_slots = max_slots
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Record):
     """Settings shared by every op: solver seed, slot bound, per-output or
     joint synthesis, and the bound and initial state of bounded checks."""
     seed: int = 0
@@ -117,8 +115,7 @@ class SynthConfig:
             raise ValueError("unwind_cycles must be >= 1")
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     """A run that breaks a check: initial state, inputs per cycle, what
     fails (a clause's wording or the outputs that differ) and the cycle
     where it first fails."""
@@ -128,14 +125,12 @@ class Counterexample:
     cycle_index: int
 
 
-@dataclass(frozen=True)
-class Verified:
+class Verified(Record):
     """No run of at most `bound` scan cycles breaks the check."""
     bound: int
 
 
-@dataclass(frozen=True)
-class Violated:
+class Violated(Record):
     """A shortest run that breaks the check."""
     counterexample: Counterexample
 
@@ -143,8 +138,7 @@ class Violated:
 VerifyResult = Verified | Violated
 
 
-@dataclass(frozen=True)
-class OutputSynthesis:
+class OutputSynthesis(Record):
     """One CEGIS run: its output (or "*" for a joint run), the inputs its
     templates read (synthesize and simplify keep those the spec depends
     on, see `_PointSpec.projected`), the slots it writes (each output's
@@ -158,8 +152,7 @@ class OutputSynthesis:
     wall_time: float
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(Record):
     """A synthesized or edited block with its counts summed over its CEGIS
     runs, its wall time and the runs themselves."""
     block: Block
@@ -686,8 +679,7 @@ class _PointSpec:
 # Slot templates
 
 
-@dataclass(frozen=True)
-class _SlotShape:
+class _SlotShape(Record):
     """One slot of a straight-line program: its operator tag, `(cls,)` for
     an expression class of `_OPERATORS` or `(Var, i)` for a copy of input
     i; its operand indices (the inputs, then earlier slots; 0 where the

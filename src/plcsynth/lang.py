@@ -12,13 +12,12 @@ same interface and expression trees back.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .blocks import (
     MAX_EXPR_DEPTH, RESERVED_WORDS, And, Block, BlockInterface, BoolExpr,
-    Const, Direction, Lang, Not, Or, Statement, TypeCheckError, Var, VarDecl,
-    Xor, expr_depth, expr_vars,
+    Const, Direction, Lang, Not, Or, Record, Statement, TypeCheckError, Var,
+    VarDecl, Xor, expr_depth, expr_vars,
 )
 
 _SECTION_KEYWORDS = {
@@ -31,8 +30,7 @@ _SECTION_KEYWORDS = {
 _SECTION_FOR_DIRECTION = {d: kw for kw, d in _SECTION_KEYWORDS.items()}
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """A 1-based line and column in source text and the length of the
     text there."""
     line: int

@@ -19,16 +19,16 @@ kernel changes must keep it identical; see `CdclSolver`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .blocks import And, BoolExpr, Const, Not, Or, UnboundVariable, Xor, fold_expr
+from .blocks import (
+    And, BoolExpr, Const, Not, Or, Record, UnboundVariable, Xor, fold_expr,
+)
 
 SatVar = int  # 1-based variable index
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(Record):
     """Immutable clause set; clauses are tuples of signed variable indices."""
 
     num_vars: int
@@ -45,8 +45,7 @@ class CnfFormula:
                     raise ValueError(f"literal {lit} out of range (num_vars={self.num_vars})")
 
 
-@dataclass(frozen=True)
-class SatResult:
+class SatResult(Record):
     """A solver answer, with a model (variable -> value) when satisfiable."""
     satisfiable: bool
     model: Optional[dict[int, bool]] = None

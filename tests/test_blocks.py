@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from helpers import all_assignments, random_block, random_expr
 from plcsynth.blocks import (
-    And, Block, BlockInterface, Const, Direction, Not, Or, Statement,
+    And, Block, BlockInterface, Const, Direction, Not, Or, Record, Statement,
     TypeCheckError, UnassignedTemp, UnboundVariable, Var, VarDecl, Xor,
     default_state, eval_expr, expr_depth, expr_size, expr_vars, rename_vars,
-    run_cycle, simulate, validate_identifier,
+    replace, run_cycle, simulate, validate_identifier,
 )
+from plcsynth.engine import SynthConfig
 
 
 def iface(**kw):
@@ -54,6 +55,72 @@ class TestInterface:
         assert i.temps == ("t",)
         assert i.direction_of("s") is Direction.STATE
         assert "a" in i and "zz" not in i
+
+
+class TestRecord:
+    def test_equal_by_class_and_fields(self):
+        a, b = Var("a"), Var("b")
+        assert And(a, b) == And(Var("a"), Var("b"))
+        assert And(a, b) != And(b, a)
+        assert And(a, b) != Or(a, b)
+
+    def test_hash_is_the_field_tuple_hash(self):
+        a, b = Var("a"), Var("b")
+        assert hash(And(a, b)) == hash((a, b))
+        assert hash(a) == hash(("a",))
+
+    def test_repr(self):
+        assert repr(And(Var("a"), Const(True))) == \
+            "And(left=Var(name='a'), right=Const(value=True))"
+
+    def test_fields_immutable(self):
+        expr = And(Var("a"), Var("b"))
+        with pytest.raises(AttributeError):
+            expr.left = Var("c")
+        with pytest.raises(AttributeError):
+            del expr.right
+        with pytest.raises(AttributeError):
+            expr.extra = 1
+        assert expr == And(Var("a"), Var("b"))
+
+    def test_defaults_and_keywords(self):
+        decl = VarDecl("x", Direction.INPUT)
+        assert decl.dtype == "BOOL"
+        assert VarDecl(direction=Direction.INPUT, name="x") == decl
+        assert VarDecl._fields == ("name", "direction", "dtype")
+
+    @pytest.mark.parametrize("args, kwargs", [(("x",), {}), ((), {"direction": Direction.INPUT}),
+                                              (("x", Direction.INPUT), {"kind": "BOOL"}),
+                                              (("x", Direction.INPUT, "BOOL", 1), {})])
+    def test_missing_or_unknown_field_rejected(self, args, kwargs):
+        with pytest.raises(TypeError):
+            VarDecl(*args, **kwargs)
+
+    def test_post_init_runs(self):
+        with pytest.raises(TypeCheckError):
+            VarDecl("x", Direction.INPUT, "INT")
+        with pytest.raises(ValueError):
+            replace(SynthConfig(), max_slots=0)
+
+    def test_replace(self):
+        cfg = SynthConfig(seed=3)
+        assert replace(cfg, max_slots=5) == SynthConfig(seed=3, max_slots=5)
+        assert cfg.max_slots == 31
+        with pytest.raises(TypeError):
+            replace(cfg, slots=5)
+
+    def test_subclass_fields_follow_base_fields(self):
+        class Point(Record):
+            x: int
+            y: int = 0
+
+        class Labelled(Point):
+            label: str = ""
+
+        p = Labelled(1, label="p")
+        assert Labelled._fields == ("x", "y", "label")
+        assert repr(p).endswith(".<locals>.Labelled(x=1, y=0, label='p')")
+        assert p != Point(1, 0) and Point(1) == Point(1, 0)
 
 
 class TestEvalExpr:

@@ -17,10 +17,8 @@ from plcsynth.bench import (
     stats,
 )
 from plcsynth.blocks import Lang
-from plcsynth.cli import (
-    EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, ProjectLayout, load_block, run,
-)
-from plcsynth.constraints import SchemaError, compile_spec, load_constraints
+from plcsynth.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, load_block, run
+from plcsynth.constraints import compile_spec, load_constraints
 from plcsynth.engine import SynthConfig, Verified, equivalent, simplify, synthesize
 from plcsynth.lang import emit, parse_il, parse_st
 
@@ -127,7 +125,8 @@ def project(tmp_path):
 def test_cold_import_skips_urllib():
     # xml.sax.saxutils loads urllib.request, http.client, ssl and email;
     # only writing constraint XML needs them, so a fresh CLI process must
-    # load none of them
+    # load none of them.  Nor does it load dataclasses or inspect: the
+    # value classes are records, not dataclasses
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -136,7 +135,7 @@ def test_cold_import_skips_urllib():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True).stdout
     assert "'plcsynth.cli'" in loaded
-    assert [m for m in ("urllib.request", "http.client", "ssl", "email")
+    assert [m for m in ("urllib.request", "http.client", "ssl", "email", "dataclasses", "inspect")
             if f"'{m}'" in loaded] == []
 
 
@@ -496,32 +495,6 @@ class TestCheck:
         code, text = invoke("check", "--constraints", str(path))
         assert code == EXIT_USAGE
         assert "combinational blocks only" in text
-
-
-class TestProjectLayout:
-    def test_scan_and_validate(self, tmp_path):
-        (tmp_path / "blocks").mkdir()
-        (tmp_path / "constraints").mkdir()
-        (tmp_path / "blocks" / "or.st").write_text(OR_ST)
-        (tmp_path / "constraints" / "and.xml").write_text(AND_XML)
-        layout = ProjectLayout.scan(tmp_path)
-        assert set(layout.blocks) == {"AndGate"}
-        assert layout.constraint_lists[0].block_name == "AndGate"
-
-    def test_duplicate_block_names_rejected(self, tmp_path):
-        (tmp_path / "blocks").mkdir()
-        (tmp_path / "constraints").mkdir()
-        (tmp_path / "blocks" / "one.st").write_text(OR_ST)
-        (tmp_path / "blocks" / "two.st").write_text(OR_ST)
-        with pytest.raises(SchemaError):
-            ProjectLayout.scan(tmp_path)
-
-    def test_unresolved_constraint_list_rejected(self, tmp_path):
-        (tmp_path / "blocks").mkdir()
-        (tmp_path / "constraints").mkdir()
-        (tmp_path / "constraints" / "and.xml").write_text(AND_XML)
-        with pytest.raises(SchemaError):
-            ProjectLayout.scan(tmp_path)
 
 
 class TestStats:

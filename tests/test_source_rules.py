@@ -20,6 +20,17 @@ def test_no_bare_assert(path):
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # value classes are `blocks.Record`s; `dataclasses` costs the command
+    # line's cold start about a millisecond per class
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert lines == [], f"{path.name}: dataclasses imported at lines {lines}"
+
+
 def test_slot_operators_declared_once():
     # the slot operators are named by their expression classes, in one
     # table whose order is the templates' operator order
