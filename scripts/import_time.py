@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Cumulative import time of `plcsynth.cli`, with bytecode cached.
 
-    python3 scripts/import_time.py [--root CHECKOUT] [--runs 7]
+    python3 scripts/import_time.py [--root CHECKOUT]
 
 Imports `plcsynth.cli` from the checkout's `src` once, writing bytecode to
 a temporary cache directory (so the checkout is left as it is), then
-`--runs` more times, each in a fresh interpreter under `-X importtime`.
+seven more times, each in a fresh interpreter under `-X importtime`.
 Prints the median, lowest and highest cumulative time in milliseconds.
 That is the fixed cost every command line pays before its op.  Run it on
 two checkouts to compare them.
@@ -20,6 +20,7 @@ import tempfile
 from pathlib import Path
 
 MODULE = "plcsynth.cli"
+RUNS = 7
 
 
 def cumulative_us(importtime: str, module: str = MODULE) -> int:
@@ -48,11 +49,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="source checkout to import (default: this one)")
-    parser.add_argument("--runs", type=int, default=7)
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be positive")
-    times = measure(args.root.resolve(), args.runs)
+    times = measure(args.root.resolve(), RUNS)
     print(f"{MODULE} cumulative import: median {statistics.median(times):.1f} ms "
           f"(min {min(times):.1f}, max {max(times):.1f}, {len(times)} runs) at {args.root}")
     return 0

@@ -69,8 +69,9 @@ class Record:
 
     A subclass's fields are the annotations of it and its bases, bases
     first, in order; only their names are read.  A class attribute of a
-    field's name is its default.  `_fields` names the fields, and `_key`
-    gets a record's class and field values as one tuple.  Each class
+    field's name is its default.  `_fields` names the fields, as does
+    `__match_args__` for class patterns, and `_key` gets a record's class
+    and field values as one tuple.  Each class
     declaring fields or a `__post_init__` gets one generated `__init__`
     that takes the fields by position or keyword, sets them and then calls
     `__post_init__`, if the class has one; the others inherit theirs.  Two
@@ -95,7 +96,7 @@ class Record:
         names: list[str] = []
         for base in reversed(cls.__mro__):
             names.extend(n for n in vars(base).get("__annotations__", ()) if n not in names)
-        cls._fields = tuple(names)
+        cls._fields = cls.__match_args__ = tuple(names)
         if names:
             cls._key = attrgetter("__class__", *names)
         if "__annotations__" not in vars(cls) and "__post_init__" not in vars(cls):

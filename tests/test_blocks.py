@@ -73,6 +73,13 @@ class TestRecord:
         assert repr(And(Var("a"), Const(True))) == \
             "And(left=Var(name='a'), right=Const(value=True))"
 
+    def test_positional_class_pattern(self):
+        match And(Var("a"), Const(True)):
+            case And(Var(name), Const(value)):
+                assert (name, value) == ("a", True)
+            case _:
+                pytest.fail("And(Var, Const) did not match")
+
     def test_fields_immutable(self):
         expr = And(Var("a"), Var("b"))
         with pytest.raises(AttributeError):
