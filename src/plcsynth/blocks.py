@@ -70,8 +70,8 @@ class Record:
     A subclass's fields are the annotations of it and its bases, bases
     first, in order; only their names are read.  A class attribute of a
     field's name is its default.  `_fields` names the fields, as does
-    `__match_args__` for class patterns, and `_key` gets a record's class
-    and field values as one tuple.  Each class
+    `__match_args__` for class patterns, and `_values` gets a record's
+    field values as one tuple.  Each class
     declaring fields or a `__post_init__` gets one generated `__init__`
     that takes the fields by position or keyword, sets them and then calls
     `__post_init__`, if the class has one; the others inherit theirs.  Two
@@ -89,7 +89,7 @@ class Record:
 
     __slots__ = ()
     _fields = ()
-    _key = staticmethod(lambda record: (record.__class__,))
+    _values = staticmethod(lambda record: ())
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -97,8 +97,11 @@ class Record:
         for base in reversed(cls.__mro__):
             names.extend(n for n in vars(base).get("__annotations__", ()) if n not in names)
         cls._fields = cls.__match_args__ = tuple(names)
-        if names:
-            cls._key = attrgetter("__class__", *names)
+        if len(names) > 1:
+            cls._values = attrgetter(*names)
+        elif names:
+            value = attrgetter(names[0])  # a bare value, not a 1-tuple
+            cls._values = staticmethod(lambda record: (value(record),))
         if "__annotations__" not in vars(cls) and "__post_init__" not in vars(cls):
             return
         namespace = {f"_default_{n}": getattr(cls, n) for n in names if hasattr(cls, n)}
@@ -120,15 +123,15 @@ class Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key(self) == other._key(other)
+            return self._values(self) == self._values(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key(self)[1:])
+        return hash(self._values(self))
 
     def __repr__(self):
         fields = ", ".join([f"{name}={value!r}"
-                            for name, value in zip(self._fields, self._key(self)[1:])])
+                            for name, value in zip(self._fields, self._values(self))])
         return f"{self.__class__.__qualname__}({fields})"
 
 

@@ -949,8 +949,9 @@ class _SlotTemplate:
         Disallowed output valuations are blocked by clauses over the
         output values (defined from the output selectors when there are
         several outputs).  New variables are numbered in first appearance
-        and the clauses come last to first with reversed literals; search
-        is very sensitive to that order.
+        and the clauses come last to first with reversed literals: each is
+        written literals last to first as it is built, and the list is
+        reversed at the end.  Search is very sensitive to that order.
         """
         n, fresh = self.n, self._enc.fresh
         values = dict(zip(pspec.input_names, point))  # the template may read fewer
@@ -968,10 +969,10 @@ class _SlotTemplate:
                 for d, sel in enumerate(sels):
                     if d < n:
                         # operand is an input: its value at this point is fixed
-                        add((-sel, sign[d] * av))
+                        add((sign[d] * av, -sel))
                     else:
-                        add((-sel, -av, vals[d - n]))
-                        add((-sel, av, -vals[d - n]))
+                        add((vals[d - n], -av, -sel))
+                        add((-vals[d - n], av, -sel))
             val = fresh()
             vals.append(val)
             cv = 0 if self.read_once else self._cv(j)
@@ -980,17 +981,17 @@ class _SlotTemplate:
             roles = (0, val, *operands, cv)
             for opv, op in zip(op_sels, self.ops):
                 if op[0] is Var:
-                    add((-opv, sign[op[1]] * val))
+                    add((sign[op[1]] * val, -opv))
                     continue
                 for pattern in _OPERATORS[op[0]][1]:
-                    add((-opv, *[roles[r] if r > 0 else -roles[-r] for r in pattern]))
+                    add((*[roles[r] if r > 0 else -roles[-r] for r in reversed(pattern)], -opv))
         outs = [vals[-1]] if not self._outs else []
         for row in self._outs:
             out = fresh()
             outs.append(out)
             for sel, v in zip(row, vals):
-                add((-sel, -v, out))
-                add((-sel, v, -out))
+                add((out, -v, -sel))
+                add((-out, v, -sel))
         allowed = pspec.allowed(point)
         blocked: dict[tuple[int, ...], None] = {}
         for bits in itertools.product((False, True), repeat=len(outs)):
@@ -1000,9 +1001,9 @@ class _SlotTemplate:
             for i in range(len(outs)):
                 if not any(all(a[x] == bits[x] for x in keep if x != i) for a in allowed):
                     keep.remove(i)
-            blocked[tuple(-outs[x] if bits[x] else outs[x] for x in keep)] = None
+            blocked[tuple(-outs[x] if bits[x] else outs[x] for x in reversed(keep))] = None
         clauses += blocked
-        clauses = [clause[::-1] for clause in reversed(clauses)]
+        clauses.reverse()
         self.solver.extend(self.num_vars, clauses)
         self.loaded += 1
 

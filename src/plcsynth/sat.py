@@ -8,17 +8,19 @@ definitions; a leaf may also be an int literal that is numbered already.
 Everything is deterministic for a fixed formula, clause-addition order,
 assumption list and seed.
 
-The solver's tables are indexed by the signed literal itself: the value
-table and the watch lists have 2N+1 entries, literal v at index v and -v
-at the tail through Python's negative indexing.  Watch lists and reasons
-hold the clause lists, not clause numbers.  Callers rely on the exact
-search (which model comes back, and so which program is synthesized), so
-kernel changes must keep it identical; see `CdclSolver`.
+The solver takes and gives signed literals, but inside it a literal is
+its code, 2v for v and 2v+1 for -v (MiniSat's layout), so the tables
+its search reads are indexed by non-negative ints only and grow by
+appending.  Watch lists and reasons hold the clause lists, not clause
+numbers.  Callers rely on the exact search (which model comes back, and
+so which program is synthesized), so kernel changes must keep it
+identical; see `CdclSolver`.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .blocks import (
@@ -183,11 +185,12 @@ def _luby(i: int) -> int:
         i -= (1 << (k - 1)) - 1
 
 
-def _splice(table: list, num_vars: int, grow: int, fill) -> list:
-    """A literal-indexed table for `num_vars + grow` variables: new
-    positive literals go after `num_vars`, new negative ones before the
-    old tail, so `table[-v]` keeps pointing at literal -v."""
-    return table[:num_vars + 1] + [fill() for _ in range(2 * grow)] + table[num_vars + 1:]
+def _out_of_range(lits: Sequence[int], num_vars: int) -> Optional[int]:
+    """The first literal of `lits` that names no variable 1..num_vars,
+    None when there is none."""
+    if lits and (0 in lits or max(lits) > num_vars or min(lits) < -num_vars):
+        return next(lit for lit in lits if lit == 0 or abs(lit) > num_vars)
+    return None
 
 
 class CdclSolver:
@@ -201,16 +204,22 @@ class CdclSolver:
     solver instance holds mutable search state and is not shareable
     across concurrent callers.
 
-    Layout: literals are signed ints and index their tables directly.
-    `lv` has 2N+1 entries and `lv[lit]` is the truth of `lit` (True, False
-    or None); Python's negative indexing puts `-v` in the tail, so `lv[v]`
-    is also variable v's value.  `watches[lit]` lists the clauses watching
-    `lit`, and watch lists and `reasons` hold the clause lists themselves
-    (`reasons[v]` means something only while v is assigned); `clauses`
-    keeps every long clause in arrival order (None once deleted) for the
-    learned-clause reduction.  The decision heap holds at most one live
-    entry per variable, one carrying its current activity (`_in_heap`);
-    stale entries are dropped when popped.
+    Layout: the boundary is signed (`extend` and `solve` take signed
+    literals, `original` keeps the clauses as given and a model maps
+    variables to values), but inside, a literal is its code, 2v for v and
+    2v+1 for -v, so `c ^ 1` negates and `c >> 1` is the variable.  Every
+    search table is indexed by a non-negative int and grows by appending.
+    `lv` has 2N+2 entries and `lv[c]` is the truth of code c (True, False
+    or None), so `lv[2 * v]` is variable v's value.  `watches[c]` lists
+    the clauses watching c, and watch lists and `reasons` hold the clause
+    lists themselves (`reasons[v]` means something only while v is
+    assigned); `clauses` keeps every long clause in arrival order (None
+    once deleted) for the learned-clause reduction.  `_codes`, read only
+    at the boundary, is the one signed table: `_codes[lit]` is lit's
+    code, -v in the tail through Python's negative indexing; it is
+    rebuilt when the range grows.  The decision heap holds at most one
+    live entry per variable, one carrying its current activity
+    (`_in_heap`); stale entries are dropped when popped.
 
     Kernel rule: a change to this class must keep the search identical,
     i.e. the same watch visit order, watched-literal swaps, trail, learned
@@ -223,13 +232,14 @@ class CdclSolver:
     def __init__(self, formula: CnfFormula, seed: int = 0):
         self.num_vars = 0
         self.seed = seed
-        self.lv: list[Optional[bool]] = [None]
+        self._codes = [0]
+        self.lv: list[Optional[bool]] = [None, None]
         self.levels = [0]
         self.reasons: list[Optional[list[int]]] = [None]
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: list[list[list[int]]] = [[]]
+        self.watches: list[list[list[int]]] = [[], []]
         self.clauses: list[Optional[list[int]]] = []
         self.original: list[tuple[int, ...]] = []
         self.ok = True
@@ -249,16 +259,16 @@ class CdclSolver:
     # flip densities for the rephasing ladder; 0 means pure false-first
     _PHASE_DENSITIES = (16, 0, 8, 32, 4, 64)
 
-    def _polarity_for(self, var: int, attempt: int = 0) -> bool:
-        # false-first with a sparse, seed-keyed flip: enough to diversify
-        # runs without fighting the mostly-false structure of selector vars
-        salt = self.seed * 40503 + attempt * 915561
-        if self.seed == 0 and attempt == 0:
-            return False
+    def _phases(self, first: int, last: int, attempt: int = 0) -> list[bool]:
+        """Default polarities of variables first..last in the given
+        attempt: false-first with a sparse, seed-keyed flip, enough to
+        diversify runs without fighting the mostly-false structure of
+        selector vars."""
         density = self._PHASE_DENSITIES[attempt % len(self._PHASE_DENSITIES)]
-        if density == 0:
-            return False
-        return (var * 2654435761 + salt) % density == 0
+        if (self.seed == 0 and attempt == 0) or density == 0:
+            return [False] * (last - first + 1)
+        salt = self.seed * 40503 + attempt * 915561
+        return [(v * 2654435761 + salt) % density == 0 for v in range(first, last + 1)]
 
     def extend(self, num_vars: int, clauses: Sequence[tuple[int, ...]]) -> None:
         """Grow the variable range and conjoin clauses permanently.
@@ -274,38 +284,40 @@ class CdclSolver:
         """
         if num_vars < self.num_vars:
             raise ValueError("cannot shrink the variable range")
-        for clause in clauses:
-            if clause and (0 in clause or max(clause) > num_vars
-                           or min(clause) < -num_vars):
-                bad = next(lit for lit in clause if lit == 0 or abs(lit) > num_vars)
-                raise ValueError(f"literal {bad} out of range")
+        bad = _out_of_range(list(chain.from_iterable(clauses)), num_vars)
+        if bad is not None:
+            raise ValueError(f"literal {bad} out of range")
         self._cancel_until(0)
         # a one-shot load has propagated nothing yet; skip the filter there
         simplify = self.qhead > 0
         grow = num_vars - self.num_vars
         if grow:
-            self.lv = _splice(self.lv, self.num_vars, grow, lambda: None)
-            self.watches = _splice(self.watches, self.num_vars, grow, list)
+            top = 2 * num_vars + 1
+            self._codes = [0, *range(2, top, 2), *range(top, 2, -2)]
+            self.lv += [None] * (2 * grow)
+            self.watches += [[] for _ in range(2 * grow)]
             self.levels += [0] * grow
             self.reasons += [None] * grow
             self.activity += [0.0] * grow
             self._in_heap += [False] * grow
-            self.polarity += [self._polarity_for(v)
-                              for v in range(self.num_vars + 1, num_vars + 1)]
+            self.polarity += self._phases(self.num_vars + 1, num_vars)
             self.num_vars = num_vars
-        lv, watches, original = self.lv, self.watches, self.original
+        self.original += map(tuple, clauses)
+        code = self._codes.__getitem__
+        lv, watches = self.lv, self.watches
+        value = lv.__getitem__
         for clause in clauses:
-            original.append(tuple(clause))
             if not self.ok:
-                continue
+                break
             if len(set(map(abs, clause))) == len(clause):
-                lits = list(clause)
+                lits = list(map(code, clause))
             else:
-                lits = list(dict.fromkeys(clause))
-                if any(-lit in lits for lit in lits):
+                unique = dict.fromkeys(clause)
+                if any(-lit in unique for lit in unique):
                     continue  # tautology
+                lits = list(map(code, unique))
             if simplify:
-                vals = [lv[lit] for lit in lits]
+                vals = list(map(value, lits))
                 if True in vals:
                     continue
                 if False in vals:
@@ -324,8 +336,8 @@ class CdclSolver:
 
     def _enqueue(self, lit: int, reason: Optional[list[int]]) -> None:
         self.lv[lit] = True
-        self.lv[-lit] = False
-        var = abs(lit)
+        self.lv[lit ^ 1] = False
+        var = lit >> 1
         self.levels[var] = len(self.trail_lim)
         self.reasons[var] = reason
         self.trail.append(lit)
@@ -339,8 +351,8 @@ class CdclSolver:
         activity, in_heap = self.activity, self._in_heap
         order_head = self._order_head
         for lit in self.trail[lim:]:
-            lv[lit] = lv[-lit] = None
-            var = abs(lit)
+            lv[lit] = lv[lit ^ 1] = None
+            var = lit >> 1
             if not in_heap[var] and activity[var] > 0.0:
                 push(heap, (-activity[var], var))
                 in_heap[var] = True
@@ -361,7 +373,7 @@ class CdclSolver:
         self._var_inc *= scale
         fresh = []
         for v in range(1, self.num_vars + 1):
-            live = lv[v] is None and activity[v] > 0.0
+            live = lv[2 * v] is None and activity[v] > 0.0
             in_heap[v] = live
             if live:
                 fresh.append((-activity[v], v))
@@ -379,7 +391,7 @@ class CdclSolver:
         level = len(self.trail_lim)
         qhead = self.qhead
         while qhead < len(trail):
-            false_lit = -trail[qhead]
+            false_lit = trail[qhead] ^ 1
             qhead += 1
             kept: list[list[int]] = []
             keep = kept.append
@@ -408,8 +420,8 @@ class CdclSolver:
                         self.qhead = qhead
                         return c
                     lv[first] = True
-                    lv[-first] = False
-                    var = abs(first)
+                    lv[first ^ 1] = False
+                    var = first >> 1
                     levels[var] = level
                     reasons[var] = c
                     trail.append(first)
@@ -434,7 +446,7 @@ class CdclSolver:
         while True:
             stamps[id(clause)] = stamp
             for q in clause:
-                var = abs(q)
+                var = q >> 1
                 if not seen[var] and levels[var] > 0:
                     seen[var] = 1
                     # bump: any heap entry of the (assigned) variable goes
@@ -449,24 +461,24 @@ class CdclSolver:
                         counter += 1
                     else:
                         learned.append(q)
-            while not seen[abs(trail[idx])]:
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            p = -trail[idx]
+            p = trail[idx] ^ 1
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
-            clause = reasons[abs(p)]
+            clause = reasons[p >> 1]
         # drop literals implied by the rest of the clause (local minimization)
         kept = []
         for q in learned:
-            reason = reasons[abs(q)]
+            qvar = q >> 1
+            reason = reasons[qvar]
             if reason is None:
                 kept.append(q)
                 continue
-            qvar = abs(q)
             for r in reason:
-                rvar = abs(r)
+                rvar = r >> 1
                 if rvar != qvar and not seen[rvar] and levels[rvar] > 0:
                     kept.append(q)
                     break
@@ -477,10 +489,10 @@ class CdclSolver:
         # place a literal from the backjump level at position 1
         max_i = 1
         for i in range(2, len(learned)):
-            if levels[abs(learned[i])] > levels[abs(learned[max_i])]:
+            if levels[learned[i] >> 1] > levels[learned[max_i] >> 1]:
                 max_i = i
         learned[1], learned[max_i] = learned[max_i], learned[1]
-        return learned, levels[abs(learned[1])]
+        return learned, levels[learned[1] >> 1]
 
     def _record(self, learned: list[int]) -> None:
         if len(learned) == 1:
@@ -497,7 +509,7 @@ class CdclSolver:
     def _reduce_db(self) -> None:
         """Drop the least recently used half of the long learned clauses."""
         clauses, stamps = self.clauses, self._stamps
-        locked = {id(self.reasons[abs(lit)]) for lit in self.trail}
+        locked = {id(self.reasons[lit >> 1]) for lit in self.trail}
         candidates = [ci for ci, c in enumerate(clauses)
                       if self._is_learned[ci] and c is not None
                       and len(c) > 2 and id(c) not in locked]
@@ -506,7 +518,7 @@ class CdclSolver:
             del stamps[id(clauses[ci])]
             clauses[ci] = None
             self._learned_alive -= 1
-        watches: list[list[list[int]]] = [[] for _ in range(2 * self.num_vars + 1)]
+        watches: list[list[list[int]]] = [[] for _ in range(2 * self.num_vars + 2)]
         for c in clauses:
             if c is not None:
                 watches[c[0]].append(c)
@@ -523,10 +535,10 @@ class CdclSolver:
             neg_act, var = pop(heap)
             if activity[var] == -neg_act:  # the variable's live entry
                 in_heap[var] = False
-                if lv[var] is None:
+                if lv[2 * var] is None:
                     return var
         var = self._order_head
-        while var <= self.num_vars and lv[var] is not None:
+        while var <= self.num_vars and lv[2 * var] is not None:
             var += 1
         self._order_head = var
         return var if var <= self.num_vars else None
@@ -542,21 +554,23 @@ class CdclSolver:
         itself is contradictory, `ok` turns false and every later call
         answers UNSAT at once."""
         assumed = list(assumptions)
-        for lit in assumed:
-            if not 1 <= abs(lit) <= self.num_vars:
-                raise ValueError(f"assumption {lit} out of range")
+        bad = _out_of_range(assumed, self.num_vars)
+        if bad is not None:
+            raise ValueError(f"assumption {bad} out of range")
         if not self.ok:
             return SatResult(False)
+        codes = list(map(self._codes.__getitem__, assumed))
         budget = 3000
         attempt = 0
         while True:
-            result = self._search(assumed, budget)
+            result = self._search(codes, budget)
             if result is not None:
+                if result.satisfiable:
+                    self._check_model(result.model, assumed)
                 return result
             attempt += 1
             budget *= 2
-            self.polarity = [False] + [self._polarity_for(v, attempt)
-                                       for v in range(1, self.num_vars + 1)]
+            self.polarity = [False] + self._phases(1, self.num_vars, attempt)
 
     def _search(self, assumed: list[int], budget: int) -> Optional[SatResult]:
         self._cancel_until(0)
@@ -599,22 +613,18 @@ class CdclSolver:
                 continue
             var = self._next_decision_var()
             if var is None:
-                model = dict(enumerate(self.lv[1:self.num_vars + 1], 1))
-                self._check_model(model, assumed)
-                return SatResult(True, model)
+                return SatResult(True, dict(zip(range(1, self.num_vars + 1), self.lv[2::2])))
             self.trail_lim.append(len(self.trail))
-            self._enqueue(var if self.polarity[var] else -var, None)
+            self._enqueue(2 * var if self.polarity[var] else 2 * var + 1, None)
 
     def _check_model(self, model: dict[int, bool], assumed: list[int]) -> None:
-        # literal-indexed truth table of the model, independent of `lv`
-        values = [model.get(v, False) for v in range(1, self.num_vars + 1)]
-        table = [False, *values, *(not x for x in reversed(values))]
-        truth = table.__getitem__
+        # the model's true signed literals, independent of `lv`
+        true = {v if model.get(v, False) else -v for v in range(1, self.num_vars + 1)}
         for clause in self.original:
-            if not any(map(truth, clause)):
+            if true.isdisjoint(clause):
                 raise AssertionError(f"model does not satisfy clause {clause}")
         for lit in assumed:
-            if not table[lit]:
+            if lit not in true:
                 raise AssertionError(f"model does not satisfy assumption {lit}")
 
 

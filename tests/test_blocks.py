@@ -68,6 +68,7 @@ class TestRecord:
         a, b = Var("a"), Var("b")
         assert hash(And(a, b)) == hash((a, b))
         assert hash(a) == hash(("a",))
+        assert hash(Const(True)) == hash((True,))
 
     def test_repr(self):
         assert repr(And(Var("a"), Const(True))) == \

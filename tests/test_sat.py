@@ -339,8 +339,26 @@ class TestSearchIdentity:
 
     A kernel change must keep the search identical: the same watch visit
     order, trail, learned clauses and decisions, hence the same models.
-    The digests were recorded on the solver before its literal-indexed
-    rewrite; a model that differs means the search changed."""
+    The digests were recorded on the solver before both of its layout
+    rewrites, the one that indexed its tables by signed literals and the
+    one that indexes them by literal codes (2v, 2v+1); a model that
+    differs means the search changed."""
+
+    def test_rephase_ladder(self):
+        # no golden reaches a second attempt (the first has a budget of
+        # 3,000 conflicts), so the default polarities of every attempt are
+        # pinned apart: vars 1-500, seeds 0-3, attempts 0-6, recorded
+        # from the per-variable polarity function `_phases` replaced
+        digest = hashlib.sha256()
+        for seed in range(4):
+            solver = CdclSolver(cnf(0, []), seed)
+            for attempt in range(7):
+                phases = solver._phases(1, 500, attempt)
+                assert solver._phases(1, 199, attempt) + solver._phases(200, 500, attempt) \
+                    == phases
+                digest.update(bytes(phases))
+        assert digest.hexdigest() == \
+            "f57c483b181e0e03d659383263d347fb115644a1c6e8fd10b2cb0fa1a37b0b5c"
 
     def magnet_answers(self, seed):
         names = ["s1", "s2", "s3", "s4"]
