@@ -236,10 +236,7 @@ def run(argv, out=None) -> int:
     except Unsatisfiable as exc:
         print(f"unsatisfiable: {exc}", file=out)
         return EXIT_VIOLATED
-    except (ParseError, SchemaError, TypeCheckError, ValueError) as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ParseError, SchemaError, TypeCheckError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_USAGE
     except SizeBoundExceeded as exc:

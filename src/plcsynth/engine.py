@@ -365,9 +365,9 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
         violation = _disj(bad(envs))
         if violation == FALSE:
             continue
-        loaded = len(enc.clauses)
         root = enc.encode(violation)
-        solver.extend(enc.num_vars, enc.clauses[loaded:])
+        solver.extend(enc.num_vars, enc.clauses)
+        enc.clauses.clear()  # the solver holds them now
         result = solver.solve([root])
         if not result.satisfiable:
             continue
@@ -453,20 +453,21 @@ class _PointSpec:
         n = len(self.input_names)
         self.cube = n <= _CUBE_INPUTS
         if self.cube:
-            # input i is true in the upper half of every run of 2^(s+1)
-            # points, s = n - 1 - i
+            # input i is bit shifts[i] of a point's number, so flipping it
+            # moves the point by shifts[i], and it is true in the upper
+            # half of every run of 2 * shifts[i] points
+            self.shifts = [1 << s for s in range(n - 1, -1, -1)]
             self.full = (1 << (1 << n)) - 1
-            self.env = {name: self.full // ((1 << (2 << s)) - 1)
-                        * (((1 << (1 << s)) - 1) << (1 << s))
-                        for s, name in zip(range(n - 1, -1, -1), self.input_names)}
+            self.env = {name: self.full // ((1 << 2 * shift) - 1) * (((1 << shift) - 1) << shift)
+                        for name, shift in zip(self.input_names, self.shifts)}
             self.memo: dict[int, int] = {}
 
     def lowest(self, mask: int) -> Optional[tuple[bool, ...]]:
         """The first point of a cube mask, None for an empty one."""
         if not mask:
             return None
-        index, n = (mask & -mask).bit_length() - 1, len(self.input_names)
-        return tuple(bool(index >> (n - 1 - i) & 1) for i in range(n))
+        index = (mask & -mask).bit_length() - 1
+        return tuple(bool(index & shift) for shift in self.shifts)
 
     def failing(self, outs: Mapping[str, int], env: Mapping[str, int], full: int,
                 memo: dict[int, int]) -> int:
@@ -495,7 +496,7 @@ class _PointSpec:
         """Output valuations (in `outputs` order) meeting the point."""
         if self.cube:
             oks = self.ok
-            bit = sum(1 << (len(point) - 1 - i) for i, v in enumerate(point) if v)
+            bit = sum(shift for shift, v in zip(self.shifts, point) if v)
         else:
             env = {name: int(v) for name, v in zip(self.input_names, point)}
             oks, bit = self._ok(env, 1, {}), 0
@@ -508,7 +509,7 @@ class _PointSpec:
         i counts when flipping it turns a point where some output is
         forced to one value into a point where it is forced to the other.
         None are found without a cube or past 4 outputs."""
-        n, m = len(self.input_names), len(self.outputs)
+        m = len(self.outputs)
         if not self.cube or m > 4:
             return []
         forced = []  # per output: points where every allowed valuation sets it 0 / 1
@@ -517,8 +518,7 @@ class _PointSpec:
             for bits, ok in zip(itertools.product((False, True), repeat=m), self.ok):
                 can[bits[o]] |= ok
             forced.append((can[0] & ~can[1], can[1] & ~can[0]))
-        shifts = (1 << s for s in range(n - 1, -1, -1))
-        return [name for name, shift in zip(self.input_names, shifts)
+        return [name for name, shift in zip(self.input_names, self.shifts)
                 if any(((f0 & (f1 >> shift)) | (f1 & (f0 >> shift))) & ~self.env[name]
                        for f0, f1 in forced)]
 
@@ -610,8 +610,7 @@ class _PointSpec:
         """
         names = self.input_names
         if self.cube:
-            shifts = (1 << s for s in range(len(names) - 1, -1, -1))
-            kept = [name for name, shift in zip(names, shifts)
+            kept = [name for name, shift in zip(names, self.shifts)
                     if any(((ok >> shift) ^ ok) & ~self.env[name] for ok in self.ok)]
         else:
             mentioned = set().union(

@@ -5,8 +5,11 @@ complete incremental CDCL solver (watched literals, first-UIP clause
 learning, Luby restarts inside conflict-budgeted attempts that rephase
 between attempts).  `TseitinEncoder.encode` is the one writer of gate
 definitions; a leaf may also be an int literal that is numbered already.
-Everything is deterministic for a fixed formula, clause-addition order,
-assumption list and seed.
+An encoder's `clauses` holds what its caller has not yet handed to a
+solver.  `assert_true` adds one unit clause; nothing in the package calls
+it, and it stays because the benchmark's tracer patches it.  Everything
+is deterministic for a fixed formula, clause-addition order, assumption
+list and seed.
 
 The solver takes and gives signed literals, but inside it a literal is
 its code, 2v for v and 2v+1 for -v (MiniSat's layout), so the tables
@@ -23,9 +26,7 @@ import heapq
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .blocks import (
-    And, BoolExpr, Const, Not, Or, Record, UnboundVariable, Xor, fold_expr,
-)
+from .blocks import And, BoolExpr, Not, Or, Record, UnboundVariable, Xor, fold_expr
 
 SatVar = int  # 1-based variable index
 
@@ -68,6 +69,10 @@ class TseitinEncoder:
     """Accumulates definition clauses for one or more expression roots.
 
     Structurally shared subexpressions (same object) are encoded once.
+    `clauses` holds the clauses not yet handed to a solver: a caller that
+    loads them into one clears the list, and the numbering and memo go on.
+    `assert_true` is one unit clause on `encode`'s literal, kept for the
+    benchmark's tracer.
     """
 
     def __init__(self, var_map: Mapping[str, SatVar]):
@@ -86,42 +91,9 @@ class TseitinEncoder:
     def num_vars(self) -> int:
         return self._next - 1
 
-    def add_clause(self, *lits: int) -> None:
-        self.clauses.append(lits)
-
     def assert_true(self, expr: BoolExpr) -> None:
-        """Constrain the expression to hold, flattening top-level
-        conjunctions into separate clauses and disjunctions into single
-        clauses (instead of gate cascades)."""
-        stack = [expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, And):
-                stack.append(node.left)
-                stack.append(node.right)
-                continue
-            if isinstance(node, Const):
-                if node.value:
-                    continue
-                v = self.fresh()
-                self.add_clause(v)
-                self.add_clause(-v)
-                continue
-            lits: list[int] = []
-            disj = [node]
-            while disj:
-                leaf = disj.pop()
-                if isinstance(leaf, Or):
-                    disj.append(leaf.left)
-                    disj.append(leaf.right)
-                elif isinstance(leaf, Const):
-                    if leaf.value:
-                        lits = []
-                        break
-                else:
-                    lits.append(self.encode(leaf))
-            if lits:
-                self.add_clause(*lits)
+        """Constrain the expression to hold: one unit clause on its literal."""
+        self.clauses.append((self.encode(expr),))
 
     def encode(self, expr: BoolExpr | int) -> int:
         """Returns a signed literal equivalent to the expression.  An int
@@ -165,9 +137,6 @@ class TseitinEncoder:
         v = self.fresh()
         self.clauses += ((-v, a, b), (-v, -a, -b), (v, a, -b), (v, -a, b))
         return v
-
-    def formula(self) -> CnfFormula:
-        return CnfFormula(self.num_vars, tuple(self.clauses))
 
 
 # --------------------------------------------------------------------------
@@ -213,8 +182,10 @@ class CdclSolver:
     or None), so `lv[2 * v]` is variable v's value.  `watches[c]` lists
     the clauses watching c, and watch lists and `reasons` hold the clause
     lists themselves (`reasons[v]` means something only while v is
-    assigned); `clauses` keeps every long clause in arrival order (None
-    once deleted) for the learned-clause reduction.  `_codes`, read only
+    assigned); `clauses` keeps every live long clause in arrival order
+    and `learned` the learned ones among them, also in arrival order (as
+    MiniSat's `learnts`): the learned-clause reduction drops clauses from
+    both and rebuilds the watches from `clauses`.  `_codes`, read only
     at the boundary, is the one signed table: `_codes[lit]` is lit's
     code, -v in the tail through Python's negative indexing; it is
     rebuilt when the range grows.  The decision heap holds at most one
@@ -240,7 +211,7 @@ class CdclSolver:
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.watches: list[list[list[int]]] = [[], []]
-        self.clauses: list[Optional[list[int]]] = []
+        self.clauses: list[list[int]] = []
         self.original: list[tuple[int, ...]] = []
         self.ok = True
         self._order_head = 1
@@ -249,9 +220,8 @@ class CdclSolver:
         self._heap: list[tuple[float, int]] = []
         self._in_heap = [False]
         self.polarity = [False]
-        self._is_learned: list[bool] = []
+        self.learned: list[list[int]] = []
         self._stamps: dict[int, int] = {}  # id(clause) -> last conflict it was in
-        self._learned_alive = 0
         self._max_learned = 4000
         self._conflict_count = 0
         self.extend(formula.num_vars, formula.clauses)
@@ -324,7 +294,6 @@ class CdclSolver:
                     lits = [lit for lit, val in zip(lits, vals) if val is None]
             if len(lits) > 1:
                 self.clauses.append(lits)
-                self._is_learned.append(False)
                 watches[lits[0]].append(lits)
                 watches[lits[1]].append(lits)
             elif not lits or lv[lits[0]] is False:
@@ -499,30 +468,27 @@ class CdclSolver:
             self._enqueue(learned[0], None)
             return
         self.clauses.append(learned)
-        self._is_learned.append(True)
+        self.learned.append(learned)
         self._stamps[id(learned)] = self._conflict_count
-        self._learned_alive += 1
         self.watches[learned[0]].append(learned)
         self.watches[learned[1]].append(learned)
         self._enqueue(learned[0], learned)
 
     def _reduce_db(self) -> None:
         """Drop the least recently used half of the long learned clauses."""
-        clauses, stamps = self.clauses, self._stamps
+        stamps = self._stamps
         locked = {id(self.reasons[lit >> 1]) for lit in self.trail}
-        candidates = [ci for ci, c in enumerate(clauses)
-                      if self._is_learned[ci] and c is not None
-                      and len(c) > 2 and id(c) not in locked]
-        candidates.sort(key=lambda ci: (stamps[id(clauses[ci])], ci))
-        for ci in candidates[:len(candidates) // 2]:
-            del stamps[id(clauses[ci])]
-            clauses[ci] = None
-            self._learned_alive -= 1
+        candidates = [c for c in self.learned if len(c) > 2 and id(c) not in locked]
+        candidates.sort(key=lambda c: stamps[id(c)])  # stable: ties keep arrival order
+        dropped = {id(c) for c in candidates[:len(candidates) // 2]}
+        for key in dropped:
+            del stamps[key]
+        self.learned = [c for c in self.learned if id(c) not in dropped]
+        self.clauses = [c for c in self.clauses if id(c) not in dropped]
         watches: list[list[list[int]]] = [[] for _ in range(2 * self.num_vars + 2)]
-        for c in clauses:
-            if c is not None:
-                watches[c[0]].append(c)
-                watches[c[1]].append(c)
+        for c in self.clauses:
+            watches[c[0]].append(c)
+            watches[c[1]].append(c)
         self.watches = watches
         self._max_learned = int(self._max_learned * 1.2)
 
@@ -590,7 +556,7 @@ class CdclSolver:
                 learned, back = self._analyze(confl)
                 self._cancel_until(back)
                 self._record(learned)
-                if self._learned_alive >= self._max_learned:
+                if len(self.learned) >= self._max_learned:
                     self._reduce_db()
                 if total_conflicts >= budget:
                     return None

@@ -305,6 +305,22 @@ class TestVerifyCli:
         assert lines[0] == "cycle 0: a=0 b=1"
         assert lines[1].startswith("violated: ")
 
+    @pytest.mark.parametrize("flags, lines", [
+        ((), ["init: s=0", "cycle 0: a=1 b=0", "cycle 1: a=0 b=0"]),
+        (("--symbolic-init",), ["init: s=1", "cycle 0: a=0 b=0"]),
+    ], ids=["false-init", "symbolic-init"])
+    def test_stateful_counterexample_starts_with_init(self, tmp_path, flags, lines):
+        # y reads the latch s, which a sets; within 2 cycles NOT y fails
+        latch = tmp_path / "latch.st"
+        latch.write_text(OR_ST.replace("BEGIN\n  y := a OR b;\n", "VAR\n  s : BOOL;\nEND_VAR\n"
+                                       "BEGIN\n  y := s;\n  s := a OR s;\n"))
+        spec = tmp_path / "latch.xml"
+        spec.write_text(ab_list('  <assertion expr="NOT y"/>', state=["s"]))
+        code, text = invoke("verify", "--block", str(latch), "--constraints", str(spec),
+                            "--cycles", "2", *flags)
+        assert (code, text) == (EXIT_VIOLATED, "".join(
+            f"{line}\n" for line in [*lines, "violated: assertion 0: NOT y"]))
+
     def test_schema_error_exit_2(self, project):
         bad = project / "bad.xml"
         bad.write_text(AND_XML.replace("truthTable", "truthtable"))

@@ -62,6 +62,18 @@ class TestValidation:
         with pytest.raises(TypeCheckError):
             validate_constraint_list(cl)
 
+    @pytest.mark.parametrize("interface, constraint, reason", [
+        (BlockInterface((*iface2().decls, VarDecl("t", Direction.TEMP))),
+         TruthTableRow({"a": True}, {"y": True}), "cannot declare temps"),
+        (iface2(), TruthTableRow({"a": True}, {"b": True}), "'b' is not an output"),
+        (iface2(), CauseEffectColumn("y", Combinator.ANY, {}), "no marked cause cells"),
+        (iface2(), CauseEffectColumn("y", Combinator.ALL, {"a": False, "y": True}),
+         "'y' is not an input"),
+    ], ids=["temps", "row-output", "empty-column", "column-cell"])
+    def test_rejected_with_reason(self, interface, constraint, reason):
+        with pytest.raises(TypeCheckError, match=reason):
+            validate_constraint_list(clist([constraint], interface))
+
 
 class TestCompileSpec:
     def test_rows_for_and_table(self):
@@ -100,6 +112,13 @@ class TestCompileSpec:
         assert len(spec.assertions) == 1
         assert spec.assertions[0].expr == expr
         assert spec.assertions[0].origin == 1
+
+    def test_dontcare_output_cell_sets_nothing(self):
+        interface = BlockInterface((*iface2().decls, VarDecl("z", Direction.OUTPUT)))
+        spec = compile_spec(clist([TruthTableRow({"a": True}, {"y": True, "z": None})],
+                                  interface))
+        assert list(spec.obligations) == ["y"]
+        assert spec_output_value(spec, "y", {"a": True, "b": False}) is True
 
     def test_dontcare_inputs_widen_guard(self):
         row = TruthTableRow({"a": True, "b": None}, {"y": True})
@@ -176,6 +195,14 @@ class TestTemplates:
     def test_missing_target_rejected(self):
         with pytest.raises(MissingRenameTarget):
             instantiate_template(self.template(), {"q": "r"})
+
+    def test_columns_and_assertions_renamed(self):
+        template = clist([CauseEffectColumn("y", Combinator.ALL, {"a": False, "b": True}),
+                          Assertion(Or(Var("a"), Not(Var("y"))))])
+        result = instantiate_template(template, {"a": "p", "y": "r"})
+        assert result.constraints == (
+            CauseEffectColumn("r", Combinator.ALL, {"p": False, "b": True}),
+            Assertion(Or(Var("p"), Not(Var("r")))))
 
     def test_block_name_kept(self):
         # only interface variables are renamed, even where the block name

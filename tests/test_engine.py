@@ -512,6 +512,11 @@ class TestSynthesize:
         with pytest.raises(TypeCheckError):
             synthesize(interface, spec)
 
+    def test_no_outputs_rejected(self):
+        interface = iface("i:a")
+        with pytest.raises(TypeCheckError, match="at least one output"):
+            synthesize(interface, spec_for(interface, []))
+
     def test_result_verifies_and_counts(self):
         spec = and_table_spec()
         result = synthesize(IFACE_AB_Y, spec)
@@ -1390,6 +1395,13 @@ class TestRepair:
         block = Block("orb", IFACE_AB_Y, (Statement("y", Or(Var("a"), Var("b"))),))
         result = repair(block, and_table_spec())
         assert result.block.body == (Statement("y", And(Var("a"), Var("b"))),)
+
+    def test_coupling_assertion_rejected(self):
+        interface = iface("i:a", "o:y", "o:z")
+        block = Block("yz", interface, (Statement("y", Var("a")), Statement("z", Var("a"))))
+        spec = spec_for(interface, [Assertion(Or(Var("y"), Var("z")))])
+        with pytest.raises(TypeCheckError, match="couple several outputs"):
+            repair(block, spec)
 
     def test_only_or_to_and_among_single_edits(self):
         # enumerate all single-node edits of Or(a, b): operator swaps and

@@ -24,7 +24,7 @@ def tseitin(root, var_map):
     """The encoder's CNF for `root` and the literal equivalent to it."""
     enc = TseitinEncoder(var_map)
     lit = enc.encode(root)
-    return enc.formula(), lit
+    return CnfFormula(enc.num_vars, tuple(enc.clauses)), lit
 
 
 class TestCnfFormula:
@@ -421,3 +421,31 @@ class TestSearchIdentity:
         answers = self.random_answers()
         assert (len(answers), _answers_digest(answers)) == (
             40, "ce4529877a521cf593b5fb07ec8f6762171a15d05d8fcfd8ce09efc64fec7d44")
+
+    def test_reduction_drops_least_recently_used_half(self):
+        # the digests above reach `_reduce_db` but keep their models when it
+        # drops the other half, so its choice is checked here: of the long
+        # learned clauses no assignment rests on, the half with the oldest
+        # stamps goes (ties: the earlier learned), from `learned`,
+        # `clauses` and the watches alike
+        solver = CdclSolver(cnf(0, []), seed=1)
+        solver._max_learned = 20
+        reduce, reductions = solver._reduce_db, []
+
+        def checked():
+            stamps, before = dict(solver._stamps), list(solver.learned)
+            locked = {id(solver.reasons[lit >> 1]) for lit in solver.trail}
+            candidates = [c for c in before if len(c) > 2 and id(c) not in locked]
+            oldest = sorted(range(len(candidates)), key=lambda i: (stamps[id(candidates[i])], i))
+            gone = {id(candidates[i]) for i in oldest[:len(candidates) // 2]}
+            reduce()
+            assert [id(c) for c in solver.learned] == [id(c) for c in before if id(c) not in gone]
+            assert gone.isdisjoint(map(id, solver.clauses)) and gone.isdisjoint(solver._stamps)
+            assert sorted(id(c) for w in solver.watches for c in w) == \
+                sorted(id(c) for c in solver.clauses for _ in range(2))
+            reductions.append(len(gone))
+
+        solver._reduce_db = checked
+        solver.extend(90, random_3cnf(random.Random(7), 90, 383))
+        solver.solve()
+        assert len(reductions) >= 3 and all(reductions)

@@ -90,10 +90,9 @@ def test_solver_built_in_two_places():
 def test_operands_read_by_few_functions():
     # every structural walk of an expression is a `fold_expr`; the
     # reference simulator, the NOT constructor and the printers read
-    # operands themselves, and so does `assert_true`, which the
-    # benchmark's tracer patches
+    # operands themselves
     allowed = {"blocks.fold_expr", "blocks.eval_expr", "engine._not", "lang._format",
-               "lang._compile_il_expr", "sat.TseitinEncoder.assert_true"}
+               "lang._compile_il_expr"}
     sites = {f"{path.stem}.{site}" for path in SOURCES
              for site in _sites(ast.parse(path.read_text(encoding="utf-8")),
                                 lambda node: isinstance(node, ast.Attribute) and
@@ -108,3 +107,52 @@ def test_engine_evaluates_no_point_recursively():
 
     tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
     assert _calls_by_function(tree, "eval_expr") == []
+
+
+# Defined for callers outside the package (tests, README, the benchmark's
+# tracer) and referenced nowhere in it.
+LIBRARY_API = {"blocks.expr_size", "constraints.instantiate_template",
+               "constraints.save_constraints", "sat.solve", "sat.to_dimacs",
+               "sat.TseitinEncoder.assert_true"}
+
+
+def _definitions(node: ast.AST, scope: tuple[str, ...] = (), in_class: bool = False):
+    """(qualified name, node, whether it is a method) of every function
+    and class under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield ".".join((*scope, child.name)), child, in_class
+            yield from _definitions(child, (*scope, child.name), isinstance(child, ast.ClassDef))
+        else:
+            yield from _definitions(child, scope)
+
+
+def test_every_definition_referenced():
+    # a function, class or method that nothing in the package names is
+    # dead unless it is library API.  A function or class is named by a
+    # name or an import (the package reaches no module of its own through
+    # an attribute), a method by an attribute only.  Dunders are called
+    # by Python, `__post_init__` from the text `Record` compiles
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    references: dict[tuple[str, bool], list[tuple[str, int]]] = {}
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                references.setdefault((name, isinstance(node, ast.Attribute)), []).append(
+                    (stem, node.lineno))
+    unreferenced = {f"{stem}.{qualified}" for stem, tree in trees.items()
+                    for qualified, node, method in _definitions(tree)
+                    if not (node.name.startswith("__") and node.name.endswith("__"))
+                    and all(where == stem and node.lineno <= line <= node.end_lineno
+                            for where, line in references.get((node.name, method), ()))}
+    assert unreferenced == LIBRARY_API, (
+        f"referenced nowhere in the package: {sorted(unreferenced - LIBRARY_API)}; "
+        f"listed as library API but referenced or gone: {sorted(LIBRARY_API - unreferenced)}")
