@@ -12,8 +12,10 @@ deepening on the slot count, so the first verified candidate is minimal.
 Each template numbers its variables through one Tseitin encoder and owns
 one incremental solver.  The encoder writes the gates of the template's
 pruning and edit-counter rules, which are expressions over selector
-literals; the other well-formedness constraints and every counterexample
-point go to the solver as int clauses.  Up to _CUBE_INPUTS inputs, the
+literals; the template writes the other well-formedness constraints and
+every counterexample point itself.  Both write clauses of literal codes
+(2v for variable v, 2v+1 for its negation), each naming a variable once,
+which the solver takes as they are.  Up to _CUBE_INPUTS inputs, the
 spec and each candidate are truth tables held as Python ints (one bit per
 input point), so the first point where a candidate fails is the lowest
 set bit of one mask; wider specs go to `_unroll`.
@@ -343,7 +345,8 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
     call: each bound unrolls one more cycle, feeds the solver only the new
     clauses and solves under the assumption that this cycle's violation
     holds, so the first model found belongs to the shortest bound.  The
-    initial state and inputs are int leaves that the encoder numbered.
+    initial state and inputs are int leaves, literal codes that the
+    encoder numbered.
 
     Every model replays on the simulator before it is returned: `violated`
     names what fails on one cycle's concrete environments, one per block
@@ -372,8 +375,8 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
         if not result.satisfiable:
             continue
         value = result.model
-        init_state = {s: symbolic_init and value[v] for s, v in init.items()}
-        input_cycles = tuple({n: value[v] for n, v in cycle.items()} for cycle in input_vars)
+        init_state = {s: symbolic_init and value[c >> 1] for s, c in init.items()}
+        input_cycles = tuple({n: value[c >> 1] for n, c in cycle.items()} for cycle in input_vars)
         traces = [simulate(b, input_cycles, init_state).cycles for b in blocks]
         for index, replayed in enumerate(zip(*traces)):
             text = violated([{**c.inputs, **c.outputs, **c.state_after} for c in replayed])
@@ -704,9 +707,9 @@ _OPERATORS: dict[type, tuple[int, tuple[tuple[int, ...], ...]]] = {
 
 
 def _one_hot(lits: list[int]) -> list[tuple[int, ...]]:
-    """Exactly one of the literals: at least one, then at most one of each
-    pair, every clause with its literals last to first."""
-    return [tuple(lits[::-1]), *((-b, -a) for a, b in itertools.combinations(lits, 2))]
+    """Exactly one of the literal codes: at least one, then at most one of
+    each pair, every clause with its literals last to first."""
+    return [tuple(lits[::-1]), *((b ^ 1, a ^ 1) for a, b in itertools.combinations(lits, 2))]
 
 
 class _SlotTemplate:
@@ -718,7 +721,8 @@ class _SlotTemplate:
     one-hot variables, so per-point semantics turn into short implication
     clauses that propagate well.  One Tseitin encoder numbers every
     variable of the template (`num_vars` counts them) and writes the gates
-    of its well-formedness rules; the selectors stay ints for `decode`.
+    of its well-formedness rules; the selectors stay literal codes, read
+    by `decode` as `model[code >> 1]`.
     Construction loads the well-formedness clauses into `solver`;
     `add_point` adds one point's clauses, and the solver keeps its learned
     clauses and activities between `solve` calls.  Search is very
@@ -726,7 +730,8 @@ class _SlotTemplate:
     methods below describe.
 
     A repair template (`originals` given) counts the slots that differ
-    from the original: `solve([-more_than[b]])` allows at most b of them.
+    from the original: `solve([more_than[b] ^ 1])` allows at most b of
+    them.
     It has no pruning rules: the original must stay expressible with no
     edit, whatever its operand order, constant slots or double NOTs.
     A read-once template (one output, the inputs of `forced_flips`, one
@@ -775,7 +780,7 @@ class _SlotTemplate:
     # -- well-formedness and pruning constraints
 
     def _wellformed_clauses(self) -> list[tuple[int, ...]]:
-        """Int clauses making the selectors describe one program: one-hot
+        """Clauses making the selectors describe one program: one-hot
         operator, operand and output selectors with unused ones pinned,
         then a repair template's edit rules, then the pruning rules.
 
@@ -790,7 +795,7 @@ class _SlotTemplate:
         golden digests in the tests pin it.
         """
         k, fresh = self.k, self._enc.fresh
-        fwd: list = []  # int clause tuples, or lists holding expressions
+        fwd: list = []  # clause tuples of codes, or lists holding expressions
         # per slot: operator selectors, both operand selector lists
         self._selectors: list[tuple[list[int], list[list[int]]]] = []
         self._cvs: list[Optional[int]] = []  # constant bits; None until mentioned
@@ -806,13 +811,13 @@ class _SlotTemplate:
             cv = fresh() if dom and not self.read_once else None
             for opv, op, uses in zip(op_sels, self.ops, self._uses):
                 if dom == 0 and uses > 0:
-                    fwd.append((-opv,))
+                    fwd.append((opv ^ 1,))
                     continue
                 # pin unused operand selectors and the constant bit
                 if dom:
-                    fwd += [(arg_sels[which][0], -opv) for which in range(uses, 2)]
+                    fwd += [(arg_sels[which][0], opv ^ 1) for which in range(uses, 2)]
                 if cv is not None and op[0] is not Const:
-                    fwd.append((-cv, -opv))
+                    fwd.append((cv ^ 1, opv ^ 1))
             self._selectors.append((op_sels, arg_sels))
             self._cvs.append(cv)
         # per output of a joint template: which slot it reads
@@ -844,13 +849,13 @@ class _SlotTemplate:
             tapped = j == k - 1 and not outs  # the single output reads it
             # inputs/constants are only useful where an output taps the slot
             if not tapped:
-                clauses += [(*taps, -op_sels[i]) for i in self._leaf_ids]
+                clauses += [(*taps, op_sels[i] ^ 1) for i in self._leaf_ids]
             # commutative operators take strictly ordered operands
             for i in self._binary_ids:
-                clauses += [(-a1, -a0, -op_sels[i])
+                clauses += [(a1 ^ 1, a0 ^ 1, op_sels[i] ^ 1)
                             for d0, a0 in enumerate(arg0) for a1 in arg1[:d0 + 1]]
             # double negation is always reducible
-            clauses += [(-sels[d - n][0][not_id], -arg0[d], -op_sels[not_id])
+            clauses += [(sels[d - n][0][not_id] ^ 1, arg0[d] ^ 1, op_sels[not_id] ^ 1)
                         for d in range(n, n + j)]
             # every slot must feed a later slot or an output
             if not tapped:
@@ -889,13 +894,13 @@ class _SlotTemplate:
         args = [arg_sels for _, arg_sels in self._selectors]
         clauses: list[tuple[int, ...]] = []
         for arg0, arg1 in args:
-            clauses += [(-a1, -a0) for d0, a0 in enumerate(arg0) for a1 in arg1[:d0 + 1]]
+            clauses += [(a1 ^ 1, a0 ^ 1) for d0, a0 in enumerate(arg0) for a1 in arg1[:d0 + 1]]
         for d in range(n + k - 1):  # slot d - n is read by later slots only
             clauses += _one_hot([sels[d] for later in args[max(0, d - n + 1):]
                                  for sels in later])
         for j in range(k - 2):
             for b in range(j + 1, k):
-                clauses += [(-c_sels[n + j + 1], -b_sels[n + j]) for c in range(j + 2, b)
+                clauses += [(c_sels[n + j + 1] ^ 1, b_sels[n + j] ^ 1) for c in range(j + 2, b)
                             for b_sels in args[b] for c_sels in args[c]]
         return clauses
 
@@ -921,12 +926,13 @@ class _SlotTemplate:
             if uses == 2 and a != b:
                 arg0, arg1 = arg_sels
                 for i in self._binary_ids:
-                    clauses += ((arg1[b], -arg0[b], -op_sels[i]), (arg0[a], -arg1[a], -op_sels[i]))
+                    clauses += ((arg1[b], arg0[b] ^ 1, op_sels[i] ^ 1),
+                                (arg0[a], arg1[a] ^ 1, op_sels[i] ^ 1))
             lits = [op_sels[self._idx[shape.op]]]
             if arg_sels[0]:
                 lits += [arg_sels[w][shape.args[w] if w < uses else 0] for w in (0, 1)]
             cv = self._cv(j)
-            lits.append(cv if shape.const else -cv)
+            lits.append(cv if shape.const else cv ^ 1)
             matches.append(lits)
         prev: list[int] = []
         for i, lits in enumerate(matches):
@@ -934,7 +940,7 @@ class _SlotTemplate:
             row = [self._enc.fresh() for _ in range(i + 1)]
             clauses.append([row[0], same])
             for c in range(1, i + 1):
-                clauses += ((row[c - 1], -prev[c - 1]), [row[c], -prev[c - 1], same])
+                clauses += ((row[c - 1], prev[c - 1] ^ 1), [row[c], prev[c - 1] ^ 1, same])
             prev = row
         self.more_than = prev
         return clauses
@@ -942,7 +948,7 @@ class _SlotTemplate:
     # -- per-point evaluation
 
     def add_point(self, point: tuple[bool, ...], pspec: _PointSpec) -> None:
-        """Load the int clauses defining the candidate's slot values at one
+        """Load the clauses defining the candidate's slot values at one
         concrete input point and requiring the spec to hold there.
 
         Disallowed output valuations are blocked by clauses over the
@@ -954,7 +960,7 @@ class _SlotTemplate:
         """
         n, fresh = self.n, self._enc.fresh
         values = dict(zip(pspec.input_names, point))  # the template may read fewer
-        sign = [1 if values[name] else -1 for name in self.inputs]
+        neg = [0 if values[name] else 1 for name in self.inputs]  # flips a code when false
         clauses: list[tuple[int, ...]] = []
         add = clauses.append
         vals: list[int] = []
@@ -968,10 +974,10 @@ class _SlotTemplate:
                 for d, sel in enumerate(sels):
                     if d < n:
                         # operand is an input: its value at this point is fixed
-                        add((sign[d] * av, -sel))
+                        add((av ^ neg[d], sel ^ 1))
                     else:
-                        add((vals[d - n], -av, -sel))
-                        add((-vals[d - n], av, -sel))
+                        add((vals[d - n], av ^ 1, sel ^ 1))
+                        add((vals[d - n] ^ 1, av, sel ^ 1))
             val = fresh()
             vals.append(val)
             cv = 0 if self.read_once else self._cv(j)
@@ -980,17 +986,18 @@ class _SlotTemplate:
             roles = (0, val, *operands, cv)
             for opv, op in zip(op_sels, self.ops):
                 if op[0] is Var:
-                    add((sign[op[1]] * val, -opv))
+                    add((val ^ neg[op[1]], opv ^ 1))
                     continue
                 for pattern in _OPERATORS[op[0]][1]:
-                    add((*[roles[r] if r > 0 else -roles[-r] for r in reversed(pattern)], -opv))
+                    add((*[roles[r] if r > 0 else roles[-r] ^ 1 for r in reversed(pattern)],
+                         opv ^ 1))
         outs = [vals[-1]] if not self._outs else []
         for row in self._outs:
             out = fresh()
             outs.append(out)
             for sel, v in zip(row, vals):
-                add((out, -v, -sel))
-                add((-out, v, -sel))
+                add((out, v ^ 1, sel ^ 1))
+                add((out ^ 1, v, sel ^ 1))
         allowed = pspec.allowed(point)
         blocked: dict[tuple[int, ...], None] = {}
         for bits in itertools.product((False, True), repeat=len(outs)):
@@ -1000,7 +1007,7 @@ class _SlotTemplate:
             for i in range(len(outs)):
                 if not any(all(a[x] == bits[x] for x in keep if x != i) for a in allowed):
                     keep.remove(i)
-            blocked[tuple(-outs[x] if bits[x] else outs[x] for x in reversed(keep))] = None
+            blocked[tuple(outs[x] ^ bits[x] for x in reversed(keep))] = None
         clauses += blocked
         clauses.reverse()
         self.solver.extend(self.num_vars, clauses)
@@ -1019,7 +1026,7 @@ class _SlotTemplate:
         Slots are built in order, as each reads only inputs and earlier
         slots; a slot read several times is one shared node."""
         def one_hot(sels: Sequence[int]) -> int:
-            return next((i for i, v in enumerate(sels) if model[v]), 0)
+            return next((i for i, c in enumerate(sels) if model[c >> 1]), 0)
 
         operands: list[BoolExpr] = [Var(name) for name in self.inputs]  # then slots
         for (op_sels, arg_sels), cv in zip(self._selectors, self._cvs):
@@ -1028,7 +1035,7 @@ class _SlotTemplate:
             if cls is Var:
                 expr = operands[self.ops[i][1]]
             elif cls is Const:  # cv unmentioned only before any point
-                expr = Const(cv is not None and model[cv])
+                expr = Const(cv is not None and model[cv >> 1])
             else:
                 expr = cls(*[operands[one_hot(sels)] for sels in arg_sels[:self._uses[i]]])
             operands.append(expr)
@@ -1266,7 +1273,7 @@ def _repair_rounds(originals: list[_SlotShape], inputs: Sequence[str],
                 templates.append(_SlotTemplate(inputs, n_orig + extra, [output], cfg.seed,
                                                originals=originals))
             template, changed = templates[extra], edits - extra
-            yield template, [-template.more_than[changed]] if changed < n_orig else []
+            yield template, [template.more_than[changed] ^ 1] if changed < n_orig else []
 
 
 def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,

@@ -3,33 +3,34 @@
 Tseitin transformation of Boolean expression circuits into CNF plus a
 complete incremental CDCL solver (watched literals, first-UIP clause
 learning, Luby restarts inside conflict-budgeted attempts that rephase
-between attempts).  `TseitinEncoder.encode` is the one writer of gate
-definitions; a leaf may also be an int literal that is numbered already.
-An encoder's `clauses` holds what its caller has not yet handed to a
-solver.  `assert_true` adds one unit clause; nothing in the package calls
-it, and it stays because the benchmark's tracer patches it.  Everything
-is deterministic for a fixed formula, clause-addition order, assumption
-list and seed.
+between attempts).  Everything is deterministic for a fixed formula,
+clause-addition order, assumption list and seed.
 
-The solver takes and gives signed literals, but inside it a literal is
-its code, 2v for v and 2v+1 for -v (MiniSat's layout), so the tables
-its search reads are indexed by non-negative ints only and grow by
-appending.  Watch lists and reasons hold the clause lists, not clause
-numbers.  Callers rely on the exact search (which model comes back, and
-so which program is synthesized), so kernel changes must keep it
-identical; see `CdclSolver`.
+A literal is numbered by its code, 2v for variable v and 2v+1 for its
+negation (MiniSat's layout), so `c ^ 1` negates and `c >> 1` is the
+variable.  The encoder writes clauses of codes and the solver's `extend`
+and `solve` take them as they are, each clause naming each variable once,
+so a clause reaches the search tables as written.  `CnfFormula`, the
+solver's constructor and the one-shot `solve` speak signed literals (v
+and -v, as in DIMACS); `to_codes` converts those clauses, and
+`literal_code` a single literal.
+
+`TseitinEncoder.encode` is the one writer of gate definitions; a leaf may
+also be an int literal code that is numbered already.  An encoder's
+`clauses` holds what its caller has not yet handed to a solver.
+`assert_true` adds one unit clause; nothing in the package calls it, and
+it stays because the benchmark's tracer patches it.  Callers rely on the
+exact search (which model comes back, and so which program is
+synthesized), so kernel changes must keep it identical; see `CdclSolver`.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .blocks import And, BoolExpr, Not, Or, Record, UnboundVariable, Xor, fold_expr
-
-SatVar = int  # 1-based variable index
-
 
 class CnfFormula(Record):
     """Immutable clause set; clauses are tuples of signed variable indices."""
@@ -62,44 +63,83 @@ def to_dimacs(formula: CnfFormula) -> str:
 
 
 # --------------------------------------------------------------------------
+# Literal codes
+
+
+def literal_code(lit: int) -> int:
+    """The code of a signed literal: 2v for v, 2v+1 for -v."""
+    return 2 * lit if lit > 0 else 1 - 2 * lit
+
+
+def _signed(code: int) -> int:
+    """The signed literal of a code, for messages."""
+    return -(code >> 1) if code & 1 else code >> 1
+
+
+def _each_variable_once(clauses: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
+    """Clauses of codes with each variable named once: a repeated literal
+    keeps its first place, and a clause holding a literal and its
+    negation (always true) is dropped."""
+    kept = []
+    for clause in clauses:
+        unique = dict.fromkeys(clause)
+        if not any(c ^ 1 in unique for c in unique):
+            kept.append(tuple(unique))
+    return kept
+
+
+def to_codes(clauses: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Signed clauses as the clauses of codes `CdclSolver.extend` takes,
+    each variable named once."""
+    return _each_variable_once(map(literal_code, clause) for clause in clauses)
+
+
+# --------------------------------------------------------------------------
 # Tseitin transformation
 
 
 class TseitinEncoder:
-    """Accumulates definition clauses for one or more expression roots.
+    """Accumulates definition clauses, in literal codes, for one or more
+    expression roots.
 
+    `var_map` names the variables the caller numbered (name -> literal
+    code); fresh variables are numbered after the highest of them.
     Structurally shared subexpressions (same object) are encoded once.
     `clauses` holds the clauses not yet handed to a solver: a caller that
     loads them into one clears the list, and the numbering and memo go on.
+    Every clause names each variable once, as `CdclSolver.extend` asks: a
+    gate whose operands share a variable (`a ^ b < 2`) writes its
+    clauses with repeats dropped and the always-true ones left out.
     `assert_true` is one unit clause on `encode`'s literal, kept for the
     benchmark's tracer.
     """
 
-    def __init__(self, var_map: Mapping[str, SatVar]):
+    def __init__(self, var_map: Mapping[str, int]):
         self.var_map = dict(var_map)
-        self._next = max(self.var_map.values(), default=0) + 1
+        self._next = (max(self.var_map.values(), default=1) | 1) + 1  # the next fresh code
         self.clauses: list[tuple[int, ...]] = []
         self._memo: dict[int, int] = {}
         self._keepalive: list[BoolExpr] = []  # the roots encoded
 
     def fresh(self) -> int:
-        v = self._next
-        self._next += 1
-        return v
+        """The positive literal code of a new variable."""
+        code = self._next
+        self._next += 2
+        return code
 
     @property
     def num_vars(self) -> int:
-        return self._next - 1
+        return (self._next >> 1) - 1
 
     def assert_true(self, expr: BoolExpr) -> None:
         """Constrain the expression to hold: one unit clause on its literal."""
         self.clauses.append((self.encode(expr),))
 
     def encode(self, expr: BoolExpr | int) -> int:
-        """Returns a signed literal equivalent to the expression.  An int
-        leaf is a literal numbered already and comes back as is, with no
-        clause, variable or memo entry.  Gates and constants are numbered,
-        and their clauses written, in `fold_expr`'s post-order."""
+        """Returns a literal code equivalent to the expression.  An int
+        leaf is a literal code numbered already and comes back as is, with
+        no clause, variable or memo entry.  Gates and constants are
+        numbered, and their clauses written, in `fold_expr`'s post-order."""
         if type(expr) is int:
             return expr
         lit = self._memo.get(id(expr))
@@ -108,7 +148,7 @@ class TseitinEncoder:
             # gates built per call: kept on self, bound methods would make the
             # encoder a cycle that only the cyclic garbage collector frees
             lit = fold_expr(expr, self._var, self._const,
-                            {Not: int.__neg__, And: self._and, Or: self._or, Xor: self._xor},
+                            {Not: (1).__xor__, And: self._and, Or: self._or, Xor: self._xor},
                             self._memo)
         return lit
 
@@ -120,22 +160,25 @@ class TseitinEncoder:
 
     def _const(self, value: bool) -> int:
         v = self.fresh()
-        self.clauses.append((v if value else -v,))
+        self.clauses.append((v if value else v ^ 1,))
         return v
 
     def _and(self, a: int, b: int) -> int:
         v = self.fresh()
-        self.clauses += ((-v, a), (-v, b), (v, -a, -b))
+        gate = ((v ^ 1, a), (v ^ 1, b), (v, a ^ 1, b ^ 1))
+        self.clauses += gate if a ^ b > 1 else _each_variable_once(gate)
         return v
 
     def _or(self, a: int, b: int) -> int:
         v = self.fresh()
-        self.clauses += ((-v, a, b), (v, -a), (v, -b))
+        gate = ((v ^ 1, a, b), (v, a ^ 1), (v, b ^ 1))
+        self.clauses += gate if a ^ b > 1 else _each_variable_once(gate)
         return v
 
     def _xor(self, a: int, b: int) -> int:
         v = self.fresh()
-        self.clauses += ((-v, a, b), (-v, -a, -b), (v, a, -b), (v, -a, b))
+        gate = ((v ^ 1, a, b), (v ^ 1, a ^ 1, b ^ 1), (v, a, b ^ 1), (v, a ^ 1, b))
+        self.clauses += gate if a ^ b > 1 else _each_variable_once(gate)
         return v
 
 
@@ -154,12 +197,12 @@ def _luby(i: int) -> int:
         i -= (1 << (k - 1)) - 1
 
 
-def _out_of_range(lits: Sequence[int], num_vars: int) -> Optional[int]:
-    """The first literal of `lits` that names no variable 1..num_vars,
-    None when there is none."""
-    if lits and (0 in lits or max(lits) > num_vars or min(lits) < -num_vars):
-        return next(lit for lit in lits if lit == 0 or abs(lit) > num_vars)
-    return None
+def _check_codes(codes: list[int], num_vars: int, what: str) -> None:
+    """Raise ValueError naming the first of `codes` outside 2..2N+1."""
+    top = 2 * num_vars + 1
+    if codes and (min(codes) < 2 or max(codes) > top):
+        bad = next(c for c in codes if not 2 <= c <= top)
+        raise ValueError(f"{what} code {bad} out of range (num_vars={num_vars})")
 
 
 class CdclSolver:
@@ -173,11 +216,13 @@ class CdclSolver:
     solver instance holds mutable search state and is not shareable
     across concurrent callers.
 
-    Layout: the boundary is signed (`extend` and `solve` take signed
-    literals, `original` keeps the clauses as given and a model maps
-    variables to values), but inside, a literal is its code, 2v for v and
-    2v+1 for -v, so `c ^ 1` negates and `c >> 1` is the variable.  Every
-    search table is indexed by a non-negative int and grows by appending.
+    Layout: a literal is its code, 2v for v and 2v+1 for -v, so `c ^ 1`
+    negates and `c >> 1` is the variable, at the boundary as inside:
+    `extend` and `solve` take codes, `original` keeps the clauses as
+    given (the caller's tuples), and only a model maps variables to
+    values.  The constructor alone takes a signed `CnfFormula`, which it
+    converts with `to_codes`.  Every search table is indexed by a
+    non-negative int and grows by appending.
     `lv` has 2N+2 entries and `lv[c]` is the truth of code c (True, False
     or None), so `lv[2 * v]` is variable v's value.  `watches[c]` lists
     the clauses watching c, and watch lists and `reasons` hold the clause
@@ -185,12 +230,9 @@ class CdclSolver:
     assigned); `clauses` keeps every live long clause in arrival order
     and `learned` the learned ones among them, also in arrival order (as
     MiniSat's `learnts`): the learned-clause reduction drops clauses from
-    both and rebuilds the watches from `clauses`.  `_codes`, read only
-    at the boundary, is the one signed table: `_codes[lit]` is lit's
-    code, -v in the tail through Python's negative indexing; it is
-    rebuilt when the range grows.  The decision heap holds at most one
-    live entry per variable, one carrying its current activity
-    (`_in_heap`); stale entries are dropped when popped.
+    both and rebuilds the watches from `clauses`.  The decision heap
+    holds at most one live entry per variable, one carrying its current
+    activity (`_in_heap`); stale entries are dropped when popped.
 
     Kernel rule: a change to this class must keep the search identical,
     i.e. the same watch visit order, watched-literal swaps, trail, learned
@@ -203,7 +245,6 @@ class CdclSolver:
     def __init__(self, formula: CnfFormula, seed: int = 0):
         self.num_vars = 0
         self.seed = seed
-        self._codes = [0]
         self.lv: list[Optional[bool]] = [None, None]
         self.levels = [0]
         self.reasons: list[Optional[list[int]]] = [None]
@@ -224,7 +265,7 @@ class CdclSolver:
         self._stamps: dict[int, int] = {}  # id(clause) -> last conflict it was in
         self._max_learned = 4000
         self._conflict_count = 0
-        self.extend(formula.num_vars, formula.clauses)
+        self.extend(formula.num_vars, to_codes(formula.clauses))
 
     # flip densities for the rephasing ladder; 0 means pure false-first
     _PHASE_DENSITIES = (16, 0, 8, 32, 4, 64)
@@ -241,29 +282,29 @@ class CdclSolver:
         return [(v * 2654435761 + salt) % density == 0 for v in range(first, last + 1)]
 
     def extend(self, num_vars: int, clauses: Sequence[tuple[int, ...]]) -> None:
-        """Grow the variable range and conjoin clauses permanently.
+        """Grow the variable range to `num_vars` and conjoin clauses of
+        literal codes permanently.
 
-        Learned clauses stay valid because additions only strengthen the
-        formula.  Must be called between solve() calls.  Once level-0
-        assignments have been propagated, new clauses are simplified against
-        them (as MiniSat's addClause does): satisfied clauses are skipped
-        and false literals dropped, since the watch scheme never revisits a
-        literal that was already false when its clause arrived.  An empty
-        clause makes the formula unsatisfiable.  A literal out of range
-        rejects the whole batch before anything changes.
+        Each clause must name each variable at most once, as the encoder
+        and `to_codes` write them; that is not checked here.  Every code
+        must lie in 2..2*num_vars+1: one out of range rejects the whole
+        batch, naming the first, before anything changes.  Learned clauses
+        stay valid because additions only strengthen the formula.  Must be
+        called between solve() calls.  Once level-0 assignments have been
+        propagated, new clauses are simplified against them (as MiniSat's
+        addClause does): satisfied clauses are skipped and false literals
+        dropped, since the watch scheme never revisits a literal that was
+        already false when its clause arrived.  An empty clause makes the
+        formula unsatisfiable.
         """
         if num_vars < self.num_vars:
             raise ValueError("cannot shrink the variable range")
-        bad = _out_of_range(list(chain.from_iterable(clauses)), num_vars)
-        if bad is not None:
-            raise ValueError(f"literal {bad} out of range")
+        _check_codes(list(chain.from_iterable(clauses)), num_vars, "literal")
         self._cancel_until(0)
         # a one-shot load has propagated nothing yet; skip the filter there
         simplify = self.qhead > 0
         grow = num_vars - self.num_vars
         if grow:
-            top = 2 * num_vars + 1
-            self._codes = [0, *range(2, top, 2), *range(top, 2, -2)]
             self.lv += [None] * (2 * grow)
             self.watches += [[] for _ in range(2 * grow)]
             self.levels += [0] * grow
@@ -272,20 +313,14 @@ class CdclSolver:
             self._in_heap += [False] * grow
             self.polarity += self._phases(self.num_vars + 1, num_vars)
             self.num_vars = num_vars
-        self.original += map(tuple, clauses)
-        code = self._codes.__getitem__
+        self.original += clauses
+        if not self.ok:
+            return
         lv, watches = self.lv, self.watches
         value = lv.__getitem__
+        keep = self.clauses.append
         for clause in clauses:
-            if not self.ok:
-                break
-            if len(set(map(abs, clause))) == len(clause):
-                lits = list(map(code, clause))
-            else:
-                unique = dict.fromkeys(clause)
-                if any(-lit in unique for lit in unique):
-                    continue  # tautology
-                lits = list(map(code, unique))
+            lits = list(clause)
             if simplify:
                 vals = list(map(value, lits))
                 if True in vals:
@@ -293,11 +328,12 @@ class CdclSolver:
                 if False in vals:
                     lits = [lit for lit, val in zip(lits, vals) if val is None]
             if len(lits) > 1:
-                self.clauses.append(lits)
+                keep(lits)
                 watches[lits[0]].append(lits)
                 watches[lits[1]].append(lits)
             elif not lits or lv[lits[0]] is False:
                 self.ok = False
+                break
             elif lv[lits[0]] is None:
                 self._enqueue(lits[0], None)
 
@@ -510,7 +546,7 @@ class CdclSolver:
         return var if var <= self.num_vars else None
 
     def solve(self, assumptions: Iterable[int] = ()) -> SatResult:
-        """Complete search under the assumed literals; internally runs
+        """Complete search under the assumed literal codes; internally runs
         conflict-budgeted attempts with escalating budgets and varying phase
         profiles, so one pathological polarity choice cannot dominate the
         runtime.
@@ -520,16 +556,13 @@ class CdclSolver:
         itself is contradictory, `ok` turns false and every later call
         answers UNSAT at once."""
         assumed = list(assumptions)
-        bad = _out_of_range(assumed, self.num_vars)
-        if bad is not None:
-            raise ValueError(f"assumption {bad} out of range")
+        _check_codes(assumed, self.num_vars, "assumption")
         if not self.ok:
             return SatResult(False)
-        codes = list(map(self._codes.__getitem__, assumed))
         budget = 3000
         attempt = 0
         while True:
-            result = self._search(codes, budget)
+            result = self._search(assumed, budget)
             if result is not None:
                 if result.satisfiable:
                     self._check_model(result.model, assumed)
@@ -583,18 +616,24 @@ class CdclSolver:
             self.trail_lim.append(len(self.trail))
             self._enqueue(2 * var if self.polarity[var] else 2 * var + 1, None)
 
-    def _check_model(self, model: dict[int, bool], assumed: list[int]) -> None:
-        # the model's true signed literals, independent of `lv`
-        true = {v if model.get(v, False) else -v for v in range(1, self.num_vars + 1)}
-        for clause in self.original:
-            if true.isdisjoint(clause):
-                raise AssertionError(f"model does not satisfy clause {clause}")
-        for lit in assumed:
-            if lit not in true:
-                raise AssertionError(f"model does not satisfy assumption {lit}")
+    def _check_model(self, model: Mapping[int, bool], assumed: Sequence[int]) -> None:
+        """Raise AssertionError, also under `python -O`, unless the model
+        satisfies every clause given and every assumed code; reads the
+        model, never `lv`."""
+        n = self.num_vars
+        # variable v's true code is 2v+1 minus its value
+        true = set(map(int.__sub__, range(3, 2 * n + 2, 2),
+                       map(model.get, range(1, n + 1), repeat(False))))
+        clause = next(filter(true.isdisjoint, self.original), None)
+        if clause is not None:
+            raise AssertionError(f"model does not satisfy clause {tuple(map(_signed, clause))}")
+        for code in assumed:
+            if code not in true:
+                raise AssertionError(f"model does not satisfy assumption {_signed(code)}")
 
 
 def solve(formula: CnfFormula, assumptions: Iterable[int] = (),
           seed: int = 0) -> SatResult:
-    """Complete decision procedure: Sat with a total model, or Unsat."""
-    return CdclSolver(formula, seed).solve(assumptions)
+    """Complete decision procedure: Sat with a total model, or Unsat.
+    The assumptions are signed literals, as the formula's clauses are."""
+    return CdclSolver(formula, seed).solve(map(literal_code, assumptions))

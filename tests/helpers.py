@@ -49,6 +49,16 @@ def brute_force_satisfiable(num_vars: int, clauses) -> bool:
     return acc != 0
 
 
+def signed(code: int) -> int:
+    """The signed literal of a literal code: 2v is v, 2v+1 is -v."""
+    return -(code >> 1) if code & 1 else code >> 1
+
+
+def signed_clauses(clauses) -> list[tuple[int, ...]]:
+    """Clauses of literal codes as tuples of signed literals."""
+    return [tuple(map(signed, clause)) for clause in clauses]
+
+
 def random_3cnf(rng: random.Random, num_vars: int, num_clauses: int):
     clauses = []
     for _ in range(num_clauses):
@@ -298,9 +308,12 @@ def ref_straight_line(expr: BoolExpr, inputs) -> list:
 
 def ref_tseitin(roots, var_map):
     """(literals, clauses, variable count) of the recursive Tseitin
-    encoding of `roots` in turn: one variable per distinct gate or constant
-    node object, numbered in post-order with left operands first; an int
-    leaf is its own literal."""
+    encoding of `roots` in turn, in signed literals: one variable per
+    distinct gate or constant node object, numbered in post-order with left
+    operands first; an int leaf is a literal code, read as its signed
+    literal.  A gate clause names each variable once: a repeated literal
+    keeps its first place, and a clause holding a literal and its negation
+    is left out."""
     clauses: list = []
     memo: dict = {}
     top = [max(var_map.values(), default=0)]
@@ -311,7 +324,7 @@ def ref_tseitin(roots, var_map):
 
     def enc(node) -> int:
         if type(node) is int:
-            return node
+            return signed(node)
         if id(node) in memo:
             return memo[id(node)]
         if isinstance(node, Var):
@@ -324,9 +337,12 @@ def ref_tseitin(roots, var_map):
         else:
             a, b = enc(node.left), enc(node.right)
             v = lit = fresh()
-            clauses.extend({And: [(-v, a), (-v, b), (v, -a, -b)],
-                            Or: [(-v, a, b), (v, -a), (v, -b)],
-                            Xor: [(-v, a, b), (-v, -a, -b), (v, a, -b), (v, -a, b)]}[type(node)])
+            for clause in {And: [(-v, a), (-v, b), (v, -a, -b)],
+                           Or: [(-v, a, b), (v, -a), (v, -b)],
+                           Xor: [(-v, a, b), (-v, -a, -b), (v, a, -b), (v, -a, b)]}[type(node)]:
+                unique = dict.fromkeys(clause)
+                if not any(-lit in unique for lit in unique):
+                    clauses.append(tuple(unique))
         memo[id(node)] = lit
         return lit
 

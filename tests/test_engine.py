@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_assignments, blocks_equivalent, deep_temps_st, output_table, random_block,
-    random_expr, reachable_functions,
+    random_expr, reachable_functions, signed_clauses,
 )
 from plcsynth.blocks import (
     And, Block, BlockInterface, Const, Direction, Lang, Not, Or, Statement,
@@ -395,7 +395,8 @@ class TestBoundedUnroll:
         results.append(equivalent(block, twin, SynthConfig(unwind_cycles=3)))
         assert [type(r).__name__ for r in results] == [
             "Verified", "Violated", "Verified", "Violated", "Verified"]
-        digest = hashlib.sha256(repr([(s.original, s.num_vars) for s in solvers]).encode())
+        digest = hashlib.sha256(repr([(signed_clauses(s.original), s.num_vars)
+                                      for s in solvers]).encode())
         assert (len(solvers), digest.hexdigest()) == (
             5, "596e831537d2099e56979923143f1e55769a7071852c92a6951e961e095f7612")
 
@@ -1199,7 +1200,8 @@ class TestCegisProgress:
         violation = engine._find_violation(candidate, pspec, 1)
         assert violation not in (None, *points)
         template.add_point(violation, pspec)
-        cnf = CnfFormula(template.solver.num_vars, tuple(template.solver.original))
+        cnf = CnfFormula(template.solver.num_vars,
+                         tuple(signed_clauses(template.solver.original)))
         assert (len(cnf.clauses), cnf.num_vars) == (1431, 256)
         assert hashlib.sha256(to_dimacs(cnf).encode()).hexdigest() == (
             "dc927ddf66dab33d3aebb80e332beba9e0e20ce66b8ad609a6dec29922fa0211")
@@ -1210,7 +1212,8 @@ class TestCegisProgress:
         variable count."""
         digest, count = hashlib.sha256(), 0
         for template in templates:
-            digest.update(repr((template.solver.original, template.num_vars)).encode())
+            digest.update(repr((signed_clauses(template.solver.original),
+                                template.num_vars)).encode())
             count += 1
         return count, digest.hexdigest()
 
@@ -1377,7 +1380,7 @@ class TestSlotCount:
         (ops0, (a00, a01)), (ops1, (a10, a11)) = template._selectors
         # slot 0 computes NOT a and is never read; slot 1 is a AND b
         chosen = {ops0[not_id], a00[0], a01[0], ops1[and_id], a10[0], a11[1]}
-        candidate = template.decode({v: v in chosen
+        candidate = template.decode({v: 2 * v in chosen
                                      for v in range(1, template.num_vars + 1)})
         assert candidate == {"y": And(Var("a"), Var("b"))}
         monkeypatch.setattr(engine._SlotTemplate, "solve",
@@ -1514,7 +1517,8 @@ def test_decode_builds_every_program():
                        arg_sels[1][shape.args[1]]}
             if shape.const:
                 chosen.add(cv)
-        expr = template.decode({v: v in chosen for v in range(1, template.num_vars + 1)})["y"]
+        expr = template.decode({v: 2 * v in chosen
+                                for v in range(1, template.num_vars + 1)})["y"]
         assert engine._mask(expr, env, 15, {}) == table, shapes
         assert len(engine._encode_original(expr, inputs)) <= len(shapes), shapes
     assert len(programs) == 18 * 34
@@ -1523,11 +1527,11 @@ def test_decode_builds_every_program():
 def chosen_shapes(template, model):
     """The slot shapes a repair template's model picks."""
     def pick(sels):
-        return next(i for i, sel in enumerate(sels) if model[sel])
+        return next(i for i, sel in enumerate(sels) if model[sel >> 1])
 
     return [engine._SlotShape(template.ops[pick(op_sels)],
                               tuple(pick(sels) for sels in arg_sels) if arg_sels[0] else (0, 0),
-                              model[cv])
+                              model[cv >> 1])
             for (op_sels, arg_sels), cv in zip(template._selectors, template._cvs)]
 
 
@@ -2085,3 +2089,65 @@ class TestReadOnce:
                                           read_once=True) for n in range(2, 9))
         assert TestCegisProgress.template_digest(templates) == (
             7, "a7fae09aa1d62a867d35e5eaa8df542f5f3d91f8c1d3dfffc06cd3c27d177697")
+
+
+class TestKernelBoundary:
+    """The engine hands the solver clauses of literal codes that `extend`
+    takes as they are: every code in 2..2N+1, each clause naming each
+    variable once, also where a gate's operands share a variable."""
+
+    @pytest.fixture
+    def loaded(self, monkeypatch):
+        """The clauses every solver the engine builds is given; a clause
+        the kernel could not take as is fails the op."""
+        clauses = []
+
+        class Checked(engine.CdclSolver):
+            def extend(self, num_vars, batch):
+                for clause in batch:
+                    assert all(2 <= code <= 2 * num_vars + 1 for code in clause), clause
+                    assert len({code >> 1 for code in clause}) == len(clause), clause
+                clauses.extend(batch)
+                super().extend(num_vars, batch)
+
+        monkeypatch.setattr(engine, "CdclSolver", Checked)
+        return clauses
+
+    def test_synthesis_and_edits(self, loaded, monkeypatch):
+        read_once = []
+        real_init = engine._SlotTemplate.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            read_once.append(self.read_once)
+
+        monkeypatch.setattr(engine._SlotTemplate, "__init__", init)
+        interface = iface("i:a", "i:b", "i:c", "o:y", "o:z")
+        spec = spec_for(interface, table_rows(["a", "b", "c"], ["y", "z"], lambda e: {
+            "y": e["a"] or (e["b"] and e["c"]), "z": e["a"] != e["b"]}))
+        synthesize(interface, spec, SynthConfig(seed=1))
+        synthesize(interface, spec, SynthConfig(seed=1, per_output=False))
+        block = Block("base", interface, (Statement("y", Var("a")), Statement("z", Var("b"))))
+        repair(block, spec, SynthConfig(seed=1))
+        extra = ConstraintList("e", Mode.EXTEND, interface,
+                               (TruthTableRow({"b": True, "c": True}, {"y": True}),))
+        extend(block, extra, SynthConfig(seed=1))
+        simplify(Block("s", interface, (Statement("y", parse_expression("a AND b OR a")),)),
+                 SynthConfig(seed=1))
+        assert True in read_once and False in read_once
+        assert len(loaded) > 1000
+
+    def test_bounded_checks_with_shared_operands(self, loaded):
+        # `x AND x` and `x XOR NOT x` reach the encoder as gates over one
+        # variable; a stateful block unrolls from a symbolic state
+        interface = iface("i:a", "i:b", "o:y", "o:z", "s:s")
+        p = parse_expression
+        block = Block("sh", interface, (Statement("y", p("a AND a")),
+                                        Statement("z", p("(s XOR NOT s) AND b")),
+                                        Statement("s", p("s OR (a XOR NOT a) AND b"))))
+        spec = spec_for(interface, [Assertion(p("NOT y OR a"))], Mode.VERIFY)
+        for symbolic in (False, True):
+            cfg = SynthConfig(unwind_cycles=3, symbolic_init=symbolic)
+            assert verify(block, spec, cfg) == Verified(3)
+            assert equivalent(block, block, cfg) == Verified(3)
+        assert loaded

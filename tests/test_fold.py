@@ -10,19 +10,20 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_satisfiable, ref_depth, ref_mask, ref_rename, ref_size,
-    ref_straight_line, ref_subst, ref_tseitin, ref_vars,
+    ref_straight_line, ref_subst, ref_tseitin, ref_vars, signed, signed_clauses,
 )
 from plcsynth import engine
 from plcsynth.blocks import (
     And, Const, Not, Or, Var, Xor, eval_expr, expr_depth, expr_size, expr_vars,
     fold_expr, rename_vars,
 )
-from plcsynth.sat import TseitinEncoder
+from plcsynth.sat import TseitinEncoder, literal_code
 
 NAMES = ("a", "b", "c")
 FULL = 0xFF  # the 8 points of NAMES, a in the upper half
 TABLES = {"a": 0xF0, "b": 0xCC, "c": 0xAA}
 VAR_MAP = {"a": 1, "b": 2, "c": 3, "i4": 4, "i5": 5}  # 4 and 5 are int leaves
+CODES = {name: literal_code(v) for name, v in VAR_MAP.items()}  # what the encoder reads
 FOLDING = {Not: engine._not, And: engine._and, Or: engine._or, Xor: engine._xor}
 
 
@@ -30,8 +31,9 @@ FOLDING = {Not: engine._not, And: engine._and, Or: engine._or, Xor: engine._xor}
 def dags(draw, ints=False):
     """An expression whose every operator node reads nodes made before
     it, so subterms (and leaves) are shared by object; with `ints`, some
-    leaves are int literals."""
-    nodes = [*map(Var, NAMES), Const(False), Const(True), *((4, -4, -5) if ints else ())]
+    leaves are literal codes (of 4, -4 and -5)."""
+    nodes = [*map(Var, NAMES), Const(False), Const(True),
+             *(map(literal_code, (4, -4, -5)) if ints else ())]
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from([Not, And, Or, Xor]))
         pick = st.integers(0, len(nodes) - 1)
@@ -109,19 +111,21 @@ class TestAgainstReferences:
     @given(dags(ints=True), dags(ints=True))
     def test_tseitin_numbering(self, first, second):
         # two roots through one encoder: the second reuses the first's gates
-        enc = TseitinEncoder(VAR_MAP)
-        lits = [enc.encode(first), enc.encode(second)]
-        assert (lits, enc.clauses, enc.num_vars) == ref_tseitin([first, second], VAR_MAP)
+        enc = TseitinEncoder(CODES)
+        lits = [signed(enc.encode(first)), signed(enc.encode(second))]
+        assert (lits, signed_clauses(enc.clauses), enc.num_vars) == \
+            ref_tseitin([first, second], VAR_MAP)
 
     @given(dags())
     def test_tseitin_equisatisfiable(self, expr):
         # at every point, the encoding with its root asserted is
         # satisfiable exactly when the expression holds
-        enc = TseitinEncoder(VAR_MAP)
-        root = enc.encode(expr)
+        enc = TseitinEncoder(CODES)
+        root = signed(enc.encode(expr))
+        clauses = signed_clauses(enc.clauses)
         for bits in itertools.product((False, True), repeat=len(NAMES)):
             units = [(v if bit else -v,) for v, bit in zip((1, 2, 3), bits)]
-            assert brute_force_satisfiable(enc.num_vars, [*enc.clauses, *units, (root,)]) == \
+            assert brute_force_satisfiable(enc.num_vars, [*clauses, *units, (root,)]) == \
                 eval_expr(expr, dict(zip(NAMES, bits)))
 
 
@@ -138,7 +142,7 @@ class TestDeepAndShared:
         assert expr_depth(engine._subst(x, {"a": Var("b")})) == 61
         assert engine._mask(x, TABLES, FULL, {}) == TABLES["a"]
         assert len(engine._encode_original(x, NAMES)) == 60
-        enc = TseitinEncoder(VAR_MAP)
+        enc = TseitinEncoder(CODES)
         enc.encode(x)
         assert enc.num_vars == len(VAR_MAP) + 60
 
@@ -156,6 +160,6 @@ class TestDeepAndShared:
         assert expr_depth(engine._subst(x, {"a": Var("c"), "b": Var("b")})) == levels + 1
         assert engine._mask(x, TABLES, FULL, {}) == table
         assert len(engine._encode_original(x, NAMES)) == levels
-        enc = TseitinEncoder(VAR_MAP)
+        enc = TseitinEncoder(CODES)
         enc.encode(x)
         assert enc.num_vars == len(VAR_MAP) + levels // 2

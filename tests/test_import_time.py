@@ -30,5 +30,30 @@ def test_reads_the_module_cumulative_time():
 
 
 def test_measures_this_checkout():
-    times = load_script().measure(ROOT, 1)
-    assert len(times) == 1 and times[0] > 0
+    for bytecode in (True, False):
+        times = load_script().measure(ROOT, 1, bytecode)
+        assert len(times) == 1 and times[0] > 0
+
+
+def test_no_bytecode_leaves_the_cache_empty(monkeypatch, tmp_path):
+    # compiled from source: the cache directory the imports are given gets
+    # no file, so every run compiles again
+    script = load_script()
+    monkeypatch.setattr(script.tempfile, "TemporaryDirectory", lambda: _Kept(tmp_path))
+    script.measure(ROOT, 2, bytecode=False)
+    assert list(tmp_path.rglob("*.pyc")) == []
+    script.measure(ROOT, 1, bytecode=True)
+    assert list(tmp_path.rglob("*.pyc"))
+
+
+class _Kept:
+    """A context manager yielding an existing directory and keeping it."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __enter__(self):
+        return str(self.path)
+
+    def __exit__(self, *exc):
+        return False

@@ -6,25 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_satisfiable, random_3cnf
+from helpers import brute_force_satisfiable, random_3cnf, signed, signed_clauses
 from plcsynth import engine
 from plcsynth.blocks import (
     And, BlockInterface, Const, Direction, Not, Or, UnboundVariable, Var,
     VarDecl, Xor,
 )
 from plcsynth.constraints import ConstraintList, Mode, TruthTableRow, compile_spec
-from plcsynth.sat import CdclSolver, CnfFormula, TseitinEncoder, solve, to_dimacs
+from plcsynth.sat import (
+    CdclSolver, CnfFormula, SatResult, TseitinEncoder, literal_code, solve, to_codes, to_dimacs,
+)
 
 
 def cnf(num_vars, clauses):
     return CnfFormula(num_vars, tuple(tuple(c) for c in clauses))
 
 
+def codes(lits):
+    return [literal_code(lit) for lit in lits]
+
+
 def tseitin(root, var_map):
-    """The encoder's CNF for `root` and the literal equivalent to it."""
-    enc = TseitinEncoder(var_map)
+    """The encoder's CNF for `root` and the literal equivalent to it, in
+    signed literals, with the variables of `var_map` (name -> signed
+    variable) numbered as given."""
+    enc = TseitinEncoder({name: literal_code(v) for name, v in var_map.items()})
     lit = enc.encode(root)
-    return CnfFormula(enc.num_vars, tuple(enc.clauses)), lit
+    return CnfFormula(enc.num_vars, tuple(signed_clauses(enc.clauses))), signed(lit)
 
 
 class TestCnfFormula:
@@ -71,8 +79,8 @@ class TestSolveBasics:
 
     def test_assumptions_do_not_poison_later_calls(self):
         solver = CdclSolver(cnf(2, [(1, 2)]))
-        assert not solver.solve([-1, -2]).satisfiable
-        again = solver.solve([1])
+        assert not solver.solve(codes([-1, -2])).satisfiable
+        again = solver.solve(codes([1]))
         assert again.satisfiable and again.model[1] is True
 
     def test_assumption_out_of_range(self):
@@ -89,7 +97,7 @@ class TestSolveBasics:
         with pytest.raises(AssertionError, match="does not satisfy clause"):
             solver._check_model({1: False, 2: False}, [])
         with pytest.raises(AssertionError, match="does not satisfy assumption"):
-            solver._check_model({1: True, 2: False}, [2])
+            solver._check_model({1: True, 2: False}, codes([2]))
 
 
 class TestSolveAgainstBruteForce:
@@ -201,14 +209,14 @@ class TestTseitin:
             assumps = [var_map[n] if env[n] else -var_map[n] for n in names]
             assumps.append(root)
             assert solve(formula, assumptions=assumps).satisfiable == eval_expr(expr, env)
-        # with each Var replaced by its int literal (sharing kept), the
+        # with each Var replaced by its literal code (sharing kept), the
         # encoding is the same CNF and root
         memo = {}
 
         def numbered(node):
             if id(node) not in memo:
                 if isinstance(node, Var):
-                    memo[id(node)] = var_map[node.name]
+                    memo[id(node)] = literal_code(var_map[node.name])
                 elif isinstance(node, Not):
                     memo[id(node)] = Not(numbered(node.operand))
                 elif isinstance(node, (And, Or, Xor)):
@@ -218,8 +226,8 @@ class TestTseitin:
             return memo[id(node)]
 
         assert tseitin(numbered(expr), var_map) == (formula, root)
-        enc = TseitinEncoder(var_map)
-        leaf = -var_map[names[-1]]
+        enc = TseitinEncoder({n: literal_code(v) for n, v in var_map.items()})
+        leaf = literal_code(-var_map[names[-1]])
         assert (enc.encode(leaf), enc.clauses, enc.num_vars) == (leaf, [], len(names))
 
     def test_size_bounds(self):
@@ -234,6 +242,44 @@ class TestTseitin:
             n = expr_size(expr)
             assert formula.num_vars - 3 <= n
             assert len(formula.clauses) <= 3 * n + 2
+
+
+class TestCodeBoundary:
+    """Signed literals meet literal codes in one place, `to_codes`, and
+    the encoder writes what `extend` takes as is."""
+
+    def test_codes(self):
+        assert codes([1, -1, 2, -2, 7]) == [2, 3, 4, 5, 14]
+        assert [signed(c) for c in range(2, 8)] == [1, -1, 2, -2, 3, -3]
+
+    def test_signed_clauses_each_variable_once(self):
+        # a repeated literal keeps its first place; a clause holding a
+        # literal and its negation is dropped
+        assert to_codes([(1, -2, 1), (3, -3), (-1,), (2, 3, 2, -1)]) == \
+            [(2, 5), (3,), (4, 6, 3)]
+
+    def test_constructor_and_one_shot_solve_normalize(self):
+        formula = cnf(3, [(1, 1, 2), (2, -2), (-1, 3, -1), (-3, -3)])
+        solver = CdclSolver(formula)
+        assert signed_clauses(solver.original) == [(1, 2), (-1, 3), (-3,)]
+        assert solver.solve().model == {1: False, 2: True, 3: False}
+        assert solve(formula, [1]) == SatResult(False)
+        assert solve(formula, [-1, -1]).satisfiable
+
+    @pytest.mark.parametrize("gate", [And, Or, Xor])
+    def test_gate_over_one_variable(self, gate):
+        # x OP x and x OP NOT x: the textbook clauses with each variable
+        # named once, as `to_codes` keeps them
+        textbook = {And: lambda v, a, b: [(-v, a), (-v, b), (v, -a, -b)],
+                    Or: lambda v, a, b: [(-v, a, b), (v, -a), (v, -b)],
+                    Xor: lambda v, a, b: [(-v, a, b), (-v, -a, -b), (v, a, -b), (v, -a, b)]}
+        for right in (Var("x"), Not(Var("x"))):
+            formula, root = tseitin(gate(Var("x"), right), {"x": 1})
+            b = 1 if right == Var("x") else -1
+            assert root == 2
+            assert list(formula.clauses) == signed_clauses(to_codes(textbook[gate](2, 1, b)))
+            for clause in formula.clauses:
+                assert len({abs(lit) for lit in clause}) == len(clause)
 
 
 @st.composite
@@ -255,7 +301,7 @@ class TestIncremental:
     def test_extend_after_solve_sees_level0_falsified_clause(self):
         solver = CdclSolver(cnf(3, [(-1,), (-2,), (1, 2, 3)]))
         assert solver.solve().satisfiable
-        solver.extend(3, [(1, 2)])
+        solver.extend(3, to_codes([(1, 2)]))
         assert not solver.solve().satisfiable
         assert not solve(cnf(3, [(-1,), (-2,), (1, 2, 3), (1, 2)])).satisfiable
 
@@ -270,19 +316,25 @@ class TestIncremental:
         assert not solved.ok and not solved.solve().satisfiable
 
     def test_out_of_range_literal_rejects_whole_batch(self):
-        # the error names the first bad literal, and nothing of the batch
-        # is loaded or propagated, on a fresh solver and after a solve()
-        solver = CdclSolver(cnf(2, []))
-        with pytest.raises(ValueError, match="literal 3 out of range"):
-            solver.extend(2, [(1, 2), (-1,), (3,)])
-        assert (solver.original, solver.trail, solver.num_vars) == ([], [], 2)
-        solver.extend(2, [(1, 2)])
-        assert solver.solve().satisfiable
-        trail = list(solver.trail)
-        with pytest.raises(ValueError, match="literal -4 out of range"):
-            solver.extend(3, [(-1,), (2, -4, 0)])
-        assert (solver.original, solver.trail, solver.num_vars) == ([(1, 2)], trail, 2)
-        assert solver.solve().satisfiable
+        # codes run 2..2N+1; the error names the first bad code, and
+        # nothing of the batch is loaded or propagated, on a fresh solver
+        # and after a solve()
+        for bad, bad_at_3 in ((0, 0), (1, 1), (6, 8)):  # 2N+2 for N = 2, then 3
+            solver = CdclSolver(cnf(2, []))
+            with pytest.raises(ValueError, match=f"literal code {bad} out of range"):
+                solver.extend(2, [(2, 4), (3,), (bad,), (1,)])
+            assert (solver.original, solver.trail, solver.num_vars) == ([], [], 2)
+            solver.extend(2, [(2, 4)])
+            assert solver.solve().satisfiable
+            trail = list(solver.trail)
+            with pytest.raises(ValueError, match=f"literal code {bad_at_3} out of range"):
+                solver.extend(3, [(3,), (6, 4), (7, bad_at_3, 0)])
+            assert (solver.original, solver.trail, solver.num_vars) == ([(2, 4)], trail, 2)
+            assert solver.solve().satisfiable
+        with pytest.raises(ValueError, match="assumption code 6 out of range"):
+            solver.solve([3, 6])
+        with pytest.raises(ValueError, match="assumption code 1 out of range"):
+            solver.solve([1])
 
     def test_unsat_without_assumptions_is_final(self):
         # the first solve ends in a conflict with no decision behind it;
@@ -293,7 +345,7 @@ class TestIncremental:
         assert not solver.solve().satisfiable
         assert not solver.ok
         assert not solver.solve().satisfiable
-        assert not solver.solve([1, -2]).satisfiable
+        assert not solver.solve(codes([1, -2])).satisfiable
 
     @given(chunked_cnf())
     @settings(max_examples=300)
@@ -304,7 +356,7 @@ class TestIncremental:
         for chunk in chunks:
             so_far += chunk
             num_vars = max([solver.num_vars] + [abs(l) for c in chunk for l in c])
-            solver.extend(num_vars, chunk)
+            solver.extend(num_vars, to_codes(chunk))
             got = solver.solve()
             fresh = solve(cnf(num_vars, so_far), seed=seed)
             assert got.satisfiable == fresh.satisfiable
@@ -320,7 +372,7 @@ class TestIncremental:
             last = got.model if got.satisfiable else {}
             flips = [-v if last.get(v) else v for v in range(1, num_vars + 1)]
             for assumed in ([flips[0]], flips[:2], [-lit for lit in flips[-2:]], flips[1:4]):
-                answer = solver.solve(assumed)
+                answer = solver.solve(codes(assumed))
                 assert answer.satisfiable == solve(cnf(num_vars, so_far), assumed).satisfiable
                 if answer.satisfiable:
                     assert all(answer.model[abs(l)] == (l > 0) for l in assumed)
@@ -409,12 +461,12 @@ class TestSearchIdentity:
             for a, b in zip([0] + cuts, cuts + [len(clauses)]):
                 chunk = clauses[a:b]
                 num_vars = max([solver.num_vars] + [abs(l) for c in chunk for l in c])
-                solver.extend(num_vars, chunk)
+                solver.extend(num_vars, to_codes(chunk))
                 res = solver.solve()
                 answers.append(res)
                 v = rng.randint(1, num_vars)
                 lit = -v if res.satisfiable and res.model[v] else v
-                answers.append(solver.solve([lit]))
+                answers.append(solver.solve(codes([lit])))
         return answers
 
     def test_random_3cnf_answers(self):
@@ -446,6 +498,6 @@ class TestSearchIdentity:
             reductions.append(len(gone))
 
         solver._reduce_db = checked
-        solver.extend(90, random_3cnf(random.Random(7), 90, 383))
+        solver.extend(90, to_codes(random_3cnf(random.Random(7), 90, 383)))
         solver.solve()
         assert len(reductions) >= 3 and all(reductions)
