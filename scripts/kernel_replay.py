@@ -2,16 +2,16 @@
 """Replay the SAT kernel calls of one benchmark pass, to time the kernel
 alone and check that it searches the same way.
 
-    python3 scripts/kernel_replay.py [--root CHECKOUT] [--rounds N] WORKLOAD
+    python3 scripts/kernel_replay.py [--root CHECKOUT] WORKLOAD
 
 Runs one pass over the seed-1 op catalogue of WORKLOAD (a `perfbench`
 workload) in the checkout, in a fresh interpreter, and records every
 `CdclSolver` call the ops make: each solver's construction, `extend` and
 `solve`, with their arguments as given.  It then replays those calls in
-N fresh interpreters (default 7) against the checkout's own
-`plcsynth.sat`, and prints the median milliseconds spent loading clauses
-(construction plus `extend`) and solving, per pass, with the lowest and
-highest round, plus a digest of every answer and model.
+7 fresh interpreters against the checkout's own `plcsynth.sat`, and
+prints the median milliseconds spent loading clauses (construction plus
+`extend`) and solving, per pass, with the lowest and highest round, plus
+a digest of every answer and model.
 
 The replay leaves out everything but the kernel: no encoding, no
 counterexample search, no front end, so its split between loading and
@@ -154,8 +154,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="source checkout to record and replay (default: this one)")
-    parser.add_argument("--rounds", type=int, default=ROUNDS,
-                        help=f"replay rounds, each in a fresh interpreter (default {ROUNDS})")
     parser.add_argument("workload", nargs="?", help="perfbench workload, e.g. edit")
     # the script runs itself for each step, so that every step has a fresh interpreter
     parser.add_argument("--record", type=Path, metavar="FILE", help=argparse.SUPPRESS)
@@ -168,14 +166,14 @@ def main() -> int:
     if args.replay is not None:
         print(json.dumps(replay(root, args.replay)))
         return 0
-    if args.workload is None or args.rounds < 1:
-        parser.error("give a workload and at least one round")
+    if args.workload is None:
+        parser.error("give a workload")
     with tempfile.TemporaryDirectory() as scratch:
         calls = Path(scratch) / "calls.pickle"
         try:
             _child(root, "--record", str(calls), args.workload)
             rounds = [json.loads(_child(root, "--replay", str(calls)))
-                      for _ in range(args.rounds)]
+                      for _ in range(ROUNDS)]
         except SystemExit as exc:
             print(exc, file=sys.stderr)
             return 1

@@ -221,7 +221,10 @@ class CdclSolver:
     `extend` and `solve` take codes, `original` keeps the clauses as
     given (the caller's tuples), and only a model maps variables to
     values.  The constructor alone takes a signed `CnfFormula`, which it
-    converts with `to_codes`.  Every search table is indexed by a
+    converts with `to_codes`.  A clause handed to `extend` must name each
+    variable once; one that does not is not caught and can make the
+    search answer wrongly, so clauses come from the encoder, the engine's
+    templates or `to_codes`.  Every search table is indexed by a
     non-negative int and grows by appending.
     `lv` has 2N+2 entries and `lv[c]` is the truth of code c (True, False
     or None), so `lv[2 * v]` is variable v's value.  `watches[c]` lists
@@ -286,7 +289,9 @@ class CdclSolver:
         literal codes permanently.
 
         Each clause must name each variable at most once, as the encoder
-        and `to_codes` write them; that is not checked here.  Every code
+        and `to_codes` write them; that is not checked here, and a clause
+        that breaks it raises nothing but can put two watches on one
+        literal, miss propagations and give wrong answers.  Every code
         must lie in 2..2*num_vars+1: one out of range rejects the whole
         batch, naming the first, before anything changes.  Learned clauses
         stay valid because additions only strengthen the formula.  Must be
@@ -636,4 +641,8 @@ def solve(formula: CnfFormula, assumptions: Iterable[int] = (),
           seed: int = 0) -> SatResult:
     """Complete decision procedure: Sat with a total model, or Unsat.
     The assumptions are signed literals, as the formula's clauses are."""
-    return CdclSolver(formula, seed).solve(map(literal_code, assumptions))
+    assumed = list(assumptions)
+    for lit in assumed:
+        if lit == 0 or abs(lit) > formula.num_vars:
+            raise ValueError(f"assumption {lit} out of range (num_vars={formula.num_vars})")
+    return CdclSolver(formula, seed).solve(map(literal_code, assumed))

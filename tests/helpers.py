@@ -14,6 +14,7 @@ from plcsynth.blocks import (
     And, Block, BlockInterface, BoolExpr, Const, Direction, Lang, Not, Or,
     Statement, Var, VarDecl, Xor, simulate,
 )
+from plcsynth.sat import _signed
 
 
 # --------------------------------------------------------------------------
@@ -49,14 +50,9 @@ def brute_force_satisfiable(num_vars: int, clauses) -> bool:
     return acc != 0
 
 
-def signed(code: int) -> int:
-    """The signed literal of a literal code: 2v is v, 2v+1 is -v."""
-    return -(code >> 1) if code & 1 else code >> 1
-
-
 def signed_clauses(clauses) -> list[tuple[int, ...]]:
     """Clauses of literal codes as tuples of signed literals."""
-    return [tuple(map(signed, clause)) for clause in clauses]
+    return [tuple(map(_signed, clause)) for clause in clauses]
 
 
 def random_3cnf(rng: random.Random, num_vars: int, num_clauses: int):
@@ -324,7 +320,7 @@ def ref_tseitin(roots, var_map):
 
     def enc(node) -> int:
         if type(node) is int:
-            return signed(node)
+            return _signed(node)
         if id(node) in memo:
             return memo[id(node)]
         if isinstance(node, Var):

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_satisfiable, ref_depth, ref_mask, ref_rename, ref_size,
-    ref_straight_line, ref_subst, ref_tseitin, ref_vars, signed, signed_clauses,
+    ref_straight_line, ref_subst, ref_tseitin, ref_vars, signed_clauses,
 )
 from plcsynth import engine
 from plcsynth.blocks import (
     And, Const, Not, Or, Var, Xor, eval_expr, expr_depth, expr_size, expr_vars,
     fold_expr, rename_vars,
 )
-from plcsynth.sat import TseitinEncoder, literal_code
+from plcsynth.sat import TseitinEncoder, _signed, literal_code
 
 NAMES = ("a", "b", "c")
 FULL = 0xFF  # the 8 points of NAMES, a in the upper half
@@ -112,7 +112,7 @@ class TestAgainstReferences:
     def test_tseitin_numbering(self, first, second):
         # two roots through one encoder: the second reuses the first's gates
         enc = TseitinEncoder(CODES)
-        lits = [signed(enc.encode(first)), signed(enc.encode(second))]
+        lits = [_signed(enc.encode(first)), _signed(enc.encode(second))]
         assert (lits, signed_clauses(enc.clauses), enc.num_vars) == \
             ref_tseitin([first, second], VAR_MAP)
 
@@ -121,7 +121,7 @@ class TestAgainstReferences:
         # at every point, the encoding with its root asserted is
         # satisfiable exactly when the expression holds
         enc = TseitinEncoder(CODES)
-        root = signed(enc.encode(expr))
+        root = _signed(enc.encode(expr))
         clauses = signed_clauses(enc.clauses)
         for bits in itertools.product((False, True), repeat=len(NAMES)):
             units = [(v if bit else -v,) for v, bit in zip((1, 2, 3), bits)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_satisfiable, random_3cnf, signed, signed_clauses
+from helpers import brute_force_satisfiable, random_3cnf, signed_clauses
 from plcsynth import engine
 from plcsynth.blocks import (
     And, BlockInterface, Const, Direction, Not, Or, UnboundVariable, Var,
@@ -14,7 +14,8 @@ from plcsynth.blocks import (
 )
 from plcsynth.constraints import ConstraintList, Mode, TruthTableRow, compile_spec
 from plcsynth.sat import (
-    CdclSolver, CnfFormula, SatResult, TseitinEncoder, literal_code, solve, to_codes, to_dimacs,
+    CdclSolver, CnfFormula, SatResult, TseitinEncoder, _signed, literal_code, solve, to_codes,
+    to_dimacs,
 )
 
 
@@ -32,7 +33,7 @@ def tseitin(root, var_map):
     variable) numbered as given."""
     enc = TseitinEncoder({name: literal_code(v) for name, v in var_map.items()})
     lit = enc.encode(root)
-    return CnfFormula(enc.num_vars, tuple(signed_clauses(enc.clauses))), signed(lit)
+    return CnfFormula(enc.num_vars, tuple(signed_clauses(enc.clauses))), _signed(lit)
 
 
 class TestCnfFormula:
@@ -84,8 +85,10 @@ class TestSolveBasics:
         assert again.satisfiable and again.model[1] is True
 
     def test_assumption_out_of_range(self):
-        with pytest.raises(ValueError):
-            solve(cnf(1, [(1,)]), assumptions=[4])
+        # the one-shot solve takes signed literals and names the one given
+        for bad in (4, -2, 0):
+            with pytest.raises(ValueError, match=rf"assumption {bad} out of range \(num_vars=1\)"):
+                solve(cnf(1, [(1,)]), assumptions=[1, bad])
 
     def test_tautological_clause_ignored(self):
         res = solve(cnf(2, [(1, -1), (2,)]))
@@ -250,7 +253,7 @@ class TestCodeBoundary:
 
     def test_codes(self):
         assert codes([1, -1, 2, -2, 7]) == [2, 3, 4, 5, 14]
-        assert [signed(c) for c in range(2, 8)] == [1, -1, 2, -2, 3, -3]
+        assert [_signed(c) for c in range(2, 8)] == [1, -1, 2, -2, 3, -3]
 
     def test_signed_clauses_each_variable_once(self):
         # a repeated literal keeps its first place; a clause holding a
