@@ -37,8 +37,8 @@ _ST_BODY_RE = re.compile(r"^(?:(?!//).)*\bBEGIN\b", re.MULTILINE)
 
 def load_block(path) -> Block:
     """Parse a block file in the dialect its text is written in, whatever
-    the path's suffix."""
-    text = Path(path).read_text(encoding="utf-8")
+    the path's suffix; a leading UTF-8 byte-order mark is skipped."""
+    text = Path(path).read_text(encoding="utf-8-sig")
     return parse_st(text) if _ST_BODY_RE.search(text) else parse_il(text)
 
 

@@ -26,8 +26,8 @@ spec allows somewhere; past it, those a guard or assertion mentions, and a
 spec left with at most _CUBE_INPUTS of them gets the cube.  Candidates then
 read only kept inputs, which keeps templates small and gives wide specs the
 bitset checks and the slot lower bound; the least slot count does not
-change, and `synthesize` and `simplify` still check their blocks against
-the full spec.
+change, and their one driver still checks the block against the full
+spec.
 A single output that the spec forces to react to r inputs needs at least
 r - 1 slots (`_PointSpec.min_slot_bound`), and every program of exactly
 r - 1 slots that meets it is a read-once AND/OR/XOR tree over those
@@ -41,7 +41,9 @@ program, one per slot count and over every input, as the original's
 slots may read inputs the spec does not depend on; the edit budget is an
 assumption on its counter of changed slots, so one solver serves every
 budget.
-Simplification synthesizes against the block's own behavior.
+Simplification runs synthesis's driver against the block's own behavior,
+with the original as each output's known program: deepening stops at its
+slot count, and an output that nothing smaller meets keeps it.
 Simplification and extension pin outputs to the original block through
 ordinary obligation clauses, so every run reads one spec model.  `check`
 and every op but simplify report a contradictory spec from one place,
@@ -465,6 +467,12 @@ class _PointSpec:
                         for name, shift in zip(self.input_names, self.shifts)}
             self.memo: dict[int, int] = {}
 
+    @cached_property
+    def valuations(self) -> list[tuple[bool, ...]]:
+        """Every output valuation (in `outputs` order), in product order:
+        the order of `ok` and of `allowed`'s answers."""
+        return list(itertools.product((False, True), repeat=len(self.outputs)))
+
     def lowest(self, mask: int) -> Optional[tuple[bool, ...]]:
         """The first point of a cube mask, None for an empty one."""
         if not mask:
@@ -487,7 +495,7 @@ class _PointSpec:
 
     def _ok(self, env: Mapping[str, int], full: int, memo: dict[int, int]) -> list[int]:
         tables = ({o: full if bit else 0 for o, bit in zip(self.outputs, bits)}
-                  for bits in itertools.product((False, True), repeat=len(self.outputs)))
+                  for bits in self.valuations)
         return [full ^ self.failing(outs, env, full, memo) for outs in tables]
 
     @cached_property
@@ -503,8 +511,7 @@ class _PointSpec:
         else:
             env = {name: int(v) for name, v in zip(self.input_names, point)}
             oks, bit = self._ok(env, 1, {}), 0
-        valuations = itertools.product((False, True), repeat=len(self.outputs))
-        return [bits for bits, ok in zip(valuations, oks) if ok >> bit & 1]
+        return [bits for bits, ok in zip(self.valuations, oks) if ok >> bit & 1]
 
     @cached_property
     def forced_flips(self) -> list[str]:
@@ -518,7 +525,7 @@ class _PointSpec:
         forced = []  # per output: points where every allowed valuation sets it 0 / 1
         for o in range(m):
             can = [0, 0]
-            for bits, ok in zip(itertools.product((False, True), repeat=m), self.ok):
+            for bits, ok in zip(self.valuations, self.ok):
                 can[bits[o]] |= ok
             forced.append((can[0] & ~can[1], can[1] & ~can[0]))
         return [name for name, shift in zip(self.input_names, self.shifts)
@@ -644,8 +651,7 @@ class _PointSpec:
         in the cube, past it whichever one SAT finds, checked by `allowed`."""
         if self.cube:
             return self.lowest(self.full & ~reduce(or_, self.ok))
-        valuations = [dict(zip(self.outputs, v))
-                      for v in itertools.product((FALSE, TRUE), repeat=len(self.outputs))]
+        valuations = [dict(zip(self.outputs, map(_const, v))) for v in self.valuations]
         return self.point(_unroll(
             [Block("dead", self.interface, ())], False, 1,
             lambda envs: [_conj([_disj(_violation_exprs(self, {**envs[0], **v}))
@@ -666,7 +672,7 @@ class _PointSpec:
             return
         witness = dict(zip(self.input_names, dead))
         named: dict[str, int] = {}
-        for bits in itertools.product((False, True), repeat=len(self.outputs)):
+        for bits in self.valuations:
             env = {**witness, **dict(zip(self.outputs, bits))}
             output, clause = min(_failing_clauses(self, env),
                                  key=lambda f: (f[1].origin < 0, f[1].origin))
@@ -1000,7 +1006,7 @@ class _SlotTemplate:
                 add((out ^ 1, v, sel ^ 1))
         allowed = pspec.allowed(point)
         blocked: dict[tuple[int, ...], None] = {}
-        for bits in itertools.product((False, True), repeat=len(outs)):
+        for bits in pspec.valuations:
             if bits in allowed:
                 continue
             keep = list(range(len(outs)))  # widen while it blocks no allowed one
@@ -1103,20 +1109,24 @@ def _seed_points(pspec: _PointSpec) -> list[tuple[bool, ...]]:
                   (True,) * n]
     # without assertions, only a firing guard rules out a valuation
     fixed = bool(pspec.assertions)
-    every = list(itertools.product((False, True), repeat=len(pspec.outputs)))
     return [point for i, point in enumerate(candidates) if point not in candidates[:i]
-            and (fixed or pspec.allowed(point) != every)]
+            and (fixed or pspec.allowed(point) != pspec.valuations)]
 
 
 _Round = tuple[_SlotTemplate, Sequence[int]]
+# a program meeting a spec, per output, and the slots it writes
+_Known = tuple[dict[str, BoolExpr], int]
 
 
 def _run_cegis(label: str, rounds: Iterable[_Round], pspec: _PointSpec,
-               cfg: SynthConfig) -> tuple[Optional[dict[str, BoolExpr]], OutputSynthesis]:
-    """First candidate (in round order) meeting the spec, or None when no
-    round yields one, with the run's record under `label` (slots_used is
-    what is written: the candidate's straight-line encodings summed over
-    its outputs, 0 without a candidate).
+               cfg: SynthConfig, known: Optional[_Known] = None
+               ) -> tuple[dict[str, BoolExpr], OutputSynthesis]:
+    """First candidate (in round order) meeting the spec, with the run's
+    record under `label` (slots_used is what is written: the candidate's
+    straight-line encodings summed over its outputs).  When the rounds run
+    out, the answer is the caller's `known` program with its slot count,
+    which the caller counts over the block's own inputs, as the program
+    may read inputs the spec dropped; without one, SizeBoundExceeded.
 
     A round is a template and the literals its solver assumes; a template
     may serve several rounds.  Its solver keeps its well-formedness
@@ -1124,11 +1134,16 @@ def _run_cegis(label: str, rounds: Iterable[_Round], pspec: _PointSpec,
     found since, before each solve.  The spec must have no dead point:
     callers `refute` it first, as the rounds may run out before CEGIS
     reaches one.  Simplify's spec needs no check, since its only clauses
-    are one pair of complementary pins, which cannot clash."""
+    are one pair of complementary pins per output, which cannot clash."""
     start = time.perf_counter()
     iterations = counterexamples = 0
     kept = tuple(pspec.input_names)
     points = _seed_points(pspec)
+
+    def record(slots: int) -> OutputSynthesis:
+        return OutputSynthesis(label, kept, slots, iterations, counterexamples,
+                               time.perf_counter() - start)
+
     for template, assumptions in rounds:
         while True:
             for point in points[template.loaded:]:
@@ -1139,16 +1154,15 @@ def _run_cegis(label: str, rounds: Iterable[_Round], pspec: _PointSpec,
                 break
             violation = _find_violation(candidate, pspec, cfg.seed)
             if violation is None:
-                slots = sum(len(_encode_original(expr, kept)) for expr in candidate.values())
-                return candidate, OutputSynthesis(label, kept, slots, iterations,
-                                                  counterexamples,
-                                                  time.perf_counter() - start)
+                return candidate, record(sum(len(_encode_original(expr, kept))
+                                             for expr in candidate.values()))
             if violation in points:
                 raise AssertionError("counterexample repeated")
             points.append(violation)
             counterexamples += 1
-    return None, OutputSynthesis(label, kept, 0, iterations, counterexamples,
-                                 time.perf_counter() - start)
+    if known is None:
+        raise SizeBoundExceeded(cfg.max_slots)
+    return known[0], record(known[1])
 
 
 def _deepening(pspec: _PointSpec, top: int, seed: int) -> Iterator[_Round]:
@@ -1172,6 +1186,28 @@ def _result(block: Block, runs: Sequence[OutputSynthesis],
                            sum(r.counterexamples_used for r in runs),
                            sum(r.slots_used for r in runs),
                            time.perf_counter() - start, tuple(runs))
+
+
+def _synthesis_driver(jobs: Sequence[tuple[str, _PointSpec, Optional[_Known]]],
+                      whole: _PointSpec, shell: Block, cfg: SynthConfig,
+                      start: float) -> SynthesisResult:
+    """Synthesize and simplify: per job (label, spec, known program or
+    None), a CEGIS run over the projected spec, deepening from its slot
+    lower bound up to max_slots or the known program's slots, whichever
+    is fewer (see `_run_cegis` for running out).  The runs' outputs make
+    `shell`'s body, and the block is checked against the whole spec."""
+    runs: list[OutputSynthesis] = []
+    exprs: dict[str, BoolExpr] = {}
+    for label, spec, known in jobs:
+        pspec = spec.projected()
+        top = cfg.max_slots if known is None else min(cfg.max_slots, known[1])
+        candidate, run = _run_cegis(label, _deepening(pspec, top, cfg.seed), pspec, cfg, known)
+        exprs.update(candidate)
+        runs.append(run)
+    block = replace(shell, body=_build_body(shell.interface, exprs))
+    if _find_violation(exprs, whole, cfg.seed) is not None:
+        raise AssertionError("synthesized block fails its spec")
+    return _result(block, runs, start)
 
 
 # --------------------------------------------------------------------------
@@ -1213,7 +1249,9 @@ def check(spec: SpecFormula) -> None:
 def synthesize(interface: BlockInterface, spec: SpecFormula,
                cfg: SynthConfig = SynthConfig(), *,
                name: str = "generated") -> SynthesisResult:
-    """CEGIS over slot templates with iterative deepening on the slot count.
+    """CEGIS over slot templates with iterative deepening on the slot count,
+    run by `_synthesis_driver` with no known program, so running out of
+    slots raises SizeBoundExceeded.
 
     With per_output on, every output gets an independent run (assertions
     that couple several outputs force a joint run instead).  The returned
@@ -1230,25 +1268,11 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
     full_pspec = _PointSpec(inputs, outputs, spec.obligations, spec.assertions)
     full_pspec.refute(cfg.seed)
     if cfg.per_output and not coupling and len(outputs) > 1:
-        jobs = [(o, _PointSpec(inputs, [o], spec.obligations, per_assertions[o]))
+        jobs = [(o, _PointSpec(inputs, [o], spec.obligations, per_assertions[o]), None)
                 for o in outputs]
     else:
-        jobs = [(outputs[0] if len(outputs) == 1 else "*", full_pspec)]
-
-    runs: list[OutputSynthesis] = []
-    exprs: dict[str, BoolExpr] = {}
-    for label, pspec in jobs:
-        pspec = pspec.projected()
-        candidate, run = _run_cegis(label, _deepening(pspec, cfg.max_slots, cfg.seed),
-                                    pspec, cfg)
-        if candidate is None:
-            raise SizeBoundExceeded(cfg.max_slots)
-        exprs.update(candidate)
-        runs.append(run)
-    block = Block(name, interface, _build_body(interface, exprs), Lang.ST)
-    if _find_violation(exprs, full_pspec, cfg.seed) is not None:
-        raise AssertionError("synthesized block fails its spec")
-    return _result(block, runs, start)
+        jobs = [(outputs[0] if len(outputs) == 1 else "*", full_pspec, None)]
+    return _synthesis_driver(jobs, full_pspec, Block(name, interface, (), Lang.ST), cfg, start)
 
 
 def _original_exprs(block: Block) -> dict[str, BoolExpr]:
@@ -1314,8 +1338,6 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
         shapes = _encode_original(originals[output], inputs)
         candidate, run = _run_cegis(output, _repair_rounds(shapes, inputs, output, cfg),
                                     pspec, cfg)
-        if candidate is None:
-            raise SizeBoundExceeded(cfg.max_slots)
         exprs[output] = candidate[output]
         runs.append(run)
     if exprs != originals:
@@ -1340,36 +1362,27 @@ def repair(block: Block, spec: SpecFormula,
 
 
 def simplify(block: Block, cfg: SynthConfig = SynthConfig()) -> SynthesisResult:
-    """Slot-minimal block with behavior exhaustively equal to the input;
+    """Slot-minimal block with behavior exhaustively equal to the input:
+    `synthesize`'s driver run on a spec that pins each assigned output to
+    the original, with the original as each output's known program.  So
     the result never uses more slots than the original's straight-line
-    encoding (`_encode_original`).  Each output is searched over the inputs
-    it depends on and, like `synthesize`'s block, checked over all of
-    them."""
+    encoding (`_encode_original`), and an output that nothing smaller
+    meets within max_slots stays as it was.  Each output is searched over
+    the inputs it depends on, and the block is checked over all of them."""
     _require_combinational(block.interface, "simplify")
     start = time.perf_counter()
     inputs = block.interface.inputs
     originals = _original_exprs(block)
     assigned = {s.target for s in block.body}
-    exprs: dict[str, BoolExpr] = {}
-    runs: list[OutputSynthesis] = []
-    for output in block.interface.outputs:
-        if output not in assigned:
-            continue
-        full_pspec = _PointSpec(inputs, [output], _pinned({}, output, originals[output]))
-        pspec = full_pspec.projected()
-        orig_size = len(_encode_original(originals[output], inputs))
-        top = min(cfg.max_slots, orig_size)
-        candidate, run = _run_cegis(output, _deepening(pspec, top, cfg.seed), pspec, cfg)
-        if candidate is None:
-            # the original does not fit max_slots and nothing smaller works
-            candidate = {output: originals[output]}
-            run = replace(run, slots_used=orig_size)
-        elif _find_violation(candidate, full_pspec, cfg.seed) is not None:
-            raise AssertionError("simplified block changes the behavior")
-        exprs.update(candidate)
-        runs.append(run)
-    body = _build_body(block.interface, exprs)
-    return _result(Block(block.name, block.interface, body, block.lang), runs, start)
+    outputs = [o for o in block.interface.outputs if o in assigned]
+    pins: dict[str, tuple[ObligationClause, ...]] = {}
+    for output in outputs:
+        pins = _pinned(pins, output, originals[output])
+    whole = _PointSpec(inputs, outputs, pins)
+    jobs = [(o, whole if len(outputs) == 1 else _PointSpec(inputs, [o], pins),
+             ({o: originals[o]}, len(_encode_original(originals[o], inputs))))
+            for o in outputs]
+    return _synthesis_driver(jobs, whole, block, cfg, start)
 
 
 def extend(block: Block, extra: ConstraintList,

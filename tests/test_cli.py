@@ -458,6 +458,22 @@ class TestRepairSimplifyExtend:
         assert code == EXIT_OK, text
         assert blocks_equivalent(load_block(src), parse_il(out_path.read_text()))
 
+    @pytest.mark.parametrize("lang", ["st", "il"])
+    def test_byte_order_mark_skipped(self, project, lang):
+        # editors on Windows may start a UTF-8 file with a byte-order mark
+        src = project / f"bom.{lang}"
+        src.write_text("\ufeff" + emit(parse_st(OR_ST), Lang(lang)), encoding="utf-8")
+        (project / "or.xml").write_text(ab_list('  <assertion expr="NOT a OR y"/>'))
+        code, text = invoke("verify", "--block", str(src),
+                            "--constraints", str(project / "or.xml"))
+        assert (code, text) == (EXIT_OK, "Verified (bound 1)\n")
+        out_path = project / "bom.out"
+        code, text = invoke("translate", "--block", str(src),
+                            "--to", "il" if lang == "st" else "st", "--out", str(out_path))
+        assert code == EXIT_OK, text
+        assert not out_path.read_bytes().startswith("\ufeff".encode("utf-8"))
+        assert blocks_equivalent(parse_st(OR_ST), load_block(out_path))
+
 
 class TestDeterminism:
     def test_synth_twice_byte_identical(self, project):

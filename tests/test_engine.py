@@ -1684,12 +1684,30 @@ class TestSimplify:
         assert result.block.body == (
             Statement("y", parse_expression("a AND x1 OR x2 AND x3")),)
 
+    def test_one_output_falls_back(self):
+        # y shrinks to one slot; the multiplexer z needs three, so under
+        # max_slots=2 the original stays and its run reports its 4 slots
+        from plcsynth.engine import _encode_original
+        block = Block("two", iface("i:a", "i:b", "i:c", "o:y", "o:z"),
+                      (Statement("y", parse_expression("a AND b OR a AND NOT b")),
+                       Statement("z", parse_expression("a AND b OR NOT a AND c"))))
+        result = simplify(block, SynthConfig(max_slots=2))
+        assert blocks_equivalent(block, result.block)
+        assert result.block.body == (Statement("y", Var("a")), block.body[1])
+        assert [(r.output, r.slots_used) for r in result.per_output] == [
+            ("y", 1), ("z", len(_encode_original(block.body[1].rhs, ("a", "b", "c"))))]
+        assert result.slots_used == sum(r.slots_used for r in result.per_output) == 5
+
     def test_checked_over_every_input(self, monkeypatch):
-        # a projection that drops a needed input must not go unnoticed
+        # a projection that drops a needed input must not go unnoticed: y
+        # reads only a and comes out right, z's AND loses b, and the one
+        # check of the whole block catches it
         monkeypatch.setattr(engine._PointSpec, "projected",
                             lambda self: self.restricted(self.input_names[:1]))
-        block = Block("and", IFACE_AB_Y, (Statement("y", And(Var("a"), Var("b"))),))
-        with pytest.raises(AssertionError, match="changes the behavior"):
+        block = Block("two", iface("i:a", "i:b", "o:y", "o:z"),
+                      (Statement("y", parse_expression("a OR a AND b")),
+                       Statement("z", parse_expression("a AND b OR a AND b"))))
+        with pytest.raises(AssertionError, match="synthesized block fails its spec"):
             simplify(block)
 
     def test_stateful_rejected(self):

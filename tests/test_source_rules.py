@@ -100,6 +100,26 @@ def test_operands_read_by_few_functions():
     assert sites <= allowed, f"operands read in {sorted(sites - allowed)}"
 
 
+def test_one_out_of_rounds_rule():
+    # a CEGIS run that runs out of rounds returns its caller's known
+    # program or, without one, raises in one place for every op
+    sites = [f"{path.stem}.{site}" for path in SOURCES
+             for site in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")),
+                                            "SizeBoundExceeded")]
+    assert sites == ["engine._run_cegis"]
+
+
+def test_one_written_block_check():
+    # synthesize and simplify write their blocks through one driver, which
+    # checks the block against the whole spec; the other checks are the
+    # CEGIS loop's and repair's test of the original
+    from plcsynth import engine
+
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    assert sorted(_calls_by_function(tree, "_find_violation")) == [
+        "_minimal_edit_synthesis", "_run_cegis", "_synthesis_driver"]
+
+
 def test_engine_evaluates_no_point_recursively():
     # spec clauses are read through truth tables (`fold_expr` walks
     # iteratively); `eval_expr` takes a Python stack frame per level
