@@ -40,7 +40,8 @@ Repair and extension reuse the same template seeded with the original
 program, one per slot count and over every input, as the original's
 slots may read inputs the spec does not depend on; the edit budget is an
 assumption on its counter of changed slots, so one solver serves every
-budget.
+budget.  They start at one edit, from the point where the original
+fails, and at the spec's `min_slot_bound`.
 Simplification runs synthesis's driver against the block's own behavior,
 with the original as each output's known program: deepening stops at its
 slot count, and an output that nothing smaller meets keeps it.
@@ -1119,7 +1120,8 @@ _Known = tuple[dict[str, BoolExpr], int]
 
 
 def _run_cegis(label: str, rounds: Iterable[_Round], pspec: _PointSpec,
-               cfg: SynthConfig, known: Optional[_Known] = None
+               points: Sequence[tuple[bool, ...]], cfg: SynthConfig,
+               known: Optional[_Known] = None
                ) -> tuple[dict[str, BoolExpr], OutputSynthesis]:
     """First candidate (in round order) meeting the spec, with the run's
     record under `label` (slots_used is what is written: the candidate's
@@ -1128,17 +1130,18 @@ def _run_cegis(label: str, rounds: Iterable[_Round], pspec: _PointSpec,
     which the caller counts over the block's own inputs, as the program
     may read inputs the spec dropped; without one, SizeBoundExceeded.
 
-    A round is a template and the literals its solver assumes; a template
-    may serve several rounds.  Its solver keeps its well-formedness
-    clauses and the points it was given, and is given only the points
-    found since, before each solve.  The spec must have no dead point:
+    CEGIS starts from the caller's distinct `points`.  A round is a
+    template and the literals its solver assumes; a template may serve
+    several rounds.  Its solver keeps its well-formedness clauses and the
+    points it was given, and is given only the points found since, before
+    each solve.  The spec must have no dead point:
     callers `refute` it first, as the rounds may run out before CEGIS
     reaches one.  Simplify's spec needs no check, since its only clauses
     are one pair of complementary pins per output, which cannot clash."""
     start = time.perf_counter()
     iterations = counterexamples = 0
     kept = tuple(pspec.input_names)
-    points = _seed_points(pspec)
+    points = list(points)
 
     def record(slots: int) -> OutputSynthesis:
         return OutputSynthesis(label, kept, slots, iterations, counterexamples,
@@ -1201,7 +1204,8 @@ def _synthesis_driver(jobs: Sequence[tuple[str, _PointSpec, Optional[_Known]]],
     for label, spec, known in jobs:
         pspec = spec.projected()
         top = cfg.max_slots if known is None else min(cfg.max_slots, known[1])
-        candidate, run = _run_cegis(label, _deepening(pspec, top, cfg.seed), pspec, cfg, known)
+        candidate, run = _run_cegis(label, _deepening(pspec, top, cfg.seed), pspec,
+                                    _seed_points(pspec), cfg, known)
         exprs.update(candidate)
         runs.append(run)
     block = replace(shell, body=_build_body(shell.interface, exprs))
@@ -1266,11 +1270,15 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
         raise TypeCheckError("synthesizable blocks need at least one output")
     per_assertions, coupling = _split_assertions(spec, outputs)
     full_pspec = _PointSpec(inputs, outputs, spec.obligations, spec.assertions)
-    full_pspec.refute(cfg.seed)
     if cfg.per_output and not coupling and len(outputs) > 1:
         jobs = [(o, _PointSpec(inputs, [o], spec.obligations, per_assertions[o]), None)
                 for o in outputs]
+        # with no coupling, the whole spec's dead points are the jobs', and
+        # a job tabulates 2 output valuations where the whole spec takes 2^m
+        if any(job.dead_point(cfg.seed) is not None for _, job, _ in jobs):
+            full_pspec.refute(cfg.seed)
     else:
+        full_pspec.refute(cfg.seed)
         jobs = [(outputs[0] if len(outputs) == 1 else "*", full_pspec, None)]
     return _synthesis_driver(jobs, full_pspec, Block(name, interface, (), Lang.ST), cfg, start)
 
@@ -1282,20 +1290,24 @@ def _original_exprs(block: Block) -> dict[str, BoolExpr]:
     return {o: env[o] for o in block.interface.outputs}
 
 
-def _repair_rounds(originals: list[_SlotShape], inputs: Sequence[str],
-                   output: str, cfg: SynthConfig) -> Iterator[_Round]:
+def _repair_rounds(originals: list[_SlotShape], pspec: _PointSpec,
+                   cfg: SynthConfig) -> Iterator[_Round]:
     """Rounds by edits (changed original slots plus added slots), then by
-    slots added; each template size is built once, when first needed.  A
-    template is asked with no assumption (any original slot may change)
-    in one round only, as UNSAT without assumptions is final."""
+    slots added, from one edit (none gives the original, which the caller
+    has refuted) and from the spec's slot lower bound, computed in the
+    run (k slots hold no program of more than k live slots).  Each
+    template size is built once, when first needed.  A template is asked
+    with no assumption (any original slot may change) in one round only,
+    as UNSAT without assumptions is final."""
     n_orig = len(originals)
     max_extra = max(0, cfg.max_slots - n_orig)
-    templates: list[_SlotTemplate] = []  # index: slots added
-    for edits in range(n_orig + max_extra + 1):
-        for extra in range(max(0, edits - n_orig), min(edits, max_extra) + 1):
-            if extra == len(templates):
-                templates.append(_SlotTemplate(inputs, n_orig + extra, [output], cfg.seed,
-                                               originals=originals))
+    min_extra = max(0, pspec.min_slot_bound() - n_orig)
+    templates: dict[int, _SlotTemplate] = {}  # by slots added
+    for edits in range(max(1, min_extra), n_orig + max_extra + 1):
+        for extra in range(max(min_extra, edits - n_orig), min(edits, max_extra) + 1):
+            if extra not in templates:
+                templates[extra] = _SlotTemplate(pspec.input_names, n_orig + extra,
+                                                 pspec.outputs, cfg.seed, originals=originals)
             template, changed = templates[extra], edits - extra
             yield template, [template.more_than[changed] ^ 1] if changed < n_orig else []
 
@@ -1329,15 +1341,17 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
         check_start = time.perf_counter()
         # past the cube the block itself replays, as inlining its temps can
         # make a statement deeper than MAX_EXPR_DEPTH
-        if (_find_violation({output: originals[output]}, pspec, cfg.seed) if pspec.cube
-                else _failing_point(block, pspec, cfg.seed)) is None:
+        violation = (_find_violation({output: originals[output]}, pspec, cfg.seed)
+                     if pspec.cube else _failing_point(block, pspec, cfg.seed))
+        if violation is None:
             runs.append(OutputSynthesis(output, tuple(inputs), 0, 0, 0,
                                         time.perf_counter() - check_start))
             continue
         pspec.refute(cfg.seed)
         shapes = _encode_original(originals[output], inputs)
-        candidate, run = _run_cegis(output, _repair_rounds(shapes, inputs, output, cfg),
-                                    pspec, cfg)
+        points = list(dict.fromkeys([*_seed_points(pspec), violation]))
+        candidate, run = _run_cegis(output, _repair_rounds(shapes, pspec, cfg),
+                                    pspec, points, cfg)
         exprs[output] = candidate[output]
         runs.append(run)
     if exprs != originals:
@@ -1357,7 +1371,8 @@ def repair(block: Block, spec: SpecFormula,
     differ, however many expression nodes that touches.  A
     changed AND/OR/XOR slot keeps an original operand in place: `a OR b`
     and `a AND c` become `a AND b`, not `b AND a`.  A block that already
-    verifies is returned unchanged with zero iterations."""
+    verifies is returned unchanged with zero iterations; otherwise the
+    iterations never include the unchanged original."""
     return _minimal_edit_synthesis(block, spec, cfg, "repair")
 
 

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -825,15 +825,16 @@ def op_outcomes(block, constraints):
 def cube_and_point_outcomes(block, constraints):
     """op_outcomes through the truth-table cube, then with the cube switched
     off (width-1 masks per point and the SAT counterexample search).  The
-    second pass checks every SAT answer (a violation or a dead point
-    exactly when the cube finds one, and one by the width-1 masks) and then
-    goes on with the cube's first such point, and it takes its slot lower
-    bounds, its forced inputs (which make a template read-once) and the
-    inputs that projection keeps from the cube too, so both passes must
-    make the same search."""
+    second pass checks every SAT answer (a violation, of a candidate or of
+    a block, or a dead point exactly when the cube finds one, and one by
+    the width-1 masks) and then goes on with the cube's first such point,
+    and it takes its slot lower bounds, its forced inputs (which make a
+    template read-once) and the inputs that projection keeps from the cube
+    too, so both passes must make the same search."""
     real_bound = engine._PointSpec.min_slot_bound
     real_dead = engine._PointSpec.dead_point
     real_find = engine._find_violation
+    real_failing = engine._failing_point
     real_projected = engine._PointSpec.projected
     real_flips = engine._PointSpec.forced_flips.func
 
@@ -856,6 +857,18 @@ def cube_and_point_outcomes(block, constraints):
                 not in pspec.allowed(found)
         return first
 
+    def checked_failing(block, pspec, seed):
+        assert not pspec.cube
+        found = real_failing(block, pspec, seed)
+        exprs = engine._original_exprs(block)
+        first = real_find({o: exprs[o] for o in pspec.outputs}, cube_twin(pspec), seed)
+        assert (found is None) == (first is None)
+        if found is not None:
+            env = dict(zip(pspec.input_names, found))
+            assert tuple(eval_expr(exprs[o], env) for o in pspec.outputs) \
+                not in pspec.allowed(found)
+        return first
+
     def checked_dead(pspec, seed):
         assert not pspec.cube
         found = real_dead(pspec, seed)
@@ -874,6 +887,7 @@ def cube_and_point_outcomes(block, constraints):
         mp.setattr(engine._PointSpec, "projected", lambda pspec: pspec.restricted(
             real_projected(cube_twin(pspec)).input_names))
         mp.setattr(engine, "_find_violation", checked)
+        mp.setattr(engine, "_failing_point", checked_failing)
         mp.setattr(engine, "_CUBE_INPUTS", 0)
         points = op_outcomes(block, constraints)
     return cube, points
@@ -982,6 +996,42 @@ class TestContradictionCheck:
                             tuple(c for c in spec.assertions if c.origin in origins))
         for v in valuations:
             assert not spec_holds(named, {**dead, **dict(zip(outputs, v))})
+
+    def test_independent_outputs_tabulate_two_valuations(self, monkeypatch):
+        # sixteen outputs that copy a: no spec of the run tabulates more
+        # than one output's two valuations, the contradiction check included
+        outputs = [f"y{k}" for k in range(16)]
+        interface = iface("i:a", *(f"o:{o}" for o in outputs))
+        spec = spec_for(interface, table_rows(["a"], outputs,
+                                              lambda e: dict.fromkeys(outputs, e["a"])))
+        widths = []
+        real_ok = engine._PointSpec._ok
+
+        def ok(pspec, *args):
+            widths.append(len(pspec.valuations))
+            return real_ok(pspec, *args)
+
+        monkeypatch.setattr(engine._PointSpec, "_ok", ok)
+        result = synthesize(interface, spec, SynthConfig(seed=1))
+        assert result.block.body == tuple(Statement(o, Var("a")) for o in outputs)
+        assert widths and max(widths) == 2
+
+    @pytest.mark.parametrize("constraints", [
+        [TruthTableRow({"a": True}, {"y": True}), TruthTableRow({"b": True}, {"y": False}),
+         TruthTableRow({"a": False}, {"z": True})],
+        [TruthTableRow({"a": True}, {"z": True}), Assertion(parse_expression("a AND NOT b"))],
+    ], ids=["one-output", "input-only-assertion"])
+    def test_independent_contradiction_reported_as_check_does(self, constraints):
+        # a clash in one output's own spec, or one every output shares,
+        # gives the same Unsatisfiable as the whole spec's check
+        interface = iface("i:a", "i:b", "o:y", "o:z")
+        spec = spec_for(interface, constraints)
+        errors = []
+        for op in (lambda: check(spec), lambda: synthesize(interface, spec)):
+            with pytest.raises(Unsatisfiable) as caught:
+                op()
+            errors.append((str(caught.value), caught.value.witness, caught.value.origins))
+        assert errors[0] == errors[1]
 
 
 def padded(spec):
@@ -1237,14 +1287,15 @@ class TestCegisProgress:
 
     def test_repair_template_cnf_matches_golden(self):
         # the templates of the repair rounds of fixed random expressions
-        # over 0-4 inputs (0-input blocks are all constants), one per size
+        # over 0-4 inputs (0-input blocks are all constants), one per size;
+        # an empty spec's slot lower bound is 1, so every size opens
         def templates():
             rng = random.Random(20261018)
             for trial in range(60):
                 inputs = [f"i{x}" for x in range(trial % 5)]
                 shapes = engine._encode_original(
                     random_expr(rng, inputs, rng.randint(1, 6)), inputs)
-                rounds = engine._repair_rounds(shapes, inputs, "y",
+                rounds = engine._repair_rounds(shapes, engine._PointSpec(inputs, ["y"], {}),
                                                SynthConfig(max_slots=len(shapes) + 2))
                 yield from dict.fromkeys(template for template, _ in rounds)
 
@@ -1535,28 +1586,108 @@ def chosen_shapes(template, model):
             for (op_sels, arg_sels), cv in zip(template._selectors, template._cvs)]
 
 
+def majority_edit(op):
+    """A repair or extend run (seed 1) that turns y := a into the majority
+    of a, b and c, whose least slot count is 4 and whose slot lower bound
+    is 3 (no program of 1 or 2 slots computes it)."""
+    interface = iface("i:a", "i:b", "i:c", "o:y")
+    block = Block("base", interface, (Statement("y", Var("a")),))
+    if op == "repair":
+        spec = spec_for(interface, table_rows(["a", "b", "c"], ["y"], lambda e: {
+            "y": e["a"] + e["b"] + e["c"] >= 2}))
+        return lambda: repair(block, spec, SynthConfig(seed=1))
+    # the two points where y := a and the majority differ
+    extra = ConstraintList("e", Mode.EXTEND, interface, (
+        TruthTableRow({"a": True, "b": False, "c": False}, {"y": False}),
+        TruthTableRow({"a": False, "b": True, "c": True}, {"y": True})))
+    return lambda: extend(block, extra, SynthConfig(seed=1))
+
+
+def edit_cases(case):
+    """Repair (toward the case's spec) and extend (by its last two
+    constraints) runs of a `spec_cases` case, at seed 1."""
+    block, constraints = case
+    interface = without_temps(block.interface)
+    spec = spec_for(interface, constraints)
+    extra = ConstraintList("e", Mode.EXTEND, interface, tuple(constraints[-2:]))
+    return [lambda: repair(block, spec, SynthConfig(seed=1)),
+            lambda: extend(block, extra, SynthConfig(seed=1))]
+
+
+def run_edit(op):
+    """The op's result, or None when its spec is contradictory."""
+    try:
+        return op()
+    except Unsatisfiable:
+        return None
+
+
 class TestMinimalEditSearch:
     @pytest.mark.parametrize("op", ["repair", "extend"])
     def test_one_solver_per_template_size(self, monkeypatch, op):
-        # y := a needs one changed and one added slot for a OR (b AND c):
-        # sizes 1 and 2 open, each once, across edit budgets 0 to 2
-        interface = iface("i:a", "i:b", "i:c", "o:y")
-        block = Block("base", interface, (Statement("y", Var("a")),))
-        if op == "repair":
-            spec = spec_for(interface, table_rows(["a", "b", "c"], ["y"], lambda e: {
-                "y": e["a"] or (e["b"] and e["c"])}))
-            run = lambda: repair(block, spec, SynthConfig(seed=1))
-        else:
-            extra = ConstraintList("e", Mode.EXTEND, interface,
-                                   (TruthTableRow({"b": True, "c": True}, {"y": True}),))
-            run = lambda: extend(block, extra, SynthConfig(seed=1))
+        # y := a needs three added slots and one changed one for the
+        # majority; the bound opens sizes 3 and 4, each once, across
+        # edit budgets 2 to 4
         built, sizes = count_solvers(monkeypatch), template_sizes(monkeypatch)
-        result = run()
+        result = majority_edit(op)()
         assert output_table(result.block, "y") == {
-            bits: bits[0] or (bits[1] and bits[2])
-            for bits in itertools.product((False, True), repeat=3)}
-        assert sizes == [1, 2]
+            bits: sum(bits) >= 2 for bits in itertools.product((False, True), repeat=3)}
+        assert result.slots_used == 4
+        assert sizes == [3, 4]
         assert len(built) == 2
+
+    @given(spec_cases())
+    @settings(max_examples=20, deadline=None)
+    @example((Block("base", iface("i:a", "i:b", "i:c", "o:y"), (Statement("y", Var("a")),)),
+              list(table_rows(["a", "b", "c"], ["y"],
+                              lambda e: {"y": e["a"] + e["b"] + e["c"] >= 2}))))
+    def test_no_template_below_the_slot_bound(self, case):
+        # every template of a run has at least as many slots as the lower
+        # bound of the run's spec, computed just before its templates
+        events = []
+        real_bound, real_init = engine._PointSpec.min_slot_bound, engine._SlotTemplate.__init__
+
+        def bound(pspec):
+            value = real_bound(pspec)
+            events.append(("bound", value))
+            return value
+
+        def init(template, input_names, n_slots, *args, **kwargs):
+            events.append(("template", n_slots))
+            real_init(template, input_names, n_slots, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine._PointSpec, "min_slot_bound", bound)
+            mp.setattr(engine._SlotTemplate, "__init__", init)
+            for op in edit_cases(case):
+                events.clear()
+                run_edit(op)
+                least = None
+                for kind, value in events:
+                    if kind == "bound":
+                        least = value
+                    else:
+                        assert least is not None and value >= least
+
+    @given(spec_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_zero_edit_round_never_solved(self, case):
+        # the original's failing point is given up front, so no solve on a
+        # template of the original's size allows 0 changed slots
+        asked = []
+        real_solve = engine._SlotTemplate.solve
+
+        def solve(template, assumptions=()):
+            asked.append((template, list(assumptions)))
+            return real_solve(template, assumptions)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine._SlotTemplate, "solve", solve)
+            for op in edit_cases(case):
+                run_edit(op)
+        assert not [template for template, assumptions in asked
+                    if template.k == len(template.originals)
+                    and assumptions == [template.more_than[0] ^ 1]]
 
     def test_shared_temp_seeds_one_slot(self, monkeypatch):
         # t := a AND b is read twice but computed once, so the fix
@@ -1585,6 +1716,12 @@ class TestMinimalEditSearch:
                            st.booleans(), min_size=1),
            st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
+    # slot lower bounds above the original's slot count: y := a against
+    # NOT (a XOR b), and y := b against a table that NOT (a XOR b) and
+    # a OR NOT b meet, each taking 2 slots
+    @example(Var("a"), {(False, False): True, (False, True): False,
+                        (True, False): False, (True, True): True}, 1)
+    @example(Var("b"), {(False, False): True, (True, True): True, (False, True): False}, 2)
     def test_fewest_changed_slots_then_fewest_slots(self, original, table, seed):
         # brute force over every program of the template sizes: the winner
         # has the fewest edits (changed original slots plus added slots),
