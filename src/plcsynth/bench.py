@@ -131,8 +131,8 @@ class BenchValidationError(Exception):
 
 class BenchReport(Record):
     """A bench run: statistics of the repeats' wall times, the same per
-    CEGIS run label (an output, or "*" for a joint run), and every
-    repeat's synthesis result."""
+    CEGIS run label (an output, or a joint run's outputs joined by "*"),
+    and every repeat's synthesis result."""
     scenario: str
     repeats: int
     stats: BenchStats

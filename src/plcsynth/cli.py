@@ -97,7 +97,6 @@ def _parser() -> argparse.ArgumentParser:
     synth.add_argument("--lang", choices=["st", "il"], default="st")
     synth.add_argument("--seed", type=int)
     synth.add_argument("--max-slots", dest="max_slots", type=int)
-    synth.add_argument("--joint", dest="per_output", action="store_const", const=False)
 
     ver = sub.add_parser("verify", help="check a block against constraints")
     ver.add_argument("--block", required=True)

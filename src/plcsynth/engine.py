@@ -105,11 +105,10 @@ class SizeBoundExceeded(Exception):
 
 
 class SynthConfig(Record):
-    """Settings shared by every op: solver seed, slot bound, per-output or
-    joint synthesis, and the bound and initial state of bounded checks."""
+    """Settings shared by every op: solver seed, slot bound, and the bound
+    and initial state of bounded checks."""
     seed: int = 0
     max_slots: int = 31
-    per_output: bool = True
     unwind_cycles: int = 1
     symbolic_init: bool = False
 
@@ -144,11 +143,11 @@ VerifyResult = Verified | Violated
 
 
 class OutputSynthesis(Record):
-    """One CEGIS run: its output (or "*" for a joint run), the inputs its
-    templates read (synthesize and simplify keep those the spec depends
-    on, see `_PointSpec.projected`), the slots it writes (each output's
-    straight-line encoding, `_encode_original`) and the run's counts and
-    time."""
+    """One CEGIS run: its output (a joint run's outputs joined by "*",
+    see `_output_groups`), the inputs its templates read (synthesize and
+    simplify keep those the spec depends on, see `_PointSpec.projected`),
+    the slots it writes (each output's straight-line encoding,
+    `_encode_original`) and the run's counts and time."""
     output: str
     inputs: tuple[str, ...]
     slots_used: int
@@ -1218,22 +1217,24 @@ def _synthesis_driver(jobs: Sequence[tuple[str, _PointSpec, Optional[_Known]]],
 # Public operations
 
 
-def _split_assertions(spec: SpecFormula, outputs: Sequence[str]):
-    """Assertions grouped by the single output they mention; input-only
-    assertions go everywhere; returns (per_output, coupling)."""
-    output_set = set(outputs)
-    per_output: dict[str, list[AssertionClause]] = {o: [] for o in outputs}
-    coupling: list[AssertionClause] = []
-    for clause in spec.assertions:
-        mentioned = sorted(expr_vars(clause.expr) & output_set)
-        if len(mentioned) > 1:
-            coupling.append(clause)
-        elif len(mentioned) == 1:
-            per_output[mentioned[0]].append(clause)
-        else:
-            for o in outputs:
-                per_output[o].append(clause)
-    return per_output, coupling
+def _output_groups(spec: SpecFormula, outputs: Sequence[str]
+                   ) -> list[tuple[list[str], list[AssertionClause]]]:
+    """The spec's CEGIS jobs: outputs that assertions name together,
+    transitively, form one group (its outputs in `outputs` order), which
+    gets every assertion that names no output outside it, so one naming
+    inputs only reaches every group.  Groups come in the order of their
+    first output.  No two groups share an output, so the spec has a dead
+    point exactly when some group has one."""
+    named = [expr_vars(clause.expr).intersection(outputs) for clause in spec.assertions]
+    groups = [[o] for o in outputs]
+    for names in named:
+        tied = [g for g in groups if names.intersection(g)]
+        for g in tied[1:]:
+            tied[0].extend(g)
+            groups.remove(g)
+    return [(sorted(g, key=outputs.index),
+             [c for c, names in zip(spec.assertions, named) if names.issubset(g)])
+            for g in groups]
 
 
 def _build_body(interface: BlockInterface,
@@ -1257,9 +1258,11 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
     run by `_synthesis_driver` with no known program, so running out of
     slots raises SizeBoundExceeded.
 
-    With per_output on, every output gets an independent run (assertions
-    that couple several outputs force a joint run instead).  The returned
-    block is minimal in slot count and verified against the spec.
+    One run per `_output_groups` group: outputs that assertions tie
+    together run jointly, every other output alone.  A joint run writes
+    one expression per output and reports the slots it writes.  The
+    returned block is minimal in slot count per run and verified against
+    the spec, which is refuted when any run's spec has a dead point.
     """
     start = time.perf_counter()
     _check_same_interface(interface, spec.interface, "interface does not match the spec")
@@ -1268,18 +1271,14 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
     outputs = interface.outputs
     if not outputs:
         raise TypeCheckError("synthesizable blocks need at least one output")
-    per_assertions, coupling = _split_assertions(spec, outputs)
     full_pspec = _PointSpec(inputs, outputs, spec.obligations, spec.assertions)
-    if cfg.per_output and not coupling and len(outputs) > 1:
-        jobs = [(o, _PointSpec(inputs, [o], spec.obligations, per_assertions[o]), None)
-                for o in outputs]
-        # with no coupling, the whole spec's dead points are the jobs', and
-        # a job tabulates 2 output valuations where the whole spec takes 2^m
-        if any(job.dead_point(cfg.seed) is not None for _, job, _ in jobs):
-            full_pspec.refute(cfg.seed)
-    else:
+    groups = _output_groups(spec, outputs)
+    jobs = [("*".join(group), full_pspec if len(groups) == 1 else
+             _PointSpec(inputs, group, spec.obligations, assertions), None)
+            for group, assertions in groups]
+    # a job tabulates 2^(its outputs) valuations where the whole spec takes 2^m
+    if any(job.dead_point(cfg.seed) is not None for _, job, _ in jobs):
         full_pspec.refute(cfg.seed)
-        jobs = [(outputs[0] if len(outputs) == 1 else "*", full_pspec, None)]
     return _synthesis_driver(jobs, full_pspec, Block(name, interface, (), Lang.ST), cfg, start)
 
 
@@ -1321,23 +1320,24 @@ def _minimal_edit_synthesis(block: Block, spec: SpecFormula, cfg: SynthConfig,
     start = time.perf_counter()
     _check_same_interface(block.interface, spec.interface,
                           "block and spec interfaces do not match")
-    per_assertions, coupling = _split_assertions(spec, block.interface.outputs)
-    if coupling:
-        raise TypeCheckError("assertions couple several outputs; "
-                             f"{what} handles per-output specs only")
+    groups = _output_groups(spec, block.interface.outputs)
+    for group, _ in groups:
+        if len(group) > 1:
+            raise TypeCheckError(f"assertions couple several outputs ({', '.join(group)}); "
+                                 f"{what} handles per-output specs only")
     _require_combinational(block.interface, what)
     inputs = block.interface.inputs
     originals = _original_exprs(block)
     exprs = dict(originals)
     runs: list[OutputSynthesis] = []
-    for output in block.interface.outputs:
+    for [output], assertions in groups:
         pinned = what == "extend" and not any(output in expr_vars(c.expr)
                                               for c in spec.assertions)
         obligations = spec.obligations
         if pinned:
             obligations = _pinned(obligations, output, originals[output],
                                   [c.guard for c in obligations.get(output, ())])
-        pspec = _PointSpec(inputs, [output], obligations, per_assertions[output])
+        pspec = _PointSpec(inputs, [output], obligations, assertions)
         check_start = time.perf_counter()
         # past the cube the block itself replays, as inlining its temps can
         # make a statement deeper than MAX_EXPR_DEPTH

@@ -12,8 +12,9 @@ import random
 
 from plcsynth.blocks import (
     And, Block, BlockInterface, BoolExpr, Const, Direction, Lang, Not, Or,
-    Statement, Var, VarDecl, Xor, simulate,
+    Statement, Var, VarDecl, Xor, replace, simulate,
 )
+from plcsynth.constraints import AssertionClause, SpecFormula
 from plcsynth.sat import _signed
 
 
@@ -116,6 +117,21 @@ def deep_temps_st(n: int) -> str:
             f"VAR_OUTPUT\n  y : BOOL;\nEND_VAR\nVAR_TEMP\n{temps}  u : BOOL;\nEND_VAR\n"
             f"BEGIN\n  t1 := a;\n{body}  u := {' AND '.join(xs)};\n"
             f"  y := (t{n} AND x1 OR x2 AND x3) OR (u AND NOT u);\nEND_FUNCTION_BLOCK\n")
+
+
+def tie_outputs(spec: SpecFormula) -> SpecFormula:
+    """The spec plus the tautology `o1 OR NOT o1 OR o2 OR ...`, which
+    names every output, so `synthesize` runs all outputs in one joint
+    CEGIS run.  Every output valuation meets it at every point, so no
+    dead point moves and `Unsatisfiable` never names it; on a full table
+    the template's points and clauses stay those of the plain spec."""
+    first, *rest = (Var(o) for o in spec.interface.outputs)
+    expr = Or(first, Not(first))
+    for var in rest:
+        expr = Or(expr, var)
+    origins = [c.origin for clauses in spec.obligations.values() for c in clauses]
+    origin = max([*origins, *(c.origin for c in spec.assertions)], default=-1) + 1
+    return replace(spec, assertions=(*spec.assertions, AssertionClause(expr, origin)))
 
 
 # --------------------------------------------------------------------------

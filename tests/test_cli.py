@@ -166,11 +166,14 @@ class TestSynth:
 
     def test_joint_counts_the_slots_it_writes(self, tmp_path):
         # y = (a AND b) OR c and z = (a AND b) XOR c: a joint template may
-        # share a AND b, but each output's encoding holds it
+        # share a AND b, but each output's encoding holds it; the table
+        # implies `y OR NOT z`, which ties y and z into one joint run
         rows = "".join(
             f'<row in="a={a};b={b};c={c}" out="y={int(a & b | c)};z={int(a & b ^ c)}"/>'
             for a, b, c in itertools.product((0, 1), repeat=3))
-        (tmp_path / "yz.xml").write_text(f"""<?xml version="1.0" encoding="UTF-8"?>
+        counts = []
+        for tie in ("", '<assertion expr="y OR NOT z"/>'):
+            (tmp_path / "yz.xml").write_text(f"""<?xml version="1.0" encoding="UTF-8"?>
 <constraintList block="yz" mode="generate">
   <interface>
     <var name="a" dir="in" type="BOOL"/> <var name="b" dir="in" type="BOOL"/>
@@ -178,15 +181,19 @@ class TestSynth:
     <var name="y" dir="out" type="BOOL"/> <var name="z" dir="out" type="BOOL"/>
   </interface>
   <truthTable>{rows}</truthTable>
+  {tie}
 </constraintList>
 """)
-        counts = []
-        for joint in ([], ["--joint"]):
             code, text = invoke("synth", "--constraints", str(tmp_path / "yz.xml"),
-                                "--out", str(tmp_path / "yz.st"), "--seed", "1", *joint)
+                                "--out", str(tmp_path / "yz.st"), "--seed", "1")
             assert code == EXIT_OK
             counts.append(int(SUMMARY.match(text.strip()).group(3)))
         assert counts == [4, 4]
+
+    def test_joint_option_gone(self, project):
+        # which outputs run jointly follows from the assertions alone
+        code, _ = invoke("synth", "--constraints", str(project / "and.xml"), "--joint")
+        assert code == EXIT_USAGE
 
     def test_conflicting_rows_exit_1(self, project):
         code, text = invoke("synth", "--constraints",

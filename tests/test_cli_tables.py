@@ -17,8 +17,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # each option that sets a config field: the field, and the value it sets
 # (`int`: the number that follows the option)
 FIELD_OPTIONS = {"--seed": ("seed", int), "--max-slots": ("max_slots", int),
-                 "--cycles": ("unwind_cycles", int), "--joint": ("per_output", False),
-                 "--symbolic-init": ("symbolic_init", True)}
+                 "--cycles": ("unwind_cycles", int), "--symbolic-init": ("symbolic_init", True)}
 
 
 def expected_config(argv):
@@ -54,8 +53,6 @@ class TestConfig:
             assert config_of(*argv) == expected_config(argv), argv
 
     def test_every_field_option(self):
-        assert config_of("synth", "--constraints", "c.xml", "--joint") == \
-            SynthConfig(per_output=False)
         assert config_of("synth", "--constraints", "c.xml", "--seed", "4",
                          "--max-slots", "5") == SynthConfig(seed=4, max_slots=5)
         assert config_of("verify", "--block", "b.st", "--constraints", "c.xml",
@@ -102,7 +99,6 @@ options:
     'synth': """\
 usage: plcsynth synth [-h] --constraints CONSTRAINTS [--out OUT]
                       [--lang {st,il}] [--seed SEED] [--max-slots MAX_SLOTS]
-                      [--joint]
 
 options:
   -h, --help            show this help message and exit
@@ -111,7 +107,6 @@ options:
   --lang {st,il}
   --seed SEED
   --max-slots MAX_SLOTS
-  --joint
 """,
     'verify': """\
 usage: plcsynth verify [-h] --block BLOCK --constraints CONSTRAINTS

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_assignments, blocks_equivalent, deep_temps_st, output_table, random_block,
-    random_expr, reachable_functions, signed_clauses,
+    random_expr, reachable_functions, ref_vars, signed_clauses, tie_outputs,
 )
 from plcsynth.blocks import (
     And, Block, BlockInterface, Const, Direction, Lang, Not, Or, Statement,
@@ -24,7 +24,7 @@ from plcsynth.engine import (
     FALSE, TRUE, SizeBoundExceeded, SynthConfig, Unsatisfiable, Verified, Violated,
     check, equivalent, extend, repair, simplify, synthesize, verify,
 )
-from plcsynth.lang import emit, parse_expression, parse_st
+from plcsynth.lang import emit, format_expression, parse_expression, parse_st
 from plcsynth.sat import CnfFormula, to_dimacs
 
 
@@ -445,11 +445,11 @@ class TestSynthesize:
                  (2, 3))]:
             interface = iface(*(f"i:{x}" for x in names), *(f"o:{o}" for o in outputs))
             pattern = " ".join(f"{x}={int(v)}" for x, v in witness.items())
-            for per_output in (True, False):
+            plain = spec_for(interface, rows)
+            for spec in (plain, tie_outputs(plain)):
                 with pytest.raises(Unsatisfiable, match=f"contradictory at input "
                                                         f"pattern: {pattern}\n") as info:
-                    synthesize(interface, spec_for(interface, rows),
-                               SynthConfig(per_output=per_output))
+                    synthesize(interface, spec)
                 assert list(info.value.witness.items()) == list(witness.items())
                 assert info.value.origins == origins
 
@@ -598,13 +598,61 @@ class TestPerOutput:
 
     def test_joint_mode_matches_table(self):
         interface = self.row_interface()
-        result = synthesize(interface, self.row_spec(interface),
-                            SynthConfig(seed=1, per_output=False))
+        # the slowest joint run: the row table with every output tied
+        result = synthesize(interface, tie_outputs(self.row_spec(interface)),
+                            SynthConfig(seed=1))
+        assert [r.output for r in result.per_output] == ["m1*m2*m3"]
         for bits in itertools.product((False, True), repeat=4):
             env = dict(zip(interface.inputs, bits))
             outs = simulate(result.block, [env]).cycles[0].outputs
             for k in (1, 2, 3):
                 assert outs[f"m{k}"] == self.magnet_value(bits, k)
+
+    def partially_tied(self, interface):
+        """Rows give m1 and m2; two assertions tie m3 to NOT m2."""
+        rows = [TruthTableRow(dict(zip(interface.inputs, bits)),
+                              {f"m{k}": self.magnet_value(bits, k) for k in (1, 2)})
+                for bits in itertools.product((False, True), repeat=4)]
+        return spec_for(interface, [*rows, Assertion(parse_expression("m2 OR m3")),
+                                    Assertion(parse_expression("NOT m2 OR NOT m3"))])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_untied_output_runs_alone(self, monkeypatch, seed):
+        template_outputs = []
+        real_init = engine._SlotTemplate.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            template_outputs.append(set(self.outputs))
+
+        monkeypatch.setattr(engine._SlotTemplate, "__init__", init)
+        interface = self.row_interface()
+        spec = self.partially_tied(interface)
+        result = synthesize(interface, spec, SynthConfig(seed=seed))
+        assert [r.output for r in result.per_output] == ["m1", "m2*m3"]
+        assert result.per_output[0].slots_used == 3
+        assert {"m1"} in template_outputs and {"m2", "m3"} in template_outputs
+        assert all(outs in ({"m1"}, {"m2", "m3"}) for outs in template_outputs)
+        for env in all_assignments(interface.inputs):
+            outs = simulate(result.block, [env]).cycles[0].outputs
+            assert spec_holds(spec, {**env, **outs})
+
+    def test_dead_point_in_a_tied_group(self):
+        # at a=1 b=1 the rows want y=z=1 and the assertion y XOR z; w runs
+        # alone and is fine, yet the whole spec is refuted as `check` does
+        interface = iface("i:a", "i:b", "o:y", "o:z", "o:w")
+        spec = spec_for(interface, [
+            TruthTableRow({"b": False}, {"w": True}),
+            TruthTableRow({"a": True}, {"y": True}),
+            TruthTableRow({"b": True}, {"z": True}),
+            Assertion(parse_expression("y XOR z"))])
+        outcomes = []
+        for op in (lambda: check(spec), lambda: synthesize(interface, spec)):
+            with pytest.raises(Unsatisfiable) as info:
+                op()
+            outcomes.append((str(info.value), info.value.witness, info.value.origins))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == {"a": True, "b": True}
 
     def test_guards_never_evaluated_per_point(self, monkeypatch):
         # per-output runs and the final spec check read the guards' truth
@@ -646,10 +694,11 @@ class TestPerOutput:
 
 @st.composite
 def coupled_specs(draw):
-    """Random partial tables over at most 3 inputs and 2-3 outputs plus one
-    assertion that couples two outputs, so synthesis runs jointly."""
+    """Random partial tables over at most 3 inputs and 2-4 outputs plus one
+    or two assertions that each couple two outputs, so the coupled outputs
+    run jointly: ties may chain, or leave outputs alone."""
     inputs = [f"i{k}" for k in range(draw(st.integers(1, 3)))]
-    outputs = [f"o{k}" for k in range(draw(st.integers(2, 3)))]
+    outputs = [f"o{k}" for k in range(draw(st.integers(2, 4)))]
     interface = BlockInterface(tuple(
         [VarDecl(x, Direction.INPUT) for x in inputs]
         + [VarDecl(o, Direction.OUTPUT) for o in outputs]))
@@ -664,11 +713,28 @@ def coupled_specs(draw):
         told = [o for o in outputs if draw(st.booleans())] or [outputs[0]]
         rows.append(TruthTableRow(dict(zip(inputs, bits)),
                                   {o: draw(st.booleans()) for o in told}))
-    first, second = draw(st.permutations(outputs))[:2]
-    coupling = draw(st.sampled_from([And, Or, Xor]))(literal(first), literal(second))
-    if draw(st.booleans()):
-        coupling = Or(coupling, literal(draw(st.sampled_from(inputs))))
-    return interface, spec_for(interface, rows + [Assertion(coupling)])
+    ties = []
+    for _ in range(draw(st.integers(1, 2))):
+        first, second = draw(st.permutations(outputs))[:2]
+        tie = draw(st.sampled_from([And, Or, Xor]))(literal(first), literal(second))
+        if draw(st.booleans()):
+            tie = Or(tie, literal(draw(st.sampled_from(inputs))))
+        ties.append(Assertion(tie))
+    return interface, spec_for(interface, rows + ties)
+
+
+def tied_labels(spec, outputs):
+    """The run labels of a spec's groups, by closing the ties of its
+    assertions one output at a time."""
+    labels, left = [], list(outputs)
+    while left:
+        group = {left[0]}
+        for _ in outputs:
+            group |= {o for c in spec.assertions if ref_vars(c.expr) & group
+                      for o in ref_vars(c.expr) & set(outputs)}
+        labels.append("*".join(o for o in outputs if o in group))
+        left = [o for o in left if o not in group]
+    return labels
 
 
 def spec_holds(spec, env):
@@ -696,12 +762,55 @@ class TestJointEncoding:
                 synthesize(interface, spec, SynthConfig(seed=seed))
             return
         first = synthesize(interface, spec, SynthConfig(seed=seed))
-        assert [r.output for r in first.per_output] == ["*"]
+        assert [r.output for r in first.per_output] == tied_labels(spec, outputs)
         for env in points:
             outs = simulate(first.block, [env]).cycles[0].outputs
             assert spec_holds(spec, {**env, **outs})
         again = synthesize(interface, spec, SynthConfig(seed=seed))
         assert emit(again.block, Lang.ST) == emit(first.block, Lang.ST)
+
+
+class TestOutputGroups:
+    """`engine._output_groups`: which outputs share a CEGIS run, and with
+    which assertions."""
+
+    def groups(self, outputs, *assertions):
+        interface = iface("i:a", *(f"o:{o}" for o in outputs))
+        spec = spec_for(interface, [Assertion(parse_expression(a)) for a in assertions])
+        return [(group, [format_expression(c.expr) for c in clauses])
+                for group, clauses in engine._output_groups(spec, interface.outputs)]
+
+    def test_untied_outputs_run_alone(self):
+        assert self.groups(["y", "z"], "a", "y OR a", "NOT z") == [
+            (["y"], ["a", "y OR a"]), (["z"], ["a", "NOT z"])]
+
+    def test_ties_chain(self):
+        # y-z and z-w give one group, its outputs in interface order
+        assert self.groups(["w", "y", "z"], "z XOR w", "y OR z") == [
+            (["w", "y", "z"], ["z XOR w", "y OR z"])]
+        assert self.groups(["y", "z", "w", "v"], "y OR z", "a", "z AND w", "v") == [
+            (["y", "z", "w"], ["y OR z", "a", "z AND w"]), (["v"], ["a", "v"])]
+
+    def test_groups_in_order_of_their_first_output(self):
+        assert self.groups(["p", "y", "q", "z"], "z OR y", "q AND p") == [
+            (["p", "q"], ["q AND p"]), (["y", "z"], ["z OR y"])]
+        assert self.groups(["p", "y", "q", "z"], "z OR y") == [
+            (["p"], []), (["y", "z"], ["z OR y"]), (["q"], [])]
+
+    @given(coupled_specs())
+    @settings(max_examples=100, deadline=None)
+    def test_groups_partition_the_outputs(self, case):
+        interface, spec = case
+        outputs = list(interface.outputs)
+        groups = engine._output_groups(spec, outputs)
+        assert ["*".join(group) for group, _ in groups] == tied_labels(spec, outputs)
+        for clause in spec.assertions:
+            named = ref_vars(clause.expr) & set(outputs)
+            holding = [g for g, clauses in groups if clause in clauses]
+            # an input-only assertion reaches every group, any other one
+            # lands in the group of the outputs it names
+            assert len(holding) == (len(groups) if not named else 1)
+            assert all(named <= set(g) for g in holding)
 
 
 class TestWideInputs:
@@ -801,13 +910,13 @@ def without_temps(interface):
 
 def op_outcomes(block, constraints):
     """ST, iterations and counterexample count (or the error) of synthesize
-    (per output and joint), repair, simplify and extend on one case; extend
+    (per output and, outputs tied by `tie_outputs`, joint), repair, simplify and extend on one case; extend
     gets the last two constraints only, as a long extra list makes it slow."""
     interface = without_temps(block.interface)
     spec = spec_for(interface, constraints)
     extra = ConstraintList("e", Mode.EXTEND, interface, tuple(constraints[-2:]))
     ops = [lambda: synthesize(interface, spec, SynthConfig(seed=1)),
-           lambda: synthesize(interface, spec, SynthConfig(seed=1, per_output=False)),
+           lambda: synthesize(interface, tie_outputs(spec), SynthConfig(seed=1)),
            lambda: repair(block, spec, SynthConfig(seed=1)),
            lambda: simplify(block, SynthConfig(seed=1)),
            lambda: extend(block, extra, SynthConfig(seed=1))]
@@ -966,9 +1075,8 @@ class TestContradictionCheck:
         inputs, outputs = interface.inputs, interface.outputs
         spec = spec_for(interface, constraints)
         runs = [lambda: check(spec)] + [
-            lambda per_output=per_output: synthesize(
-                interface, spec, SynthConfig(max_slots=3, per_output=per_output))
-            for per_output in (True, False)]
+            lambda goal=goal: synthesize(interface, goal, SynthConfig(max_slots=3))
+            for goal in (spec, tie_outputs(spec))]
         outcomes = []
         for op in runs:
             try:
@@ -1067,10 +1175,12 @@ class TestProjection:
 
     @given(constraint_lists(), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_padding_keeps_slot_count(self, case, per_output):
+    def test_padding_keeps_slot_count(self, case, tied):
         interface, constraints = case
         spec = spec_for(interface, constraints)
-        cfg = SynthConfig(seed=1, per_output=per_output)
+        if tied:
+            spec = tie_outputs(spec)
+        cfg = SynthConfig(seed=1)
         plain, wide = synthesis_outcome(spec, cfg), synthesis_outcome(padded(spec), cfg)
         if isinstance(plain, str):
             assert wide == plain
@@ -1451,11 +1561,15 @@ class TestRepair:
         assert result.block.body == (Statement("y", And(Var("a"), Var("b"))),)
 
     def test_coupling_assertion_rejected(self):
-        interface = iface("i:a", "o:y", "o:z")
-        block = Block("yz", interface, (Statement("y", Var("a")), Statement("z", Var("a"))))
-        spec = spec_for(interface, [Assertion(Or(Var("y"), Var("z")))])
-        with pytest.raises(TypeCheckError, match="couple several outputs"):
-            repair(block, spec)
+        # the error names the tied outputs in interface order, not the
+        # untied w
+        interface = iface("i:a", "o:y", "o:w", "o:z")
+        block = Block("yz", interface, tuple(Statement(o, Var("a")) for o in "ywz"))
+        tie = Assertion(Or(Var("z"), Var("y")))
+        with pytest.raises(TypeCheckError, match=r"couple several outputs \(y, z\); repair"):
+            repair(block, spec_for(interface, [tie]))
+        with pytest.raises(TypeCheckError, match=r"couple several outputs \(y, z\); extend"):
+            extend(block, ConstraintList("e", Mode.EXTEND, interface, (tie,)))
 
     def test_only_or_to_and_among_single_edits(self):
         # enumerate all single-node edits of Or(a, b): operator swaps and
@@ -1944,8 +2058,7 @@ class TestZeroInputs:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_joint_synthesis(self, seed):
-        result = synthesize(self.IFACE_YZ, self.spec(),
-                            SynthConfig(seed=seed, per_output=False))
+        result = synthesize(self.IFACE_YZ, tie_outputs(self.spec()), SynthConfig(seed=seed))
         assert result.block.body == (Statement("y", Not(FALSE)), Statement("z", FALSE))
         # the joint template shares FALSE, but each output's encoding has it
         assert result.slots_used == 3
@@ -2281,7 +2394,7 @@ class TestKernelBoundary:
         spec = spec_for(interface, table_rows(["a", "b", "c"], ["y", "z"], lambda e: {
             "y": e["a"] or (e["b"] and e["c"]), "z": e["a"] != e["b"]}))
         synthesize(interface, spec, SynthConfig(seed=1))
-        synthesize(interface, spec, SynthConfig(seed=1, per_output=False))
+        synthesize(interface, tie_outputs(spec), SynthConfig(seed=1))
         block = Block("base", interface, (Statement("y", Var("a")), Statement("z", Var("b"))))
         repair(block, spec, SynthConfig(seed=1))
         extra = ConstraintList("e", Mode.EXTEND, interface,

@@ -120,6 +120,17 @@ def test_one_written_block_check():
         "_minimal_edit_synthesis", "_run_cegis", "_synthesis_driver"]
 
 
+def test_one_output_grouping():
+    # which outputs share a CEGIS run follows from the assertions alone,
+    # by one rule: synthesize runs each group, repair and extend refuse
+    # groups of several outputs
+    from plcsynth import engine
+
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    assert sorted(_calls_by_function(tree, "_output_groups")) == [
+        "_minimal_edit_synthesis", "synthesize"]
+
+
 def test_engine_evaluates_no_point_recursively():
     # spec clauses are read through truth tables (`fold_expr` walks
     # iteratively); `eval_expr` takes a Python stack frame per level
