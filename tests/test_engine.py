@@ -910,8 +910,9 @@ def without_temps(interface):
 
 def op_outcomes(block, constraints):
     """ST, iterations and counterexample count (or the error) of synthesize
-    (per output and, outputs tied by `tie_outputs`, joint), repair, simplify and extend on one case; extend
-    gets the last two constraints only, as a long extra list makes it slow."""
+    (per output, and joint with the outputs tied by `tie_outputs`), repair,
+    simplify and extend on one case; extend gets the last two constraints
+    only, as a long extra list makes it slow."""
     interface = without_temps(block.interface)
     spec = spec_for(interface, constraints)
     extra = ConstraintList("e", Mode.EXTEND, interface, tuple(constraints[-2:]))
