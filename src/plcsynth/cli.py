@@ -31,15 +31,27 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-# `BEGIN` outside a comment: after the header, ST has it and IL does not
-_ST_BODY_RE = re.compile(r"^(?:(?!//).)*\bBEGIN\b", re.MULTILINE)
+_BEGIN_RE = re.compile(r"BEGIN\b")
+_WORD_RE = re.compile(r"\w")
+
+
+def _is_st(text: str) -> bool:
+    """Whether the word `BEGIN` stands outside a comment, with no `//`
+    before it on its line: after the header, ST has it and IL does not.
+    The search keys on the literal, so it skips the header in one scan."""
+    for found in _BEGIN_RE.finditer(text):
+        at = found.start()
+        line = text[text.rfind("\n", 0, at) + 1:at]
+        if not _WORD_RE.match(line[-1:]) and "//" not in line:
+            return True
+    return False
 
 
 def load_block(path) -> Block:
     """Parse a block file in the dialect its text is written in, whatever
     the path's suffix; a leading UTF-8 byte-order mark is skipped."""
     text = Path(path).read_text(encoding="utf-8-sig")
-    return parse_st(text) if _ST_BODY_RE.search(text) else parse_il(text)
+    return parse_st(text) if _is_st(text) else parse_il(text)
 
 
 def write_block(block: Block, path) -> None:

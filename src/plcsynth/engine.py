@@ -350,6 +350,12 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
     initial state and inputs are int leaves, literal codes that the
     encoder numbered.
 
+    Only bound 1 is asked when every run can start from any state: one
+    block with symbolic_init, or blocks without state vars.  Proof: the
+    last cycle of a run is a one-cycle run from the state before it,
+    which is then an allowed start, so a bad run of any length means a
+    bad run of one cycle.
+
     Every model replays on the simulator before it is returned: `violated`
     names what fails on one cycle's concrete environments, one per block
     (inputs, outputs and state after the cycle), and the counterexample is
@@ -362,7 +368,8 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
     init = {s: enc.fresh() if symbolic_init else FALSE for s in iface.state_vars}
     states = [init] * len(blocks)
     input_vars: list[dict[str, int]] = []
-    for t in range(cycles):
+    any_start = not iface.state_vars or (symbolic_init and len(blocks) == 1)
+    for t in range(1 if any_start else cycles):
         inputs = {n: enc.fresh() for n in iface.inputs}
         input_vars.append(inputs)
         envs = [_symbolic_cycle(b, state, inputs) for b, state in zip(blocks, states)]
@@ -393,7 +400,10 @@ def verify(block: Block, spec: SpecFormula,
     """Bounded model check of the block against the compiled spec: a
     shortest run of at most `unwind_cycles` cycles (initial state all false
     unless symbolic_init) at whose end an obligation or assertion fails,
-    replayed on the simulator (see `_unroll`), else Verified."""
+    replayed on the simulator (see `_unroll`), else Verified.  With
+    symbolic_init, or for a block without state, only one cycle is
+    checked: any run's last cycle is a one-cycle run from an allowed
+    start, so that answer holds at every bound."""
     _check_same_interface(block.interface, spec.interface,
                           "block and spec interfaces do not match")
     return _unroll([block], cfg.symbolic_init, cfg.unwind_cycles,
@@ -407,7 +417,8 @@ def equivalent(a: Block, b: Block,
                cfg: SynthConfig = SynthConfig()) -> VerifyResult:
     """Verified iff outputs agree on every input and initial-state pattern
     across `unwind_cycles` cycles; otherwise a shortest distinguishing
-    counterexample is returned."""
+    counterexample is returned.  Blocks without state are compared on
+    one cycle, which behaves like every later one."""
     _check_same_interface(a.interface, b.interface, "blocks have different interfaces")
     outputs = a.interface.outputs
     return _unroll([a, b], True, cfg.unwind_cycles,
@@ -1276,8 +1287,9 @@ def synthesize(interface: BlockInterface, spec: SpecFormula,
     jobs = [("*".join(group), full_pspec if len(groups) == 1 else
              _PointSpec(inputs, group, spec.obligations, assertions), None)
             for group, assertions in groups]
+    # one job is the whole spec, which `refute` searches once; with several,
     # a job tabulates 2^(its outputs) valuations where the whole spec takes 2^m
-    if any(job.dead_point(cfg.seed) is not None for _, job, _ in jobs):
+    if len(jobs) == 1 or any(job.dead_point(cfg.seed) is not None for _, job, _ in jobs):
         full_pspec.refute(cfg.seed)
     return _synthesis_driver(jobs, full_pspec, Block(name, interface, (), Lang.ST), cfg, start)
 

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import blocks_equivalent, deep_temps_st, output_table
 from plcsynth.bench import (
@@ -17,7 +19,7 @@ from plcsynth.bench import (
     stats,
 )
 from plcsynth.blocks import Lang
-from plcsynth.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, load_block, run
+from plcsynth.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, _is_st, load_block, run
 from plcsynth.constraints import compile_spec, load_constraints
 from plcsynth.engine import SynthConfig, Verified, equivalent, simplify, synthesize
 from plcsynth.lang import emit, parse_il, parse_st
@@ -276,6 +278,15 @@ class TestVerifyCli:
         code, text = invoke("verify", "--block", str(out_path),
                             "--constraints", str(project / "and.xml"))
         assert (code, text) == (EXIT_OK, "Verified (bound 1)\n")
+
+    @given(st.lists(st.sampled_from(["BEGIN", "BEGINNING", "/", "//", " ", "a", "_", "\n"]),
+                    max_size=12).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_dialect_sniff_matches_line_pattern(self, text):
+        # the line-anchored pattern the sniff replaces: a word BEGIN with
+        # no `//` before it on its line
+        pattern = re.compile(r"^(?:(?!//).)*\bBEGIN\b", re.MULTILINE)
+        assert _is_st(text) == bool(pattern.search(text))
 
     def test_deep_expression_exit_2(self, project):
         deep = project / "deep.st"

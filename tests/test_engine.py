@@ -224,11 +224,12 @@ def mutate_one_node(rng, expr):
 
 
 class TestBoundedUnroll:
-    """verify/equivalent on random stateful blocks against an explicit-state
-    search: same verdict, same shortest depth, replaying counterexamples."""
+    """verify/equivalent on random blocks with 0-2 state vars against an
+    explicit-state search: same verdict, same shortest depth, replaying
+    counterexamples."""
 
     def random_case(self, rng):
-        block = random_block(rng, rng.randint(1, 3), 1, rng.randint(1, 2),
+        block = random_block(rng, rng.randint(1, 3), 1, rng.randint(0, 2),
                              rng.randint(0, 1), rng.randint(2, 5), name="rs")
         names = list(block.interface.inputs + block.interface.outputs
                      + block.interface.state_vars)
@@ -287,7 +288,7 @@ class TestBoundedUnroll:
         rng = random.Random(47)
         deep = 0
         for case in range(200):
-            a = random_block(rng, rng.randint(1, 3), 1, rng.randint(1, 2),
+            a = random_block(rng, rng.randint(1, 3), 1, rng.randint(0, 2),
                              rng.randint(0, 1), rng.randint(2, 5), name="ra")
             j = rng.randrange(len(a.body))
             stmt = a.body[j]
@@ -352,9 +353,33 @@ class TestBoundedUnroll:
         # cycles 0 and 1 fold to constants from the all-false start
         assert (len(built), len(solves)) == (1, 1)
         built.clear(), solves.clear()
+        # from any start, the one-cycle answer holds at every bound
         cfg = SynthConfig(unwind_cycles=4, symbolic_init=True)
         assert verify(block, holds, cfg) == Verified(4)
-        assert (len(built), len(solves)) == (1, 4)
+        assert (len(built), len(solves)) == (1, 1)
+
+    def test_symbolic_init_answers_at_bound_one(self):
+        # a bad run of any length ends in a one-cycle run from an allowed
+        # start, so every bound gives the bound-1 answer
+        rng = random.Random(53)
+        violated = 0
+        for case in range(60):
+            block, spec, _ = self.random_case(rng)
+            first = verify(block, spec, SynthConfig(symbolic_init=True))
+            violated += isinstance(first, Violated)
+            for bound in range(2, 6):
+                result = verify(block, spec, SynthConfig(unwind_cycles=bound,
+                                                         symbolic_init=True))
+                assert result == (Verified(bound) if first == Verified(1) else first), \
+                    (case, bound)
+        assert 10 <= violated <= 50
+
+    def test_stateless_equivalence_solves_once(self, monkeypatch):
+        plain = Block("p", IFACE_AB_Y, (Statement("y", Or(Var("a"), Var("b"))),))
+        twin = Block("t", IFACE_AB_Y, (Statement("y", Or(Var("b"), Var("a"))),))
+        built, solves = self.counting_solver(monkeypatch)
+        assert equivalent(plain, twin, SynthConfig(unwind_cycles=5)) == Verified(5)
+        assert (len(built), len(solves)) == (1, 1)
 
     def test_equivalent_builds_one_solver(self, monkeypatch):
         block = self.shift_register()
@@ -368,8 +393,8 @@ class TestBoundedUnroll:
 
     def test_unrolled_cnf_matches_golden(self, monkeypatch):
         # digest of the CNF verify and equivalent load over 3 cycles of a
-        # stateful block, as search is very sensitive to variable and
-        # clause order
+        # stateful block (1 cycle for verify with symbolic init), as
+        # search is very sensitive to variable and clause order
         solvers = []
 
         class RecordingSolver(engine.CdclSolver):
@@ -398,7 +423,7 @@ class TestBoundedUnroll:
         digest = hashlib.sha256(repr([(signed_clauses(s.original), s.num_vars)
                                       for s in solvers]).encode())
         assert (len(solvers), digest.hexdigest()) == (
-            5, "596e831537d2099e56979923143f1e55769a7071852c92a6951e961e095f7612")
+            5, "14eee30a8404eb3876f66a555c25fd44bb48886f0cd670bb225b8b01903a73c5")
 
 
 class TestSynthesize:
@@ -1141,6 +1166,30 @@ class TestContradictionCheck:
                 op()
             errors.append((str(caught.value), caught.value.witness, caught.value.origins))
         assert errors[0] == errors[1]
+
+    def test_wide_contradiction_asks_one_query(self, monkeypatch):
+        # past the cube a dead point is a SAT query; with one group the
+        # whole spec is the run's spec, so synthesize asks it once
+        inputs = [f"x{i}" for i in range(engine._CUBE_INPUTS + 1)]
+        interface = iface(*(f"i:{x}" for x in inputs), "o:y")
+        spec = spec_for(interface, [TruthTableRow({"x0": True}, {"y": True}),
+                                    TruthTableRow({"x1": True}, {"y": False})])
+        real_unroll = engine._unroll
+        errors, calls = [], []
+
+        def unroll(*args, **kwargs):
+            calls[-1] += 1
+            return real_unroll(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_unroll", unroll)
+        for op in (lambda: check(spec), lambda: synthesize(interface, spec)):
+            calls.append(0)
+            with pytest.raises(Unsatisfiable) as caught:
+                op()
+            errors.append((str(caught.value), caught.value.witness, caught.value.origins))
+        assert calls == [1, 1]
+        assert errors[0] == errors[1]
+        assert errors[0][2] == (0, 1)
 
 
 def padded(spec):
