@@ -4,7 +4,11 @@ Verification, equivalence checking and, past _CUBE_INPUTS inputs, the
 counterexample and dead-point searches of synthesis ask one bounded
 checker, `_unroll`.  It grows one unrolled formula a scan cycle at a time
 in a single incremental SAT solver, so the first counterexample found is a
-shortest one, and it replays every model on the reference simulator.
+shortest one, and it replays every model on the reference simulator.  A
+`Verified (bound K)` rests on bound 1 alone where every run can start from
+any state; on bound 1 and one induction step where a block with state
+starts all-false and no clean cycle from any state is followed by a bad
+one; else on all K bounds.
 
 Synthesis searches straight-line candidate programs described by a slot
 template (operator and operand selector variables) with iterative
@@ -343,8 +347,8 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
     such run.
 
     All blocks read the same inputs from the same initial state (all false
-    unless symbolic_init).  One encoder and one solver serve the whole
-    call: each bound unrolls one more cycle, feeds the solver only the new
+    unless symbolic_init).  One encoder and one solver serve every bound:
+    each bound unrolls one more cycle, feeds the solver only the new
     clauses and solves under the assumption that this cycle's violation
     holds, so the first model found belongs to the shortest bound.  The
     initial state and inputs are int leaves, literal codes that the
@@ -356,6 +360,16 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
     which is then an allowed start, so a bad run of any length means a
     bad run of one cycle.
 
+    One block with state from the all-false start asks, once bound 1 is
+    clean (UNSAT, or its violation folds to FALSE) and cycles > 1, the
+    induction step on an encoder and solver of its own: two cycles from
+    fresh state codes, the first with no violation and the second with
+    one.  When that is UNSAT, no bound can fail and the call returns
+    Verified(cycles).  Proof: cycle 0 of every run is clean by bound 1,
+    and the step carries a clean cycle to the next one.  Otherwise the
+    bounds go on as above; the step touches neither their encoder nor
+    their solver, so their search and models are the same.
+
     Every model replays on the simulator before it is returned: `violated`
     names what fails on one cycle's concrete environments, one per block
     (inputs, outputs and state after the cycle), and the counterexample is
@@ -363,13 +377,29 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
     replay raises AssertionError.
     """
     iface = blocks[0].interface
+    new_solver = lambda: CdclSolver(CnfFormula(0, ()), seed=seed)
     enc = TseitinEncoder({})
-    solver = CdclSolver(CnfFormula(0, ()), seed=seed)
+    solver = new_solver()
     init = {s: enc.fresh() if symbolic_init else FALSE for s in iface.state_vars}
     states = [init] * len(blocks)
     input_vars: list[dict[str, int]] = []
     any_start = not iface.state_vars or (symbolic_init and len(blocks) == 1)
     for t in range(1 if any_start else cycles):
+        if t == 1 and len(blocks) == 1:
+            # bound 1 was clean, and a one-block check that gets here has
+            # state and the all-false start: ask the induction step
+            step_enc = TseitinEncoder({})
+            state = {s: step_enc.fresh() for s in iface.state_vars}
+            bad_lits = []
+            for _ in range(2):
+                env = _symbolic_cycle(blocks[0], state,
+                                      {n: step_enc.fresh() for n in iface.inputs})
+                state = {s: env[s] for s in iface.state_vars}
+                bad_lits.append(step_enc.encode(_disj(bad([env]))))
+            step_solver = new_solver()
+            step_solver.extend(step_enc.num_vars, step_enc.clauses)
+            if not step_solver.solve([bad_lits[1], bad_lits[0] ^ 1]).satisfiable:
+                return Verified(cycles)
         inputs = {n: enc.fresh() for n in iface.inputs}
         input_vars.append(inputs)
         envs = [_symbolic_cycle(b, state, inputs) for b, state in zip(blocks, states)]
@@ -403,7 +433,10 @@ def verify(block: Block, spec: SpecFormula,
     replayed on the simulator (see `_unroll`), else Verified.  With
     symbolic_init, or for a block without state, only one cycle is
     checked: any run's last cycle is a one-cycle run from an allowed
-    start, so that answer holds at every bound."""
+    start, so that answer holds at every bound.  From the all-false start,
+    a block with state whose cycle 1 is clean is Verified at once when one
+    induction step shows that no clean cycle, from any state, is followed
+    by a bad one; else every bound is checked."""
     _check_same_interface(block.interface, spec.interface,
                           "block and spec interfaces do not match")
     return _unroll([block], cfg.symbolic_init, cfg.unwind_cycles,

@@ -228,8 +228,8 @@ class TestBoundedUnroll:
     explicit-state search: same verdict, same shortest depth, replaying
     counterexamples."""
 
-    def random_case(self, rng):
-        block = random_block(rng, rng.randint(1, 3), 1, rng.randint(0, 2),
+    def random_case(self, rng, states=(0, 2)):
+        block = random_block(rng, rng.randint(1, 3), 1, rng.randint(*states),
                              rng.randint(0, 1), rng.randint(2, 5), name="rs")
         names = list(block.interface.inputs + block.interface.outputs
                      + block.interface.state_vars)
@@ -251,18 +251,26 @@ class TestBoundedUnroll:
             d for d in block.interface.decls if d.direction is not Direction.TEMP))
         return block, spec_for(spec_iface, [constraint], Mode.VERIFY), violates
 
+    @staticmethod
+    def verify_step(block, violates):
+        """`explicit_shortest`'s step for `verify` of the block: whether
+        one cycle from a state tuple breaks the check, and the next one."""
+        states = block.interface.state_vars
+
+        def step(state, env):
+            cycle = simulate(block, [env], dict(zip(states, state))).cycles[0]
+            full = {**env, **cycle.outputs, **cycle.state_after}
+            return violates(full), tuple(cycle.state_after[s] for s in states)
+
+        return step
+
     def test_verify_matches_explicit_search(self):
         rng = random.Random(31)
         deep = 0
         for case in range(150):
             block, spec, violates = self.random_case(rng)
             states = block.interface.state_vars
-
-            def step(state, env):
-                cycle = simulate(block, [env], dict(zip(states, state))).cycles[0]
-                full = {**env, **cycle.outputs, **cycle.state_after}
-                return violates(full), tuple(cycle.state_after[s] for s in states)
-
+            step = self.verify_step(block, violates)
             for symbolic in (False, True):
                 starts = (itertools.product((False, True), repeat=len(states))
                           if symbolic else [tuple(False for _ in states)])
@@ -350,13 +358,108 @@ class TestBoundedUnroll:
         built, solves = self.counting_solver(monkeypatch)
         result = verify(block, violated, SynthConfig(unwind_cycles=4))
         assert result.counterexample.cycle_index == 2
-        # cycles 0 and 1 fold to constants from the all-false start
-        assert (len(built), len(solves)) == (1, 1)
+        # cycles 0 and 1 fold to constants from the all-false start, so one
+        # solver answers every bound with one solve; the induction step,
+        # asked on a solver of its own once bound 1 is clean, is SAT (a
+        # clean cycle can load s2)
+        assert (len(built), len(solves)) == (2, 2)
         built.clear(), solves.clear()
         # from any start, the one-cycle answer holds at every bound
         cfg = SynthConfig(unwind_cycles=4, symbolic_init=True)
         assert verify(block, holds, cfg) == Verified(4)
         assert (len(built), len(solves)) == (1, 1)
+
+    def test_inductive_check_stops_after_bound_one(self, monkeypatch):
+        # both bits toggle together, so they stay equal: bound 1 and the
+        # induction step settle every bound, though from a start where
+        # they differ the check fails at once
+        block = Block("pair", iface("i:a", "o:y", "s:s1", "s:s2"),
+                      (Statement("y", Var("s1")),
+                       Statement("s1", Xor(Var("s1"), Var("a"))),
+                       Statement("s2", Xor(Var("s2"), Var("a")))))
+        spec = spec_for(block.interface, [Assertion(parse_expression("NOT (s1 XOR s2)"))],
+                        Mode.VERIFY)
+        assert isinstance(verify(block, spec, SynthConfig(symbolic_init=True)), Violated)
+        built, solves = self.counting_solver(monkeypatch)
+        for bound in range(2, 21):
+            built.clear(), solves.clear()
+            assert verify(block, spec, SynthConfig(unwind_cycles=bound)) == Verified(bound)
+            assert (len(built), len(solves)) == (2, 2), bound
+
+    def test_folded_bound_one_gets_the_step(self, monkeypatch):
+        # a two-place token ring that `put` fills when empty and `adv`
+        # turns: from the empty start, bound 1's violation folds to FALSE,
+        # and the step alone proves that the ring never holds two tokens
+        p = parse_expression
+        block = Block("ring", iface("i:adv", "i:put", "o:y", "s:t0", "s:t1"),
+                      (Statement("y", Var("t0")),
+                       Statement("t0", p("adv AND t1 OR NOT adv AND t0"
+                                         " OR put AND NOT t0 AND NOT t1")),
+                       Statement("t1", p("adv AND y OR NOT adv AND t1"))))
+        spec = spec_for(block.interface, [Assertion(p("NOT (t0 AND t1)"))], Mode.VERIFY)
+        built, solves = self.counting_solver(monkeypatch)
+        for bound in range(2, 9):
+            built.clear(), solves.clear()
+            assert verify(block, spec, SynthConfig(unwind_cycles=bound)) == Verified(bound)
+            assert (len(built), len(solves)) == (2, 1), bound
+
+    def test_safe_check_that_is_not_inductive_asks_every_bound(self, monkeypatch):
+        # a counter whose two bits move together, toggled by `en`, cycles
+        # between 00 and 11; a state whose bits differ swaps them, so the
+        # unreachable 10 steps into the bad 01 and the step is SAT
+        block = Block("ctr", iface("i:en", "o:y", "s:s1", "s:s0"),
+                      (Statement("y", Xor(Var("s1"), Var("s0"))),
+                       Statement("s1", Xor(Var("s1"), Or(Var("en"), Var("y")))),
+                       Statement("s0", Xor(Var("s0"), Or(Var("en"), Var("y"))))))
+        spec = spec_for(block.interface, [Assertion(parse_expression("s1 OR NOT s0"))],
+                        Mode.VERIFY)
+        built, solves = self.counting_solver(monkeypatch)
+        for bound in range(2, 7):
+            built.clear(), solves.clear()
+            assert verify(block, spec, SynthConfig(unwind_cycles=bound)) == Verified(bound)
+            # bound 1, the step, then bounds 2..K
+            assert (len(built), len(solves)) == (2, bound + 1), bound
+
+    def test_fixed_init_matches_explicit_search(self, monkeypatch):
+        # deeper runs of blocks with 1-3 state vars from the all-false
+        # start: the step must neither prove a check that fails nor move a
+        # shortest counterexample
+        step_answers = []
+
+        class Recording(engine.CdclSolver):
+            def solve(self, assumptions=()):
+                assumed = list(assumptions)
+                result = super().solve(assumed)
+                if len(assumed) == 2:  # the induction step
+                    step_answers.append(result.satisfiable)
+                return result
+
+        monkeypatch.setattr(engine, "CdclSolver", Recording)
+        rng = random.Random(67)
+        asked = proved = deep = 0
+        for case in range(200):
+            block, spec, violates = self.random_case(rng, states=(1, 3))
+            start = tuple(False for _ in block.interface.state_vars)
+            depth = explicit_shortest(self.verify_step(block, violates), [start],
+                                      block.interface.inputs, 8)
+            deep += depth is not None and depth > 1
+            for bound in range(1, 9):
+                step_answers.clear()
+                result = verify(block, spec, SynthConfig(unwind_cycles=bound))
+                asked += len(step_answers)
+                proved += step_answers == [False]
+                if depth is None or depth > bound:
+                    assert result == Verified(bound), (case, bound)
+                    continue
+                assert isinstance(result, Violated), (case, bound)
+                cex = result.counterexample
+                assert cex.cycle_index + 1 == depth == len(cex.input_cycles)
+                assert not any(cex.init_state.values())
+                trace = simulate(block, list(cex.input_cycles), cex.init_state)
+                last = trace.cycles[cex.cycle_index]
+                assert violates({**last.inputs, **last.outputs, **last.state_after})
+        # 413 steps asked and 336 proved at this seed
+        assert proved >= 250 and asked - proved >= 50 and deep >= 3
 
     def test_symbolic_init_answers_at_bound_one(self):
         # a bad run of any length ends in a one-cycle run from an allowed
@@ -392,15 +495,28 @@ class TestBoundedUnroll:
         assert len(built) == 1 and 1 <= len(solves) <= 4
 
     def test_unrolled_cnf_matches_golden(self, monkeypatch):
-        # digest of the CNF verify and equivalent load over 3 cycles of a
+        # digests of the CNF verify and equivalent load over 3 cycles of a
         # stateful block (1 cycle for verify with symbolic init), as
-        # search is very sensitive to variable and clause order
-        solvers = []
+        # search is very sensitive to variable and clause order.  The
+        # bounded solvers are pinned with every bound asked, which a step
+        # solver that drops its assumptions (so answers SAT) forces; the two
+        # fixed-init verifies' induction steps are pinned apart.  The real
+        # step proves the first check, whose bounded CNF then stops after
+        # the first cycle.
+        bounded, steps, drop = [], [], [True]
 
         class RecordingSolver(engine.CdclSolver):
             def __init__(self, *args, **kwargs):
-                solvers.append(self)
+                bounded.append(self)
                 super().__init__(*args, **kwargs)
+
+            def solve(self, assumptions=()):
+                assumed = list(assumptions)
+                if len(assumed) == 2:  # the induction step
+                    bounded.remove(self)
+                    steps.append(self)
+                    assumed = [] if drop[0] else assumed
+                return super().solve(assumed)
 
         monkeypatch.setattr(engine, "CdclSolver", RecordingSolver)
         interface = iface("i:a", "i:b", "o:y", "s:s1", "s:s2")
@@ -413,17 +529,33 @@ class TestBoundedUnroll:
                                        Statement("s1", p("NOT s2 AND a"))))
         holds = spec_for(interface, [Assertion(p("NOT s1 OR a"))], Mode.VERIFY)
         fails = spec_for(interface, [TruthTableRow({}, {"y": False})], Mode.VERIFY)
-        results = []
-        for symbolic in (False, True):
-            cfg = SynthConfig(unwind_cycles=3, symbolic_init=symbolic)
-            results += [verify(block, holds, cfg), verify(block, fails, cfg)]
-        results.append(equivalent(block, twin, SynthConfig(unwind_cycles=3)))
-        assert [type(r).__name__ for r in results] == [
-            "Verified", "Violated", "Verified", "Violated", "Verified"]
-        digest = hashlib.sha256(repr([(signed_clauses(s.original), s.num_vars)
-                                      for s in solvers]).encode())
-        assert (len(solvers), digest.hexdigest()) == (
+
+        def cnf(solvers):
+            return [(signed_clauses(s.original), s.num_vars) for s in solvers]
+
+        runs = []
+        for dropping in (True, False):
+            drop[0] = dropping
+            bounded.clear(), steps.clear()
+            results = []
+            for symbolic in (False, True):
+                cfg = SynthConfig(unwind_cycles=3, symbolic_init=symbolic)
+                results += [verify(block, holds, cfg), verify(block, fails, cfg)]
+            results.append(equivalent(block, twin, SynthConfig(unwind_cycles=3)))
+            assert [type(r).__name__ for r in results] == [
+                "Verified", "Violated", "Verified", "Violated", "Verified"]
+            runs.append((cnf(bounded), cnf(steps)))
+        (every_bound, step_cnf), (cut, real_step_cnf) = runs
+        digest = hashlib.sha256(repr(every_bound).encode())
+        assert (len(every_bound), digest.hexdigest()) == (
             5, "14eee30a8404eb3876f66a555c25fd44bb48886f0cd670bb225b8b01903a73c5")
+        digest = hashlib.sha256(repr(step_cnf).encode())
+        assert (len(step_cnf), digest.hexdigest()) == (
+            2, "4093d57c8489f140d0836fb38b7b115c1ea7be735ccb039c5dc23e2b5b0c921f")
+        assert real_step_cnf == step_cnf and cut[1:] == every_bound[1:]
+        clauses, num_vars = cut[0]
+        assert 0 < len(clauses) < len(every_bound[0][0]) and num_vars < every_bound[0][1]
+        assert clauses == every_bound[0][0][:len(clauses)]
 
 
 class TestSynthesize:
