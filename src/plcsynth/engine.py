@@ -8,7 +8,9 @@ shortest one, and it replays every model on the reference simulator.  A
 `Verified (bound K)` rests on bound 1 alone where every run can start from
 any state; on bound 1 and one induction step where a block with state
 starts all-false and no clean cycle from any state is followed by a bad
-one; else on all K bounds.
+one; else on all K bounds.  When the state vars and two cycles of inputs
+fit the cube, the step is evaluated on truth tables, so it is an
+evaluation fact and not a SAT answer.
 
 Synthesis searches straight-line candidate programs described by a slot
 template (operator and operand selector variables) with iterative
@@ -260,6 +262,21 @@ def _mask(expr: BoolExpr, env: Mapping[str, int], full: int,
         raise UnboundVariable(exc.args[0]) from None
 
 
+def _cube_tables(names: Sequence[str]) -> tuple[int, dict[str, int]]:
+    """`_mask`'s `full` and `env` over the cube of `names`: bit p of a
+    name's table is its value at point p, with the first name as the most
+    significant bit of p.  Name i is true in the upper half of every run of
+    2w points, w = 2^(n-1-i): name 0 on the upper half of the cube, and
+    each next name's table is the last one XORed with itself shifted right
+    by half its run length, one shift per name and no big-int division."""
+    size = 1 << len(names)
+    full = (1 << size) - 1
+    env, table = {}, full ^ full >> size // 2
+    for i, name in enumerate(names):
+        env[name], table = table, table ^ table >> (size >> i + 2)
+    return full, env
+
+
 def _symbolic_cycle(block: Block, state: Mapping[str, BoolExpr],
                     inputs: Mapping[str, BoolExpr]) -> dict[str, BoolExpr]:
     """One scan cycle over expressions instead of booleans."""
@@ -338,6 +355,21 @@ def _failing_clauses(spec: SpecFormula | _PointSpec, env: Mapping[str, bool]
 # Bounded verification
 
 
+def _step(block: Block, bad: Callable[[list[dict[str, BoolExpr]]], list[BoolExpr]],
+          leaf: Callable[[str], BoolExpr | int]) -> Iterator[BoolExpr]:
+    """The induction step's two scan cycles of `block` from a free state:
+    each cycle's violation, the disjunction of `bad([env])`.  Its leaves
+    come from `leaf(name)`: the state vars, then each input once per
+    cycle, named `input@cycle` (no ST or IL identifier holds an `@`).  A
+    generator, so the first violation can be encoded before the second
+    cycle's leaves are made."""
+    state = {s: leaf(s) for s in block.interface.state_vars}
+    for c in range(2):
+        env = _symbolic_cycle(block, state, {n: leaf(f"{n}@{c}") for n in block.interface.inputs})
+        state = {s: env[s] for s in block.interface.state_vars}
+        yield _disj(bad([env]))
+
+
 def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
             bad: Callable[[list[dict[str, BoolExpr]]], list[BoolExpr]],
             violated: Callable[[list[dict[str, bool]]], Optional[str]],
@@ -362,13 +394,17 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
 
     One block with state from the all-false start asks, once bound 1 is
     clean (UNSAT, or its violation folds to FALSE) and cycles > 1, the
-    induction step on an encoder and solver of its own: two cycles from
-    fresh state codes, the first with no violation and the second with
-    one.  When that is UNSAT, no bound can fail and the call returns
-    Verified(cycles).  Proof: cycle 0 of every run is clean by bound 1,
-    and the step carries a clean cycle to the next one.  Otherwise the
-    bounds go on as above; the step touches neither their encoder nor
-    their solver, so their search and models are the same.
+    induction step (`_step`): two cycles from a free state, the first with
+    no violation and the second with one.  When no such pair exists, no
+    bound can fail and the call returns Verified(cycles).  Proof: cycle 0
+    of every run is clean by bound 1, and the step carries a clean cycle
+    to the next one.  When the state vars and both cycles' inputs number
+    at most _CUBE_INPUTS, the step is two truth tables over those leaves,
+    and an empty `bad1 AND NOT bad0` settles it by evaluation; past that,
+    it is an encoder and solver of its own, solved under those two
+    literals.  Otherwise the bounds go on as above; the step touches
+    neither their encoder nor their solver, so their search and models
+    are the same.
 
     Every model replays on the simulator before it is returned: `violated`
     names what fails on one cycle's concrete environments, one per block
@@ -388,18 +424,22 @@ def _unroll(blocks: Sequence[Block], symbolic_init: bool, cycles: int,
         if t == 1 and len(blocks) == 1:
             # bound 1 was clean, and a one-block check that gets here has
             # state and the all-false start: ask the induction step
-            step_enc = TseitinEncoder({})
-            state = {s: step_enc.fresh() for s in iface.state_vars}
-            bad_lits = []
-            for _ in range(2):
-                env = _symbolic_cycle(blocks[0], state,
-                                      {n: step_enc.fresh() for n in iface.inputs})
-                state = {s: env[s] for s in iface.state_vars}
-                bad_lits.append(step_enc.encode(_disj(bad([env]))))
-            step_solver = new_solver()
-            step_solver.extend(step_enc.num_vars, step_enc.clauses)
-            if not step_solver.solve([bad_lits[1], bad_lits[0] ^ 1]).satisfiable:
-                return Verified(cycles)
+            leaves = [*iface.state_vars, *(f"{n}@{c}" for c in range(2) for n in iface.inputs)]
+            if len(leaves) <= _CUBE_INPUTS:
+                full, env = _cube_tables(leaves)
+                # one memo, keyed by node identity: the list keeps both alive
+                bad0, bad1 = map(partial(_mask, env=env, full=full, memo={}),
+                                 list(_step(blocks[0], bad, Var)))
+                if not bad1 & ~bad0:
+                    return Verified(cycles)
+            else:
+                step_enc = TseitinEncoder({})
+                bad0, bad1 = map(step_enc.encode,
+                                 _step(blocks[0], bad, lambda _: step_enc.fresh()))
+                step_solver = new_solver()
+                step_solver.extend(step_enc.num_vars, step_enc.clauses)
+                if not step_solver.solve([bad1, bad0 ^ 1]).satisfiable:
+                    return Verified(cycles)
         inputs = {n: enc.fresh() for n in iface.inputs}
         input_vars.append(inputs)
         envs = [_symbolic_cycle(b, state, inputs) for b, state in zip(blocks, states)]
@@ -436,7 +476,8 @@ def verify(block: Block, spec: SpecFormula,
     start, so that answer holds at every bound.  From the all-false start,
     a block with state whose cycle 1 is clean is Verified at once when one
     induction step shows that no clean cycle, from any state, is followed
-    by a bad one; else every bound is checked."""
+    by a bad one (on truth tables when the state and two cycles of inputs
+    fit the cube, else by SAT); else every bound is checked."""
     _check_same_interface(block.interface, spec.interface,
                           "block and spec interfaces do not match")
     return _unroll([block], cfg.symbolic_init, cfg.unwind_cycles,
@@ -503,12 +544,9 @@ class _PointSpec:
         self.cube = n <= _CUBE_INPUTS
         if self.cube:
             # input i is bit shifts[i] of a point's number, so flipping it
-            # moves the point by shifts[i], and it is true in the upper
-            # half of every run of 2 * shifts[i] points
+            # moves the point by shifts[i]
             self.shifts = [1 << s for s in range(n - 1, -1, -1)]
-            self.full = (1 << (1 << n)) - 1
-            self.env = {name: self.full // ((1 << 2 * shift) - 1) * (((1 << shift) - 1) << shift)
-                        for name, shift in zip(self.input_names, self.shifts)}
+            self.full, self.env = _cube_tables(self.input_names)
             self.memo: dict[int, int] = {}
 
     @cached_property

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -223,10 +224,17 @@ def mutate_one_node(rng, expr):
     return walk(expr)
 
 
+def sat_step(monkeypatch):
+    """Ask every induction step on a CDCL solver of its own: no block's
+    state and inputs fit a cube of 0 inputs."""
+    monkeypatch.setattr(engine, "_CUBE_INPUTS", 0)
+
+
 class TestBoundedUnroll:
-    """verify/equivalent on random blocks with 0-2 state vars against an
-    explicit-state search: same verdict, same shortest depth, replaying
-    counterexamples."""
+    """verify/equivalent on random blocks with 0-4 state vars and on deep
+    rings, shift registers and counters against an explicit-state search:
+    same verdict, same shortest depth, replaying counterexamples; and the
+    induction step on truth tables against the one on SAT."""
 
     def random_case(self, rng, states=(0, 2)):
         block = random_block(rng, rng.randint(1, 3), 1, rng.randint(*states),
@@ -328,16 +336,21 @@ class TestBoundedUnroll:
         assert deep >= 3
 
     def counting_solver(self, monkeypatch):
+        """Patches the engine's solver; returns the solvers built and, per
+        solve, (solver, number of assumptions, satisfiable).  Only the
+        induction step solves under two assumptions."""
         built, solves = [], []
 
         class CountingSolver(engine.CdclSolver):
             def __init__(self, *args, **kwargs):
-                built.append(1)
+                built.append(self)
                 super().__init__(*args, **kwargs)
 
-            def solve(self, *args, **kwargs):
-                solves.append(1)
-                return super().solve(*args, **kwargs)
+            def solve(self, assumptions=()):
+                assumed = list(assumptions)
+                result = super().solve(assumed)
+                solves.append((self, len(assumed), result.satisfiable))
+                return result
 
         monkeypatch.setattr(engine, "CdclSolver", CountingSolver)
         return built, solves
@@ -349,7 +362,57 @@ class TestBoundedUnroll:
                                        Statement("s2", Var("s1")),
                                        Statement("s1", Var("a"))))
 
+    def toggle_pair(self):
+        # both bits toggle together, so from the all-false start they stay
+        # equal
+        block = Block("pair", iface("i:a", "o:y", "s:s1", "s:s2"),
+                      (Statement("y", Var("s1")),
+                       Statement("s1", Xor(Var("s1"), Var("a"))),
+                       Statement("s2", Xor(Var("s2"), Var("a")))))
+        spec = spec_for(block.interface, [Assertion(parse_expression("NOT (s1 XOR s2)"))],
+                        Mode.VERIFY)
+        return block, spec
+
+    def token_ring(self, n, keep=None):
+        """An n-place token ring that `put` fills when empty and `adv`
+        turns, y reading place 0 before the turn.  Place `keep`, when
+        given, keeps its token as it passes it on: a planted fault."""
+        p = parse_expression
+        empty = " AND ".join(f"NOT t{i}" for i in range(n))
+        kept = lambda i: f" OR adv AND t{i}" if i == keep else ""
+        body = [Statement("y", Var("t0")),
+                Statement("t0", p(f"adv AND t{n - 1} OR NOT adv AND t0"
+                                  f" OR put AND {empty}{kept(0)}"))]
+        body += [Statement(f"t{i}", p(f"adv AND {'y' if i == 1 else f't{i - 1}'}"
+                                      f" OR NOT adv AND t{i}{kept(i)}"))
+                 for i in range(n - 1, 0, -1)]
+        places = [f"s:t{i}" for i in range(n)]
+        return Block("ring", iface("i:adv", "i:put", "o:y", *places), tuple(body))
+
+    @staticmethod
+    def no_two_tokens(block):
+        """One check per pair of places: not both hold a token."""
+        return [parse_expression(f"NOT ({a} AND {b})")
+                for a, b in itertools.combinations(block.interface.state_vars, 2)]
+
+    def at_most_one_token(self, block):
+        return spec_for(block.interface, [Assertion(e) for e in self.no_two_tokens(block)],
+                        Mode.VERIFY)
+
+    def pair_counter(self):
+        # a counter whose two bits move together, toggled by `en`, cycles
+        # between 00 and 11; a state whose bits differ swaps them, so the
+        # unreachable 10 steps into the bad 01
+        block = Block("ctr", iface("i:en", "o:y", "s:s1", "s:s0"),
+                      (Statement("y", Xor(Var("s1"), Var("s0"))),
+                       Statement("s1", Xor(Var("s1"), Or(Var("en"), Var("y")))),
+                       Statement("s0", Xor(Var("s0"), Or(Var("en"), Var("y"))))))
+        spec = spec_for(block.interface, [Assertion(parse_expression("s1 OR NOT s0"))],
+                        Mode.VERIFY)
+        return block, spec
+
     def test_verify_builds_one_solver(self, monkeypatch):
+        sat_step(monkeypatch)
         block = self.shift_register()
         spec_iface = iface("i:a", "o:y", "s:s1", "s:s2")
         violated = spec_for(spec_iface, [TruthTableRow({}, {"y": False})])
@@ -370,15 +433,11 @@ class TestBoundedUnroll:
         assert (len(built), len(solves)) == (1, 1)
 
     def test_inductive_check_stops_after_bound_one(self, monkeypatch):
+        sat_step(monkeypatch)
         # both bits toggle together, so they stay equal: bound 1 and the
         # induction step settle every bound, though from a start where
         # they differ the check fails at once
-        block = Block("pair", iface("i:a", "o:y", "s:s1", "s:s2"),
-                      (Statement("y", Var("s1")),
-                       Statement("s1", Xor(Var("s1"), Var("a"))),
-                       Statement("s2", Xor(Var("s2"), Var("a")))))
-        spec = spec_for(block.interface, [Assertion(parse_expression("NOT (s1 XOR s2)"))],
-                        Mode.VERIFY)
+        block, spec = self.toggle_pair()
         assert isinstance(verify(block, spec, SynthConfig(symbolic_init=True)), Violated)
         built, solves = self.counting_solver(monkeypatch)
         for bound in range(2, 21):
@@ -387,16 +446,12 @@ class TestBoundedUnroll:
             assert (len(built), len(solves)) == (2, 2), bound
 
     def test_folded_bound_one_gets_the_step(self, monkeypatch):
+        sat_step(monkeypatch)
         # a two-place token ring that `put` fills when empty and `adv`
         # turns: from the empty start, bound 1's violation folds to FALSE,
         # and the step alone proves that the ring never holds two tokens
-        p = parse_expression
-        block = Block("ring", iface("i:adv", "i:put", "o:y", "s:t0", "s:t1"),
-                      (Statement("y", Var("t0")),
-                       Statement("t0", p("adv AND t1 OR NOT adv AND t0"
-                                         " OR put AND NOT t0 AND NOT t1")),
-                       Statement("t1", p("adv AND y OR NOT adv AND t1"))))
-        spec = spec_for(block.interface, [Assertion(p("NOT (t0 AND t1)"))], Mode.VERIFY)
+        block = self.token_ring(2)
+        spec = self.at_most_one_token(block)
         built, solves = self.counting_solver(monkeypatch)
         for bound in range(2, 9):
             built.clear(), solves.clear()
@@ -404,15 +459,10 @@ class TestBoundedUnroll:
             assert (len(built), len(solves)) == (2, 1), bound
 
     def test_safe_check_that_is_not_inductive_asks_every_bound(self, monkeypatch):
-        # a counter whose two bits move together, toggled by `en`, cycles
-        # between 00 and 11; a state whose bits differ swaps them, so the
-        # unreachable 10 steps into the bad 01 and the step is SAT
-        block = Block("ctr", iface("i:en", "o:y", "s:s1", "s:s0"),
-                      (Statement("y", Xor(Var("s1"), Var("s0"))),
-                       Statement("s1", Xor(Var("s1"), Or(Var("en"), Var("y")))),
-                       Statement("s0", Xor(Var("s0"), Or(Var("en"), Var("y"))))))
-        spec = spec_for(block.interface, [Assertion(parse_expression("s1 OR NOT s0"))],
-                        Mode.VERIFY)
+        sat_step(monkeypatch)
+        # the pair counter never reaches 01, but the step is SAT from the
+        # unreachable 10
+        block, spec = self.pair_counter()
         built, solves = self.counting_solver(monkeypatch)
         for bound in range(2, 7):
             built.clear(), solves.clear()
@@ -420,34 +470,23 @@ class TestBoundedUnroll:
             # bound 1, the step, then bounds 2..K
             assert (len(built), len(solves)) == (2, bound + 1), bound
 
-    def test_fixed_init_matches_explicit_search(self, monkeypatch):
-        # deeper runs of blocks with 1-3 state vars from the all-false
-        # start: the step must neither prove a check that fails nor move a
-        # shortest counterexample
-        step_answers = []
-
-        class Recording(engine.CdclSolver):
-            def solve(self, assumptions=()):
-                assumed = list(assumptions)
-                result = super().solve(assumed)
-                if len(assumed) == 2:  # the induction step
-                    step_answers.append(result.satisfiable)
-                return result
-
-        monkeypatch.setattr(engine, "CdclSolver", Recording)
-        rng = random.Random(67)
-        asked = proved = deep = 0
-        for case in range(200):
-            block, spec, violates = self.random_case(rng, states=(1, 3))
+    def fixed_init_oracle(self, monkeypatch, cases):
+        """`verify` from the all-false start at bounds 1-8 on each (block,
+        spec, violates) of `cases`, checked against explicit search.
+        Returns each case's shortest depth (None when no run of 8 cycles
+        fails) and, per verify, its result, how many solvers it built and
+        its solves as (number of assumptions, satisfiable)."""
+        built, solves = self.counting_solver(monkeypatch)
+        depths, runs = [], []
+        for case, (block, spec, violates) in enumerate(cases):
             start = tuple(False for _ in block.interface.state_vars)
             depth = explicit_shortest(self.verify_step(block, violates), [start],
                                       block.interface.inputs, 8)
-            deep += depth is not None and depth > 1
+            depths.append(depth)
             for bound in range(1, 9):
-                step_answers.clear()
+                built.clear(), solves.clear()
                 result = verify(block, spec, SynthConfig(unwind_cycles=bound))
-                asked += len(step_answers)
-                proved += step_answers == [False]
+                runs.append((result, len(built), [(n, sat) for _, n, sat in solves]))
                 if depth is None or depth > bound:
                     assert result == Verified(bound), (case, bound)
                     continue
@@ -458,6 +497,24 @@ class TestBoundedUnroll:
                 trace = simulate(block, list(cex.input_cycles), cex.init_state)
                 last = trace.cycles[cex.cycle_index]
                 assert violates({**last.inputs, **last.outputs, **last.state_after})
+        return depths, runs
+
+    @staticmethod
+    def step_answers(runs):
+        """The SAT step's answers over `fixed_init_oracle`'s runs."""
+        return [sat for _, _, solves in runs for n, sat in solves if n == 2]
+
+    def test_fixed_init_matches_explicit_search(self, monkeypatch):
+        sat_step(monkeypatch)
+        # deeper runs of blocks with 1-3 state vars from the all-false
+        # start: the step must neither prove a check that fails nor move a
+        # shortest counterexample
+        rng = random.Random(67)
+        depths, runs = self.fixed_init_oracle(
+            monkeypatch, (self.random_case(rng, states=(1, 3)) for _ in range(200)))
+        steps = self.step_answers(runs)
+        asked, proved = len(steps), steps.count(False)
+        deep = sum(depth is not None and depth > 1 for depth in depths)
         # 413 steps asked and 336 proved at this seed
         assert proved >= 250 and asked - proved >= 50 and deep >= 3
 
@@ -494,7 +551,33 @@ class TestBoundedUnroll:
         assert isinstance(equivalent(block, silent, SynthConfig(unwind_cycles=4)), Violated)
         assert len(built) == 1 and 1 <= len(solves) <= 4
 
+    def unrolled_checks(self):
+        """Five 3-cycle checks of one stateful block: verify of a property
+        that holds and of one that fails, from the all-false start and then
+        with symbolic init, and equivalence with a reordered twin."""
+        interface = iface("i:a", "i:b", "o:y", "s:s1", "s:s2")
+        p = parse_expression
+        block = Block("st", interface, (Statement("y", p("s1 XOR (a AND s2)")),
+                                        Statement("s2", p("s1 OR b")),
+                                        Statement("s1", p("a AND NOT s2"))))
+        twin = Block("tw", interface, (Statement("y", p("(s2 AND a) XOR s1")),
+                                       Statement("s2", p("b OR s1")),
+                                       Statement("s1", p("NOT s2 AND a"))))
+        holds = spec_for(interface, [Assertion(p("NOT s1 OR a"))], Mode.VERIFY)
+        fails = spec_for(interface, [TruthTableRow({}, {"y": False})], Mode.VERIFY)
+        results = []
+        for symbolic in (False, True):
+            cfg = SynthConfig(unwind_cycles=3, symbolic_init=symbolic)
+            results += [verify(block, holds, cfg), verify(block, fails, cfg)]
+        results.append(equivalent(block, twin, SynthConfig(unwind_cycles=3)))
+        return results
+
+    @staticmethod
+    def cnf(solvers):
+        return [(signed_clauses(s.original), s.num_vars) for s in solvers]
+
     def test_unrolled_cnf_matches_golden(self, monkeypatch):
+        sat_step(monkeypatch)
         # digests of the CNF verify and equivalent load over 3 cycles of a
         # stateful block (1 cycle for verify with symbolic init), as
         # search is very sensitive to variable and clause order.  The
@@ -519,29 +602,12 @@ class TestBoundedUnroll:
                 return super().solve(assumed)
 
         monkeypatch.setattr(engine, "CdclSolver", RecordingSolver)
-        interface = iface("i:a", "i:b", "o:y", "s:s1", "s:s2")
-        p = parse_expression
-        block = Block("st", interface, (Statement("y", p("s1 XOR (a AND s2)")),
-                                        Statement("s2", p("s1 OR b")),
-                                        Statement("s1", p("a AND NOT s2"))))
-        twin = Block("tw", interface, (Statement("y", p("(s2 AND a) XOR s1")),
-                                       Statement("s2", p("b OR s1")),
-                                       Statement("s1", p("NOT s2 AND a"))))
-        holds = spec_for(interface, [Assertion(p("NOT s1 OR a"))], Mode.VERIFY)
-        fails = spec_for(interface, [TruthTableRow({}, {"y": False})], Mode.VERIFY)
-
-        def cnf(solvers):
-            return [(signed_clauses(s.original), s.num_vars) for s in solvers]
-
+        cnf = self.cnf
         runs = []
         for dropping in (True, False):
             drop[0] = dropping
             bounded.clear(), steps.clear()
-            results = []
-            for symbolic in (False, True):
-                cfg = SynthConfig(unwind_cycles=3, symbolic_init=symbolic)
-                results += [verify(block, holds, cfg), verify(block, fails, cfg)]
-            results.append(equivalent(block, twin, SynthConfig(unwind_cycles=3)))
+            results = self.unrolled_checks()
             assert [type(r).__name__ for r in results] == [
                 "Verified", "Violated", "Verified", "Violated", "Verified"]
             runs.append((cnf(bounded), cnf(steps)))
@@ -556,6 +622,202 @@ class TestBoundedUnroll:
         clauses, num_vars = cut[0]
         assert 0 < len(clauses) < len(every_bound[0][0]) and num_vars < every_bound[0][1]
         assert clauses == every_bound[0][0][:len(clauses)]
+
+    # The tests above ask the step on a CDCL solver.  A block whose state
+    # vars and two cycles of inputs number at most _CUBE_INPUTS gets it on
+    # truth tables instead: the same answers with one solver and one solve
+    # fewer wherever the step is asked, as their twins below check.
+
+    def test_verify_builds_one_solver_on_truth_tables(self, monkeypatch):
+        block = self.shift_register()
+        spec = spec_for(block.interface, [TruthTableRow({}, {"y": False})])
+        built, solves = self.counting_solver(monkeypatch)
+        result = verify(block, spec, SynthConfig(unwind_cycles=4))
+        assert result.counterexample.cycle_index == 2
+        assert (len(built), len(solves)) == (1, 1)
+
+    def test_inductive_check_stops_after_bound_one_on_truth_tables(self, monkeypatch):
+        block, spec = self.toggle_pair()
+        built, solves = self.counting_solver(monkeypatch)
+        for bound in range(2, 21):
+            built.clear(), solves.clear()
+            assert verify(block, spec, SynthConfig(unwind_cycles=bound)) == Verified(bound)
+            assert (len(built), len(solves)) == (1, 1), bound
+
+    def test_folded_bound_one_gets_the_step_on_truth_tables(self, monkeypatch):
+        # bound 1 folds to FALSE and the tables prove the step: no solve
+        block = self.token_ring(2)
+        spec = self.at_most_one_token(block)
+        built, solves = self.counting_solver(monkeypatch)
+        for bound in range(2, 9):
+            built.clear(), solves.clear()
+            assert verify(block, spec, SynthConfig(unwind_cycles=bound)) == Verified(bound)
+            assert (len(built), len(solves)) == (1, 0), bound
+
+    def test_safe_check_that_is_not_inductive_on_truth_tables(self, monkeypatch):
+        block, spec = self.pair_counter()
+        built, solves = self.counting_solver(monkeypatch)
+        for bound in range(2, 7):
+            built.clear(), solves.clear()
+            assert verify(block, spec, SynthConfig(unwind_cycles=bound)) == Verified(bound)
+            # bound 1, then bounds 2..K
+            assert (len(built), len(solves)) == (1, bound), bound
+
+    def test_fixed_init_on_truth_tables(self, monkeypatch):
+        # the same checks with the step on truth tables and on SAT: the
+        # same results (each checked against explicit search) and bounded
+        # solves; the SAT route's step solver and solve are all it adds
+        rng = random.Random(67)
+        cases = [self.random_case(rng, states=(1, 3)) for _ in range(200)]
+        _, on_tables = self.fixed_init_oracle(monkeypatch, cases)
+        sat_step(monkeypatch)
+        _, on_sat = self.fixed_init_oracle(monkeypatch, cases)
+        for (result, built, solves), (sat_result, sat_built, sat_solves) in zip(
+                on_tables, on_sat, strict=True):
+            bounded = [solve for solve in sat_solves if solve[0] != 2]
+            assert result == sat_result and (built, solves) == (1, bounded)
+            assert sat_built - built == len(sat_solves) - len(bounded)
+        assert self.step_answers(on_tables) == [] and len(self.step_answers(on_sat)) > 300
+
+    def test_unrolled_cnf_on_truth_tables(self, monkeypatch):
+        # no step solver; the bounded CNF is the SAT route's when its step
+        # is real (the first check stops after its first cycle)
+        built, solves = self.counting_solver(monkeypatch)
+        routes = []
+        for sat in (False, True):
+            if sat:
+                sat_step(monkeypatch)
+            built.clear(), solves.clear()
+            results = self.unrolled_checks()
+            steps = [solver for solver, n, _ in solves if n == 2]
+            routes.append((results, len(steps), self.cnf([s for s in built if s not in steps])))
+        (results, no_steps, cnf), (sat_results, sat_steps, sat_cnf) = routes
+        assert results == sat_results and (no_steps, sat_steps) == (0, 2) and cnf == sat_cnf
+        digest = hashlib.sha256(repr(cnf).encode())
+        assert (len(cnf), digest.hexdigest()) == (
+            5, "2daf0cbc6238a170eeafda3e21013cae29207330ba7efef5837e0d4a8f615e5d")
+
+    def test_wide_ring_takes_the_sat_step(self, monkeypatch):
+        # 13 places and two cycles of two inputs are past the cube, so the
+        # step runs on a solver of its own, unpatched, and proves that the
+        # ring never holds two tokens (bound 1 folds to FALSE)
+        block = self.token_ring(13)
+        spec = self.at_most_one_token(block)
+        built, solves = self.counting_solver(monkeypatch)
+        for bound in (2, 5, 30):
+            built.clear(), solves.clear()
+            assert verify(block, spec, SynthConfig(unwind_cycles=bound)) == Verified(bound)
+            assert len(built) == 2 and [(n, sat) for _, n, sat in solves] == [(2, False)]
+
+    def deep_case(self, rng):
+        """A block whose runs from the all-false start go deep: a token
+        ring, a shift register or a binary counter over 2-6 state vars,
+        with a fault planted at a depth of 2-6 or none, and its check, as
+        `random_case` returns them."""
+        p = parse_expression
+        kind = rng.choice(("ring", "shift", "counter"))
+        if kind == "ring":
+            # a kept token makes two tokens at depth keep + 2
+            n = rng.randint(2, 6)
+            block = self.token_ring(n, rng.choice([None, *range(n - 1)]))
+            i = rng.randrange(n - 1)
+            checks = (self.no_two_tokens(block) if rng.random() < 0.5
+                      else [p(f"NOT (t{i} AND t{i + 1})")])
+        elif kind == "shift":
+            # stage i holds `a` of i cycles before; an injector lets `a` in
+            # only when every stage is clear, so at most one stage is set
+            n = rng.randint(2, 6)
+            stages = [f"s{i}" for i in range(1, n + 1)]
+            clear = " AND ".join(f"NOT {s}" for s in stages)
+            first = f"a AND {clear}" if rng.random() < 0.5 else "a"
+            body = [Statement("y", Var(stages[-1]))]
+            body += [Statement(stages[i], Var(stages[i - 1])) for i in range(n - 1, 0, -1)]
+            body.append(Statement("s1", p(first)))
+            block = Block("sh", iface("i:a", "o:y", *(f"s:{s}" for s in stages)), tuple(body))
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            checks = [p(f"NOT (s{i} AND s{j})" if rng.random() < 0.5 else f"NOT s{j}")]
+        else:
+            # counts cycles with `en`; a wrapping counter goes back to 0
+            # after `top`
+            n = rng.randint(2, 4)
+            bits = [f"c{i}" for i in range(n)]
+
+            def equals(value):
+                return " AND ".join(b if value >> i & 1 else f"NOT {b}"
+                                    for i, b in enumerate(bits))
+
+            top = rng.choice([None, *range(2, 1 << n)])
+            wrap = "FALSE" if top is None else "en AND y"
+            body = [Statement("y", p("FALSE" if top is None else equals(top)))]
+            for i in range(n - 1, -1, -1):
+                carry = " AND ".join(["en", *bits[:i]])
+                body.append(Statement(bits[i], p(f"({bits[i]} XOR ({carry})) AND NOT ({wrap})")))
+            block = Block("ctr", iface("i:en", "o:y", *(f"s:{b}" for b in bits)), tuple(body))
+            checks = [p(f"NOT ({equals(rng.randint(2, min(6, (1 << n) - 1)))})")]
+        spec = spec_for(block.interface, [Assertion(e) for e in checks], Mode.VERIFY)
+        return block, spec, lambda env: not all(eval_expr(e, env) for e in checks)
+
+    @pytest.mark.parametrize("tables", [False, True], ids=["sat", "tables"])
+    def test_deep_states_match_explicit_search(self, monkeypatch, tables):
+        # rings, shift registers and counters from the all-false start on
+        # both routes of the step: shortest counterexamples up to 6 cycles
+        # deep stay where explicit search puts them
+        if not tables:
+            sat_step(monkeypatch)
+        rng = random.Random(73)
+        depths, runs = self.fixed_init_oracle(
+            monkeypatch, (self.deep_case(rng) for _ in range(90)))
+        # 36 cases fail deeper than 2 cycles (up to 7) and 28 hold at this
+        # seed; on SAT, 112 steps proved and 518 did not
+        depth_counts = collections.Counter(depths)
+        assert sum(depth_counts[d] for d in range(3, 9)) >= 30, depth_counts
+        assert depth_counts[None] >= 20, depth_counts
+        steps = self.step_answers(runs)
+        assert (tables and steps == []
+                or not tables and steps.count(False) >= 80 and steps.count(True) >= 400)
+
+    def test_step_on_truth_tables_matches_the_sat_step(self, monkeypatch):
+        # the induction step asked by truth tables and by SAT on random
+        # blocks with 1-4 state vars and on deep ones: the same answer, and
+        # the tables' lowest counterexample to induction replays, a clean
+        # cycle from its state and then a bad one
+        _, solves = self.counting_solver(monkeypatch)
+        rng = random.Random(89)
+        answers = collections.Counter()
+        for case in range(240):
+            block, spec, violates = (self.deep_case(rng) if case % 2
+                                     else self.random_case(rng, states=(1, 4)))
+            states, inputs = block.interface.state_vars, block.interface.inputs
+            names = [*states, *(f"{n}@{c}" for c in range(2) for n in inputs)]
+            full, env = engine._cube_tables(names)
+            bad0, bad1 = (engine._mask(v, env, full, {}) for v in engine._step(
+                block, lambda envs: engine._violation_exprs(spec, envs[0]), Var))
+            cti = bad1 & ~bad0
+            cfg = SynthConfig(unwind_cycles=2)
+            solves.clear()
+            result = verify(block, spec, cfg)
+            on_tables = [(n, sat) for _, n, sat in solves]
+            solves.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                sat_step(mp)
+                assert verify(block, spec, cfg) == result, case
+            steps = [sat for _, n, sat in solves if n == 2]
+            assert on_tables == [(n, sat) for _, n, sat in solves if n != 2], case
+            if not steps:  # bound 1 fails, so no step is asked
+                answers["unasked"] += 1
+                continue
+            assert steps == [cti != 0], case
+            answers[steps[0]] += 1
+            if cti:
+                index = (cti & -cti).bit_length() - 1
+                point = {name: bool(index >> i & 1) for i, name in enumerate(reversed(names))}
+                cycles = [{n: point[f"{n}@{c}"] for n in inputs} for c in range(2)]
+                trace = simulate(block, cycles, {s: point[s] for s in states})
+                assert [violates({**c.inputs, **c.outputs, **c.state_after})
+                        for c in trace.cycles] == [False, True], case
+        # 111 counterexamples to induction replayed, 47 steps proved and 82
+        # not asked at this seed
+        assert answers[True] >= 90 and answers[False] >= 35, answers
 
 
 class TestSynthesize:
@@ -1440,6 +1702,18 @@ class TestTruthTables:
                 width1 = engine._mask(e, {x: int(v) for x, v in env.items()}, 1, {})
                 assert width1 == want
         assert pspec.lowest(pspec.full) == (False,) * len(names)
+
+    def test_cube_tables_match_division(self):
+        # name i is true in the upper half of every run of 2w points,
+        # w = 2^(n-1-i): the repeating pattern is full // (2^(2w) - 1)
+        # copies of ((2^w - 1) << w)
+        for n in range(17):
+            names = [f"x{i}" for i in range(n)]
+            full, env = engine._cube_tables(names)
+            assert full == (1 << (1 << n)) - 1 and list(env) == names
+            for i, name in enumerate(names):
+                w = 1 << n - 1 - i
+                assert env[name] == full // ((1 << 2 * w) - 1) * (((1 << w) - 1) << w), (n, i)
 
     @given(spec_cases())
     @settings(max_examples=40, deadline=None)
