@@ -178,15 +178,29 @@ def _cell_literal(name: str, value: bool) -> BoolExpr:
 
 def compile_spec(cl: ConstraintList) -> SpecFormula:
     """Lower rows and cause/effect columns to per-output implication
-    clauses; assertions pass through unchanged."""
+    clauses; assertions pass through unchanged.
+
+    A row's guard is `reduce(And, cells)` over its set input cells in row
+    order, built from shared nodes: a trie of the rows' cell prefixes
+    holds one And node per distinct prefix, over one literal node per
+    (input, value).  A full table over n inputs thus holds 2^(n+1) - 4 And
+    nodes, not n - 1 per row, and `engine._mask`, which memoizes by node
+    identity, computes each prefix's truth table once.  Each guard is `==`
+    to, and prints as, the one built from fresh nodes."""
     validate_constraint_list(cl)
+    root: dict = {}  # a cell -> (the guard of the prefix it ends, the trie below it)
     obligations: dict[str, list[ObligationClause]] = {}
     assertions: list[AssertionClause] = []
     for index, constraint in enumerate(cl.constraints):
         if isinstance(constraint, TruthTableRow):
-            cells = [_cell_literal(n, v) for n, v in constraint.inputs.items()
-                     if v is not None]
-            guard = reduce(And, cells) if cells else Const(True)
+            guard, trie = Const(True), root
+            for cell in constraint.inputs.items():
+                if cell[1] is not None:
+                    if cell not in root:
+                        root[cell] = (_cell_literal(*cell), {})
+                    if cell not in trie:
+                        trie[cell] = (And(guard, root[cell][0]), {})
+                    guard, trie = trie[cell]
             for output, value in constraint.outputs.items():
                 if value is None:
                     continue

@@ -71,7 +71,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Ty
 from .blocks import (
     And, Block, BlockInterface, BoolExpr, Const, Direction, Lang, Not, Or,
     Record, Statement, TypeCheckError, UnboundVariable, Var, VarDecl, Xor,
-    eval_expr, expr_vars, fold_expr, replace, simulate,
+    eval_expr, expr_vars, fold_expr, rename_vars, replace, simulate,
 )
 from .constraints import (
     AssertionClause, ConstraintList, ObligationClause, SpecFormula,
@@ -237,11 +237,13 @@ def _const(value: bool) -> BoolExpr:
     return TRUE if value else FALSE
 
 
-def _subst(expr: BoolExpr, env: Mapping[str, BoolExpr]) -> BoolExpr:
+def _subst(expr: BoolExpr, env: Mapping[str, BoolExpr],
+           memo: Optional[dict[int, BoolExpr]] = None) -> BoolExpr:
     """Replace variables by expressions, folding constants; shared
-    subterms stay shared."""
+    subterms stay shared, across calls too when they share a `memo`
+    (`fold_expr`'s)."""
     try:
-        return fold_expr(expr, env.__getitem__, _const, _FOLDING)
+        return fold_expr(expr, env.__getitem__, _const, _FOLDING, memo)
     except KeyError as exc:
         raise UnboundVariable(exc.args[0]) from None
 
@@ -512,8 +514,11 @@ def _pinned(obligations: Mapping[str, Sequence[ObligationClause]], output: str,
     """`obligations` plus two clauses holding `output` to `original`
     wherever none of the `release` guards fires: NOT released AND original
     demands 1, NOT released AND NOT original demands 0.  They come from no
-    source constraint, so their origin is -1."""
-    held = _not(_disj(release))
+    source constraint, so their origin is -1.  Each release guard is
+    rebuilt on its own: compiled guards share prefix nodes, and one pin
+    clause must reach the SAT encoder, which numbers gates by node
+    identity, with the separate gates of unshared guards."""
+    held = _not(_disj([rename_vars(guard, {}) for guard in release]))
     pin = (ObligationClause(_and(held, original), True, -1),
            ObligationClause(_and(held, _not(original)), False, -1))
     return {**obligations, output: (*obligations.get(output, ()), *pin)}
@@ -527,10 +532,13 @@ class _PointSpec:
     clauses (`_pinned`).  Everything is read off truth tables: ints with
     one bit per point of the input cube, numbered in `itertools.product`
     order with the first input as the most significant bit, so the lowest
-    set bit is the first point in that order.  `memo` keeps the tables of
-    the guards, `ok` one table per output valuation.  Past _CUBE_INPUTS
-    inputs there is no cube: the same walk runs on one point at a time
-    with width-1 masks, and `_unroll` answers the SAT questions.
+    set bit is the first point in that order.  The obligations are read
+    once, into each output's forcing masks (`forcing`): the points where
+    some clause forces it to 0 and those where one forces it to 1.  A
+    candidate's failures and `ok`, one table per output valuation, are
+    then a few big-int operations per output (`failing`).  Past
+    _CUBE_INPUTS inputs there is no cube: the same code runs on one point
+    at a time with width-1 masks, and `_unroll` answers the SAT questions.
     """
 
     def __init__(self, input_names: Sequence[str], outputs: Sequence[str],
@@ -547,7 +555,6 @@ class _PointSpec:
             # moves the point by shifts[i]
             self.shifts = [1 << s for s in range(n - 1, -1, -1)]
             self.full, self.env = _cube_tables(self.input_names)
-            self.memo: dict[int, int] = {}
 
     @cached_property
     def valuations(self) -> list[tuple[bool, ...]]:
@@ -562,28 +569,55 @@ class _PointSpec:
         index = (mask & -mask).bit_length() - 1
         return tuple(bool(index & shift) for shift in self.shifts)
 
-    def failing(self, outs: Mapping[str, int], env: Mapping[str, int], full: int,
-                memo: dict[int, int]) -> int:
-        """Points where outputs with truth tables `outs` break the spec;
-        `memo` holds guard tables over the input tables `env`, which stay
-        valid across output valuations, and assertions get their own."""
-        assertion_env, assertion_memo = {**env, **outs}, {}
+    def _forcing(self, env: Mapping[str, int], full: int) -> list[tuple[str, int, int]]:
+        """Per output, (output, force0, force1): the points where some
+        obligation forces it to 0 and where one forces it to 1, each the
+        union of those clauses' guard tables over the input tables `env`."""
+        memo: dict[int, int] = {}
+        forcing = []
+        for output, clauses in self.obligations.items():
+            force = [0, 0]
+            for clause in clauses:
+                force[clause.value] |= _mask(clause.guard, env, full, memo)
+            forcing.append((output, *force))
+        return forcing
+
+    @cached_property
+    def forcing(self) -> list[tuple[str, int, int]]:
+        """`_forcing` over the cube."""
+        return self._forcing(self.env, self.full)
+
+    def failing(self, outs: Mapping[str, int], forcing: list[tuple[str, int, int]],
+                env: Mapping[str, int], full: int) -> int:
+        """Points where outputs with truth tables `outs` break the spec,
+        given its `forcing` masks over the input tables `env`.
+
+        This is the union of `_failures`' masks.  An obligation of value v
+        fails where its guard fires and its output is not v, so the
+        obligations of one output and value together fail on the union of
+        their guards (force1 or force0) less the points where the output
+        is v: force1 & ~out | force0 & out.  An assertion fails where its
+        table, read over the inputs and `outs`, is 0."""
         bad = 0
-        for _, _, fails in _failures(self, outs, lambda g: _mask(g, env, full, memo),
-                                     lambda e: _mask(e, assertion_env, full, assertion_memo),
-                                     and_, full.__xor__):
-            bad |= fails
+        for output, force0, force1 in forcing:
+            out = outs[output]
+            bad |= force1 & ~out | force0 & out
+        if self.assertions:
+            assertion_env, memo = {**env, **outs}, {}
+            for clause in self.assertions:
+                bad |= full ^ _mask(clause.expr, assertion_env, full, memo)
         return bad
 
-    def _ok(self, env: Mapping[str, int], full: int, memo: dict[int, int]) -> list[int]:
+    def _ok(self, forcing: list[tuple[str, int, int]], env: Mapping[str, int],
+            full: int) -> list[int]:
         tables = ({o: full if bit else 0 for o, bit in zip(self.outputs, bits)}
                   for bits in self.valuations)
-        return [full ^ self.failing(outs, env, full, memo) for outs in tables]
+        return [full ^ self.failing(outs, forcing, env, full) for outs in tables]
 
     @cached_property
     def ok(self) -> list[int]:
         """Per output valuation (product order), the points it meets the spec at."""
-        return self._ok(self.env, self.full, self.memo)
+        return self._ok(self.forcing, self.env, self.full)
 
     def allowed(self, point: tuple[bool, ...]) -> list[tuple[bool, ...]]:
         """Output valuations (in `outputs` order) meeting the point."""
@@ -592,7 +626,7 @@ class _PointSpec:
             bit = sum(shift for shift, v in zip(self.shifts, point) if v)
         else:
             env = {name: int(v) for name, v in zip(self.input_names, point)}
-            oks, bit = self._ok(env, 1, {}), 0
+            oks, bit = self._ok(self._forcing(env, 1), env, 1), 0
         return [bits for bits, ok in zip(self.valuations, oks) if ok >> bit & 1]
 
     @cached_property
@@ -670,14 +704,16 @@ class _PointSpec:
     def restricted(self, kept: Sequence[str]) -> _PointSpec:
         """The spec over the inputs `kept`, the others fixed to false.
         Obligations whose guard folds to false and assertions that fold
-        to true are left out."""
+        to true are left out.  One substitution memo serves every clause,
+        so guards that share nodes still do."""
         env: dict[str, BoolExpr] = {name: FALSE for name in self.input_names}
         env.update((name, Var(name)) for name in (*kept, *self.outputs))
+        read = partial(_subst, env=env, memo={})
         obligations = {o: [replace(c, guard=guard) for c in clauses
-                           for guard in [_subst(c.guard, env)] if guard != FALSE]
+                           for guard in [read(c.guard)] if guard != FALSE]
                        for o, clauses in self.obligations.items()}
         assertions = [replace(c, expr=expr) for c in self.assertions
-                      for expr in [_subst(c.expr, env)] if expr != TRUE]
+                      for expr in [read(c.expr)] if expr != TRUE]
         return _PointSpec(kept, self.outputs, obligations, assertions)
 
     def projected(self) -> _PointSpec:
@@ -1169,7 +1205,7 @@ def _find_violation(out_exprs: Mapping[str, BoolExpr], pspec: _PointSpec,
         memo: dict[int, int] = {}
         outs = {o: _mask(expr, pspec.env, pspec.full, memo)
                 for o, expr in out_exprs.items()}
-        return pspec.lowest(pspec.failing(outs, pspec.env, pspec.full, pspec.memo))
+        return pspec.lowest(pspec.failing(outs, pspec.forcing, pspec.env, pspec.full))
     return _failing_point(Block("candidate", pspec.interface,
                                 _build_body(pspec.interface, out_exprs)), pspec, seed)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import all_assignments
 from plcsynth.blocks import (
-    BlockInterface, Direction, Not, Or, TypeCheckError, Var, VarDecl,
+    And, BlockInterface, Direction, Not, Or, TypeCheckError, Var, VarDecl,
     eval_expr,
 )
 from plcsynth.constraints import (
@@ -17,6 +18,7 @@ from plcsynth.constraints import (
     loads_constraints, save_constraints, validate_constraint_list,
 )
 from plcsynth.engine import Unsatisfiable, check
+from plcsynth.lang import format_expression
 
 
 def iface2():
@@ -126,6 +128,78 @@ class TestCompileSpec:
         assert spec_output_value(spec, "y", {"a": True, "b": False}) is True
         assert spec_output_value(spec, "y", {"a": True, "b": True}) is True
         assert spec_output_value(spec, "y", {"a": False, "b": True}) is None
+
+
+def full_table(n, extra=()):
+    """The full OR table over inputs x0..x{n-1}, then the rows `extra`."""
+    names = [f"x{k}" for k in range(n)]
+    interface = BlockInterface(tuple([VarDecl(x, Direction.INPUT) for x in names]
+                                     + [VarDecl("y", Direction.OUTPUT)]))
+    rows = [TruthTableRow(dict(zip(names, bits)), {"y": any(bits)})
+            for bits in itertools.product((False, True), repeat=n)]
+    return clist([*rows, *extra], interface)
+
+
+def unshared_guard(row):
+    """A row's guard built from fresh nodes, as `reduce(And, cells)`."""
+    cells = [Var(n) if v else Not(Var(n)) for n, v in row.inputs.items() if v is not None]
+    return reduce(And, cells)
+
+
+class TestSharedGuards:
+    """`compile_spec` builds one node per literal and per distinct row
+    prefix, and a shared guard is the unshared one, printed the same."""
+
+    def test_full_table_holds_one_node_per_prefix(self):
+        cl = full_table(8)
+        guards = [c.guard for c in compile_spec(cl).obligations["y"]]
+        nodes, stack = {}, list(guards)
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(getattr(node, f) for f in ("left", "right", "operand")
+                             if hasattr(node, f))
+        kinds = [type(node).__name__ for node in nodes.values()]
+        # an And per prefix of 2..8 cells, 4 + 8 + ... + 256; per input one
+        # literal per value, the negative one a Not over its own Var
+        assert kinds.count("And") == 508
+        assert kinds.count("Var") + kinds.count("Not") <= 24
+        for row, guard in zip(cl.constraints, guards):
+            assert guard == unshared_guard(row)
+            assert format_expression(guard) == format_expression(unshared_guard(row))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dont_care_rows_keep_their_guards(self, seed):
+        # cells in any order with don't-cares, rows sharing prefixes
+        rng = random.Random(seed)
+        names = [f"x{k}" for k in range(5)]
+        interface = BlockInterface(tuple([VarDecl(x, Direction.INPUT) for x in names]
+                                         + [VarDecl("y", Direction.OUTPUT)]))
+        rows, patterns = [], [{}]
+        for _ in range(30):
+            pattern = dict(rng.choice(patterns))
+            pattern.update((n, rng.choice([False, True, None]))
+                           for n in rng.sample(names, len(names))
+                           if n not in pattern and rng.random() < 0.5)
+            patterns.append(pattern)
+            if any(v is not None for v in pattern.values()):
+                rows.append(TruthTableRow(pattern, {"y": rng.random() < 0.5}))
+        spec = compile_spec(clist(rows, interface))
+        for row, clause in zip(rows, spec.obligations["y"]):
+            assert clause.guard == unshared_guard(row)
+            assert format_expression(clause.guard) == format_expression(unshared_guard(row))
+
+    def test_contradictory_table_message_unchanged(self):
+        # recorded before guards were shared
+        cl = full_table(8, [TruthTableRow({"x3": True, "x5": True}, {"y": False})])
+        with pytest.raises(Unsatisfiable) as exc:
+            check(compile_spec(cl))
+        assert str(exc.value) == (
+            "spec is contradictory at input pattern: x0=0 x1=0 x2=0 x3=1 x4=0 x5=1 x6=0 x7=0\n"
+            "  constraint 20: y = 1 when NOT x0 AND NOT x1 AND NOT x2 AND x3 AND NOT x4"
+            " AND x5 AND NOT x6 AND NOT x7\n"
+            "  constraint 256: y = 0 when x3 AND x5")
 
 
 class TestConsistency:

@@ -1292,6 +1292,75 @@ class TestWideInputs:
         result = repair(block, spec)
         assert (result.block, result.iterations) == (block, 0)
 
+    @staticmethod
+    def recording_solvers(monkeypatch):
+        """The list of every CdclSolver built from here on."""
+        solvers = []
+
+        class RecordingSolver(engine.CdclSolver):
+            def __init__(self, *args, **kwargs):
+                solvers.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "CdclSolver", RecordingSolver)
+        return solvers
+
+    def test_cnf_matches_golden(self, monkeypatch):
+        # every solver a 13-input synthesis and a 13-input contradiction
+        # check build, as digests of their CNF: compiled guards share
+        # prefix nodes, and the encoder numbers gates by node identity, so
+        # sharing must stop at `_violation_exprs`, which substitutes each
+        # clause on its own
+        names, interface = self.wide_interface()
+        low = {x: False for x in names}
+        # y = i0 AND (i1 OR i12), the rows sharing the prefixes i0 and
+        # i0 AND NOT i1, and NOT i0 with the all-false row
+        good = spec_for(interface, [
+            TruthTableRow({"i0": False}, {"y": False}),
+            TruthTableRow({"i0": True, "i1": True}, {"y": True}),
+            TruthTableRow({"i0": True, "i1": False, "i12": True}, {"y": True}),
+            TruthTableRow({"i0": True, "i1": False, "i12": False}, {"y": False}),
+            TruthTableRow(low, {"y": False})])
+        bad = spec_for(interface, [
+            TruthTableRow({"i0": True, "i1": True}, {"y": True}),
+            TruthTableRow({"i0": True, "i1": True, "i7": True}, {"y": False}),
+            TruthTableRow(low, {"y": False})])
+        solvers = self.recording_solvers(monkeypatch)
+        result = synthesize(interface, good, SynthConfig(seed=0))
+        assert result.block.body == (Statement("y", parse_expression("i0 AND (i1 OR i12)")),)
+        with pytest.raises(Unsatisfiable) as exc:
+            check(bad)
+        assert str(exc.value) == (
+            "spec is contradictory at input pattern: i0=1 i1=1 i2=0 i3=0 i4=0 i5=0 i6=0"
+            " i7=1 i8=0 i9=0 i10=0 i11=0 i12=0\n"
+            "  constraint 0: y = 1 when i0 AND i1\n"
+            "  constraint 1: y = 0 when i0 AND i1 AND i7")
+        cnf = [(signed_clauses(s.original), s.num_vars) for s in solvers]
+        assert (len(cnf), hashlib.sha256(repr(cnf).encode()).hexdigest()) == (
+            8, "ba141ebd94b18e4c9c02523d7468923b29542b5e395807691aa41a8461252113")
+
+    def test_extend_pin_cnf_matches_golden(self, monkeypatch):
+        # extend pins y to the block wherever none of y's guards fires, so
+        # one pin clause holds all of them, and these share the prefix
+        # i12 AND i3; its CNF past the cube is the one of unshared guards
+        names, interface = self.wide_interface()
+        block = Block("wide", interface, (Statement("y", Var("i0")),))
+        extra = ConstraintList("e", Mode.EXTEND, interface, (
+            TruthTableRow({"i12": True, "i3": True, "i4": True}, {"y": True}),
+            TruthTableRow({"i12": True, "i3": True, "i5": True}, {"y": False}),
+            TruthTableRow({"i12": True, "i3": True, "i6": True, "i7": False}, {"y": True})))
+        solvers = self.recording_solvers(monkeypatch)
+        with pytest.raises(Unsatisfiable) as exc:
+            extend(block, extra, SynthConfig(seed=0))
+        assert str(exc.value) == (
+            "spec is contradictory at input pattern: i0=0 i1=0 i2=0 i3=1 i4=0 i5=1 i6=1"
+            " i7=0 i8=0 i9=0 i10=0 i11=0 i12=1\n"
+            "  constraint 1: y = 0 when i12 AND i3 AND i5\n"
+            "  constraint 2: y = 1 when i12 AND i3 AND i6 AND NOT i7")
+        cnf = [(signed_clauses(s.original), s.num_vars) for s in solvers]
+        assert (len(cnf), hashlib.sha256(repr(cnf).encode()).hexdigest()) == (
+            2, "39c0d933f3848176cb7f244cdfaf04db3cb2ead650073c29d41d4c2bf319ea4a")
+
     def test_sat_answers_replay(self, monkeypatch):
         # a solver that holds none of its clauses answers SAT with a model
         # that breaks no clause it holds; past the cube the counterexample
@@ -1757,6 +1826,111 @@ class TestTruthTables:
         assert cube == points
         assert all(isinstance(outcome[1], int) for outcome in cube)
         assert any(outcome[2] > 0 for outcome in cube)  # counterexamples were used
+
+
+@st.composite
+def forcing_cases(draw):
+    """A random point spec over 0-6 inputs and 1-3 outputs: rows with
+    don't-cares, each extending an earlier row's cells so that guards share
+    prefixes; cause/effect columns; assertions that name outputs; and on
+    some outputs a simplify pin (no release) or an extend pin (released
+    where the output's own clauses fire), from `_pinned`."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    inputs = [f"i{k}" for k in range(rng.randint(0, 6))]
+    outputs = [f"o{k}" for k in range(rng.randint(1, 3))]
+    interface = BlockInterface(tuple(
+        [VarDecl(x, Direction.INPUT) for x in inputs]
+        + [VarDecl(o, Direction.OUTPUT) for o in outputs]))
+    constraints, patterns = [], [{}]
+    for _ in range(rng.randint(0, 12)):
+        pattern = dict(rng.choice(patterns))
+        pattern.update((x, rng.choice([False, True, None])) for x in inputs
+                       if x not in pattern and rng.random() < 0.5)
+        patterns.append(pattern)
+        told = rng.sample(outputs, rng.randint(1, len(outputs)))
+        constraints.append(TruthTableRow(pattern, {o: rng.random() < 0.5 for o in told}))
+    for _ in range(rng.randint(0, 2) if inputs else 0):
+        marked = rng.sample(inputs, rng.randint(1, len(inputs)))
+        constraints.append(CauseEffectColumn(rng.choice(outputs), rng.choice(list(Combinator)),
+                                             {x: rng.random() < 0.5 for x in marked}))
+    for _ in range(rng.randint(0, 2)):
+        constraints.append(Assertion(random_expr(rng, inputs + outputs, 4)))
+    spec = spec_for(interface, constraints)
+    obligations = spec.obligations
+    for o in outputs:
+        pin = rng.choice(["none", "simplify", "extend"])
+        if pin != "none":
+            release = [c.guard for c in spec.obligations.get(o, ())] if pin == "extend" else []
+            obligations = engine._pinned(obligations, o, random_expr(rng, inputs, 5), release)
+    return (engine._PointSpec(inputs, outputs, obligations, spec.assertions),
+            random.Random(rng.random()))
+
+
+def walked_failing(pspec, outs, env, full):
+    """The points where output tables `outs` break `pspec`, by walking
+    every clause with `_failures`."""
+    assertion_env = {**env, **outs}
+    bad = 0
+    for _, _, fails in engine._failures(
+            pspec, outs, lambda g: engine._mask(g, env, full, {}),
+            lambda e: engine._mask(e, assertion_env, full, {}),
+            lambda a, b: a & b, full.__xor__):
+        bad |= fails
+    return bad
+
+
+class TestForcingMasks:
+    """`_PointSpec` reads each output's obligations once into forcing
+    masks; everything read off them must equal the clause walk."""
+
+    @given(forcing_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_forcing_masks_equal_the_clause_walk(self, case):
+        pspec, rng = case
+        env, full = pspec.env, pspec.full
+        walked_ok = [full ^ walked_failing(pspec, {o: full if bit else 0
+                                                   for o, bit in zip(pspec.outputs, bits)},
+                                          env, full)
+                     for bits in pspec.valuations]
+        assert pspec.ok == walked_ok
+        for _ in range(4):
+            outs = {o: rng.getrandbits(full.bit_length()) for o in pspec.outputs}
+            assert (pspec.failing(outs, pspec.forcing, env, full)
+                    == walked_failing(pspec, outs, env, full))
+        # forced_flips and min_slot_bound read `ok`: a twin given the
+        # walked tables must answer the same
+        twin = engine._PointSpec(pspec.input_names, pspec.outputs, pspec.obligations,
+                                 pspec.assertions)
+        twin.ok = walked_ok
+        assert pspec.forced_flips == twin.forced_flips
+        assert pspec.min_slot_bound() == twin.min_slot_bound()
+
+    def test_allowed_past_the_cube_equals_the_clause_walk(self):
+        # 13 inputs: no cube, so `allowed` builds forcing masks on each
+        # point's width-1 tables
+        names = [f"i{k}" for k in range(13)]
+        interface = BlockInterface(tuple(
+            [VarDecl(x, Direction.INPUT) for x in names]
+            + [VarDecl(o, Direction.OUTPUT) for o in ("y", "z")]))
+        spec = spec_for(interface, [
+            TruthTableRow({"i0": True, "i1": True}, {"y": True}),
+            TruthTableRow({"i0": True, "i1": True, "i12": False}, {"z": False}),
+            TruthTableRow({"i0": True, "i1": False, "i5": None, "i7": True}, {"y": False}),
+            TruthTableRow({"i0": False}, {"y": False, "z": True}),
+            CauseEffectColumn("z", Combinator.ALL, {"i3": False, "i9": True}),
+            Assertion(parse_expression("NOT y OR z OR i4"))])
+        obligations = engine._pinned(spec.obligations, "y", parse_expression("i2 XOR i11"),
+                                     [c.guard for c in spec.obligations["y"]])
+        pspec = engine._PointSpec(names, ["y", "z"], obligations, spec.assertions)
+        assert not pspec.cube
+        rng = random.Random(37)
+        for _ in range(60):
+            point = tuple(rng.random() < 0.5 for _ in names)
+            env = dict(zip(names, point))
+            walked = [bits for bits in pspec.valuations
+                      if not any(engine._failing_clauses(pspec, {**env, "y": bits[0],
+                                                                 "z": bits[1]}))]
+            assert pspec.allowed(point) == walked
 
 
 class TestCegisProgress:
