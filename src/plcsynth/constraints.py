@@ -3,10 +3,12 @@
 A constraint list pairs a block interface with truth-table rows,
 cause-and-effect columns and free assertions, plus the requested mode.
 Each constraint's index in the list is the number reports give it.
-This module compiles lists into the uniform guard/value obligation form
-used by the engine, words compiled clauses for messages and instantiates
-templates by renaming.  Whether a list contradicts itself is asked of
-the compiled spec (`engine.check`).
+A list checks its constraints against its interface when it is built, as
+the package's other records check themselves, so compiling, renaming and
+writing take it as checked.  This module compiles lists into the uniform
+guard/value obligation form used by the engine, words compiled clauses
+for messages and instantiates templates by renaming.  Whether a list
+contradicts itself is asked of the compiled spec (`engine.check`).
 
 It also persists lists as XML.  One table, `_SCHEMA`, declares every
 element's attributes and children; the reader checks each element
@@ -89,7 +91,8 @@ Constraint = Union[TruthTableRow, CauseEffectColumn, Assertion]
 
 class ConstraintList(Record):
     """A named constraint list: the op it is for, the interface and the
-    constraints in source order, each indexed by its position."""
+    constraints in source order, each indexed by its position.  A list
+    checks itself when built (`validate_constraint_list`)."""
     block_name: str
     mode: Mode
     interface: BlockInterface
@@ -97,6 +100,7 @@ class ConstraintList(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        validate_constraint_list(self)
 
 
 def validate_constraint_list(cl: ConstraintList) -> None:
@@ -187,7 +191,6 @@ def compile_spec(cl: ConstraintList) -> SpecFormula:
     nodes, not n - 1 per row, and `engine._mask`, which memoizes by node
     identity, computes each prefix's truth table once.  Each guard is `==`
     to, and prints as, the one built from fresh nodes."""
-    validate_constraint_list(cl)
     root: dict = {}  # a cell -> (the guard of the prefix it ends, the trie below it)
     obligations: dict[str, list[ObligationClause]] = {}
     assertions: list[AssertionClause] = []
@@ -257,10 +260,8 @@ def instantiate_template(template: ConstraintList,
                 {rn(n): neg for n, neg in constraint.cells.items()}))
         else:
             constraints.append(Assertion(rename_vars(constraint.expr, mapping)))
-    result = ConstraintList(template.block_name, template.mode,
-                            BlockInterface(decls), tuple(constraints))
-    validate_constraint_list(result)
-    return result
+    return ConstraintList(template.block_name, template.mode,
+                          BlockInterface(decls), tuple(constraints))
 
 
 # --------------------------------------------------------------------------
@@ -414,11 +415,8 @@ def loads_constraints(text: str) -> ConstraintList:
             except Exception as exc:
                 raise SchemaError(section.line, f"bad expression: {exc}") from None
             constraints.append(Assertion(expr))
-    result = ConstraintList(root.attrs["block"], root.attrs["mode"],
-                            _at_line(interface.line, BlockInterface, tuple(decls)),
-                            tuple(constraints))
-    _at_line(root.line, validate_constraint_list, result)
-    return result
+    return _at_line(root.line, ConstraintList, root.attrs["block"], root.attrs["mode"],
+                    _at_line(interface.line, BlockInterface, tuple(decls)), tuple(constraints))
 
 
 def load_constraints(path) -> ConstraintList:
@@ -449,7 +447,6 @@ def dumps_constraints(cl: ConstraintList) -> str:
         body = ["  " + line for child in children for line in lines(*child)]
         return [f"<{head}>", *body, f"</{tag}>"] if body else [f"<{head}/>"]
 
-    validate_constraint_list(cl)
     variables = [("var", {"name": d.name, "dir": d.direction, "type": d.dtype})
                  for d in cl.interface.decls]
     sections: list = [("interface", {}, variables)]

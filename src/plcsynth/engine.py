@@ -24,7 +24,8 @@ every counterexample point itself.  Both write clauses of literal codes
 which the solver takes as they are.  Up to _CUBE_INPUTS inputs, the
 spec and each candidate are truth tables held as Python ints (one bit per
 input point), so the first point where a candidate fails is the lowest
-set bit of one mask; wider specs go to `_unroll`.
+set bit of one mask.  Wider specs go to `_unroll`, and a single point of
+one is read by the clause walk, `_failing_clauses`.
 
 Synthesis and simplification search over the inputs the spec depends on
 (`_PointSpec.projected`): in the cube, those whose flip changes what the
@@ -69,18 +70,15 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Ty
 # eval_expr is not called here; perfbench's tracer counts calls through
 # engine.eval_expr, so the name stays
 from .blocks import (
-    And, Block, BlockInterface, BoolExpr, Const, Direction, Lang, Not, Or,
-    Record, Statement, TypeCheckError, UnboundVariable, Var, VarDecl, Xor,
-    eval_expr, expr_vars, fold_expr, rename_vars, replace, simulate,
+    FALSE, TRUE, And, Block, BlockInterface, BoolExpr, Const, Direction, Lang,
+    Not, Or, Record, Statement, TypeCheckError, UnboundVariable, Var, VarDecl,
+    Xor, eval_expr, expr_vars, fold_expr, rename_vars, replace, simulate,
 )
 from .constraints import (
     AssertionClause, ConstraintList, ObligationClause, SpecFormula,
     compile_spec, describe_clause,
 )
 from .sat import CdclSolver, CnfFormula, TseitinEncoder
-
-FALSE = Const(False)
-TRUE = Const(True)
 
 # Specs with at most this many inputs are held as 2^n-bit truth tables.
 _CUBE_INPUTS = 12
@@ -529,16 +527,17 @@ class _PointSpec:
 
     Combines obligation clauses and assertions; simplify and extend pin
     an output to the original block's behavior with two more obligation
-    clauses (`_pinned`).  Everything is read off truth tables: ints with
-    one bit per point of the input cube, numbered in `itertools.product`
+    clauses (`_pinned`).  In the cube, everything is read off truth
+    tables: ints with one bit per point of the input cube, numbered in `itertools.product`
     order with the first input as the most significant bit, so the lowest
     set bit is the first point in that order.  The obligations are read
     once, into each output's forcing masks (`forcing`): the points where
     some clause forces it to 0 and those where one forces it to 1.  A
     candidate's failures and `ok`, one table per output valuation, are
     then a few big-int operations per output (`failing`).  Past
-    _CUBE_INPUTS inputs there is no cube: the same code runs on one point
-    at a time with width-1 masks, and `_unroll` answers the SAT questions.
+    _CUBE_INPUTS inputs there is no cube and no table: `allowed` reads a
+    point by the clause walk (`_failing_clauses`), and `_unroll` answers
+    the SAT questions.
     """
 
     def __init__(self, input_names: Sequence[str], outputs: Sequence[str],
@@ -569,28 +568,23 @@ class _PointSpec:
         index = (mask & -mask).bit_length() - 1
         return tuple(bool(index & shift) for shift in self.shifts)
 
-    def _forcing(self, env: Mapping[str, int], full: int) -> list[tuple[str, int, int]]:
-        """Per output, (output, force0, force1): the points where some
-        obligation forces it to 0 and where one forces it to 1, each the
-        union of those clauses' guard tables over the input tables `env`."""
+    @cached_property
+    def forcing(self) -> list[tuple[str, int, int]]:
+        """Per output, (output, force0, force1): the points of the cube
+        where some obligation forces it to 0 and where one forces it to 1,
+        each the union of those clauses' guard tables."""
         memo: dict[int, int] = {}
         forcing = []
         for output, clauses in self.obligations.items():
             force = [0, 0]
             for clause in clauses:
-                force[clause.value] |= _mask(clause.guard, env, full, memo)
+                force[clause.value] |= _mask(clause.guard, self.env, self.full, memo)
             forcing.append((output, *force))
         return forcing
 
-    @cached_property
-    def forcing(self) -> list[tuple[str, int, int]]:
-        """`_forcing` over the cube."""
-        return self._forcing(self.env, self.full)
-
-    def failing(self, outs: Mapping[str, int], forcing: list[tuple[str, int, int]],
-                env: Mapping[str, int], full: int) -> int:
-        """Points where outputs with truth tables `outs` break the spec,
-        given its `forcing` masks over the input tables `env`.
+    def failing(self, outs: Mapping[str, int]) -> int:
+        """Points of the cube where outputs with truth tables `outs` break
+        the spec.
 
         This is the union of `_failures`' masks.  An obligation of value v
         fails where its guard fires and its output is not v, so the
@@ -598,36 +592,34 @@ class _PointSpec:
         their guards (force1 or force0) less the points where the output
         is v: force1 & ~out | force0 & out.  An assertion fails where its
         table, read over the inputs and `outs`, is 0."""
-        bad = 0
-        for output, force0, force1 in forcing:
+        full, bad = self.full, 0
+        for output, force0, force1 in self.forcing:
             out = outs[output]
             bad |= force1 & ~out | force0 & out
         if self.assertions:
-            assertion_env, memo = {**env, **outs}, {}
+            assertion_env, memo = {**self.env, **outs}, {}
             for clause in self.assertions:
                 bad |= full ^ _mask(clause.expr, assertion_env, full, memo)
         return bad
 
-    def _ok(self, forcing: list[tuple[str, int, int]], env: Mapping[str, int],
-            full: int) -> list[int]:
-        tables = ({o: full if bit else 0 for o, bit in zip(self.outputs, bits)}
-                  for bits in self.valuations)
-        return [full ^ self.failing(outs, forcing, env, full) for outs in tables]
-
     @cached_property
     def ok(self) -> list[int]:
-        """Per output valuation (product order), the points it meets the spec at."""
-        return self._ok(self.forcing, self.env, self.full)
+        """Per output valuation (product order), the points of the cube it
+        meets the spec at."""
+        full = self.full
+        return [full ^ self.failing({o: full if bit else 0 for o, bit in zip(self.outputs, bits)})
+                for bits in self.valuations]
 
     def allowed(self, point: tuple[bool, ...]) -> list[tuple[bool, ...]]:
-        """Output valuations (in `outputs` order) meeting the point."""
-        if self.cube:
-            oks = self.ok
-            bit = sum(shift for shift, v in zip(self.shifts, point) if v)
-        else:
-            env = {name: int(v) for name, v in zip(self.input_names, point)}
-            oks, bit = self._ok(self._forcing(env, 1), env, 1), 0
-        return [bits for bits, ok in zip(self.valuations, oks) if ok >> bit & 1]
+        """Output valuations (in `outputs` order) meeting the point: read
+        off `ok` in the cube, past it those where the clause walk finds no
+        failing clause."""
+        if not self.cube:
+            env = dict(zip(self.input_names, point))
+            return [bits for bits in self.valuations
+                    if not any(_failing_clauses(self, {**env, **dict(zip(self.outputs, bits))}))]
+        bit = sum(shift for shift, v in zip(self.shifts, point) if v)
+        return [bits for bits, ok in zip(self.valuations, self.ok) if ok >> bit & 1]
 
     @cached_property
     def forced_flips(self) -> list[str]:
@@ -1205,7 +1197,7 @@ def _find_violation(out_exprs: Mapping[str, BoolExpr], pspec: _PointSpec,
         memo: dict[int, int] = {}
         outs = {o: _mask(expr, pspec.env, pspec.full, memo)
                 for o, expr in out_exprs.items()}
-        return pspec.lowest(pspec.failing(outs, pspec.forcing, pspec.env, pspec.full))
+        return pspec.lowest(pspec.failing(outs))
     return _failing_point(Block("candidate", pspec.interface,
                                 _build_body(pspec.interface, out_exprs)), pspec, seed)
 

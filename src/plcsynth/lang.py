@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 from .blocks import (
     MAX_EXPR_DEPTH, RESERVED_WORDS, And, Block, BlockInterface, BoolExpr,
     Const, Direction, Lang, Not, Or, Record, Statement, TypeCheckError, Var,
-    VarDecl, Xor, expr_depth, expr_vars,
+    VarDecl, Xor, expr_depth,
 )
 
 _SECTION_KEYWORDS = {
@@ -186,8 +186,9 @@ def _parse_unary(ts: _TokenStream) -> BoolExpr:
     raise _unexpected(tok, "NOT", "(", "TRUE", "FALSE", "identifier")
 
 
-def parse_expression(text: str, interface: Optional[BlockInterface] = None) -> BoolExpr:
-    """Parse a standalone ST expression; type-check it when an interface is given."""
+def parse_expression(text: str) -> BoolExpr:
+    """Parse a standalone ST expression.  Its names are not checked here:
+    an assertion's are checked by the constraint list that holds it."""
     ts = _TokenStream(_tokenize(text))
     expr = _parse_expr(ts)
     tok = ts.peek()
@@ -195,10 +196,6 @@ def parse_expression(text: str, interface: Optional[BlockInterface] = None) -> B
         raise ParseError(tok.span, f"unexpected {tok.text!r} after expression")
     if expr_depth(expr) > MAX_EXPR_DEPTH:
         raise ParseError(SourceSpan(1, 1, 1), "expression too deep")
-    if interface is not None:
-        for name in expr_vars(expr):
-            if name not in interface:
-                raise TypeCheckError(f"undeclared variable '{name}'")
     return expr
 
 

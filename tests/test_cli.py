@@ -20,6 +20,7 @@ from plcsynth.bench import (
 )
 from plcsynth.blocks import Lang
 from plcsynth.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, _is_st, load_block, run
+from plcsynth import constraints
 from plcsynth.constraints import compile_spec, load_constraints
 from plcsynth.engine import SynthConfig, Verified, equivalent, simplify, synthesize
 from plcsynth.lang import emit, parse_il, parse_st
@@ -139,6 +140,20 @@ def test_cold_import_skips_urllib():
     assert "'plcsynth.cli'" in loaded
     assert [m for m in ("urllib.request", "http.client", "ssl", "email", "dataclasses", "inspect")
             if f"'{m}'" in loaded] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--block", "or.st", "--constraints", "impl.xml"),
+    ("synth", "--constraints", "and.xml", "--out", "and.st"),
+], ids=["verify", "synth"])
+def test_one_op_checks_its_constraint_file_once(project, monkeypatch, argv):
+    # the list read from the file checks itself; compiling it does not
+    # check it again
+    real, calls = constraints.validate_constraint_list, []
+    monkeypatch.setattr(constraints, "validate_constraint_list",
+                        lambda cl: calls.append(cl) or real(cl))
+    invoke(*(str(project / arg) if "." in arg else arg for arg in argv))
+    assert len(calls) == 1
 
 
 class TestSynth:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import all_assignments
 from plcsynth.blocks import (
     And, BlockInterface, Direction, Not, Or, TypeCheckError, Var, VarDecl,
-    eval_expr,
+    eval_expr, replace,
 )
 from plcsynth.constraints import (
     Assertion, CauseEffectColumn, Combinator, ConstraintList, Mode,
@@ -45,24 +45,20 @@ def spec_output_value(spec, output, env):
 
 class TestValidation:
     def test_row_with_unknown_input(self):
-        cl = clist([TruthTableRow({"zz": True}, {"y": True})])
         with pytest.raises(TypeCheckError):
-            validate_constraint_list(cl)
+            clist([TruthTableRow({"zz": True}, {"y": True})])
 
     def test_row_needs_one_output(self):
-        cl = clist([TruthTableRow({"a": True}, {"y": None})])
         with pytest.raises(TypeCheckError):
-            validate_constraint_list(cl)
+            clist([TruthTableRow({"a": True}, {"y": None})])
 
     def test_cause_effect_output_direction(self):
-        cl = clist([CauseEffectColumn("a", Combinator.ANY, {"b": False})])
         with pytest.raises(TypeCheckError):
-            validate_constraint_list(cl)
+            clist([CauseEffectColumn("a", Combinator.ANY, {"b": False})])
 
     def test_assertion_undeclared_var(self):
-        cl = clist([Assertion(Var("nope"))])
         with pytest.raises(TypeCheckError):
-            validate_constraint_list(cl)
+            clist([Assertion(Var("nope"))])
 
     @pytest.mark.parametrize("interface, constraint, reason", [
         (BlockInterface((*iface2().decls, VarDecl("t", Direction.TEMP))),
@@ -75,6 +71,12 @@ class TestValidation:
     def test_rejected_with_reason(self, interface, constraint, reason):
         with pytest.raises(TypeCheckError, match=reason):
             validate_constraint_list(clist([constraint], interface))
+
+    def test_replace_checks_the_list(self):
+        # a list checks itself however it is built, `replace` included
+        cl = clist([TruthTableRow({"a": True}, {"y": True})])
+        with pytest.raises(TypeCheckError, match="is not an input"):
+            replace(cl, constraints=(TruthTableRow({"zz": True}, {"y": True}),))
 
 
 class TestCompileSpec:
@@ -380,6 +382,8 @@ class TestXml:
         with pytest.raises(SchemaError) as exc:
             loads_constraints(bad)
         assert "zz" in str(exc.value)
+        # the list check blames the root element's line
+        assert str(exc.value) == "line 2: constraint 0: 'zz' is not an input"
 
     def test_unknown_element_rejected_with_line(self):
         bad = MINIMAL_XML.replace("</constraintList>",

@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -1602,13 +1603,15 @@ class TestContradictionCheck:
         spec = spec_for(interface, table_rows(["a"], outputs,
                                               lambda e: dict.fromkeys(outputs, e["a"])))
         widths = []
-        real_ok = engine._PointSpec._ok
+        real_ok = engine._PointSpec.ok.func
 
-        def ok(pspec, *args):
+        def ok(pspec):
             widths.append(len(pspec.valuations))
-            return real_ok(pspec, *args)
+            return real_ok(pspec)
 
-        monkeypatch.setattr(engine._PointSpec, "_ok", ok)
+        counted = cached_property(ok)
+        counted.__set_name__(engine._PointSpec, "ok")
+        monkeypatch.setattr(engine._PointSpec, "ok", counted)
         result = synthesize(interface, spec, SynthConfig(seed=1))
         assert result.block.body == tuple(Statement(o, Var("a")) for o in outputs)
         assert widths and max(widths) == 2
@@ -1895,8 +1898,7 @@ class TestForcingMasks:
         assert pspec.ok == walked_ok
         for _ in range(4):
             outs = {o: rng.getrandbits(full.bit_length()) for o in pspec.outputs}
-            assert (pspec.failing(outs, pspec.forcing, env, full)
-                    == walked_failing(pspec, outs, env, full))
+            assert pspec.failing(outs) == walked_failing(pspec, outs, env, full)
         # forced_flips and min_slot_bound read `ok`: a twin given the
         # walked tables must answer the same
         twin = engine._PointSpec(pspec.input_names, pspec.outputs, pspec.obligations,
@@ -1906,9 +1908,11 @@ class TestForcingMasks:
         assert pspec.min_slot_bound() == twin.min_slot_bound()
 
     def test_allowed_past_the_cube_equals_the_clause_walk(self):
-        # 13 inputs: no cube, so `allowed` builds forcing masks on each
-        # point's width-1 tables
+        # a spec over 9 inputs, padded with 4 it never reads to 13: no
+        # cube, so `allowed` walks the clauses at each point.  Its twin
+        # over the 9 read inputs has the cube and answers from `ok`
         names = [f"i{k}" for k in range(13)]
+        kept = [x for x in names if x not in ("i5", "i6", "i8", "i10")]
         interface = BlockInterface(tuple(
             [VarDecl(x, Direction.INPUT) for x in names]
             + [VarDecl(o, Direction.OUTPUT) for o in ("y", "z")]))
@@ -1922,15 +1926,20 @@ class TestForcingMasks:
         obligations = engine._pinned(spec.obligations, "y", parse_expression("i2 XOR i11"),
                                      [c.guard for c in spec.obligations["y"]])
         pspec = engine._PointSpec(names, ["y", "z"], obligations, spec.assertions)
-        assert not pspec.cube
-        rng = random.Random(37)
+        twin = engine._PointSpec(kept, ["y", "z"], obligations, spec.assertions)
+        assert twin.cube and not pspec.cube
+        rng, answers = random.Random(37), set()
         for _ in range(60):
             point = tuple(rng.random() < 0.5 for _ in names)
             env = dict(zip(names, point))
+            allowed = pspec.allowed(point)
+            answers.add(tuple(allowed))
+            assert allowed == twin.allowed(tuple(env[x] for x in kept))
             walked = [bits for bits in pspec.valuations
                       if not any(engine._failing_clauses(pspec, {**env, "y": bits[0],
                                                                  "z": bits[1]}))]
-            assert pspec.allowed(point) == walked
+            assert allowed == walked
+        assert len(answers) > 2
 
 
 class TestCegisProgress:

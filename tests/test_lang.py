@@ -208,11 +208,6 @@ class TestExpressionParsing:
     def test_standalone_expression(self):
         assert parse_expression("a OR NOT b") == Or(Var("a"), Not(Var("b")))
 
-    def test_type_check_against_interface(self):
-        iface = BlockInterface((VarDecl("a", Direction.INPUT),))
-        with pytest.raises(TypeCheckError):
-            parse_expression("a AND q", iface)
-
     def test_trailing_junk_rejected(self):
         with pytest.raises(ParseError):
             parse_expression("a OR b c")

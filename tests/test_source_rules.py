@@ -109,6 +109,15 @@ def test_one_out_of_rounds_rule():
     assert sites == ["engine._run_cegis"]
 
 
+def test_one_constraint_list_check():
+    # a constraint list checks itself when built, as the other records
+    # do, so nothing that takes one checks it again
+    sites = [f"{path.stem}.{site}" for path in SOURCES
+             for site in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")),
+                                            "validate_constraint_list")]
+    assert sites == ["constraints.ConstraintList.__post_init__"]
+
+
 def test_one_written_block_check():
     # synthesize and simplify write their blocks through one driver, which
     # checks the block against the whole spec; the other checks are the
